@@ -33,7 +33,7 @@ from .errors import (
     UndecidedError,
     ValidationError,
 )
-from .feasibility import FeasibilityProblem, dykstra_solve
+from .feasibility import FeasibilityProblem, dykstra_iterates, dykstra_solve
 from .systems import (
     DEFAULT_TOL,
     OperatorSystem,
@@ -262,29 +262,31 @@ _PG_SEED = 57721566
 #: as M grows, and moderate M values keep the corrected projection fast.
 _STEP_LADDER = (0.25, 1.0, 4.0, 16.0, 64.0)
 
+#: Iteration cap and step-size stopping rule of the section projection.
+_SECTION_ITERS = 400
+_SECTION_TOL = 1e-12
 
-def _batch_section_project(coeffs, hbasis, traces, tt, *, iters=400, tol=1e-12):
+
+def _batch_section_project(coeffs, hbasis, traces, tt):
     """Nearest-point projection onto {sum c_a H_a >= 0, trace = 1} via
     Dykstra-corrected alternating projections between the ambient PSD cone
     and the affine slice of S_h; batched over the leading axis."""
-    x = np.einsum("ra,aij->rij", coeffs, hbasis, optimize=True)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(iters):
-        w, u = np.linalg.eigh(x + p)
-        y = np.einsum("rxk,rk,ryk->rxy", u, np.clip(w, 0.0, None), u.conj(),
-                      optimize=True)
-        p = x + p - y
-        c = np.real(np.einsum("aij,rij->ra", hbasis.conj(), y + q, optimize=True))
-        c = c + np.outer((1.0 - c @ traces) / tt, traces)
-        xn = np.einsum("ra,aij->rij", c, hbasis, optimize=True)
-        if np.abs(xn - x).max() < tol:
-            x = xn
+    m, d = hbasis.shape[0], hbasis.shape[1]
+    # Re trace(H_a x) is the real dot product of the (re, im) float views
+    hflat = hbasis.reshape(m, d * d).view(float)
+
+    def slice_coords(x):
+        c = x.reshape(len(x), d * d).view(float) @ hflat.T
+        return c + np.outer((1.0 - c @ traces) / tt, traces)
+
+    def from_coords(c):
+        return (c @ hflat).view(complex).reshape(len(c), d, d)
+
+    steps = dykstra_iterates(from_coords(coeffs), lambda x: from_coords(slice_coords(x)))
+    for it, (_, x_prev, x) in enumerate(steps, start=1):
+        if it == _SECTION_ITERS or np.abs(x - x_prev).max() < _SECTION_TOL:
             break
-        q = y + q - xn
-        x = xn
-    c = np.real(np.einsum("aij,rij->ra", hbasis.conj(), x, optimize=True))
-    return c + np.outer((1.0 - c @ traces) / tt, traces)
+    return slice_coords(x)
 
 
 def positivity_minimum(

@@ -7,6 +7,11 @@ the origin: with the corrections, the iterates converge to a point of the
 intersection whenever one exists, and the gap between the cone-side and
 affine-side iterates converges to the distance between the sets otherwise.
 
+The iteration itself, :func:`dykstra_iterates`, is the package's one
+Dykstra kernel: batched over leading axes and parameterized by the affine
+projector, it also drives the section projection of the dual module.  Each
+caller owns its stopping rule.
+
 Verdicts are three-valued.  Infeasibility is detected heuristically (the
 gap stalls at a value well above tolerance); budget exhaustion yields
 "undecided", which callers surface rather than coerce.
@@ -19,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .errors import DimensionError, InfeasibleAffineError, ParseError
+from .errors import DimensionError, InfeasibleAffineError, ParseError, ValidationError
 
 __all__ = [
     "FeasibilityProblem",
     "FeasibilityVerdict",
     "project_affine",
+    "dykstra_iterates",
     "dykstra_solve",
 ]
 
@@ -45,6 +51,10 @@ class FeasibilityProblem:
             raise DimensionError(f"problem dimension must be positive, got {self.dim}")
         if not self.constraints:
             raise ValueError("constraint list must be nonempty")
+        if not 0.0 < self.tol < np.inf:
+            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValidationError(f"max_iter must be positive, got {self.max_iter}")
         checked = []
         for a, b in self.constraints:
             m = la.as_matrix(a)
@@ -75,7 +85,7 @@ class FeasibilityProblem:
                 tol=float(obj.get("tol", 1e-7)),
                 max_iter=int(obj.get("max_iter", 20000)),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed feasibility problem JSON: {exc}") from exc
 
 
@@ -144,6 +154,25 @@ def project_affine(problem: FeasibilityProblem, w) -> np.ndarray:
     return la.hermitian_part(span.project(la.hermitian_part(w)))
 
 
+def dykstra_iterates(x, project_affine):
+    """Dykstra's corrected alternating projections between the PSD cone and
+    an affine set, batched over the leading axes of ``x``.
+
+    ``project_affine`` maps a stack of matrices to its affine projection.
+    Yields ``(y, x_prev, x_next)`` forever: the cone iterate and the affine
+    iterates before and after the step; the caller decides when to stop.
+    """
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    while True:
+        y = la.project_psd(x + p)
+        p = x + p - y
+        x_next = project_affine(y + q)
+        q = y + q - x_next
+        yield y, x, x_next
+        x = x_next
+
+
 def dykstra_solve(problem: FeasibilityProblem) -> FeasibilityVerdict:
     """Run Dykstra's alternating projections between PSD cone and affine set.
 
@@ -155,15 +184,10 @@ def dykstra_solve(problem: FeasibilityProblem) -> FeasibilityVerdict:
     """
     span = _AffineSpan.build(problem)
     dim = problem.dim
-    x = span.project(np.zeros((dim, dim), dtype=complex))
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
+    x0 = span.project(np.zeros((dim, dim), dtype=complex))
+    steps = dykstra_iterates(x0, lambda w: la.hermitian_part(span.project(w)))
     gaps: list[float] = []
-    for it in range(1, problem.max_iter + 1):
-        y = la.project_psd(x + p)
-        p = x + p - y
-        x = la.hermitian_part(span.project(y + q))
-        q = y + q - x
+    for it, (y, _, x) in enumerate(steps, start=1):
         gap = la.frobenius(y - x)
         gaps.append(gap)
         if gap < problem.tol:
@@ -172,4 +196,5 @@ def dykstra_solve(problem: FeasibilityProblem) -> FeasibilityVerdict:
             prev = gaps[-1 - _STALL_WINDOW]
             if abs(gap - prev) < (problem.tol / 10.0) * max(1.0, gap):
                 return FeasibilityVerdict("infeasible", None, gap, it)
-    return FeasibilityVerdict("undecided", None, gaps[-1], problem.max_iter)
+        if it == problem.max_iter:
+            return FeasibilityVerdict("undecided", None, gap, it)

@@ -3,8 +3,9 @@
 Matrices are plain ``numpy.ndarray`` objects with complex dtype.  This module
 fixes the conventions everything else relies on: Hermitian symmetrization at
 construction, descending eigenvalue order, PSD projection by eigenvalue
-clipping, and the JSON wire format for complex matrices (an entry is a
-two-element ``[re, im]`` array, a matrix is an array of rows).
+clipping (the package's only one, batched over stacks), and the JSON wire
+format for complex matrices (an entry is a two-element ``[re, im]`` array, a
+matrix is an array of rows).
 
 All functions are pure; none mutate their arguments.
 """
@@ -117,13 +118,21 @@ def lambda_max(h) -> float:
 
 
 def project_psd(h) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix: clip the spectrum at 0.
+    """Frobenius-nearest positive semidefinite matrix: clip the spectrum of
+    the Hermitian part at 0.  A stack of shape ``(..., n, n)`` is projected
+    matrix by matrix.
 
     Idempotent, and a fixed point on PSD input.
     """
-    w, u = spectral_decompose(h)
-    clipped = np.clip(w, 0.0, None)
-    return (u * clipped) @ u.conj().T
+    m = np.asarray(h, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"project_psd requires square matrices, got {m.shape}")
+    try:
+        w, u = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+    clipped = np.clip(w, 0.0, None)[..., None, :]
+    return (u * clipped) @ u.conj().swapaxes(-1, -2)
 
 
 def op_norm(a) -> float:

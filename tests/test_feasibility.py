@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opsys import linalg as la
-from opsys.errors import InfeasibleAffineError
+from opsys.errors import InfeasibleAffineError, ParseError, ValidationError
 from opsys.feasibility import (
     FeasibilityProblem,
     dykstra_solve,
@@ -152,7 +152,26 @@ def test_gray_band_stays_undecided():
     tol = 1e-7
     w0 = np.diag([1.0, -5 * tol])
     problem = FeasibilityProblem(2, pin_constraints(2, w0), tol=tol, max_iter=300)
-    assert dykstra_solve(problem).status == "undecided"
+    verdict = dykstra_solve(problem)
+    assert verdict.status == "undecided"
+    assert verdict.iterations == problem.max_iter
+
+
+@pytest.mark.parametrize("bad", [
+    {"max_iter": 0},
+    {"max_iter": -5},
+    {"tol": 0.0},
+    {"tol": -1e-7},
+    {"tol": float("nan")},
+    {"tol": float("inf")},
+])
+def test_problem_rejects_bad_budget_and_tolerance(bad):
+    with pytest.raises(ValidationError):
+        FeasibilityProblem(2, [(np.eye(2), 1.0)], **bad)
+    obj = FeasibilityProblem(2, [(np.eye(2), 1.0)]).to_json()
+    obj.update(bad)
+    with pytest.raises(ParseError):
+        FeasibilityProblem.from_json(obj)
 
 
 def test_problem_json_roundtrip():

@@ -65,6 +65,21 @@ def test_project_psd_idempotent_and_floor():
     assert la.lambda_min(p) >= -1e-10
 
 
+def test_project_psd_stack_matches_per_matrix():
+    rng = np.random.default_rng(12)
+    stack = np.stack([[rand_hermitian(rng, 4) for _ in range(3)] for _ in range(2)])
+    out = la.project_psd(stack)
+    assert out.shape == stack.shape
+    for idx in np.ndindex(*stack.shape[:2]):
+        assert np.linalg.norm(out[idx] - la.project_psd(stack[idx])) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 2, 3), (5,)])
+def test_project_psd_nonsquare_rejected(shape):
+    with pytest.raises(DimensionError):
+        la.project_psd(np.ones(shape))
+
+
 def test_op_norm_examples():
     assert la.op_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
     e12 = np.zeros((2, 2)); e12[0, 1] = 1
