@@ -100,52 +100,38 @@ class FeasibilityVerdict:
         return self.status == "feasible"
 
 
+#: Residual norm below which a normalized constraint counts as dependent.
+_RANK_TOL = 1e-12
+
+
 @dataclass
 class _AffineSpan:
     """Orthonormalized constraint system; dependent constraints are pruned
     after a consistency check on their right-hand sides."""
 
-    mats: np.ndarray  # (m, dim, dim), orthonormal under trace(A B)
+    basis: np.ndarray  # (m, 2 dim^2): orthonormal matrices as flat (re, im) views
     rhs: np.ndarray  # (m,)
 
     @classmethod
     def build(cls, problem: FeasibilityProblem) -> "_AffineSpan":
-        mats: list[np.ndarray] = []
-        rhs: list[float] = []
-        for a, b in problem.constraints:
-            w = a.astype(complex)
-            bb = float(b)
-            for _ in range(2):
-                for m, r in zip(mats, rhs):
-                    coef = float(np.real(np.vdot(m, w)))
-                    w = w - coef * m
-                    bb = bb - coef * r
-            nrm = la.frobenius(w)
-            if nrm <= 1e-12 * max(1.0, la.frobenius(a)):
-                if abs(bb) > problem.tol:
-                    raise InfeasibleAffineError(
-                        f"dependent constraint with residual {abs(bb):.3e}"
-                    )
-                continue
-            mats.append(w / nrm)
-            rhs.append(bb / nrm)
-        if not mats:
-            # every constraint was redundant and consistent: affine set = all of M_d
-            return cls(mats=np.zeros((0, problem.dim, problem.dim), dtype=complex),
-                       rhs=np.zeros(0))
-        return cls(mats=np.stack(mats), rhs=np.asarray(rhs))
+        flat = np.stack([a.reshape(-1) for a, _ in problem.constraints])
+        b = np.array([b for _, b in problem.constraints])
+        basis = la.orthonormalize(flat, _RANK_TOL)
+        # constraint k is sum_j coef[k, j] <B_j, W> = b_k: the right-hand
+        # sides over the kept basis solve that system in least squares
+        coef = np.real(flat @ basis.conj().T)
+        rhs = np.linalg.lstsq(coef, b, rcond=None)[0]
+        residual = float(np.abs(coef @ rhs - b).max())
+        if residual > problem.tol:
+            raise InfeasibleAffineError(
+                f"dependent constraint with residual {residual:.3e}"
+            )
+        return cls(basis=basis.view(float), rhs=rhs)
 
     def project(self, w: np.ndarray) -> np.ndarray:
-        if len(self.rhs) == 0:
-            return w
-        vals = np.real(np.einsum("kij,ij->k", self.mats.conj(), w))
-        return w + np.einsum("k,kij->ij", self.rhs - vals, self.mats)
-
-    def max_residual(self, w: np.ndarray) -> float:
-        if len(self.rhs) == 0:
-            return 0.0
-        vals = np.real(np.einsum("kij,ij->k", self.mats.conj(), w))
-        return float(np.abs(vals - self.rhs).max())
+        # Re trace(B* W) is the real dot product of the (re, im) views
+        vals = self.basis @ np.ascontiguousarray(w).reshape(-1).view(float)
+        return w + ((self.rhs - vals) @ self.basis).view(complex).reshape(w.shape)
 
 
 def project_affine(problem: FeasibilityProblem, w) -> np.ndarray:

@@ -31,7 +31,7 @@ __all__ = [
     "op_norm",
     "trace_norm",
     "frobenius",
-    "trace_inner",
+    "orthonormalize",
     "identity",
     "basis_matrix",
     "encode_matrix",
@@ -153,9 +153,31 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def trace_inner(a, b) -> complex:
-    """Trace inner product <A, B> = trace(A* B), antilinear in the first slot."""
-    return complex(np.vdot(np.asarray(a), np.asarray(b)))
+def orthonormalize(vectors, rank_tol: float) -> np.ndarray:
+    """Orthonormal basis, in input order, of the span of equally shaped
+    arrays under the trace inner product trace(A* B).
+
+    Classical Gram-Schmidt with one reorthogonalization (CGS2): each vector
+    is normalized, projected off the basis so far twice, and kept when the
+    residual norm exceeds ``rank_tol``.  Returns shape ``(k, *vector shape)``.
+    """
+    vecs = [np.asarray(v, dtype=complex) for v in vectors]
+    shape = vecs[0].shape
+    n = vecs[0].size
+    basis = np.empty((min(len(vecs), n), n), dtype=complex)
+    k = 0
+    for v in vecs:
+        nrm = frobenius(v)
+        if nrm <= rank_tol:
+            continue
+        w = v.reshape(n) / nrm
+        for _ in range(2):  # second pass kills rounding drift
+            w = w - (basis[:k].conj() @ w) @ basis[:k]
+        res = frobenius(w)
+        if res > rank_tol:
+            basis[k] = w / res
+            k += 1
+    return basis[:k].reshape((k,) + shape)
 
 
 def identity(d: int) -> np.ndarray:

@@ -49,24 +49,6 @@ _GS_RANK_TOL = 1e-9
 _MOU_SAMPLE_SEED = 20240917
 
 
-def _orthonormalize(vectors, rank_tol=_GS_RANK_TOL):
-    """Modified Gram-Schmidt with reorthogonalization over the trace inner
-    product; vectors with residual below ``rank_tol`` are dropped."""
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        nrm = la.frobenius(v)
-        if nrm <= rank_tol:
-            continue
-        w = v / nrm
-        for _ in range(2):  # second pass kills rounding drift
-            for b in basis:
-                w = w - la.trace_inner(b, w) * b
-        res = la.frobenius(w)
-        if res > rank_tol:
-            basis.append(w / res)
-    return basis
-
-
 class OperatorSystem:
     """An adjoint-closed unital subspace of M_d with an orthonormal basis.
 
@@ -143,13 +125,13 @@ class OperatorSystem:
             for b in self.basis:
                 cands.append(la.hermitian_part(b))
                 cands.append(la.antihermitian_part(b))
-            ortho = _orthonormalize(cands)
+            ortho = la.orthonormalize(cands, _GS_RANK_TOL)
             if len(ortho) != self.dim:
                 raise ValidationError(
                     f"Hermitian basis has rank {len(ortho)}, expected {self.dim};"
                     " span is not adjoint-closed"
                 )
-            hb = np.stack([la.hermitian_part(h) for h in ortho])
+            hb = (ortho + ortho.conj().swapaxes(1, 2)) / 2.0
             hb.flags.writeable = False
             self._hermitian_basis = hb
         return self._hermitian_basis
@@ -193,7 +175,7 @@ def make_operator_system(
             raise DimensionError(f"generator of shape {m.shape} in ambient M_{d}")
         cands.append(m)
         cands.append(m.conj().T)
-    return OperatorSystem(d, _orthonormalize(cands, rank_tol), name=name)
+    return OperatorSystem(d, la.orthonormalize(cands, rank_tol), name=name)
 
 
 # ----------------------------------------------------------------------------

@@ -61,6 +61,76 @@ def test_structural_invariants_random():
         assert np.allclose(gram, np.eye(s.dim), atol=1e-9)
 
 
+def mgs2_reference(vectors, rank_tol):
+    """Modified Gram-Schmidt with reorthogonalization, one basis vector at a
+    time: the reference the vectorized orthonormalizer must reproduce."""
+    basis = []
+    for v in vectors:
+        nrm = np.linalg.norm(v)
+        if nrm <= rank_tol:
+            continue
+        w = v / nrm
+        for _ in range(2):
+            for b in basis:
+                w = w - np.vdot(b, w) * b
+        res = np.linalg.norm(w)
+        if res > rank_tol:
+            basis.append(w / res)
+    return np.stack(basis)
+
+
+def shift(d, k):
+    return np.eye(d, k=k, dtype=complex)
+
+
+def unit(d, i, j):
+    e = np.zeros((d, d), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
+def reference_generators():
+    rng = np.random.default_rng(20)
+    cases = {
+        "full:8": (8, [unit(8, i, j) for i in range(8) for j in range(8)]),
+        "toeplitz:5": (5, [shift(5, k) for k in range(1, 5)]),
+        "pauli-span": (2, [E12]),
+    }
+    for t in range(4):
+        d = int(rng.integers(2, 6))
+        gens = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                for _ in range(int(rng.integers(1, 4)))]
+        cases[f"random-{t}"] = (d, gens)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(reference_generators()))
+def test_orthonormalize_matches_mgs2_reference(name):
+    # sampling draws basis coordinates, so a drifting basis would silently
+    # change every sampled test input; pin it to the sequential reference
+    d, gens = reference_generators()[name]
+    cands = [np.eye(d, dtype=complex)]
+    for g in gens:
+        cands += [g, g.conj().T]
+    ref = mgs2_reference(cands, 1e-9)
+    assert np.abs(la.orthonormalize(cands, 1e-9) - ref).max() <= 1e-13
+    s = named_system(name) if name[0] != "r" else make_operator_system(gens, d)
+    assert np.abs(np.stack(s.basis) - ref).max() <= 1e-13
+    herm_cands = []
+    for b in ref:
+        herm_cands += [la.hermitian_part(b), la.antihermitian_part(b)]
+    href = np.stack([la.hermitian_part(h) for h in mgs2_reference(herm_cands, 1e-9)])
+    assert np.abs(s.hermitian_basis - href).max() <= 1e-13
+
+
+def test_orthonormalize_drops_dependent_vectors():
+    v = np.arange(4.0).reshape(2, 2)
+    out = la.orthonormalize([v, 2 * v, np.zeros((2, 2)), np.eye(2)], 1e-12)
+    assert out.shape == (2, 2, 2)
+    gram = np.einsum("aij,bij->ab", out.conj(), out)
+    assert np.abs(gram - np.eye(2)).max() <= 1e-14
+
+
 def test_named_systems():
     assert named_system("full:3").dim == 9
     assert named_system("diag:4").dim == 4
