@@ -45,7 +45,6 @@ from .systems import (
 __all__ = [
     "Functional",
     "MatrixFunctional",
-    "evaluate",
     "positivity_minimum",
     "is_positive_functional",
     "level_hermitian_basis",
@@ -79,10 +78,6 @@ class Functional:
         m = m.copy()
         m.flags.writeable = False
         self.riesz = m
-
-    @classmethod
-    def from_riesz(cls, system: OperatorSystem, riesz) -> "Functional":
-        return cls(system, riesz)
 
     @classmethod
     def from_values(cls, system: OperatorSystem, values) -> "Functional":
@@ -159,11 +154,6 @@ class Functional:
         """Trace norm of the canonical matrix: an upper bound for the dual
         norm, exact on the full algebra."""
         return la.trace_norm(self.riesz)
-
-
-def evaluate(f: Functional, x, tol: float = DEFAULT_TOL) -> complex:
-    """Module-level alias for :meth:`Functional.eval`."""
-    return f.eval(x, tol)
 
 
 class MatrixFunctional:
@@ -271,7 +261,7 @@ def _batch_section_project(coeffs, hbasis, traces, tt):
     """Nearest-point projection onto {sum c_a H_a >= 0, trace = 1} via
     Dykstra-corrected alternating projections between the ambient PSD cone
     and the affine slice of S_h; batched over the leading axis."""
-    m, d = hbasis.shape[0], hbasis.shape[1]
+    m, d = hbasis.shape[:2]
     # Re trace(H_a x) is the real dot product of the (re, im) float views
     hflat = hbasis.reshape(m, d * d).view(float)
 

@@ -7,10 +7,9 @@ the origin: with the corrections, the iterates converge to a point of the
 intersection whenever one exists, and the gap between the cone-side and
 affine-side iterates converges to the distance between the sets otherwise.
 
-The iteration itself, :func:`dykstra_iterates`, is the package's one
-Dykstra kernel: batched over leading axes and parameterized by the affine
-projector, it also drives the section projection of the dual module.  Each
-caller owns its stopping rule.
+One batched kernel, :func:`dykstra_iterates`, runs the iteration both for
+CP certification (:func:`dykstra_solve`) and for the section projection of
+the dual module; each caller owns its stopping rule.
 
 Verdicts are three-valued.  Infeasibility is detected heuristically (the
 gap stalls at a value well above tolerance); budget exhaustion yields
@@ -100,10 +99,6 @@ class FeasibilityVerdict:
         return self.status == "feasible"
 
 
-#: Residual norm below which a normalized constraint counts as dependent.
-_RANK_TOL = 1e-12
-
-
 @dataclass
 class _AffineSpan:
     """Orthonormalized constraint system; dependent constraints are pruned
@@ -116,16 +111,14 @@ class _AffineSpan:
     def build(cls, problem: FeasibilityProblem) -> "_AffineSpan":
         flat = np.stack([a.reshape(-1) for a, _ in problem.constraints])
         b = np.array([b for _, b in problem.constraints])
-        basis = la.orthonormalize(flat, _RANK_TOL)
+        basis = la.orthonormalize(flat, 1e-12)
         # constraint k is sum_j coef[k, j] <B_j, W> = b_k: the right-hand
         # sides over the kept basis solve that system in least squares
         coef = np.real(flat @ basis.conj().T)
         rhs = np.linalg.lstsq(coef, b, rcond=None)[0]
         residual = float(np.abs(coef @ rhs - b).max())
         if residual > problem.tol:
-            raise InfeasibleAffineError(
-                f"dependent constraint with residual {residual:.3e}"
-            )
+            raise InfeasibleAffineError(f"dependent constraint residual {residual:.3e}")
         return cls(basis=basis.view(float), rhs=rhs)
 
     def project(self, w: np.ndarray) -> np.ndarray:
@@ -140,20 +133,17 @@ def project_affine(problem: FeasibilityProblem, w) -> np.ndarray:
     return la.hermitian_part(span.project(la.hermitian_part(w)))
 
 
-def dykstra_iterates(x, project_affine):
+def dykstra_iterates(x, affine):
     """Dykstra's corrected alternating projections between the PSD cone and
-    an affine set, batched over the leading axes of ``x``.
-
-    ``project_affine`` maps a stack of matrices to its affine projection.
-    Yields ``(y, x_prev, x_next)`` forever: the cone iterate and the affine
-    iterates before and after the step; the caller decides when to stop.
-    """
+    the affine set that ``affine`` projects onto, batched over leading axes.
+    Yields ``(y, x_prev, x_next)`` forever (cone iterate, affine iterates
+    before and after the step); the caller decides when to stop."""
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     while True:
         y = la.project_psd(x + p)
         p = x + p - y
-        x_next = project_affine(y + q)
+        x_next = affine(y + q)
         q = y + q - x_next
         yield y, x, x_next
         x = x_next
@@ -169,8 +159,7 @@ def dykstra_solve(problem: FeasibilityProblem) -> FeasibilityVerdict:
     undecided:  iteration budget exhausted before either test fires.
     """
     span = _AffineSpan.build(problem)
-    dim = problem.dim
-    x0 = span.project(np.zeros((dim, dim), dtype=complex))
+    x0 = span.project(np.zeros((problem.dim,) * 2, dtype=complex))
     steps = dykstra_iterates(x0, lambda w: la.hermitian_part(span.project(w)))
     gaps: list[float] = []
     for it, (y, _, x) in enumerate(steps, start=1):

@@ -3,14 +3,15 @@
 Matrices are plain ``numpy.ndarray`` objects with complex dtype.  This module
 fixes the conventions everything else relies on: Hermitian symmetrization at
 construction, descending eigenvalue order, PSD projection by eigenvalue
-clipping (the package's only one, batched over stacks), and the JSON wire
-format for complex matrices (an entry is a two-element ``[re, im]`` array, a
-matrix is an array of rows).
+clipping (batched over stacks), and the JSON wire format for complex
+matrices: an entry is ``[re, im]``, a matrix is an array of rows.
 
 All functions are pure; none mutate their arguments.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -22,7 +23,6 @@ __all__ = [
     "hermitian_part",
     "antihermitian_part",
     "is_hermitian",
-    "hermitian",
     "spectral_decompose",
     "eigenvalues_desc",
     "lambda_min",
@@ -64,11 +64,6 @@ def hermitian_part(a) -> np.ndarray:
     since downstream projections accumulate asymmetry at machine precision."""
     m = _require_square(a, "hermitian_part")
     return (m + m.conj().T) / 2.0
-
-
-# `hermitian` is the constructor name used at call sites that build a
-# HermitianMatrix from possibly asymmetric data.
-hermitian = hermitian_part
 
 
 def antihermitian_part(a) -> np.ndarray:
@@ -118,9 +113,8 @@ def lambda_max(h) -> float:
 
 
 def project_psd(h) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix: clip the spectrum of
-    the Hermitian part at 0.  A stack of shape ``(..., n, n)`` is projected
-    matrix by matrix.
+    """Frobenius-nearest PSD matrix: clip the spectrum of the Hermitian part
+    at 0, matrix by matrix over a ``(..., n, n)`` stack.
 
     Idempotent, and a fixed point on PSD input.
     """
@@ -154,15 +148,12 @@ def frobenius(a) -> float:
 
 
 def orthonormalize(vectors, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis, in input order, of the span of equally shaped
-    arrays under the trace inner product trace(A* B).
-
-    Classical Gram-Schmidt with one reorthogonalization (CGS2): each vector
-    is normalized, projected off the basis so far twice, and kept when the
-    residual norm exceeds ``rank_tol``.  Returns shape ``(k, *vector shape)``.
+    """Orthonormal basis (trace inner product) of the span of equally shaped
+    arrays, shaped ``(k, *vector shape)``, by classical Gram-Schmidt with one
+    reorthogonalization (CGS2): in input order, each vector is normalized,
+    projected off the basis twice, and kept if the residual exceeds rank_tol.
     """
     vecs = [np.asarray(v, dtype=complex) for v in vectors]
-    shape = vecs[0].shape
     n = vecs[0].size
     basis = np.empty((min(len(vecs), n), n), dtype=complex)
     k = 0
@@ -177,7 +168,7 @@ def orthonormalize(vectors, rank_tol: float) -> np.ndarray:
         if res > rank_tol:
             basis[k] = w / res
             k += 1
-    return basis[:k].reshape((k,) + shape)
+    return basis[:k].reshape((k,) + vecs[0].shape)
 
 
 def identity(d: int) -> np.ndarray:
@@ -218,10 +209,13 @@ def decode_matrix(obj) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                # finite JSON numbers only: no booleans, NaN or inf (1e999)
+                or not all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+                           for x in entry)
             ):
                 raise ParseError(
                     f"entry ({r},{c}) must be a two-element [re, im] array"
+                    " of finite numbers"
                 )
             out.append(complex(entry[0], entry[1]))
         rows.append(out)

@@ -131,7 +131,7 @@ class OperatorSystem:
                     f"Hermitian basis has rank {len(ortho)}, expected {self.dim};"
                     " span is not adjoint-closed"
                 )
-            hb = (ortho + ortho.conj().swapaxes(1, 2)) / 2.0
+            hb = np.stack([la.hermitian_part(h) for h in ortho])
             hb.flags.writeable = False
             self._hermitian_basis = hb
         return self._hermitian_basis

@@ -60,6 +60,14 @@ def test_malformed_element_file(tmp_path, capsys):
     assert run(["norm", "--system", "full:2", "--element", str(bad)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("entry", ["1e999", "NaN", "true"])
+def test_non_finite_or_boolean_entry_rejected(tmp_path, capsys, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f"[[[0, 0], [{entry}, 0]], [[0, 0], [0, 0]]]")
+    argv = ["norm", "--system", "pauli-span", "--element", str(bad), "--kind", "min"]
+    assert run(argv) == EXIT_DATA
+
+
 def test_unknown_system_name(e12_file, capsys):
     assert run(["norm", "--system", "nope:2", "--element", e12_file]) == EXIT_DATA
 

@@ -127,6 +127,10 @@ def test_json_identity_format():
     [[[1, 0], [0]]],
     [[[1, 0]], [[0, 0], [1, 0]]],
     "nope",
+    [[[float("inf"), 0]]],
+    [[[0, float("nan")]]],
+    [[[True, 0]]],
+    [[[10**400, 0]]],
 ])
 def test_json_malformed_rejected(bad):
     with pytest.raises(ParseError):
