@@ -91,9 +91,14 @@ def _load_matrix(path: str) -> np.ndarray:
 def _load_matrix_functional(system, path: str) -> MatrixFunctional:
     obj = _load_json_file(path)
     if isinstance(obj, dict) and "grid" in obj:
+        rows = obj["grid"]
+        if not isinstance(rows, list) or not rows or not all(
+            isinstance(row, list) for row in rows
+        ):
+            raise ParseError(f'{path}: "grid" must be a nonempty array of arrays')
         grid = [
             [Functional(system, la.decode_matrix(cell)) for cell in row]
-            for row in obj["grid"]
+            for row in rows
         ]
         return MatrixFunctional(grid)
     if isinstance(obj, dict) and "riesz" in obj:

@@ -91,8 +91,9 @@ class Functional:
             raise DimensionError(
                 f"expected {system.dim} basis values, got shape {vals.shape}"
             )
-        riesz = sum(v * b.conj().T for v, b in zip(vals, system.basis))
-        return cls(system, riesz, _canonical=True)
+        # sum_i v_i conj(B_i) is the conjugate of sum_i conj(v_i) B_i
+        flat = (vals.conj() @ system.basis.reshape(system.dim, -1)).conj()
+        return cls(system, flat.reshape(system.d, system.d).T, _canonical=True)
 
     @classmethod
     def zero(cls, system: OperatorSystem) -> "Functional":

@@ -52,29 +52,26 @@ _MOU_SAMPLE_SEED = 20240917
 class OperatorSystem:
     """An adjoint-closed unital subspace of M_d with an orthonormal basis.
 
-    Immutable after construction; all operations on it are pure functions,
-    so instances are safe to share across threads.
+    ``basis`` is a read-only array of shape (dim, d, d).  Immutable after
+    construction; all operations on it are pure functions, so instances are
+    safe to share across threads.
     """
 
     def __init__(self, d: int, basis, name: str | None = None):
         if d < 1:
             raise DimensionError(f"ambient dimension must be positive, got {d}")
         self.d = int(d)
-        mats = []
-        for b in basis:
-            m = la.as_matrix(b)
+        mats = [la.as_matrix(b) for b in basis]
+        for m in mats:
             if m.shape != (d, d):
                 raise DimensionError(
                     f"basis element of shape {m.shape} in ambient M_{d}"
                 )
-            m = m.copy()
-            m.flags.writeable = False
-            mats.append(m)
         if not mats:
             raise ValidationError("a system needs at least one basis element")
-        self.basis = tuple(mats)
+        self.basis = np.stack(mats)
+        self.basis.flags.writeable = False
         self.name = name
-        self._basis_arr = np.stack(self.basis)  # (dim, d, d)
         self._hermitian_basis: np.ndarray | None = None
 
     # -- structure -----------------------------------------------------------
@@ -100,18 +97,38 @@ class OperatorSystem:
     def coords(self, x) -> np.ndarray:
         """Complex coordinates <B_i, x> with respect to the orthonormal basis."""
         m = la.as_matrix(x)
-        return np.einsum("kij,ij->k", self._basis_arr.conj(), m)
+        return np.einsum("kij,ij->k", self.basis.conj(), m)
 
     def from_coords(self, c) -> np.ndarray:
-        return np.einsum("k,kij->ij", np.asarray(c, dtype=complex), self._basis_arr)
+        return np.einsum("k,kij->ij", np.asarray(c, dtype=complex), self.basis)
+
+    def stack_coords(self, xs) -> np.ndarray:
+        """Coordinates of every matrix of a (k, d, d) stack, shape (k, dim),
+        by one matrix product."""
+        m = np.asarray(xs, dtype=complex)
+        if m.ndim != 3 or m.shape[1:] != (self.d, self.d):
+            raise DimensionError(
+                f"expected a stack of {self.d}x{self.d} matrices, got {m.shape}"
+            )
+        flat = m.reshape(len(m), -1)
+        # X B^H is formed as the conjugate of B X^H, so the basis is not copied
+        return (self.basis.reshape(self.dim, -1) @ flat.conj().T).conj().T
 
     def project(self, x) -> np.ndarray:
         """Orthogonal projection of a d x d matrix onto the system."""
         return self.from_coords(self.coords(x))
 
     def residual(self, x) -> float:
-        m = la.as_matrix(x)
-        return la.frobenius(m - self.project(m))
+        """Frobenius distance from a d x d matrix to the system."""
+        return float(self.residuals(la.as_matrix(x)[None])[0])
+
+    def residuals(self, xs) -> np.ndarray:
+        """Frobenius distances to the system of every matrix of a (k, d, d)
+        stack, shape (k,), by two matrix products."""
+        m = np.asarray(xs, dtype=complex)
+        coords = self.stack_coords(m)
+        flat = m.reshape(len(m), -1)
+        return np.linalg.norm(flat - coords @ self.basis.reshape(self.dim, -1), axis=1)
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         return self.residual(x) <= tol
@@ -148,16 +165,16 @@ class OperatorSystem:
 
     def validate(self, tol: float = 1e-10) -> None:
         """Check the structural invariants; raises ValidationError on failure."""
-        gram = np.einsum("aij,bij->ab", self._basis_arr.conj(), self._basis_arr)
+        gram = np.einsum("aij,bij->ab", self.basis.conj(), self.basis)
         if not np.allclose(gram, np.eye(self.dim), atol=tol):
             raise ValidationError("basis Gram matrix is not the identity")
         if self.residual(self.unit) > tol:
             raise ValidationError("identity is not in the span (system not unital)")
-        for k, b in enumerate(self.basis):
-            if self.residual(b.conj().T) > tol:
-                raise ValidationError(
-                    f"span is not adjoint-closed (basis element {k})"
-                )
+        bad = np.flatnonzero(self.residuals(self.basis.conj().swapaxes(1, 2)) > tol)
+        if bad.size:
+            raise ValidationError(
+                f"span is not adjoint-closed (basis element {bad[0]})"
+            )
 
 
 def make_operator_system(
@@ -220,7 +237,10 @@ def system_from_json(obj) -> OperatorSystem:
     d = obj["d"]
     if not isinstance(d, int) or d < 1:
         raise ParseError('"d" must be a positive integer')
-    gens = [la.decode_matrix(g) for g in obj.get("generators", [])]
+    gens = obj.get("generators", [])
+    if not isinstance(gens, list):
+        raise ParseError('"generators" must be an array of matrices')
+    gens = [la.decode_matrix(g) for g in gens]
     return make_operator_system(gens, d)
 
 
@@ -268,13 +288,8 @@ def from_blocks(blocks) -> np.ndarray:
 
 def subspace_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> bool:
     """True iff every grid entry of ``x`` projects onto the system within ``tol``."""
-    blocks = to_blocks(x, system.d)
-    n = blocks.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if system.residual(blocks[i, j]) > tol:
-                return False
-    return True
+    blocks = to_blocks(x, system.d).reshape(-1, system.d, system.d)
+    return not np.any(system.residuals(blocks) > tol)
 
 
 def cone_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> bool:

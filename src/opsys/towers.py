@@ -107,14 +107,15 @@ class Embedding:
         return np.einsum("k,kij->ij", coords, self.images)
 
     def apply_level(self, x) -> np.ndarray:
-        """Amplification id_n (x) phi on a flattened level element."""
-        blocks = to_blocks(x, self.source.d)
+        """Amplification id_n (x) phi on a flattened level element: the
+        coordinates of all n^2 blocks, then their images, by two matrix
+        products."""
+        ds, dt = self.source.d, self.target.d
+        blocks = to_blocks(x, ds)
         n = blocks.shape[0]
-        out = np.empty((n, n, self.target.d, self.target.d), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.apply(blocks[i, j])
-        return from_blocks(out) if n > 1 else out[0, 0]
+        coords = self.source.stack_coords(blocks.reshape(n * n, ds, ds))
+        out = coords @ self.images.reshape(len(self.images), dt * dt)
+        return from_blocks(out.reshape(n, n, dt, dt))
 
 
 class Tower:
@@ -174,11 +175,12 @@ class Tower:
             image_unit = emb.apply(src.unit)
             if la.frobenius(image_unit - tgt.unit) > _COMPAT_TOL:
                 raise ValidationError(f"embedding {idx} is not unital")
-            for j in range(src.dim):
-                if tgt.residual(emb.images[j]) > _COMPAT_TOL:
-                    raise ValidationError(
-                        f"embedding {idx} maps basis element {j} outside stage {idx + 1}"
-                    )
+            outside = np.flatnonzero(tgt.residuals(emb.images) > _COMPAT_TOL)
+            if outside.size:
+                raise ValidationError(
+                    f"embedding {idx} maps basis element {outside[0]}"
+                    f" outside stage {idx + 1}"
+                )
             for n in (1, 2, 3):
                 for _ in range(4):
                     pos = random_positive_element(src, rng, level=n)
@@ -264,6 +266,11 @@ def make_tower(spec) -> Tower:
 # Threads
 # ----------------------------------------------------------------------------
 
+def _pair_stack(f: Functional, xs: np.ndarray) -> np.ndarray:
+    """trace(F x) for every matrix x of a (k, d, d) stack, by one product."""
+    return xs.reshape(len(xs), -1) @ f.riesz.T.reshape(-1)
+
+
 @dataclass
 class ElementThread:
     """Inductive-limit representative: x at base stage k plus images up to K."""
@@ -305,16 +312,13 @@ class FunctionalThread:
 
     def check_compatibility(self, tol: float = _COMPAT_TOL) -> None:
         for k in range(1, self.tower.depth):
-            f_next = self.entries[k]
-            f_here = self.entries[k - 1]
             emb = self.tower.embeddings[k - 1]
-            for b in self.tower.stage(k).basis:
-                lhs = f_next.pair(emb.apply(b))
-                rhs = f_here.pair(b)
-                if abs(lhs - rhs) > tol * max(1.0, abs(rhs)):
-                    raise InconsistentThreadError(
-                        f"adjoint compatibility broken at stage {k}"
-                    )
+            lhs = _pair_stack(self.entries[k], emb.images)
+            rhs = _pair_stack(self.entries[k - 1], emb.source.basis)
+            if np.any(np.abs(lhs - rhs) > tol * np.maximum(1.0, np.abs(rhs))):
+                raise InconsistentThreadError(
+                    f"adjoint compatibility broken at stage {k}"
+                )
 
 
 @dataclass
@@ -324,12 +328,12 @@ class DualTower:
     tower: Tower
 
     def project(self, k: int, f: Functional) -> Functional:
-        """Adjoint of the k-th embedding: S_{k+1}' -> S_k'."""
+        """Adjoint of the k-th embedding: S_{k+1}' -> S_k'.  The source basis
+        is orthonormal, so the embedding maps B_j to ``images[j]``."""
         emb = self.tower.embeddings[k - 1]
         if f.system is not emb.target:
             raise ValidationError(f"functional does not live on stage {k + 1}")
-        values = [f.pair(emb.apply(b)) for b in emb.source.basis]
-        return Functional.from_values(emb.source, values)
+        return Functional.from_values(emb.source, _pair_stack(f, emb.images))
 
     def project_to(self, f: Functional, m: int, k: int) -> Functional:
         """Composite adjoint from stage m down to stage k <= m."""

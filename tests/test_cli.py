@@ -68,6 +68,21 @@ def test_non_finite_or_boolean_entry_rejected(tmp_path, capsys, entry):
     assert run(argv) == EXIT_DATA
 
 
+@pytest.mark.parametrize("grid", [5, [], [5]], ids=["int", "empty", "int-row"])
+def test_malformed_functional_grid(tmp_path, capsys, grid):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"grid": grid}))
+    argv = ["dual", "check-cp", "--system", "pauli-span", "--functional", str(f)]
+    assert run(argv) == EXIT_DATA
+
+
+def test_non_list_system_generators(tmp_path, capsys, e12_file):
+    s = tmp_path / "s.json"
+    s.write_text(json.dumps({"d": 2, "generators": 5}))
+    argv = ["norm", "--system", str(s), "--element", e12_file, "--kind", "min"]
+    assert run(argv) == EXIT_DATA
+
+
 def test_unknown_system_name(e12_file, capsys):
     assert run(["norm", "--system", "nope:2", "--element", e12_file]) == EXIT_DATA
 

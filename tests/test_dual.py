@@ -76,6 +76,16 @@ def test_canonical_riesz_agrees_on_basis():
     assert s.contains(f.riesz, 1e-10)
 
 
+def test_from_values_matches_basis_sum():
+    rng = np.random.default_rng(9)
+    for s in (named_system("full:3"), named_system("toeplitz:4"), random_system(rng)):
+        vals = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
+        want = sum(v * b.conj().T for v, b in zip(vals, s.basis))
+        f = Functional.from_values(s, vals)
+        assert np.abs(f.riesz - want).max() <= 1e-13
+        assert np.abs([f.pair(b) for b in s.basis] - vals).max() <= 1e-13
+
+
 # -- positivity -------------------------------------------------------------------
 
 def test_trace_positive():

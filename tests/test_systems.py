@@ -11,6 +11,7 @@ from opsys.systems import (
     make_operator_system,
     named_system,
     order_unit_radius_level,
+    random_element,
     random_hermitian_element,
     random_positive_element,
     random_system,
@@ -93,6 +94,8 @@ def reference_generators():
     rng = np.random.default_rng(20)
     cases = {
         "full:8": (8, [unit(8, i, j) for i in range(8) for j in range(8)]),
+        # 163 candidates: three orthonormalization blocks
+        "full:9": (9, [unit(9, i, j) for i in range(9) for j in range(9)]),
         "toeplitz:5": (5, [shift(5, k) for k in range(1, 5)]),
         "pauli-span": (2, [E12]),
     }
@@ -113,7 +116,9 @@ def test_orthonormalize_matches_mgs2_reference(name):
     for g in gens:
         cands += [g, g.conj().T]
     ref = mgs2_reference(cands, 1e-9)
-    assert np.abs(la.orthonormalize(cands, 1e-9) - ref).max() <= 1e-13
+    out = la.orthonormalize(cands, 1e-9)
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-13
     s = named_system(name) if name[0] != "r" else make_operator_system(gens, d)
     assert np.abs(np.stack(s.basis) - ref).max() <= 1e-13
     herm_cands = []
@@ -121,6 +126,44 @@ def test_orthonormalize_matches_mgs2_reference(name):
         herm_cands += [la.hermitian_part(b), la.antihermitian_part(b)]
     href = np.stack([la.hermitian_part(h) for h in mgs2_reference(herm_cands, 1e-9)])
     assert np.abs(s.hermitian_basis - href).max() <= 1e-13
+
+
+def test_orthonormalize_dependences_across_block_boundaries():
+    # dependent candidates around the block boundaries at 64 and 128: some
+    # lie in the span of earlier blocks, some in the span of earlier vectors
+    # of their own block, some mix both
+    rng = np.random.default_rng(5)
+    cands = [rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+             for _ in range(140)]
+    combos = {
+        62: [3, 40], 63: [0],  # the end of block 0, on block 0
+        64: [10, 20, 30], 65: [63],  # the start of block 1, on block 0
+        67: [66], 70: [66, 68, 69],  # on their own block
+        128: [5, 100], 130: [129, 2, 90],  # on earlier blocks, and on both
+    }
+    for i, deps in combos.items():
+        cands[i] = sum(complex(*rng.standard_normal(2)) * cands[j] for j in deps)
+    ref = mgs2_reference(cands, 1e-9)
+    out = la.orthonormalize(cands, 1e-9)
+    assert out.shape == ref.shape == (140 - len(combos), 12, 12)
+    assert np.abs(out - ref).max() <= 1e-13
+
+
+def test_orthonormalize_stays_orthonormal_under_cancellation():
+    # candidates within 1e-7 of the span of earlier ones: 66 of earlier
+    # blocks only, 131 and 134 also of their own block, so that projecting
+    # off their own block cancels nearly all of them; the kept residuals
+    # must still be orthonormal
+    rng = np.random.default_rng(7)
+    cands = [rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+             for _ in range(140)]
+    for i, deps in {66: [1, 2], 131: [129, 7], 134: [131, 132, 133]}.items():
+        noise = 1e-7 * rng.standard_normal((12, 12))
+        cands[i] = sum(complex(*rng.standard_normal(2)) * cands[j] for j in deps) + noise
+    out = la.orthonormalize(cands, 1e-9)
+    gram = np.einsum("aij,bij->ab", out.conj(), out)
+    assert len(out) == 140
+    assert np.abs(gram - np.eye(140)).max() <= 1e-14
 
 
 def test_orthonormalize_drops_dependent_vectors():
@@ -153,6 +196,16 @@ def test_block_roundtrip_bijection():
     x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     assert np.array_equal(from_blocks(to_blocks(x, 2)), x)
     assert np.array_equal(from_blocks(to_blocks(x, 3)), x)
+
+
+def test_residuals_match_per_matrix_projection():
+    rng = np.random.default_rng(6)
+    for s in (named_system("toeplitz:4"), named_system("full:3"), random_system(rng)):
+        xs = np.stack([random_element(s, rng) for _ in range(3)]
+                      + [rng.standard_normal((s.d, s.d)) for _ in range(3)])
+        want = [la.frobenius(x - s.project(x)) for x in xs]
+        assert np.abs(s.residuals(xs) - want).max() <= 1e-13
+        assert np.abs(s.stack_coords(xs) - [s.coords(x) for x in xs]).max() <= 1e-13
 
 
 def test_subspace_member():

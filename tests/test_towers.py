@@ -9,7 +9,13 @@ from opsys.errors import (
     ValidationError,
 )
 from opsys.norms import max_order_norm, min_order_norm
-from opsys.systems import named_system, random_element, random_hermitian_element
+from opsys.systems import (
+    from_blocks,
+    named_system,
+    random_element,
+    random_hermitian_element,
+    to_blocks,
+)
 from opsys.towers import (
     DualTower,
     Embedding,
@@ -54,6 +60,18 @@ def test_doubling_embedding_isometric(doubling3):
     emb = doubling3.embeddings[0]
     for b in doubling3.stage(1).basis:
         assert la.op_norm(emb.apply(b)) == pytest.approx(la.op_norm(b), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["doubling3", "corner4"])
+def test_apply_level_matches_blockwise_apply(name, request):
+    tower = request.getfixturevalue(name)
+    rng = np.random.default_rng(4)
+    for emb in tower.embeddings:
+        for n in (1, 2, 3):
+            x = random_element(emb.source, rng, level=n)
+            blocks = to_blocks(x, emb.source.d)
+            want = from_blocks([[emb.apply(b) for b in row] for row in blocks])
+            assert np.abs(emb.apply_level(x) - want).max() <= 1e-13
 
 
 def test_non_unital_map_rejected():
@@ -113,6 +131,17 @@ def test_functional_thread_pullback_compatibility(doubling3):
     f = Functional(top, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     thread = pullback_thread(doubling3, f)
     thread.check_compatibility()
+
+
+def test_pullback_is_partial_trace(doubling3):
+    # stage k of the thread is the partial trace of F over C^(2^(3-k))
+    rng = np.random.default_rng(8)
+    riesz = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    thread = pullback_thread(doubling3, Functional(doubling3.stage(3), riesz))
+    for k in (1, 2, 3):
+        m = 2 ** (3 - k)
+        want = np.einsum("acbc->ab", riesz.reshape(8 // m, m, 8 // m, m))
+        assert np.abs(thread.entry(k).riesz - want).max() <= 1e-13
 
 
 def test_broken_thread_detected(doubling3):
