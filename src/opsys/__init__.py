@@ -47,6 +47,7 @@ from .feasibility import (
 from .dual import (
     Functional,
     MatrixFunctional,
+    cp_verdict,
     dual_order_unit_radius,
     faithful_state,
     is_cp,

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import linalg as la
-from .dual import Functional, MatrixFunctional, cp_choi_problem, is_cp
+from .dual import Functional, MatrixFunctional, cp_choi_problem, cp_verdict
 from .errors import OpsysError, ParseError
 from .norms import norm_report, min_order_norm, order_norm_h
 from .suites import SUITES, Check, run_suite
@@ -243,14 +243,15 @@ def _cmd_dual(args) -> tuple[list[Check], dict]:
             payload = problem.to_json() if problem else {"bypass": "full algebra"}
             with open(args.dump_problem, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)
-        verdict = is_cp(mf, tol)
-        status = "undecided" if verdict is None else ("pass" if verdict else "fail")
+        verdict = cp_verdict(mf, tol)
+        status = {"feasible": "pass", "infeasible": "fail"}.get(verdict.status, "undecided")
         checks = [Check(
             name="dual/check-cp",
-            op="dual.is_cp",
+            op="dual.cp_verdict",
             status=status,
             detail=f"level {mf.n} grid over d={system.d}, dim={system.dim}",
-            evidence={"tol": tol},
+            evidence={"tol": tol, "iterations": verdict.iterations,
+                      "certified": verdict.certificate is not None},
         )]
         return checks, {"system": args.system, "functional": args.functional,
                         "tol": tol}

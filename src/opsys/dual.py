@@ -33,7 +33,12 @@ from .errors import (
     UndecidedError,
     ValidationError,
 )
-from .feasibility import FeasibilityProblem, dykstra_iterates, dykstra_solve
+from .feasibility import (
+    FeasibilityProblem,
+    FeasibilityVerdict,
+    dykstra_iterates,
+    dykstra_solve,
+)
 from .systems import (
     DEFAULT_TOL,
     OperatorSystem,
@@ -49,6 +54,7 @@ __all__ = [
     "is_positive_functional",
     "level_hermitian_basis",
     "cp_choi_problem",
+    "cp_verdict",
     "is_cp",
     "faithful_state",
     "series_state",
@@ -424,30 +430,49 @@ def cp_choi_problem(
     )
 
 
+def cp_verdict(
+    mf: MatrixFunctional, tol: float = 1e-7, max_iter: int = 20000
+) -> FeasibilityVerdict:
+    """Complete positivity of the induced map S -> M_n, with its evidence.
+
+    Full algebra: decided by lambda_min of the Choi matrix C, with
+    ``iterations == 0`` and ``gap == max(0, -lambda_min)``; the witness of a
+    CP map is C itself, and the certificate of a non-CP one is the
+    eigenprojector P of the most negative eigenvalue (PSD, <P, C> < -tol).
+    Proper subsystem: a PSD matrix W with the prescribed pairings against
+    M_n(S) exists iff the map extends completely positively, so the verdict
+    of the Dykstra solver on :func:`cp_choi_problem` is returned as it is.
+    A non-Hermitian grid is infeasible with ``gap`` the Frobenius norm of
+    the anti-Hermitian part of C and no certificate.
+    """
+    choi = mf.choi_matrix()
+    if not la.is_hermitian(choi, max(tol, 1e-8)):
+        return FeasibilityVerdict("infeasible", None, la.frobenius(la.antihermitian_part(choi)))
+    problem = cp_choi_problem(mf, tol, max_iter)
+    if problem is not None:
+        return dykstra_solve(problem)
+    choi = la.hermitian_part(choi)
+    w, u = la.spectral_decompose(choi)
+    gap = max(0.0, -float(w[-1]))
+    if w[-1] >= -tol:
+        return FeasibilityVerdict("feasible", choi, gap)
+    v = u[:, -1]
+    return FeasibilityVerdict("infeasible", None, gap, certificate=np.outer(v, v.conj()))
+
+
 def is_cp(
     mf: MatrixFunctional,
     tol: float = 1e-7,
     *,
     max_iter: int = 20000,
 ) -> bool | None:
-    """Complete positivity of the induced map S -> M_n.
-
-    Full algebra: decided by lambda_min of the Choi matrix.  Proper
-    subsystem: a PSD matrix W with the prescribed pairings against M_n(S)
-    exists iff the map extends completely positively, so the Dykstra solver
-    decides; its "undecided" verdict is returned as ``None``, never coerced.
-    """
-    if not mf.is_hermitian(max(tol, 1e-8)):
-        return False
-    problem = cp_choi_problem(mf, tol, max_iter)
-    if problem is None:
-        return la.lambda_min(la.hermitian_part(mf.choi_matrix())) >= -tol
-    verdict = dykstra_solve(problem)
-    if verdict.status == "feasible":
-        return True
-    if verdict.status == "infeasible":
-        return False
-    return None
+    """Complete positivity of the induced map S -> M_n as a bool; the
+    "undecided" verdict of :func:`cp_verdict` is returned as ``None``,
+    never coerced."""
+    verdict = cp_verdict(mf, tol, max_iter)
+    if verdict.status == "undecided":
+        return None
+    return verdict.status == "feasible"
 
 
 # ----------------------------------------------------------------------------

@@ -11,9 +11,17 @@ One batched kernel, :func:`dykstra_iterates`, runs the iteration both for
 CP certification (:func:`dykstra_solve`) and for the section projection of
 the dual module; each caller owns its stopping rule.
 
-Verdicts are three-valued.  Infeasibility is detected heuristically (the
-gap stalls at a value well above tolerance); budget exhaustion yields
-"undecided", which callers surface rather than coerce.
+Verdicts are three-valued.  "infeasible" rests on a Farkas certificate
+whenever the identity lies in span{A_k} (every Choi problem and every fully
+pinned one): the displacement y - x between the cone-side and affine-side
+iterates, projected onto span{A_k} and shifted by a multiple of I until it
+is PSD, is a matrix Z with <Z, W> >= 0 on the cone and <Z, W> = sum c_k b_k
+on the affine set (Bauschke & Borwein, J. Approx. Theory 1994).  The solver
+accepts it only when sum c_k b_k < -10 tol ||Z||_F, which proves that the
+sets lie more than 10 tol apart, so the "feasible" test could never fire.
+Without I in the span the certificate cannot be formed, and the fallback is
+the stall rule: the gap stops moving at a value above 10 tol.  Budget
+exhaustion yields "undecided", which callers surface rather than coerce.
 """
 
 from __future__ import annotations
@@ -34,6 +42,9 @@ __all__ = [
 ]
 
 _STALL_WINDOW = 50
+#: The identity counts as in span{A_k} when its residual off the span is
+#: below this, relative to ||I||_F.
+_UNIT_RTOL = 1e-10
 
 
 @dataclass
@@ -94,6 +105,9 @@ class FeasibilityVerdict:
     witness: np.ndarray | None
     gap: float
     iterations: int = 0
+    # infeasible only: PSD Z in span{A_k} with <Z, W> < -10 tol ||Z||_F on
+    # the affine set (None when the verdict came from the stall rule)
+    certificate: np.ndarray | None = None
 
     def __bool__(self) -> bool:
         return self.status == "feasible"
@@ -106,6 +120,7 @@ class _AffineSpan:
 
     basis: np.ndarray  # (m, 2 dim^2): orthonormal matrices as flat (re, im) views
     rhs: np.ndarray  # (m,)
+    has_unit: bool  # the identity lies in the span
 
     @classmethod
     def build(cls, problem: FeasibilityProblem) -> "_AffineSpan":
@@ -119,12 +134,21 @@ class _AffineSpan:
         residual = float(np.abs(coef @ rhs - b).max())
         if residual > problem.tol:
             raise InfeasibleAffineError(f"dependent constraint residual {residual:.3e}")
-        return cls(basis=basis.view(float), rhs=rhs)
+        span = cls(basis=basis.view(float), rhs=rhs, has_unit=False)
+        eye = np.eye(problem.dim, dtype=complex)
+        off = la.frobenius(eye - span.linear_part(eye))
+        span.has_unit = off <= _UNIT_RTOL * np.sqrt(problem.dim)
+        return span
 
     def project(self, w: np.ndarray) -> np.ndarray:
         # Re trace(B* W) is the real dot product of the (re, im) views
         vals = self.basis @ np.ascontiguousarray(w).reshape(-1).view(float)
         return w + ((self.rhs - vals) @ self.basis).view(complex).reshape(w.shape)
+
+    def linear_part(self, w: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto span{A_k} itself."""
+        vals = self.basis @ np.ascontiguousarray(w).reshape(-1).view(float)
+        return (vals @ self.basis).view(complex).reshape(w.shape)
 
 
 def project_affine(problem: FeasibilityProblem, w) -> np.ndarray:
@@ -149,27 +173,54 @@ def dykstra_iterates(x, affine):
         x = x_next
 
 
+def _farkas_certificate(span: _AffineSpan, y, x, tol: float):
+    """The displacement y - x made into a certificate of infeasibility:
+    projected onto span{A_k} and shifted by mu I to be PSD.  Returned only
+    if its value on the affine set (where x lies) is below -10 tol ||Z||_F,
+    else ``None``."""
+    # both Dykstra corrections keep y - x in span{A_k} in exact arithmetic;
+    # projecting again removes the rounding drift off the span
+    z = la.hermitian_part(span.linear_part(y - x))
+    z += max(0.0, -la.lambda_min(z)) * np.eye(len(z))
+    if np.vdot(z, x).real < -10 * tol * la.frobenius(z):
+        return z
+    return None
+
+
 def dykstra_solve(problem: FeasibilityProblem) -> FeasibilityVerdict:
     """Run Dykstra's alternating projections between PSD cone and affine set.
 
     feasible:   cone and affine iterates meet within tol; witness is the
                 affine-side iterate (constraints exact, lambda_min >= -gap).
-    infeasible: the gap stalls (relative change < tol/10 over a 50-iteration
-                window) at a value above 10 * tol.
-    undecided:  iteration budget exhausted before either test fires.
+    infeasible: with I in span{A_k}, a Farkas certificate (see the module
+                docstring) is tried at iterations 1, 2, 4, 8, ... while the
+                gap exceeds 10 * tol, and the solve stops at the first that
+                verifies; it proves the sets are more than 10 * tol apart.
+                Fallback: the gap stalls (relative change < tol/10 over a
+                50-iteration window) at a value above 10 * tol, after one
+                last certificate attempt.
+    undecided:  iteration budget exhausted before either test fires, e.g.
+                when the distance between the sets is in (tol, 10 * tol).
     """
     span = _AffineSpan.build(problem)
     x0 = span.project(np.zeros((problem.dim,) * 2, dtype=complex))
     steps = dykstra_iterates(x0, lambda w: la.hermitian_part(span.project(w)))
+    margin = 10 * problem.tol
     gaps: list[float] = []
     for it, (y, _, x) in enumerate(steps, start=1):
         gap = la.frobenius(y - x)
         gaps.append(gap)
         if gap < problem.tol:
             return FeasibilityVerdict("feasible", x, gap, it)
-        if it > _STALL_WINDOW and gap > 10 * problem.tol:
-            prev = gaps[-1 - _STALL_WINDOW]
-            if abs(gap - prev) < (problem.tol / 10.0) * max(1.0, gap):
-                return FeasibilityVerdict("infeasible", None, gap, it)
+        stalled = (
+            it > _STALL_WINDOW and gap > margin
+            and abs(gap - gaps[-1 - _STALL_WINDOW]) < (problem.tol / 10.0) * max(1.0, gap)
+        )
+        if span.has_unit and gap > margin and (stalled or it & (it - 1) == 0):
+            certificate = _farkas_certificate(span, y, x, problem.tol)
+            if certificate is not None:
+                return FeasibilityVerdict("infeasible", None, gap, it, certificate)
+        if stalled:
+            return FeasibilityVerdict("infeasible", None, gap, it)
         if it == problem.max_iter:
             return FeasibilityVerdict("undecided", None, gap, it)

@@ -95,12 +95,14 @@ class OperatorSystem:
     # -- coordinates ---------------------------------------------------------
 
     def coords(self, x) -> np.ndarray:
-        """Complex coordinates <B_i, x> with respect to the orthonormal basis."""
+        """Complex coordinates <B_i, x> with respect to the orthonormal basis,
+        by one matrix product (conjugating x, not the basis)."""
         m = la.as_matrix(x)
-        return np.einsum("kij,ij->k", self.basis.conj(), m)
+        return (self.basis.reshape(self.dim, -1) @ m.reshape(-1).conj()).conj()
 
     def from_coords(self, c) -> np.ndarray:
-        return np.einsum("k,kij->ij", np.asarray(c, dtype=complex), self.basis)
+        c = np.asarray(c, dtype=complex)
+        return (c @ self.basis.reshape(self.dim, -1)).reshape(self.d, self.d)
 
     def stack_coords(self, xs) -> np.ndarray:
         """Coordinates of every matrix of a (k, d, d) stack, shape (k, dim),
@@ -156,10 +158,11 @@ class OperatorSystem:
     def hermitian_coords(self, x) -> np.ndarray:
         """Real coordinates of a Hermitian element over the Hermitian basis."""
         m = la.as_matrix(x)
-        return np.real(np.einsum("kij,ij->k", self.hermitian_basis.conj(), m))
+        return np.real(self.hermitian_basis.reshape(self.dim, -1) @ m.reshape(-1).conj())
 
     def from_hermitian_coords(self, c) -> np.ndarray:
-        return np.einsum("k,kij->ij", np.asarray(c, dtype=float), self.hermitian_basis)
+        c = np.asarray(c, dtype=float)
+        return (c @ self.hermitian_basis.reshape(self.dim, -1)).reshape(self.d, self.d)
 
     # -- validation ----------------------------------------------------------
 

@@ -151,6 +151,32 @@ def test_check_cp_identity_with_dump(tmp_path, capsys):
     assert len(problem["constraints"]) == 12  # n^2 * dim = 4 * 3
 
 
+def test_check_cp_json_evidence(tmp_path, capsys):
+    def grid_file(name, transpose):
+        grid = [[la.encode_matrix(la.basis_matrix(2, i, j) if transpose
+                                  else la.basis_matrix(2, j, i))
+                 for j in range(2)] for i in range(2)]
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps({"grid": grid}))
+        return str(f)
+
+    def evidence(system, f):
+        argv = ["dual", "check-cp", "--system", system, "--functional", f, "--json"]
+        return run_json(capsys, argv)
+
+    code, report = evidence("full:2", grid_file("transpose", True))
+    assert code == EXIT_FAIL
+    ev = report["checks"][0]["evidence"]
+    assert ev["iterations"] == 0 and ev["certified"] is True
+    code, report = evidence("pauli-span", grid_file("identity", False))
+    assert code == EXIT_OK
+    ev = report["checks"][0]["evidence"]
+    assert ev["iterations"] >= 1 and ev["certified"] is False
+    # the counts are deterministic, so the report is byte-stable
+    again = evidence("pauli-span", grid_file("identity", False))[1]
+    assert again["checks"] == report["checks"]
+
+
 def test_choi_effros_command(capsys):
     code, report = run_json(
         capsys,

@@ -6,6 +6,7 @@ from opsys.dual import (
     Functional,
     MatrixFunctional,
     cp_choi_problem,
+    cp_verdict,
     diag_lift,
     dual_order_unit_radius,
     faithful_state,
@@ -245,6 +246,46 @@ def test_choi_solver_agreement_on_full_algebra():
         if eigen_cp != solver_cp or verdict.status == "undecided":
             disagreements += 1
     assert disagreements == 0
+
+
+def test_cp_verdict_on_full_algebra():
+    s = named_system("full:2")
+    verdict = cp_verdict(identity_grid(s))
+    assert verdict.status == "feasible" and verdict.iterations == 0
+    assert np.allclose(verdict.witness, identity_grid(s).choi_matrix())
+    assert verdict.certificate is None
+    choi = transpose_grid(s).choi_matrix()
+    verdict = cp_verdict(transpose_grid(s))
+    assert verdict.status == "infeasible" and verdict.iterations == 0
+    p = verdict.certificate
+    # oracle: a rank-one projector with <P, C> = lambda_min(C) = -1
+    assert np.allclose(p @ p, p) and np.trace(p).real == pytest.approx(1.0)
+    assert np.trace(p @ choi).real == pytest.approx(-1.0, abs=1e-12)
+    assert verdict.gap == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cp_verdict_reports_solver_evidence(monkeypatch):
+    import opsys.dual as dual_module
+
+    calls = []
+
+    def spy(problem):
+        calls.append(problem)
+        return dykstra_solve(problem)
+
+    # the solver is reached through the dual module's binding
+    monkeypatch.setattr(dual_module, "dykstra_solve", spy)
+    s = named_system("pauli-span")
+    grid = [[Functional(s, la.basis_matrix(2, i, j)) for j in range(2)]
+            for i in range(2)]
+    verdict = cp_verdict(MatrixFunctional(grid))
+    assert len(calls) == 1
+    assert verdict.status == "feasible" and verdict.iterations >= 1
+    assert is_cp(MatrixFunctional(grid)) is True
+    # the identity map restricted to pauli-span, scaled by -1, is refuted
+    verdict = cp_verdict(identity_grid(s) * -1.0)
+    assert verdict.status == "infeasible" and verdict.certificate is not None
+    assert is_cp(identity_grid(s) * -1.0) is False
 
 
 def test_cp_problem_exposed_for_subsystems_only():

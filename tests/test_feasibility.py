@@ -5,10 +5,17 @@ from opsys import linalg as la
 from opsys.errors import InfeasibleAffineError, ParseError, ValidationError
 from opsys.feasibility import (
     FeasibilityProblem,
+    _AffineSpan,
+    _farkas_certificate,
     dykstra_solve,
     project_affine,
 )
-from opsys.systems import named_system, random_hermitian_element
+from opsys.dual import MatrixFunctional, cp_choi_problem
+from opsys.systems import (
+    named_system,
+    random_hermitian_element,
+    random_positive_element,
+)
 
 
 def pin_constraints(d, target):
@@ -25,6 +32,21 @@ def swap_matrix():
         for j in range(2):
             s[2 * i + j, 2 * j + i] = 1.0
     return s
+
+
+def assert_certificate_verifies(problem, z):
+    """Check a Farkas certificate against the problem's own data, without
+    the solver: Z = sum c_k A_k (least squares), Z >= 0, sum c_k b_k < 0 by
+    more than the 10 tol margin."""
+    norm = np.linalg.norm(z)
+    a = np.stack([np.ascontiguousarray(m).reshape(-1).view(float)
+                  for m, _ in problem.constraints], axis=1)
+    b = np.array([v for _, v in problem.constraints])
+    target = np.ascontiguousarray(z, dtype=complex).reshape(-1).view(float)
+    c = np.linalg.lstsq(a, target, rcond=None)[0]
+    assert np.linalg.norm(a @ c - target) <= 1e-10 * norm
+    assert np.linalg.eigvalsh(z).min() >= -1e-12 * norm
+    assert c @ b < -10 * problem.tol * norm
 
 
 # -- affine projection ----------------------------------------------------------
@@ -97,7 +119,65 @@ def test_transpose_choi_infeasible():
     swap = swap_matrix()
     assert la.lambda_min(swap) == pytest.approx(-1.0, abs=1e-12)
     problem = FeasibilityProblem(4, pin_constraints(4, swap))
-    assert dykstra_solve(problem).status == "infeasible"
+    verdict = dykstra_solve(problem)
+    assert verdict.status == "infeasible"
+    assert verdict.iterations == 1  # the stall rule alone needs >= 51
+    assert_certificate_verifies(problem, verdict.certificate)
+
+
+def test_refuted_pauli_span_grid_certificate_verifies():
+    # a level-2 grid refuted by x in M_2(S)+, built as the cp-certify
+    # benchmark builds it: <x, C> = -2 ||x||_F
+    rng = np.random.default_rng(8)
+    s = named_system("pauli-span")
+    g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    w = g @ g.conj().T / 4 + 0.02 * np.eye(4)
+    x = random_positive_element(s, rng, level=2)
+    t = (np.trace(x @ w).real + 2.0 * np.linalg.norm(x)) / np.trace(x @ x).real
+    problem = cp_choi_problem(MatrixFunctional.from_choi(s, w - t * x))
+    verdict = dykstra_solve(problem)
+    assert verdict.status == "infeasible"
+    assert_certificate_verifies(problem, verdict.certificate)
+
+
+def test_pinned_infeasible_verdicts_carry_certificates():
+    rng = np.random.default_rng(9)
+    infeasible = 0
+    for _ in range(20):
+        d = int(rng.integers(2, 6))
+        w0 = random_hermitian_element(named_system(f"full:{d}"), rng)
+        if la.lambda_min(w0) > -1e-6:
+            continue
+        problem = FeasibilityProblem(d, pin_constraints(d, w0))
+        verdict = dykstra_solve(problem)
+        assert verdict.status == "infeasible"
+        assert_certificate_verifies(problem, verdict.certificate)
+        infeasible += 1
+    assert infeasible >= 10
+
+
+@pytest.mark.parametrize("depth, certified", [(5, False), (9, False), (11, True), (50, True)])
+def test_certificate_needs_the_ten_tol_margin(depth, certified):
+    # pinned diag(1, -depth tol): the displacement diag(0, depth tol) proves a
+    # distance of exactly depth * tol, which must exceed 10 tol to be accepted
+    tol = 1e-7
+    x = np.diag([1.0, -depth * tol]).astype(complex)
+    problem = FeasibilityProblem(2, pin_constraints(2, x), tol=tol)
+    y = la.project_psd(x)
+    z = _farkas_certificate(_AffineSpan.build(problem), y, x, tol)
+    assert (z is not None) == certified
+    if certified:
+        assert_certificate_verifies(problem, z)
+
+
+def test_no_unit_in_span_falls_back_to_stall_rule():
+    # trace(diag(1, 0) W) = -1 has no PSD solution, but I is not in the
+    # constraint span, so no certificate can be formed
+    problem = FeasibilityProblem(2, [(np.diag([1.0, 0.0]), -1.0)])
+    verdict = dykstra_solve(problem)
+    assert verdict.status == "infeasible"
+    assert verdict.certificate is None
+    assert verdict.iterations > 50
 
 
 def test_oracle_equivalence_pinned():

@@ -208,6 +208,27 @@ def test_residuals_match_per_matrix_projection():
         assert np.abs(s.stack_coords(xs) - [s.coords(x) for x in xs]).max() <= 1e-13
 
 
+@pytest.mark.parametrize("name", ["full:8", "toeplitz:5", "random"])
+def test_coordinate_maps_match_einsum_formulas(name):
+    rng = np.random.default_rng(12)
+    systems = [random_system(rng) for _ in range(3)] if name == "random" else [named_system(name)]
+    for s in systems:
+        b, hb = s.basis, s.hermitian_basis
+        for _ in range(3):
+            x = rng.standard_normal((s.d, s.d)) + 1j * rng.standard_normal((s.d, s.d))
+            h = la.hermitian_part(x)
+            c = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
+            r = rng.standard_normal(s.dim)
+            want_c = np.einsum("kij,ij->k", b.conj(), x)
+            assert np.abs(s.coords(x) - want_c).max() <= 1e-13
+            assert np.abs(s.from_coords(c) - np.einsum("k,kij->ij", c, b)).max() <= 1e-13
+            assert np.abs(s.project(x) - np.einsum("k,kij->ij", want_c, b)).max() <= 1e-13
+            want_h = np.real(np.einsum("kij,ij->k", hb.conj(), h))
+            assert np.abs(s.hermitian_coords(h) - want_h).max() <= 1e-13
+            want_fh = np.einsum("k,kij->ij", r, hb)
+            assert np.abs(s.from_hermitian_coords(r) - want_fh).max() <= 1e-13
+
+
 def test_subspace_member():
     s = make_operator_system([PAULI_X], 2)
     assert subspace_member(s, np.eye(2))
