@@ -56,16 +56,21 @@ def exit_code_for(statuses) -> int:
     return EXIT_OK
 
 
-def _default_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("OPSYS_TOL")
-    if env is not None:
+def _default_tol(args, default: float = 1e-8) -> float:
+    """--tol, else OPSYS_TOL, else ``default``; a tolerance that is not
+    positive and finite is malformed input."""
+    tol, source = args.tol, "--tol"
+    if tol is None:
+        env = os.environ.get("OPSYS_TOL")
+        if env is None:
+            return default
         try:
-            return float(env)
+            tol, source = float(env), "OPSYS_TOL"
         except ValueError:
             raise ParseError(f"OPSYS_TOL={env!r} is not a number") from None
-    return 1e-8
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ParseError(f"{source}={tol!r} must be positive and finite")
+    return tol
 
 
 def _load_json_file(path: str):
@@ -237,7 +242,7 @@ def _cmd_dual(args) -> tuple[list[Check], dict]:
     system = _load_system(args.system)
     if args.dual_cmd == "check-cp":
         mf = _load_matrix_functional(system, args.functional)
-        tol = args.tol if args.tol is not None else 1e-7
+        tol = _default_tol(args, 1e-7)
         if args.dump_problem:
             problem = cp_choi_problem(mf, tol)
             payload = problem.to_json() if problem else {"bypass": "full algebra"}

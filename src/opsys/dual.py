@@ -7,11 +7,16 @@ is adjoint-closed, which makes the projection of any valid representative
 land on the same matrix).  Equality of functionals is then equality of
 canonical matrices.
 
-Positivity of f over a proper subsystem has no closed form; it is decided
-by projected-gradient descent of the linear objective trace(F x) over the
-compact section S ∩ PSD ∩ {trace = 1} with multiple restarts.  On the full
-algebra this reduces exactly to lambda_min(F) >= -tol, which doubles as a
-cross-check oracle in the tests.
+Positivity of f over a proper subsystem has no closed form.  By Krein
+extension (Choi-Effros) f >= 0 on S exactly when some PSD W on C^d agrees
+with F modulo the orthogonal complement of S, which is the level-1 Choi
+problem of the CP test below; its Dykstra verdict is accepted once the
+witness or Farkas certificate re-checks.  Only an undecided solve falls
+back to projected-gradient descent of the linear objective trace(F x) over
+the compact section S ∩ PSD ∩ {trace = 1} with multiple restarts, whose
+minimum is an upper bound.  On the full algebra positivity reduces exactly
+to lambda_min(F) >= -tol, which doubles as a cross-check oracle in the
+tests.
 
 A matrix functional [f_ij] is positive at level n exactly when the induced
 map F(x) = [f_ij(x)] into M_n is completely positive.  CP-extendability to
@@ -42,6 +47,7 @@ from .feasibility import (
 from .systems import (
     DEFAULT_TOL,
     OperatorSystem,
+    cone_member,
     from_blocks,
     make_operator_system,
     to_blocks,
@@ -263,6 +269,12 @@ _STEP_LADDER = (0.25, 1.0, 4.0, 16.0, 64.0)
 _SECTION_ITERS = 400
 _SECTION_TOL = 1e-12
 
+#: Dykstra budget of the level-1 Choi solve in is_positive_functional.
+#: Functionals off the boundary of the dual cone decide within a few hundred
+#: steps; near it a solve can need ~2500, and in the gray band it never
+#: decides, so the budget caps the cost paid before the section search.
+_POSITIVITY_ITERS = 2000
+
 
 def _batch_section_project(coeffs, hbasis, traces, tt):
     """Nearest-point projection onto {sum c_a H_a >= 0, trace = 1} via
@@ -369,6 +381,23 @@ def positivity_minimum(
     return best_val, x
 
 
+def _krein_lower_bound(f: Functional, w: np.ndarray) -> float:
+    """A lower bound for min{Re f(x) : x in S+, trace x = 1} from a
+    Hermitian W: lambda_min(W) minus the norm of the residuals r of the
+    pairings of W - F with the Hermitian basis.  For x in the section,
+    Re f(x) = trace(W x) - <r, coords(x)> >= lambda_min(W) - ||r|| ||x||_F,
+    and ||x||_F <= trace x = 1."""
+    w = la.hermitian_part(w)
+    residuals = f.system.hermitian_coords(w - la.hermitian_part(f.riesz))
+    return la.lambda_min(w) - float(np.linalg.norm(residuals))
+
+
+def _refutes(f: Functional, z: np.ndarray, tol: float) -> bool:
+    """True iff x = Z / trace Z lies in S+ and Re f(x) < -tol."""
+    x = la.hermitian_part(z) / np.trace(z).real
+    return cone_member(f.system, x, tol) and f.pair(x).real < -tol
+
+
 def is_positive_functional(
     f: Functional,
     tol: float = DEFAULT_TOL,
@@ -377,8 +406,25 @@ def is_positive_functional(
 ) -> bool:
     """True iff min{Re f(x) : x in S+, trace x = 1} >= -tol and f is
     Hermitian as a functional (a positive functional must be real on the
-    cone, which spans the Hermitian part)."""
+    cone, which spans the Hermitian part).
+
+    Decided by the level-1 Choi problem of :func:`cp_verdict` (Krein
+    extension: f >= 0 on S iff some PSD W on C^d pairs like F with S), with
+    a budget of ``_POSITIVITY_ITERS`` Dykstra steps.  Each verdict's evidence
+    is re-checked here: a witness W must give a lower bound
+    (:func:`_krein_lower_bound`) of at least -tol, and a Farkas certificate
+    Z must normalize to a point of S+ where Re f < -tol.  Only an undecided
+    solve or failed check falls back to the one-sided section search of
+    :func:`positivity_minimum` (the gray band, where the minimum lies
+    between -10 tol and -tol).  On the full algebra the verdict is
+    lambda_min(F) >= -tol.
+    """
     if not f.is_hermitian(max(tol, 1e-9)):
+        return False
+    verdict = cp_verdict(MatrixFunctional([[f]]), tol, _POSITIVITY_ITERS)
+    if verdict.status == "feasible" and _krein_lower_bound(f, verdict.witness) >= -tol:
+        return True
+    if verdict.certificate is not None and _refutes(f, verdict.certificate, tol):
         return False
     val, _ = positivity_minimum(f, rng=rng, stop_below=-2 * tol)
     return val >= -tol

@@ -238,3 +238,30 @@ def test_env_tol_override(tmp_path, capsys, monkeypatch):
     # the explicit flag wins over the environment
     assert run(["cone", "--system", "diag:2", "--element", str(elem),
                 "--tol", "1e-8"]) == EXIT_FAIL
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, monkeypatch, bad, via):
+    # a NaN tolerance used to put the identity outside the cone (exit 2)
+    eye = tmp_path / "eye.json"
+    eye.write_text(json.dumps(la.encode_matrix(np.eye(2))))
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"riesz": la.encode_matrix(np.eye(2))}))
+    commands = [["cone", "--system", "pauli-span", "--element", str(eye)],
+                ["dual", "check-cp", "--system", "pauli-span", "--functional", str(f)]]
+    if via == "env":
+        monkeypatch.setenv("OPSYS_TOL", bad)
+    for argv in commands:
+        assert run(argv + (["--tol", bad] if via == "flag" else [])) == EXIT_DATA
+
+
+def test_check_cp_tolerance_default_and_env(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"riesz": la.encode_matrix(np.eye(2))}))
+    argv = ["dual", "check-cp", "--system", "pauli-span", "--functional", str(f), "--json"]
+    code, report = run_json(capsys, argv)
+    assert code == EXIT_OK and report["config"]["tol"] == 1e-7
+    monkeypatch.setenv("OPSYS_TOL", "1e-6")
+    code, report = run_json(capsys, argv)
+    assert code == EXIT_OK and report["config"]["tol"] == 1e-6

@@ -139,6 +139,74 @@ def test_positivity_dual_cone_sampling():
             assert s.contains(witness, 1e-8)
 
 
+@pytest.mark.parametrize("name", ["pauli-span", "toeplitz:3"])
+def test_positivity_evidence_rechecks_outside_the_solver(name):
+    # the level-1 Choi verdict behind each answer, re-checked by hand: a
+    # witness W >= 0 pairs like F on the Hermitian basis, and a certificate Z
+    # normalizes to a point of S+ where f < -tol
+    import opsys.dual as dual_module
+
+    tol = 1e-8
+    rng = np.random.default_rng(17)
+    s = named_system(name)
+    hb = s.hermitian_basis
+    seen = set()
+    for k in range(12):
+        f = (random_positive_functional if k % 2 == 0 else random_hermitian_functional)(s, rng)
+        verdict = cp_verdict(MatrixFunctional([[f]]), tol, dual_module._POSITIVITY_ITERS)
+        assert verdict.status != "undecided"
+        positive = is_positive_functional(f, tol)
+        assert positive == (verdict.status == "feasible")
+        fr = la.hermitian_part(f.riesz)
+        if positive:
+            w = verdict.witness
+            pairing = np.einsum("aij,ji->a", hb, w - fr).real
+            assert np.abs(pairing).max() <= 1e-10
+            assert la.lambda_min(w) >= -tol
+        else:
+            x = verdict.certificate / np.trace(verdict.certificate).real
+            assert s.residual(x) <= 1e-10
+            assert la.lambda_min(x) >= -1e-12
+            assert np.trace(fr @ x).real < -tol
+        seen.add(positive)
+    assert seen == {True, False}
+
+
+def test_certified_positivity_skips_the_section_search(monkeypatch):
+    import opsys.dual as dual_module
+
+    def search(*args, **kwargs):
+        raise AssertionError("section search called on a certified verdict")
+
+    monkeypatch.setattr(dual_module, "positivity_minimum", search)
+    s = make_operator_system([PAULI_X], 2)
+    assert is_positive_functional(Functional(s, (np.eye(2) + PAULI_X) / 2))
+    assert not is_positive_functional(Functional(s, PAULI_X))
+    assert is_positive_functional(Functional(named_system("full:2"), np.eye(2)))
+
+
+def test_gray_band_positivity_falls_back_to_the_section_search(monkeypatch):
+    # on span{I, X} the section is (I + tX)/2 with |t| <= 1, so
+    # f = (I + X)/2 - 3e-8 I has minimum -3e-8: between -10 tol and -tol,
+    # where the Choi solve can neither meet nor certify a 10 tol distance
+    import opsys.dual as dual_module
+
+    tol = 1e-8
+    s = make_operator_system([PAULI_X], 2)
+    f = Functional(s, (np.eye(2) + PAULI_X) / 2 - 3e-8 * np.eye(2))
+    verdict = cp_verdict(MatrixFunctional([[f]]), tol, dual_module._POSITIVITY_ITERS)
+    assert verdict.status == "undecided"
+    calls = []
+
+    def spy(g, **kwargs):
+        calls.append(g)
+        return positivity_minimum(g, **kwargs)
+
+    monkeypatch.setattr(dual_module, "positivity_minimum", spy)
+    assert is_positive_functional(f, tol) is False
+    assert len(calls) == 1
+
+
 # -- complete positivity -----------------------------------------------------------
 
 def identity_grid(system):
@@ -216,7 +284,7 @@ def test_cp_cross_validates_positivity_level1():
             f = random_positive_functional(s, rng)
         else:
             f = random_hermitian_functional(s, rng)
-        via_pg = is_positive_functional(f)
+        via_pg = positivity_minimum(f)[0] >= -1e-8
         via_cp = is_cp(MatrixFunctional([[f]]))
         assert via_cp is not None
         assert via_cp == via_pg
