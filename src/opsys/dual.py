@@ -416,8 +416,8 @@ def is_positive_functional(
     Z must normalize to a point of S+ where Re f < -tol.  Only an undecided
     solve or failed check falls back to the one-sided section search of
     :func:`positivity_minimum` (the gray band, where the minimum lies
-    between -10 tol and -tol).  On the full algebra the verdict is
-    lambda_min(F) >= -tol.
+    between -10 tol and -tol); ``rng`` feeds only that search.  On the
+    full algebra the verdict is lambda_min(F) >= -tol.
     """
     if not f.is_hermitian(max(tol, 1e-9)):
         return False
