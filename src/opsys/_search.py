@@ -4,6 +4,17 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .errors import ValidationError
+
+
+def check_search_bounds(r_max: float, precision: float) -> None:
+    """Reject an r_max or precision that is not positive and finite: a zero
+    precision bisects forever, and NaN or infinity break the comparisons."""
+    if not (0.0 < r_max < float("inf") and 0.0 < precision < float("inf")):
+        raise ValidationError(
+            f"r_max {r_max} and precision {precision} must be positive and finite"
+        )
+
 
 def smallest_passing(
     predicate: Callable[[float], bool],
@@ -15,8 +26,9 @@ def smallest_passing(
 
     Exponential search for an upper bracket starting at ``r_start``, then
     bisection down to ``precision``.  Returns ``None`` when no ``r <= r_max``
-    passes.
+    passes; see :func:`check_search_bounds`.
     """
+    check_search_bounds(r_max, precision)
     if predicate(0.0):
         return 0.0
     hi = max(r_start, precision)

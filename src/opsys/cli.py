@@ -279,7 +279,8 @@ def _cmd_dual(args) -> tuple[list[Check], dict]:
             op="dual.dual_order_unit_radius",
             status="pass" if report["order_unit"]["ok"] else "fail",
             detail="sampled Hermitian functionals dominated at all levels",
-            evidence={"radii": [r for r in report["order_unit"].get("radii", [])]},
+            evidence={"radii": [r for r in report["order_unit"].get("radii", [])],
+                      "kernel": report["kernel"]},
         ),
     ]
     if "archimedean" in report:

@@ -11,12 +11,12 @@ Positivity of f over a proper subsystem has no closed form.  By Krein
 extension (Choi-Effros) f >= 0 on S exactly when some PSD W on C^d agrees
 with F modulo the orthogonal complement of S, which is the level-1 Choi
 problem of the CP test below; its Dykstra verdict is accepted once the
-witness or Farkas certificate re-checks.  Only an undecided solve falls
-back to projected-gradient descent of the linear objective trace(F x) over
-the compact section S ∩ PSD ∩ {trace = 1} with multiple restarts, whose
-minimum is an upper bound.  On the full algebra positivity reduces exactly
-to lambda_min(F) >= -tol, which doubles as a cross-check oracle in the
-tests.
+witness or Farkas certificate re-checks.  Section minima and level-1 dual
+order-unit radii (Charnes-Cooper: max g(X) over X in S+ with delta(X) = 1)
+take one interior-point solve of min <C, X> over X in S+ with <N, X> = 1,
+whose dual point certifies a lower bound through one eigenvalue and whose
+primal point, lifted into S+, attains an upper bound.  On the full algebra
+all three have eigenvalue closed forms, which double as test oracles.
 
 A matrix functional [f_ij] is positive at level n exactly when the induced
 map F(x) = [f_ij(x)] into M_n is completely positive.  CP-extendability to
@@ -28,10 +28,12 @@ the full algebra the Choi matrix decides directly.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import linalg as la
-from ._search import smallest_passing
+from ._search import check_search_bounds, smallest_passing
 from .errors import (
     DimensionError,
     MembershipError,
@@ -41,7 +43,6 @@ from .errors import (
 from .feasibility import (
     FeasibilityProblem,
     FeasibilityVerdict,
-    dykstra_iterates,
     dykstra_solve,
 )
 from .systems import (
@@ -58,6 +59,7 @@ __all__ = [
     "MatrixFunctional",
     "positivity_minimum",
     "is_positive_functional",
+    "kernel_counts",
     "level_hermitian_basis",
     "cp_choi_problem",
     "cp_verdict",
@@ -255,130 +257,159 @@ def diag_lift(f: Functional, n: int) -> MatrixFunctional:
 
 
 # ----------------------------------------------------------------------------
-# Positivity over the section S ∩ PSD ∩ {trace = 1}
+# The section kernel: min <C, X> over X in S+ with <N, X> = 1
 # ----------------------------------------------------------------------------
 
-_PG_SEED = 57721566
+#: Dykstra budget of the level-1 Choi solve in is_positive_functional; an
+#: undecided solve falls back to one kernel solve (~3 ms, ~70 Dykstra steps).
+_POSITIVITY_ITERS = 200
 
-#: Geometric ladder of gradient step lengths for the section search: the
-#: projection of (start - M * direction) slides toward the minimizing face
-#: as M grows, and moderate M values keep the corrected projection fast.
-_STEP_LADDER = (0.25, 1.0, 4.0, 16.0, 64.0)
+#: Newton-step cap, relative stopping tolerance (duality gap and residuals)
+#: and fraction of the step to the PSD boundary of the section kernel.
+_SDP_ITERS, _SDP_TOL, _SDP_STEP = 50, 1e-10, 0.98
 
-#: Iteration cap and step-size stopping rule of the section projection.
-_SECTION_ITERS = 400
-_SECTION_TOL = 1e-12
-
-#: Dykstra budget of the level-1 Choi solve in is_positive_functional.
-#: Functionals off the boundary of the dual cone decide within a few hundred
-#: steps; near it a solve can need ~2500, and in the gray band it never
-#: decides, so the budget caps the cost paid before the section search.
-_POSITIVITY_ITERS = 2000
+#: Running totals of the section kernel: counts only, so reports stay stable.
+_SDP_COUNTS = dict.fromkeys(
+    ("solves", "iterations", "breakdowns", "cap_hits", "bisection_fallbacks"), 0
+)
 
 
-def _batch_section_project(coeffs, hbasis, traces, tt):
-    """Nearest-point projection onto {sum c_a H_a >= 0, trace = 1} via
-    Dykstra-corrected alternating projections between the ambient PSD cone
-    and the affine slice of S_h; batched over the leading axis."""
-    m, d = hbasis.shape[:2]
-    # Re trace(H_a x) is the real dot product of the (re, im) float views
-    hflat = hbasis.reshape(m, d * d).view(float)
-
-    def slice_coords(x):
-        c = x.reshape(len(x), d * d).view(float) @ hflat.T
-        return c + np.outer((1.0 - c @ traces) / tt, traces)
-
-    def from_coords(c):
-        return (c @ hflat).view(complex).reshape(len(c), d, d)
-
-    steps = dykstra_iterates(from_coords(coeffs), lambda x: from_coords(slice_coords(x)))
-    for it, (_, x_prev, x) in enumerate(steps, start=1):
-        if it == _SECTION_ITERS or np.abs(x - x_prev).max() < _SECTION_TOL:
-            break
-    return slice_coords(x)
+class _SectionSolve(NamedTuple):
+    x: np.ndarray  # primal: PSD, in S_h with <N, x> = 1 up to residuals
+    k: np.ndarray  # dual: K in S_h^perp with C - K - t N about PSD
+    t: float
+    iterations: int
+    stop: str  # "converged", "breakdown" or "cap"
+    bracket: tuple[float, float]  # the solver's own dual and primal values
 
 
-def positivity_minimum(
-    f: Functional,
-    *,
-    restarts: int = 4,
-    rounds: int = 2,
-    rng: np.random.Generator | None = None,
-    extra_starts=(),
-    stop_below: float | None = None,
-) -> tuple[float, np.ndarray]:
-    """min of Re f(x) over the section S ∩ PSD ∩ {trace = 1}, with the
-    attaining element.
+def kernel_counts(since: dict | None = None) -> dict:
+    """Running totals of the section kernel (solves, Newton steps, breakdowns,
+    cap stops, radius bisection fallbacks), or those added ``since``."""
+    since = since or dict.fromkeys(_SDP_COUNTS, 0)
+    return {key: value - since[key] for key, value in _SDP_COUNTS.items()}
 
-    The objective is linear and the section is convex and compact, so
-    projected gradient descent converges globally; here the steps are taken
-    along a geometric ladder of lengths from several starts at once, each
-    followed by an accurate corrected projection, and the best round feeds
-    the starts of the next.  Candidates are lifted back into the section
-    (shift by the unit, renormalize the trace) before evaluation, so every
-    reported value is attained at a feasible point and is therefore an
-    upper bound for the true minimum.
 
-    On the full algebra the answer is exact: lambda_min of the Riesz matrix
-    with its eigenprojector as witness.  ``stop_below`` allows early exit
-    as soon as a value under the threshold is certified (useful inside
-    bisections that only need the sign).
-    """
+def _complement_basis(system: OperatorSystem) -> np.ndarray:
+    """Orthonormal basis of S_h^perp, shaped (d^2 - dim, d, d): a spanning
+    set of the Hermitian matrices, projected off S_h, then the leading right
+    singular vectors of its real view (so they stay Hermitian)."""
+    d, m = system.d, system.dim
+    units = np.eye(d * d).reshape(-1, d, d)
+    units_t = units.swapaxes(1, 2)
+    cands = np.concatenate([units + units_t, 1j * (units - units_t)]).reshape(2 * d * d, -1)
+    hb = system.hermitian_basis.reshape(m, -1)
+    vh = np.linalg.svd((cands - (cands @ hb.conj().T).real @ hb).view(float))[2]
+    return vh[:d * d - m].copy().view(complex).reshape(-1, d, d)
+
+
+def _step(m: np.ndarray, dm: np.ndarray) -> float:
+    """``_SDP_STEP`` of the step from the positive definite m along dm to
+    the boundary of the PSD cone, at most 1."""
+    li = np.linalg.inv(np.linalg.cholesky(m))
+    lam = np.linalg.eigvalsh(li @ dm @ li.conj().T)[0]
+    return 1.0 if lam >= 0 else min(1.0, _SDP_STEP / -lam)
+
+
+def _section_sdp(system: OperatorSystem, c: np.ndarray, n: np.ndarray) -> _SectionSolve:
+    """min <C, X> over X in S+ with <N, X> = 1 (Hermitian C, N) and its Krein
+    dual max t over C - K - t N >= 0, K in S_h^perp: infeasible primal-dual
+    path following, HKM direction, Mehrotra predictor-corrector (Helmberg,
+    Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996), with sigma raised to
+    1 - min(step lengths) so a predictor blocked at the boundary re-centers.
+    The optimum is often rank-deficient: a failed factorization ends the
+    solve as "breakdown" with the last iterate, ``_SDP_ITERS`` steps as
+    "cap"; neither raises, and callers re-check every point they use."""
+    d = system.d
+    a = np.concatenate([_complement_basis(system), n[None]])
+    k = len(a)
+    flat = a.reshape(k, -1)
+    b = np.eye(k)[-1]
+
+    def pairings(x):
+        return (flat.conj() @ x.reshape(-1)).real
+
+    def combine(y):
+        return (y @ flat).reshape(d, d)
+
+    # I lies in S, so X = I / <N, I> starts primal feasible when <N, I> > 0
+    x = np.eye(d, dtype=complex) / max(np.trace(n).real, 1e-6)
+    scale = max(1.0, la.frobenius(c))
+    z = scale * np.eye(d, dtype=complex)
+    y = np.zeros(k)
+    stop, it = "cap", 0
+    try:
+        for it in range(_SDP_ITERS + 1):
+            rp, rd = b - pairings(x), c - combine(y) - z
+            primal = np.vdot(c, x).real
+            if (abs(primal - y[-1]) <= _SDP_TOL * max(1.0, abs(primal))
+                    and np.linalg.norm(rp) <= _SDP_TOL
+                    and la.frobenius(rd) <= _SDP_TOL * scale):
+                stop = "converged"
+                break
+            if it == _SDP_ITERS:
+                break
+            zi = np.linalg.inv(z)
+            mu = np.vdot(x, z).real / d
+            ax, azi = a @ x, a @ zi
+            # schur[i, j] = Re tr(A_i X A_j Z^-1)
+            schur = (ax.reshape(k, -1) @ azi.swapaxes(1, 2).reshape(k, -1).T).real
+            xrz = x @ rd @ zi
+
+            def direction(g):
+                # dZ = R_d - A*(dy); dX = G - X + X A*(dy) Z^-1 with A(dX) = r_p
+                dy = np.linalg.solve(schur, b - pairings(g))
+                dz = rd - combine(dy)
+                dx = la.hermitian_part(g - x + x @ combine(dy) @ zi)
+                if not (np.isfinite(dx).all() and np.isfinite(dz).all()):
+                    raise np.linalg.LinAlgError("non-finite Newton direction")
+                return dx, dy, dz
+
+            dx, dy, dz = direction(-xrz)
+            ap, ad = _step(x, dx), _step(z, dz)
+            sigma = (np.vdot(x + ap * dx, z + ad * dz).real / d / mu) ** 3
+            sigma = max(sigma, 1.0 - min(ap, ad))
+            dx, dy, dz = direction(sigma * mu * zi - xrz - dx @ dz @ zi)
+            ap, ad = _step(x, dx), _step(z, dz)
+            x, y, z = x + ap * dx, y + ad * dy, z + ad * dz
+    except np.linalg.LinAlgError:
+        stop = "breakdown"
+    _SDP_COUNTS["solves"] += 1
+    _SDP_COUNTS["iterations"] += it
+    _SDP_COUNTS["breakdowns"] += stop == "breakdown"
+    _SDP_COUNTS["cap_hits"] += stop == "cap"
+    t = float(y[-1])
+    return _SectionSolve(x, combine(np.append(y[:-1], 0.0)), t, it, stop,
+                         (t, float(np.vdot(c, x).real)))
+
+
+def _lift(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
+    """x projected onto S_h, shifted by the unit into S+, at trace one."""
+    x = la.hermitian_part(system.from_hermitian_coords(system.hermitian_coords(x)))
+    x = x + max(0.0, -la.lambda_min(x)) * system.unit
+    return x / np.trace(x).real
+
+
+def _section_bracket(f: Functional) -> tuple[float, float, np.ndarray]:
+    """(lower, upper, x) for min{Re f(x) : x in S+, trace x = 1}: exact on
+    the full algebra, else one kernel solve with C = Re F, N = I; lower is
+    its Krein bound (valid however the solve ended), upper is attained at x."""
     system = f.system
     fr = la.hermitian_part(f.riesz)
     if system.is_full:
         w, u = la.spectral_decompose(fr)
-        psi = u[:, -1]
-        return float(w[-1]), np.outer(psi, psi.conj())
-    if rng is None:
-        rng = np.random.default_rng(_PG_SEED)
-    hbasis = system.hermitian_basis
-    traces = np.real(np.einsum("aii->a", hbasis))
-    tt = float(traces @ traces)
-    grad = np.real(np.einsum("ij,aji->a", fr, hbasis))
-    gnorm = float(np.linalg.norm(grad))
+        return float(w[-1]), float(w[-1]), np.outer(u[:, -1], u[:, -1].conj())
+    solve = _section_sdp(system, fr, system.unit)
+    x = _lift(system, solve.x)
+    return _krein_lower_bound(f, fr - solve.k), float(f.pair(x).real), x
 
-    unit_coords = system.hermitian_coords(system.unit / system.d)
-    if gnorm <= 1e-30:
-        return 0.0, system.from_hermitian_coords(unit_coords)
-    direction = grad / gnorm
 
-    w, u = la.spectral_decompose(fr)
-    starts = [unit_coords,
-              system.hermitian_coords(np.outer(u[:, -1], u[:, -1].conj()))]
-    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
-    while len(starts) < 2 + restarts:
-        starts.append(unit_coords + rng.standard_normal(system.dim))
-
-    def evaluate(cands):
-        """Project, lift back into the section exactly, and score."""
-        proj = _batch_section_project(cands, hbasis, traces, tt)
-        mats = np.einsum("ra,aij->rij", proj, hbasis, optimize=True)
-        lam = np.linalg.eigvalsh(mats)[:, 0]
-        best_v, best_c = np.inf, proj[0]
-        for i in range(proj.shape[0]):
-            c = proj[i]
-            deficit = max(0.0, -float(lam[i]))
-            if deficit > 0.0:
-                c = (c + deficit * system.hermitian_coords(system.unit))
-                c = c / (c @ traces)
-            v = float(c @ grad)
-            if v < best_v:
-                best_v, best_c = v, c
-        return best_v, best_c
-
-    best_val, best_c = np.inf, starts[0]
-    for _ in range(rounds):
-        cands = [np.asarray(s, dtype=float) for s in starts]
-        cands += [best_c - m * direction for m in _STEP_LADDER]
-        best_val_r, best_c_r = evaluate(np.stack(cands))
-        if best_val_r < best_val:
-            best_val, best_c = best_val_r, best_c_r
-        if stop_below is not None and best_val < stop_below:
-            break
-        starts = [best_c]
-    x = la.hermitian_part(system.from_hermitian_coords(best_c))
-    return best_val, x
+def positivity_minimum(f: Functional) -> tuple[float, np.ndarray]:
+    """min of Re f(x) over the section S ∩ PSD ∩ {trace = 1}, with the
+    attaining element: the upper end of :func:`_section_bracket`, attained
+    at a feasible point and exact on the full algebra."""
+    _, value, x = _section_bracket(f)
+    return value, x
 
 
 def _krein_lower_bound(f: Functional, w: np.ndarray) -> float:
@@ -398,12 +429,7 @@ def _refutes(f: Functional, z: np.ndarray, tol: float) -> bool:
     return cone_member(f.system, x, tol) and f.pair(x).real < -tol
 
 
-def is_positive_functional(
-    f: Functional,
-    tol: float = DEFAULT_TOL,
-    *,
-    rng: np.random.Generator | None = None,
-) -> bool:
+def is_positive_functional(f: Functional, tol: float = DEFAULT_TOL) -> bool:
     """True iff min{Re f(x) : x in S+, trace x = 1} >= -tol and f is
     Hermitian as a functional (a positive functional must be real on the
     cone, which spans the Hermitian part).
@@ -414,10 +440,9 @@ def is_positive_functional(
     is re-checked here: a witness W must give a lower bound
     (:func:`_krein_lower_bound`) of at least -tol, and a Farkas certificate
     Z must normalize to a point of S+ where Re f < -tol.  Only an undecided
-    solve or failed check falls back to the one-sided section search of
-    :func:`positivity_minimum` (the gray band, where the minimum lies
-    between -10 tol and -tol); ``rng`` feeds only that search.  On the
-    full algebra the verdict is lambda_min(F) >= -tol.
+    solve or failed check (the gray band, where the minimum lies between
+    -10 tol and -tol) falls back to the value of :func:`positivity_minimum`.
+    On the full algebra the verdict is lambda_min(F) >= -tol.
     """
     if not f.is_hermitian(max(tol, 1e-9)):
         return False
@@ -426,7 +451,7 @@ def is_positive_functional(
         return True
     if verdict.certificate is not None and _refutes(f, verdict.certificate, tol):
         return False
-    val, _ = positivity_minimum(f, rng=rng, stop_below=-2 * tol)
+    val, _ = positivity_minimum(f)
     return val >= -tol
 
 
@@ -553,6 +578,33 @@ def series_state(states, weights=None) -> Functional:
 # Dual order units (Choi-Effros style verification)
 # ----------------------------------------------------------------------------
 
+def _level1_radius(
+    delta: Functional, target: Functional, tol: float, precision: float
+) -> float | None:
+    """The level-1 radius of a Hermitian delta, or ``None`` when its
+    evidence does not re-check.  Full algebra: lambda_max(L^-1 G L^-*) for
+    the Cholesky factor L of D.  Proper subsystem: one kernel solve with
+    C = -G and N = D; r = -t is kept only when r D - G - K certifies
+    r delta - g >= -tol and the lifted primal point x lies in S+ with
+    g(x)/delta(x) >= r - precision."""
+    system = delta.system
+    dm, gm = la.hermitian_part(delta.riesz), la.hermitian_part(target.riesz)
+    if system.is_full:
+        try:
+            li = np.linalg.inv(np.linalg.cholesky(dm))
+        except np.linalg.LinAlgError:
+            return None
+        return max(0.0, la.lambda_max(li @ gm @ li.conj().T))
+    solve = _section_sdp(system, -gm, dm)
+    r = max(0.0, -solve.t)
+    x = _lift(system, solve.x)
+    dx = delta.pair(x).real
+    certified = _krein_lower_bound(r * delta - target, r * dm - gm - solve.k) >= -tol
+    if not (certified and cone_member(system, x, tol) and dx > 0):
+        return None
+    return r if max(0.0, target.pair(x).real / dx) >= r - precision else None
+
+
 def dual_order_unit_radius(
     delta: Functional,
     g,
@@ -561,67 +613,44 @@ def dual_order_unit_radius(
     *,
     precision: float = 1e-6,
     r_max: float = 1e6,
-    rng: np.random.Generator | None = None,
 ) -> float | None:
     """Smallest r >= 0 such that r * (I_n (x) delta) - g is positive.
 
     ``g`` may be a Hermitian :class:`Functional` (lifted diagonally to the
     requested level) or a Hermitian :class:`MatrixFunctional` (level taken
-    from its grid).  Level 1 uses the positivity search; higher levels go
-    through CP certification.  Returns ``None`` when no r <= r_max works;
-    raises :class:`UndecidedError` when a CP verdict is undecided.
+    from its grid).  Level 1 takes :func:`_level1_radius`; when its evidence
+    fails (a non-faithful delta, a breakdown) it bisects, each probe passing
+    only on a certified lower bound, so a breakdown costs tightness, never
+    soundness.  Higher levels bisect through CP certification.  Returns
+    ``None`` when no r <= r_max works; raises :class:`UndecidedError` when a
+    CP verdict is undecided.
     """
+    check_search_bounds(r_max, precision)
+    if not g.is_hermitian(1e-8):
+        raise ValidationError("g must be a Hermitian functional or matrix functional")
     if isinstance(g, MatrixFunctional):
-        n = g.n
-        if not g.is_hermitian(1e-8):
-            raise ValidationError("g must be a Hermitian matrix functional")
-        target = g
+        n, target = g.n, (g.grid[0][0] if g.n == 1 else g)
     else:
-        if not g.is_hermitian(1e-8):
-            raise ValidationError("g must be a Hermitian functional")
-        n = level
-        target = g if n == 1 else diag_lift(g, n)
+        n, target = level, (g if level == 1 else diag_lift(g, level))
 
+    scale = 1.0
     if n == 1:
-        system = delta.system
-        d = system.d
-        trace_scale = float(np.real(np.trace(delta.riesz))) / d
-        if la.frobenius(delta.riesz - trace_scale * np.eye(d)) <= 1e-12:
-            # delta is a multiple of the trace, hence constant (= d *
-            # trace_scale / d) on the trace-one section: one accurate
-            # maximization of g settles every bisection query exactly
-            neg_min, _ = positivity_minimum(-1.0 * target, rng=rng)
-            g_max = -neg_min
+        if delta.is_hermitian(1e-8):
+            r = _level1_radius(delta, target, tol, precision)
+            if r is not None:
+                return r if r <= r_max else None
+        _SDP_COUNTS["bisection_fallbacks"] += 1
 
-            def dominated(r: float) -> bool:
-                return r * trace_scale - g_max >= -tol
-        else:
-            warm: list[np.ndarray] = []
-            # collected section minimizers refute later radii without a
-            # solve: for each witness x, (r delta - g)(x) is a cheap upper
-            # bound of the section minimum at any r
-            delta_vals: list[float] = []
-            g_vals: list[float] = []
-
-            def dominated(r: float) -> bool:
-                for dv, gv in zip(delta_vals, g_vals):
-                    if r * dv - gv < -tol:
-                        return False
-                h = r * delta - target
-                if not h.is_hermitian(1e-8):
-                    return False
-                val, x = positivity_minimum(
-                    h, rng=rng, extra_starts=tuple(warm), stop_below=-2 * tol
-                )
-                del warm[:]
-                warm.append(system.hermitian_coords(x))
-                if val < -tol:
-                    delta_vals.append(float(np.real(delta.pair(x))))
-                    g_vals.append(float(np.real(target.pair(x))))
-                    return False
-                return True
+        def dominated(r: float) -> bool:
+            h = r * delta - target
+            return h.is_hermitian(1e-8) and _section_bracket(h)[0] >= -tol
     else:
         lifted_delta = diag_lift(delta, n)
+        # the ambient Choi bound dominates with strict interior margin, so
+        # the exponential search starts from a bracket the solver decides fast
+        lam = la.lambda_min(lifted_delta.choi_matrix())
+        if lam > 1e-12:
+            scale = (la.lambda_max(target.choi_matrix()) + 1.0) / lam
 
         def dominated(r: float) -> bool:
             verdict = is_cp(r * lifted_delta - target, tol=tol)
@@ -631,17 +660,8 @@ def dual_order_unit_radius(
                 )
             return verdict
 
-    scale = max(1.0, la.trace_norm(delta.riesz))
-    if n > 1:
-        # the ambient Choi bound dominates with strict interior margin, so
-        # the exponential search starts from a bracket the solver decides fast
-        choi_delta = diag_lift(delta, n).choi_matrix()
-        lam = la.lambda_min(choi_delta)
-        if lam > 1e-12:
-            scale = max(
-                scale, (la.lambda_max(target.choi_matrix()) + 1.0) / lam
-            )
-    return smallest_passing(dominated, r_max, precision, r_start=scale)
+    r_start = max(scale, 1.0, la.trace_norm(delta.riesz))
+    return smallest_passing(dominated, r_max, precision, r_start=r_start)
 
 
 def verify_dual_unit_equivalences(
@@ -668,29 +688,32 @@ def verify_dual_unit_equivalences(
 
     When delta is not faithful, an explicit non-dominated witness g built
     from the vanishing direction is reported and the order-unit check fails.
+    ``report["kernel"]`` holds the :func:`kernel_counts` of the sweep.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     report: dict = {"passed": True, "counterexamples": []}
+    counts = kernel_counts()
 
-    min_delta, x0 = positivity_minimum(delta, rng=rng)
+    min_delta, x0 = positivity_minimum(delta)
     faithful = min_delta >= 1e-6
     report["faithful"] = {"min_on_section": min_delta, "ok": faithful}
     if not faithful:
         witness = Functional(system, la.hermitian_part(x0))
-        r = dual_order_unit_radius(delta, witness, 1, rng=rng, r_max=r_max)
+        r = dual_order_unit_radius(delta, witness, 1, r_max=r_max)
         report["order_unit"] = {"ok": r is not None, "witness_radius": r}
         report["passed"] = False
         report["counterexamples"].append(
             {"check": "order_unit", "detail": "delta vanishes on a positive direction"}
         )
+        report["kernel"] = kernel_counts(since=counts)
         return report
 
     radii = []
     level_ok = True
     for _ in range(samples):
         g = random_hermitian_functional(system, rng)
-        r = dual_order_unit_radius(delta, g, 1, rng=rng, r_max=r_max)
+        r = dual_order_unit_radius(delta, g, 1, r_max=r_max)
         radii.append(r)
         if r is None:
             level_ok = False
@@ -724,22 +747,21 @@ def verify_dual_unit_equivalences(
         else:
             # boundary construction: shift a positive functional to the edge
             p = random_positive_functional(system, rng)
-            val, _ = positivity_minimum(p, rng=rng)
+            val, _ = positivity_minimum(p)
             shift = val / max(delta.pair(system.unit).real / system.d, 1e-12)
             f = p - float(shift) * delta
-        premise = all(
-            is_positive_functional(r * delta + f, rng=rng) for r in schedule
-        )
+        premise = all(is_positive_functional(r * delta + f) for r in schedule)
         if not premise:
             continue
         arch_checked += 1
-        if not is_positive_functional(f, tol=arch_tol, rng=rng):
+        if not is_positive_functional(f, tol=arch_tol):
             arch_ok = False
             report["counterexamples"].append(
                 {"check": "archimedean", "detail": "schedule passed but f not positive"}
             )
     report["archimedean"] = {"ok": arch_ok, "checked": arch_checked}
     report["passed"] = bool(level_ok and arch_ok)
+    report["kernel"] = kernel_counts(since=counts)
     return report
 
 

@@ -7,9 +7,10 @@ the origin: with the corrections, the iterates converge to a point of the
 intersection whenever one exists, and the gap between the cone-side and
 affine-side iterates converges to the distance between the sets otherwise.
 
-One batched kernel, :func:`dykstra_iterates`, runs the iteration both for
-CP certification (:func:`dykstra_solve`) and for the section projection of
-the dual module; each caller owns its stopping rule.
+The solver serves CP certification (the Choi problems of the dual module,
+including the level-1 positivity test) and explicit problems loaded from
+JSON.  The dual module's section minima and radii come from its own
+interior-point kernel, not from a projection here.
 
 Verdicts are three-valued.  "infeasible" rests on a Farkas certificate
 whenever the identity lies in span{A_k} (every Choi problem and every fully
@@ -37,7 +38,6 @@ __all__ = [
     "FeasibilityProblem",
     "FeasibilityVerdict",
     "project_affine",
-    "dykstra_iterates",
     "dykstra_solve",
 ]
 
@@ -157,22 +157,6 @@ def project_affine(problem: FeasibilityProblem, w) -> np.ndarray:
     return la.hermitian_part(span.project(la.hermitian_part(w)))
 
 
-def dykstra_iterates(x, affine):
-    """Dykstra's corrected alternating projections between the PSD cone and
-    the affine set that ``affine`` projects onto, batched over leading axes.
-    Yields ``(y, x_prev, x_next)`` forever (cone iterate, affine iterates
-    before and after the step); the caller decides when to stop."""
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    while True:
-        y = la.project_psd(x + p)
-        p = x + p - y
-        x_next = affine(y + q)
-        q = y + q - x_next
-        yield y, x, x_next
-        x = x_next
-
-
 def _farkas_certificate(span: _AffineSpan, y, x, tol: float):
     """The displacement y - x made into a certificate of infeasibility:
     projected onto span{A_k} and shifted by mu I to be PSD.  Returned only
@@ -203,11 +187,17 @@ def dykstra_solve(problem: FeasibilityProblem) -> FeasibilityVerdict:
                 when the distance between the sets is in (tol, 10 * tol).
     """
     span = _AffineSpan.build(problem)
-    x0 = span.project(np.zeros((problem.dim,) * 2, dtype=complex))
-    steps = dykstra_iterates(x0, lambda w: la.hermitian_part(span.project(w)))
+    x = span.project(np.zeros((problem.dim,) * 2, dtype=complex))
+    # Dykstra corrections of the cone and affine steps
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
     margin = 10 * problem.tol
     gaps: list[float] = []
-    for it, (y, _, x) in enumerate(steps, start=1):
+    for it in range(1, problem.max_iter + 1):
+        y = la.project_psd(x + p)
+        p = x + p - y
+        x = la.hermitian_part(span.project(y + q))
+        q = y + q - x
         gap = la.frobenius(y - x)
         gaps.append(gap)
         if gap < problem.tol:
@@ -222,5 +212,4 @@ def dykstra_solve(problem: FeasibilityProblem) -> FeasibilityVerdict:
                 return FeasibilityVerdict("infeasible", None, gap, it, certificate)
         if stalled:
             return FeasibilityVerdict("infeasible", None, gap, it)
-        if it == problem.max_iter:
-            return FeasibilityVerdict("undecided", None, gap, it)
+    return FeasibilityVerdict("undecided", None, gap, problem.max_iter)

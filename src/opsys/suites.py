@@ -22,6 +22,7 @@ from .dual import (
     faithful_state,
     is_cp,
     is_positive_functional,
+    kernel_counts,
     positivity_minimum,
     random_hermitian_functional,
     random_positive_functional,
@@ -234,9 +235,10 @@ def suite_choi_effros(
         radii = []
         ok = True
         oracle_gap = 0.0
+        counts = kernel_counts()
         for _ in range(functionals):
             g = random_hermitian_functional(s, rng)
-            r = dual_order_unit_radius(delta, g, 1, rng=rng)
+            r = dual_order_unit_radius(delta, g, 1)
             if r is None:
                 ok = False
                 break
@@ -246,7 +248,7 @@ def suite_choi_effros(
                 oracle_gap = max(oracle_gap, abs(r - oracle))
                 if abs(r - oracle) > 1e-5:
                     ok = False
-            r_neg = dual_order_unit_radius(delta, -1.0 * g, 1, rng=rng)
+            r_neg = dual_order_unit_radius(delta, -1.0 * g, 1)
             if r_neg is None:
                 ok = False
                 continue
@@ -267,12 +269,13 @@ def suite_choi_effros(
                     else "proper subsystem, CP-certified at all levels"),
             evidence={"d": s.d, "dim": s.dim,
                       "max_radius": _round(max(radii)) if radii else None,
-                      "oracle_gap": _round(oracle_gap)},
+                      "oracle_gap": _round(oracle_gap),
+                      "kernel": kernel_counts(since=counts)},
         ))
     diag2 = named_system("diag:2")
     nonfaithful = Functional(diag2, np.diag([1.0, 0.0]).astype(complex))
     complement = Functional(diag2, np.diag([0.0, 1.0]).astype(complex))
-    r = dual_order_unit_radius(nonfaithful, complement, 1, rng=rng, r_max=1e4)
+    r = dual_order_unit_radius(nonfaithful, complement, 1, r_max=1e4)
     checks.append(Check(
         name="choi-effros/non-faithful-counterexample",
         op="dual.dual_order_unit_radius",
@@ -303,19 +306,19 @@ def suite_dual_equivalences(seed: int, *, samples: int = 50) -> list[Check]:
         checked = 0
         violations = 0
         attempts = 0
+        counts = kernel_counts()
         while checked < per and attempts < 20 * per:
             attempts += 1
             if attempts % 3 == 0:
                 f = random_hermitian_functional(s, rng)
             else:
                 p = random_positive_functional(s, rng)
-                val, _ = positivity_minimum(p, rng=rng)
+                val, _ = positivity_minimum(p)
                 f = p - float(s.d * val) * delta  # boundary shift
-            if not all(is_positive_functional(r * delta + f, rng=rng)
-                       for r in schedule):
+            if not all(is_positive_functional(r * delta + f) for r in schedule):
                 continue
             checked += 1
-            if not is_positive_functional(f, tol=1e-6, rng=rng):
+            if not is_positive_functional(f, tol=1e-6):
                 violations += 1
         checks.append(Check(
             name=f"dual-equivalences/system-{i:02d}",
@@ -323,7 +326,8 @@ def suite_dual_equivalences(seed: int, *, samples: int = 50) -> list[Check]:
             status=_status(violations == 0 and checked >= per),
             detail=f"{checked} schedule-passing functionals, {violations} "
                    f"positivity violations at 1e-6",
-            evidence={"checked": checked, "violations": violations},
+            evidence={"checked": checked, "violations": violations,
+                      "kernel": kernel_counts(since=counts)},
         ))
     return checks
 

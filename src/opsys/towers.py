@@ -549,7 +549,7 @@ def verify_dual_cones(
             top, _nonpositive_hermitian(top, rng, floor=-1e-2)
         )
         f = pullback_thread(t, f_top)
-        val, x = positivity_minimum(f_top, rng=rng)
+        val, x = positivity_minimum(f_top)
         e = t.thread(t.depth, x + max(0.0, -la.lambda_min(x)) * np.eye(top.d))
         pair_val = pairing(e, f).real
         if not (val < 0 and pair_val < 0):
@@ -617,7 +617,7 @@ def verify_gamma(
     for _ in range(max(1, samples // 5)):
         f_top = Functional(top, _nonpositive_hermitian(top, rng, floor=-1e-2))
         f = pullback_thread(t, f_top)
-        val, x = positivity_minimum(f_top, rng=rng)
+        val, x = positivity_minimum(f_top)
         lift = max(0.0, -la.lambda_min(x))
         e = t.thread(t.depth, x + lift * np.eye(top.d))
         if not (val < 0 and pairing(e, f).real < 0):
@@ -632,7 +632,7 @@ def verify_gamma(
         g = pullback_thread(t, g_top)
         stage_radii = []
         for k in range(1, t.depth + 1):
-            r = dual_order_unit_radius(delta_thread.entry(k), g.entry(k), 1, rng=rng)
+            r = dual_order_unit_radius(delta_thread.entry(k), g.entry(k), 1)
             if r is None:
                 failures.append(f"trace state fails to dominate at stage {k}")
                 break

@@ -188,6 +188,19 @@ def test_choi_effros_command(capsys):
     assert names == sorted(names)
 
 
+def test_choi_effros_reports_kernel_counts(capsys):
+    argv = ["dual", "choi-effros", "--system", "pauli-span", "--seed", "3",
+            "--levels", "2", "--samples", "2", "--json"]
+    code, report = run_json(capsys, argv)
+    assert code == EXIT_OK
+    unit = next(c for c in report["checks"] if c["name"] == "dual/choi-effros/order-unit")
+    counts = unit["evidence"]["kernel"]
+    assert counts["solves"] >= 3 and counts["iterations"] >= counts["solves"]
+    assert counts["bisection_fallbacks"] == 0
+    # counts, never times: the evidence is byte-stable
+    assert run_json(capsys, argv)[1]["checks"] == report["checks"]
+
+
 # -- tower commands -----------------------------------------------------------------------
 
 def test_tower_build(capsys):

@@ -20,9 +20,10 @@ from opsys.dual import (
     series_state,
     verify_dual_unit_equivalences,
 )
-from opsys.errors import MembershipError, UndecidedError
+from opsys.errors import MembershipError, UndecidedError, ValidationError
 from opsys.feasibility import FeasibilityProblem, dykstra_solve
 from opsys.systems import (
+    cone_member,
     make_operator_system,
     named_system,
     random_element,
@@ -275,7 +276,7 @@ def test_choi_grid_roundtrip():
 
 def test_cp_cross_validates_positivity_level1():
     # two independent backends must agree: Dykstra CP-extension versus the
-    # projected-gradient section minimum
+    # interior-point section minimum
     rng = np.random.default_rng(5)
     s = named_system("pauli-span")
     agreements = 0
@@ -284,10 +285,10 @@ def test_cp_cross_validates_positivity_level1():
             f = random_positive_functional(s, rng)
         else:
             f = random_hermitian_functional(s, rng)
-        via_pg = positivity_minimum(f)[0] >= -1e-8
+        via_kernel = positivity_minimum(f)[0] >= -1e-8
         via_cp = is_cp(MatrixFunctional([[f]]))
         assert via_cp is not None
-        assert via_cp == via_pg
+        assert via_cp == via_kernel
         agreements += 1
     assert agreements == 50
 
@@ -427,6 +428,268 @@ def test_radius_none_for_non_faithful():
     assert r is None
 
 
+def _trace_and_series_states(s, rng):
+    raw = []
+    for _ in range(3):
+        g = rng.standard_normal((s.d, s.d)) + 1j * rng.standard_normal((s.d, s.d))
+        p = g @ g.conj().T + 0.1 * np.eye(s.d)
+        raw.append(Functional(s, p / np.trace(p).real))
+    return faithful_state(s), series_state(raw)
+
+
+@pytest.mark.parametrize("name", ["pauli-span", "toeplitz:3", "random"])
+def test_kernel_radius_evidence_rechecks_by_hand(name):
+    # the Charnes-Cooper solve behind each level-1 radius, re-checked by
+    # hand: W = r D - G - K is PSD and pairs like r delta - g with S, and the
+    # lifted primal point lies in S+ and closes the bracket to precision
+    import opsys.dual as dual_module
+
+    tol, precision = 1e-8, 1e-6
+    rng = np.random.default_rng(21)
+    s = random_system(rng, d=4, generators=2) if name == "random" else named_system(name)
+    hb = s.hermitian_basis
+    for delta in _trace_and_series_states(s, rng):
+        for _ in range(4):
+            g = random_hermitian_functional(s, rng)
+            dm, gm = la.hermitian_part(delta.riesz), la.hermitian_part(g.riesz)
+            solve = dual_module._section_sdp(s, -gm, dm)
+            assert solve.stop == "converged"
+            assert 0 < solve.iterations <= dual_module._SDP_ITERS
+            lower, upper = solve.bracket
+            assert abs(upper - lower) <= 1e-8 * max(1.0, abs(upper))
+            r = max(0.0, -solve.t)
+            w = r * dm - gm - solve.k
+            assert la.lambda_min(w) >= -tol
+            pairing = np.einsum("aij,ji->a", hb, w - (r * dm - gm)).real
+            assert np.abs(pairing).max() <= 1e-10
+            x = s.from_hermitian_coords(s.hermitian_coords(la.hermitian_part(solve.x)))
+            x = la.hermitian_part(x) + max(0.0, -la.lambda_min(x)) * np.eye(s.d)
+            x = x / np.trace(x).real
+            assert cone_member(s, x, tol)
+            # r >= 0 always, so the bracket's lower end is max(0, g(x)/delta(x))
+            ratio = np.trace(gm @ x).real / np.trace(dm @ x).real
+            assert max(0.0, ratio) >= r - precision
+            assert dual_order_unit_radius(delta, g, 1) == pytest.approx(r, abs=1e-12)
+
+
+def test_kernel_converges_within_twenty_steps():
+    # 100 radius solves on random M_4 subsystems (trace and series states):
+    # every one converges, in at most 11-13 steps on this pool.  Without the
+    # centering safeguard on Mehrotra's sigma some primal steps jam near the
+    # boundary and solves end at a breakdown or the cap.
+    import opsys.dual as dual_module
+
+    rng = np.random.default_rng(30)
+    for _ in range(5):
+        s = random_system(rng, d=4, generators=2)
+        for delta in _trace_and_series_states(s, rng):
+            dm = la.hermitian_part(delta.riesz)
+            for _ in range(10):
+                g = random_hermitian_functional(s, rng)
+                solve = dual_module._section_sdp(s, -la.hermitian_part(g.riesz), dm)
+                assert solve.stop == "converged" and solve.iterations <= 20
+
+
+def _barrier_section_minimum(f):
+    """Independent oracle for min Re f(x) over x in S+ with trace x = 1: a
+    log-barrier path over Hermitian coordinates.  Every iterate is strictly
+    inside S+, so the returned point is an explicit refutation whenever its
+    value is below -tol."""
+    s = f.system
+    hb = s.hermitian_basis
+    gamma = np.einsum("ij,aji->a", la.hermitian_part(f.riesz), hb).real
+    unit = np.einsum("aii->a", hb).real  # coordinates of I
+    p = np.linalg.svd(unit[None])[2][1:].T  # moves that keep the trace
+    c = unit / (unit @ unit)  # I / d
+
+    def barrier(c, t):
+        x = np.einsum("a,aij->ij", c, hb)
+        try:
+            logdet = 2 * np.log(np.diag(np.linalg.cholesky(x)).real).sum()
+        except np.linalg.LinAlgError:
+            return np.inf, None
+        return t * gamma @ c - logdet, x
+
+    for t in 10.0 ** np.arange(0, 13, 2):
+        for _ in range(50):
+            val, x = barrier(c, t)
+            xh = np.einsum("ij,ajk->aik", np.linalg.inv(x), hb)
+            grad = p.T @ (t * gamma - np.einsum("aii->a", xh).real)
+            hess = p.T @ np.einsum("aij,bji->ab", xh, xh).real @ p
+            step = -np.linalg.solve(hess, grad)
+            if -grad @ step < 1e-6:
+                break
+            a = 1.0
+            while barrier(c + a * p @ step, t)[0] > val + 0.25 * a * grad @ step:
+                a /= 2
+            c = c + a * p @ step
+    x = la.hermitian_part(np.einsum("a,aij->ij", c, hb))
+    return f.pair(x).real, x
+
+
+def test_trace_state_radii_are_not_refuted():
+    # 84 trace-state radii on proper subsystems; each must dominate: no x in
+    # S+ with trace 1 where (r delta - g)(x) < -tol.  The section search
+    # this kernel replaced left 14 of them refuted, by up to 1.7e-5.
+    tol = 1e-8
+    rng = np.random.default_rng(3)
+    pool = [named_system(n) for n in ("pauli-span", "diag:3", "toeplitz:3", "toeplitz:4")]
+    pool += [random_system(rng, d=3, generators=1) for _ in range(5)]
+    pool += [random_system(rng, d=4, generators=2) for _ in range(5)]
+    frng = np.random.default_rng(99)
+    refuted = []
+    for s in pool:
+        delta = faithful_state(s)
+        for _ in range(6):
+            g = random_hermitian_functional(s, frng)
+            r = dual_order_unit_radius(delta, g, 1)
+            val, x = _barrier_section_minimum(r * delta - g)
+            assert cone_member(s, x, tol)
+            assert np.trace(x).real == pytest.approx(1.0, abs=1e-12)
+            if val < -tol:
+                refuted.append(val)
+    assert refuted == []
+
+
+@pytest.mark.parametrize("fault_after", [0, 3, 12])
+def test_kernel_breakdown_never_raises(monkeypatch, fault_after):
+    # a factorization that fails near a rank-deficient optimum ends the
+    # solve as "breakdown"; the evidence check, not an exception, decides.
+    # Here the failure is injected after a fixed number of step-length
+    # factorizations on toeplitz:3 boundary functionals (PSD Riesz matrix of
+    # rank d - 1, so the minimizer is rank-deficient).
+    import opsys.dual as dual_module
+
+    rng = np.random.default_rng(23)
+    s = named_system("toeplitz:3")
+    delta = faithful_state(s)
+    cases = []
+    for _ in range(3):
+        g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        f = Functional(s, g @ g.conj().T)
+        cases.append((f, positivity_minimum(f)[0], dual_order_unit_radius(delta, f, 1)))
+    real_step = dual_module._step
+    calls = []
+
+    def failing_step(m, dm):
+        calls.append(1)
+        if len(calls) > fault_after:
+            raise np.linalg.LinAlgError("injected")
+        return real_step(m, dm)
+
+    monkeypatch.setattr(dual_module, "_step", failing_step)
+    for f, minimum, radius in cases:
+        calls.clear()
+        before = dual_module.kernel_counts()
+        val, x = positivity_minimum(f)
+        assert cone_member(s, x, 1e-8) and val >= minimum - 1e-12
+        counts = dual_module.kernel_counts(since=before)
+        assert counts["breakdowns"] == counts["solves"] == 1
+        calls.clear()
+        before = dual_module.kernel_counts()
+        r = dual_order_unit_radius(delta, f, 1, precision=1e-3)
+        counts = dual_module.kernel_counts(since=before)
+        assert counts["breakdowns"] >= 1
+        # a broken solve cannot close the bracket, so the bisection decides;
+        # its probes pass only on a certified lower bound, so the radius
+        # may come out loose (up to the ambient d lambda_max) but dominates
+        assert counts["bisection_fallbacks"] == 1
+        assert radius - 1e-6 <= r <= 3 * la.lambda_max(f.riesz) + 1e-3
+        assert _barrier_section_minimum(r * delta - f)[0] >= -1e-8
+    monkeypatch.setattr(dual_module, "_step", real_step)
+    for f, _, _ in cases:
+        before = dual_module.kernel_counts()
+        positivity_minimum(f)
+        dual_order_unit_radius(delta, f, 1)
+        assert dual_module.kernel_counts(since=before)["solves"] == 2
+
+
+@pytest.mark.parametrize("fault", ["dual", "primal"])
+def test_kernel_radius_needs_its_evidence(monkeypatch, fault):
+    # a kernel answer is returned only when it re-checks: a dual value moved
+    # past the radius fails the certificate, a primal point off the
+    # optimum leaves the bracket open, and either way the certified
+    # bisection decides
+    import opsys.dual as dual_module
+
+    rng = np.random.default_rng(28)
+    s = named_system("toeplitz:3")
+    delta = faithful_state(s)
+    g = random_hermitian_functional(s, rng)
+    radius = dual_order_unit_radius(delta, g, 1)
+    real_sdp = dual_module._section_sdp
+
+    def skewed(system, c, n):
+        solve = real_sdp(system, c, n)
+        if fault == "dual":
+            return solve._replace(t=solve.t + 1e-3)
+        return solve._replace(x=np.eye(system.d) / system.d)
+
+    monkeypatch.setattr(dual_module, "_section_sdp", skewed)
+    before = dual_module.kernel_counts()
+    r = dual_order_unit_radius(delta, g, 1)
+    assert dual_module.kernel_counts(since=before)["bisection_fallbacks"] == 1
+    assert r == pytest.approx(radius, abs=2e-6)
+
+
+def test_radius_none_for_non_faithful_proper_subsystem():
+    # delta = (I + X)/2 on span{I, X} vanishes on (I - X)/2 in S+, which g
+    # sees: no radius exists, the kernel cannot certify one, and the
+    # bisection runs out at r_max
+    import opsys.dual as dual_module
+
+    s = make_operator_system([PAULI_X], 2)
+    delta = Functional(s, (np.eye(2) + PAULI_X) / 2)
+    g = Functional(s, (np.eye(2) - PAULI_X) / 2)
+    before = dual_module.kernel_counts()
+    assert dual_order_unit_radius(delta, g, 1, r_max=1e3) is None
+    assert dual_module.kernel_counts(since=before)["bisection_fallbacks"] == 1
+
+
+def test_radius_beyond_r_max_is_none():
+    rng = np.random.default_rng(24)
+    for name in ("full:3", "toeplitz:3"):
+        s = named_system(name)
+        delta = faithful_state(s)
+        g = random_positive_functional(s, rng)
+        r = dual_order_unit_radius(delta, g, 1)
+        assert r > 0.5
+        assert dual_order_unit_radius(delta, g, 1, r_max=0.5 * r) is None
+        assert dual_order_unit_radius(delta, g, 1, r_max=2 * r) == r
+
+
+def test_full_algebra_radii_skip_the_kernel(monkeypatch):
+    # on M_d the radius is a closed form (one Cholesky, one eigvalsh), for
+    # the trace state and for any positive definite Riesz matrix
+    import opsys.dual as dual_module
+
+    def kernel(*args):
+        raise AssertionError("section kernel called on the full algebra")
+
+    monkeypatch.setattr(dual_module, "_section_sdp", kernel)
+    rng = np.random.default_rng(25)
+    s = named_system("full:3")
+    for delta in _trace_and_series_states(s, rng):
+        dm = la.hermitian_part(delta.riesz)
+        g = random_hermitian_functional(s, rng)
+        li = np.linalg.inv(np.linalg.cholesky(dm))
+        oracle = max(0.0, la.lambda_max(li @ g.riesz @ li.conj().T))
+        assert dual_order_unit_radius(delta, g, 1) == pytest.approx(oracle, abs=1e-12)
+        assert la.lambda_min(oracle * dm - g.riesz) >= -1e-10
+        positivity_minimum(g)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_radius_rejects_bad_precision_and_r_max(bad):
+    s = named_system("toeplitz:3")
+    delta = faithful_state(s)
+    g = random_hermitian_functional(s, np.random.default_rng(26))
+    with pytest.raises(ValidationError):
+        dual_order_unit_radius(delta, g, 1, precision=bad)
+    with pytest.raises(ValidationError):
+        dual_order_unit_radius(delta, g, 2, r_max=bad)
+
+
 def test_radius_level_2_agrees_with_level_1():
     # the diagonal lift of a level-1 dominated difference stays CP, so the
     # level-2 bisection lands on the same radius
@@ -482,6 +745,29 @@ def test_equivalences_full_m2():
     assert report["order_unit"]["ok"]
     assert report["archimedean"]["ok"]
     assert report["passed"]
+
+
+def test_equivalences_report_kernel_counts():
+    # the sweep counts its section-kernel work; counts are deterministic
+    s = named_system("pauli-span")
+    reports = [
+        verify_dual_unit_equivalences(
+            s, faithful_state(s), max_level=2, samples=3, rng=np.random.default_rng(27)
+        )
+        for _ in range(2)
+    ]
+    assert reports[0]["kernel"] == reports[1]["kernel"]
+    counts = reports[0]["kernel"]
+    assert set(counts) == {"solves", "iterations", "breakdowns", "cap_hits",
+                           "bisection_fallbacks"}
+    # the faithfulness minimum plus one solve per sampled radius
+    assert counts["solves"] >= 4
+    assert counts["iterations"] >= counts["solves"]
+    full = named_system("full:2")
+    report = verify_dual_unit_equivalences(
+        full, faithful_state(full), max_level=2, samples=3, rng=np.random.default_rng(27)
+    )
+    assert report["kernel"]["solves"] == 0
 
 
 def test_equivalences_non_faithful_fails_with_witness():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opsys import linalg as la
-from opsys.errors import DimensionError, HermitianError
+from opsys.errors import DimensionError, HermitianError, ValidationError
 from opsys.norms import max_order_norm
 from opsys.systems import (
     cone_member,
@@ -285,6 +285,19 @@ def test_radius_requires_hermitian():
     s = named_system("full:2")
     with pytest.raises(HermitianError):
         order_unit_radius_level(s, np.eye(2), E12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_radius_rejects_bad_precision_and_r_max(bad):
+    # precision 0 used to bisect forever (stalled at adjacent floats) and
+    # NaN returned 1.0 instead of 0.7
+    s = named_system("full:2")
+    x = np.diag([0.3, 0.7])
+    with pytest.raises(ValidationError):
+        order_unit_radius_level(s, np.eye(2), x, precision=bad)
+    with pytest.raises(ValidationError):
+        order_unit_radius_level(s, np.eye(2), x, r_max=bad)
+    assert order_unit_radius_level(s, np.eye(2), x) == pytest.approx(0.7, abs=1e-8)
 
 
 def test_radius_level2_matches_eigen_oracle():
