@@ -2,9 +2,11 @@
 
 Systems S inside M_d with their matrix cones, the order norms (Hermitian,
 minimal, maximal-with-certified-sandwich), the matrix-ordered dual with
-complete-positivity certification through a PSD/affine feasibility solver,
-faithful states and dual order-unit verification, and finite-depth towers
-of systems with the inductive/projective duality pairing.
+positivity and complete-positivity certification through one interior-point
+solve per matrix level, a Dykstra PSD/affine feasibility solver for
+explicit problems, faithful states and dual order-unit verification, and
+finite-depth towers of systems with the inductive/projective duality
+pairing.
 """
 
 from .errors import (

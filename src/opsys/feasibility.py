@@ -7,10 +7,11 @@ the origin: with the corrections, the iterates converge to a point of the
 intersection whenever one exists, and the gap between the cone-side and
 affine-side iterates converges to the distance between the sets otherwise.
 
-The solver serves CP certification (the Choi problems of the dual module,
-including the level-1 positivity test) and explicit problems loaded from
-JSON.  The dual module's section minima and radii come from its own
-interior-point kernel, not from a projection here.
+The solver serves explicit problems: those loaded from JSON, the Choi
+problems that ``opsys dual check-cp --dump-problem`` exports, and the fully
+pinned instances of the acceptance tests and the feasibility-oracle suite.
+CP and positivity verdicts of the dual module come from its own
+interior-point kernel, which decides the same Choi problems, not from here.
 
 Verdicts are three-valued.  "infeasible" rests on a Farkas certificate
 whenever the identity lies in span{A_k} (every Choi problem and every fully

@@ -254,7 +254,8 @@ def suite_choi_effros(
                 continue
             r_pm = max(r, r_neg)
             # strict interior margin: at the exact radius the CP problem
-            # has no Slater point and the solver stays undecided
+            # has no Slater point, so a witness could be PSD only up to the
+            # solver's accuracy; the margin keeps every grid strictly inside
             margin = 1e-2 * max(1.0, r_pm)
             for n in range(2, max_level + 1):
                 for sign in (1.0, -1.0):

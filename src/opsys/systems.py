@@ -73,6 +73,7 @@ class OperatorSystem:
         self.basis.flags.writeable = False
         self.name = name
         self._hermitian_basis: np.ndarray | None = None
+        self._complement_basis: np.ndarray | None = None
 
     # -- structure -----------------------------------------------------------
 
@@ -154,6 +155,26 @@ class OperatorSystem:
             hb.flags.writeable = False
             self._hermitian_basis = hb
         return self._hermitian_basis
+
+    @property
+    def complement_basis(self) -> np.ndarray:
+        """Real-orthonormal Hermitian basis of S_h^perp, the Hermitian
+        matrices orthogonal to S, stacked as an array of shape
+        (d^2 - dim, d, d): a spanning set of the Hermitian matrices is
+        projected off S_h, then the leading right singular vectors of its
+        real view are kept (so they stay Hermitian)."""
+        if self._complement_basis is None:
+            d, m = self.d, self.dim
+            units = np.eye(d * d).reshape(-1, d, d)
+            units_t = units.swapaxes(1, 2)
+            cands = np.concatenate([units + units_t, 1j * (units - units_t)])
+            cands = cands.reshape(2 * d * d, -1)
+            hb = self.hermitian_basis.reshape(m, -1)
+            vh = np.linalg.svd((cands - (cands @ hb.conj().T).real @ hb).view(float))[2]
+            cb = vh[:d * d - m].copy().view(complex).reshape(-1, d, d)
+            cb.flags.writeable = False
+            self._complement_basis = cb
+        return self._complement_basis
 
     def hermitian_coords(self, x) -> np.ndarray:
         """Real coordinates of a Hermitian element over the Hermitian basis."""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opsys import dual as dual_module
 from opsys import linalg as la
 from opsys.cli import (
     EXIT_DATA,
@@ -168,10 +169,14 @@ def test_check_cp_json_evidence(tmp_path, capsys):
     assert code == EXIT_FAIL
     ev = report["checks"][0]["evidence"]
     assert ev["iterations"] == 0 and ev["certified"] is True
+    # on a proper subsystem the iterations are the section kernel's Newton
+    # steps
+    before = dual_module.kernel_counts()
     code, report = evidence("pauli-span", grid_file("identity", False))
     assert code == EXIT_OK
     ev = report["checks"][0]["evidence"]
     assert ev["iterations"] >= 1 and ev["certified"] is False
+    assert ev["iterations"] == dual_module.kernel_counts(since=before)["iterations"]
     # the counts are deterministic, so the report is byte-stable
     again = evidence("pauli-span", grid_file("identity", False))[1]
     assert again["checks"] == report["checks"]

@@ -29,6 +29,7 @@ from opsys.systems import (
     random_element,
     random_positive_element,
     random_system,
+    subspace_member,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -142,11 +143,10 @@ def test_positivity_dual_cone_sampling():
 
 @pytest.mark.parametrize("name", ["pauli-span", "toeplitz:3"])
 def test_positivity_evidence_rechecks_outside_the_solver(name):
-    # the level-1 Choi verdict behind each answer, re-checked by hand: a
-    # witness W >= 0 pairs like F on the Hermitian basis, and a certificate Z
-    # normalizes to a point of S+ where f < -tol
-    import opsys.dual as dual_module
-
+    # the answer is checked against Dykstra on the explicit level-1 Choi
+    # problem, an independent solver; the kernel verdict behind it is
+    # re-checked by hand: a witness W >= 0 pairs like F on the Hermitian
+    # basis, and a certificate Z normalizes to a point of S+ where f < -tol
     tol = 1e-8
     rng = np.random.default_rng(17)
     s = named_system(name)
@@ -154,10 +154,13 @@ def test_positivity_evidence_rechecks_outside_the_solver(name):
     seen = set()
     for k in range(12):
         f = (random_positive_functional if k % 2 == 0 else random_hermitian_functional)(s, rng)
-        verdict = cp_verdict(MatrixFunctional([[f]]), tol, dual_module._POSITIVITY_ITERS)
-        assert verdict.status != "undecided"
+        mf = MatrixFunctional([[f]])
+        oracle = dykstra_solve(cp_choi_problem(mf, tol))
+        assert oracle.status != "undecided"
         positive = is_positive_functional(f, tol)
-        assert positive == (verdict.status == "feasible")
+        assert positive == (oracle.status == "feasible")
+        verdict = cp_verdict(mf, tol)
+        assert verdict.status == oracle.status
         fr = la.hermitian_part(f.riesz)
         if positive:
             w = verdict.witness
@@ -186,26 +189,43 @@ def test_certified_positivity_skips_the_section_search(monkeypatch):
     assert is_positive_functional(Functional(named_system("full:2"), np.eye(2)))
 
 
-def test_gray_band_positivity_falls_back_to_the_section_search(monkeypatch):
+def test_gray_band_positivity_is_refuted_or_undecided(monkeypatch):
     # on span{I, X} the section is (I + tX)/2 with |t| <= 1, so
     # f = (I + X)/2 - 3e-8 I has minimum -3e-8: between -10 tol and -tol,
-    # where the Choi solve can neither meet nor certify a 10 tol distance
+    # where no Farkas certificate with the 10 tol margin exists.  The
+    # kernel's last primal point refutes it, and is checked again here.
     import opsys.dual as dual_module
 
     tol = 1e-8
     s = make_operator_system([PAULI_X], 2)
     f = Functional(s, (np.eye(2) + PAULI_X) / 2 - 3e-8 * np.eye(2))
-    verdict = cp_verdict(MatrixFunctional([[f]]), tol, dual_module._POSITIVITY_ITERS)
-    assert verdict.status == "undecided"
-    calls = []
+    assert cp_verdict(MatrixFunctional([[f]]), tol).status == "undecided"
+    real_refutes = dual_module._refutes
+    points = []
 
-    def spy(g, **kwargs):
-        calls.append(g)
-        return positivity_minimum(g, **kwargs)
+    def spy(g, z, tol):
+        refuted = real_refutes(g, z, tol)
+        if refuted:
+            points.append(z / np.trace(z).real)
+        return refuted
 
-    monkeypatch.setattr(dual_module, "positivity_minimum", spy)
+    monkeypatch.setattr(dual_module, "_refutes", spy)
     assert is_positive_functional(f, tol) is False
-    assert len(calls) == 1
+    assert len(points) == 1
+    x = points[0]
+    assert cone_member(s, x, 1e-10)
+    assert f(x).real < -tol
+    # with every Newton step failing no witness and no refuting point
+    # exists: the answer is undecided, never an uncertified True
+    monkeypatch.setattr(dual_module, "_refutes", real_refutes)
+
+    def failing_step(m, dm):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(dual_module, "_step", failing_step)
+    before = dual_module.kernel_counts()
+    assert is_positive_functional(f, tol) is None
+    assert dual_module.kernel_counts(since=before)["breakdowns"] == 1
 
 
 # -- complete positivity -----------------------------------------------------------
@@ -275,22 +295,21 @@ def test_choi_grid_roundtrip():
 
 
 def test_cp_cross_validates_positivity_level1():
-    # two independent backends must agree: Dykstra CP-extension versus the
-    # interior-point section minimum
+    # two independent solvers must agree on the level-1 Choi problem:
+    # Dykstra on the explicit problem against the interior-point kernel
+    # behind is_cp and is_positive_functional
     rng = np.random.default_rng(5)
     s = named_system("pauli-span")
-    agreements = 0
     for k in range(50):
         if k % 2 == 0:
             f = random_positive_functional(s, rng)
         else:
             f = random_hermitian_functional(s, rng)
-        via_kernel = positivity_minimum(f)[0] >= -1e-8
-        via_cp = is_cp(MatrixFunctional([[f]]))
-        assert via_cp is not None
-        assert via_cp == via_kernel
-        agreements += 1
-    assert agreements == 50
+        mf = MatrixFunctional([[f]])
+        oracle = dykstra_solve(cp_choi_problem(mf))
+        assert oracle.status != "undecided"
+        assert is_cp(mf) is (oracle.status == "feasible")
+        assert is_positive_functional(f, 1e-7) is (oracle.status == "feasible")
 
 
 def test_choi_solver_agreement_on_full_algebra():
@@ -334,27 +353,67 @@ def test_cp_verdict_on_full_algebra():
 
 
 def test_cp_verdict_reports_solver_evidence(monkeypatch):
-    import opsys.dual as dual_module
+    # proper subsystems are decided by the section kernel, not by Dykstra;
+    # its witness and certificate are re-checked here by hand
+    import opsys.feasibility as feasibility_module
 
-    calls = []
+    def dykstra(problem):
+        raise AssertionError("Dykstra called on a CP verdict")
 
-    def spy(problem):
-        calls.append(problem)
-        return dykstra_solve(problem)
-
-    # the solver is reached through the dual module's binding
-    monkeypatch.setattr(dual_module, "dykstra_solve", spy)
+    monkeypatch.setattr(feasibility_module, "dykstra_solve", dykstra)
+    tol = 1e-7
     s = named_system("pauli-span")
-    grid = [[Functional(s, la.basis_matrix(2, i, j)) for j in range(2)]
-            for i in range(2)]
-    verdict = cp_verdict(MatrixFunctional(grid))
-    assert len(calls) == 1
-    assert verdict.status == "feasible" and verdict.iterations >= 1
-    assert is_cp(MatrixFunctional(grid)) is True
-    # the identity map restricted to pauli-span, scaled by -1, is refuted
-    verdict = cp_verdict(identity_grid(s) * -1.0)
-    assert verdict.status == "infeasible" and verdict.certificate is not None
-    assert is_cp(identity_grid(s) * -1.0) is False
+    kbasis = level_hermitian_basis(s, 2)
+    grid = MatrixFunctional([[Functional(s, la.basis_matrix(2, i, j)) for j in range(2)]
+                             for i in range(2)])
+    choi = la.hermitian_part(grid.choi_matrix())
+    verdict = cp_verdict(grid, tol)
+    assert verdict.status == "feasible" and verdict.certificate is None
+    assert 0 <= verdict.iterations <= 50
+    w = verdict.witness
+    pairing = np.einsum("aij,ji->a", kbasis, w - choi).real
+    assert np.abs(pairing).max() <= 1e-10
+    assert la.lambda_min(w) >= -tol
+    assert is_cp(grid) is True
+    # the identity map restricted to pauli-span, scaled by -1, is refuted by
+    # a PSD Z in M_2(S) whose pairing with the Choi data is below
+    # -10 tol ||Z||_F
+    negated = identity_grid(s) * -1.0
+    choi = la.hermitian_part(negated.choi_matrix())
+    verdict = cp_verdict(negated, tol)
+    assert verdict.status == "infeasible" and verdict.witness is None
+    z = verdict.certificate
+    assert subspace_member(s, z, 1e-10) and la.is_hermitian(z, 1e-12)
+    assert la.lambda_min(z) >= -1e-12
+    assert np.trace(choi @ z).real < -10 * tol * la.frobenius(z)
+    assert is_cp(negated) is False
+
+
+def test_margin_grid_undecided_by_dykstra_is_certified():
+    # system-05 of `opsys suite choi-effros --seed 3` (d = 4, dim = 3): the
+    # level-2 grid (r + margin) delta - g of its first sampled functional
+    # left Dykstra undecided at 20000 steps (gap 5.8e-7, tol 1e-7); the
+    # kernel certifies it with a strictly positive witness
+    from opsys.suites import _sample_systems
+
+    tol = 1e-7
+    rng = np.random.default_rng(3)
+    systems = _sample_systems(rng, 20, 4)
+    for s in systems[:5]:
+        for _ in range(20):
+            random_hermitian_functional(s, rng)
+    s = systems[5]
+    assert (s.d, s.dim) == (4, 3)
+    delta = faithful_state(s)
+    g = random_hermitian_functional(s, rng)
+    r = max(dual_order_unit_radius(delta, g, 1), dual_order_unit_radius(delta, -1.0 * g, 1))
+    grid = diag_lift((r + 1e-2 * max(1.0, r)) * delta - g, 2)
+    verdict = cp_verdict(grid, tol)
+    assert verdict.status == "feasible"
+    choi = la.hermitian_part(grid.choi_matrix())
+    pairing = np.einsum("aij,ji->a", level_hermitian_basis(s, 2), verdict.witness - choi).real
+    assert np.abs(pairing).max() <= 1e-10
+    assert la.lambda_min(verdict.witness) >= -tol
 
 
 def test_cp_problem_exposed_for_subsystems_only():
@@ -758,8 +817,8 @@ def test_equivalences_report_kernel_counts():
     ]
     assert reports[0]["kernel"] == reports[1]["kernel"]
     counts = reports[0]["kernel"]
-    assert set(counts) == {"solves", "iterations", "breakdowns", "cap_hits",
-                           "bisection_fallbacks"}
+    assert set(counts) == {"solves", "iterations", "certified", "breakdowns",
+                           "cap_hits", "bisection_fallbacks"}
     # the faithfulness minimum plus one solve per sampled radius
     assert counts["solves"] >= 4
     assert counts["iterations"] >= counts["solves"]
