@@ -255,8 +255,11 @@ def _cmd_dual(args) -> tuple[list[Check], dict]:
             op="dual.cp_verdict",
             status=status,
             detail=f"level {mf.n} grid over d={system.d}, dim={system.dim}",
+            # a feasible verdict carries its witness, an infeasible one its
+            # certificate; an undecided one (or a non-Hermitian grid) neither
             evidence={"tol": tol, "iterations": verdict.iterations,
-                      "certified": verdict.certificate is not None},
+                      "certified": (verdict.witness if verdict.status == "feasible"
+                                    else verdict.certificate) is not None},
         )]
         return checks, {"system": args.system, "functional": args.functional,
                         "tol": tol}

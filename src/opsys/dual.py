@@ -10,12 +10,11 @@ canonical matrices.
 Positivity of f over a proper subsystem has no closed form.  By Krein
 extension (Choi-Effros) f >= 0 on S exactly when some PSD W on C^d agrees
 with F modulo the orthogonal complement of S, which is the level-1 case of
-the CP test below.  Section minima and level-1 dual order-unit radii
-(Charnes-Cooper: max g(X) over X in S+ with delta(X) = 1) take one
-interior-point solve of min <C, X> over X in S+ with <N, X> = 1, whose
-dual point certifies a lower bound through one eigenvalue and whose primal
-point, lifted into S+, attains an upper bound.  On the full algebra all
-three have eigenvalue closed forms, which double as test oracles.
+the CP test below.  Section minima take one interior-point solve of
+min <C, X> over X in S+ with <N, X> = 1, whose dual point certifies a lower
+bound through one eigenvalue and whose primal point, lifted into S+,
+attains an upper bound.  On the full algebra they have eigenvalue closed
+forms, which double as test oracles.
 
 A matrix functional [f_ij] is positive at level n exactly when the induced
 map F(x) = [f_ij(x)] into M_n is completely positive.  CP-extendability to
@@ -26,6 +25,12 @@ Since M_n(S) = M_n (x) S, the same interior-point kernel answers it at
 every level, with the complement of M_n(S)_h built blockwise; the solve
 stops at the first witness or Farkas certificate that re-checks.  On the
 full algebra the Choi matrix decides directly.
+
+Dual order-unit radii, the smallest r with r (I_n (x) delta) - g CP, take
+the same solve at every level n (Charnes-Cooper: r = max <G, X> over X in
+M_n(S)+ with <I_n (x) delta, X> = 1), or a generalized eigenvalue on the
+full algebra; a bisection over certified lower bounds is only the fallback
+when that evidence does not re-check.
 """
 
 from __future__ import annotations
@@ -36,12 +41,7 @@ import numpy as np
 
 from . import linalg as la
 from ._search import check_search_bounds, smallest_passing
-from .errors import (
-    DimensionError,
-    MembershipError,
-    UndecidedError,
-    ValidationError,
-)
+from .errors import DimensionError, MembershipError, ValidationError
 from .feasibility import FeasibilityProblem, FeasibilityVerdict
 from .systems import (
     DEFAULT_TOL,
@@ -425,37 +425,27 @@ def _lift(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
     return x / np.trace(x).real
 
 
-def _section_bracket(f: Functional) -> tuple[float, float, np.ndarray]:
-    """(lower, upper, x) for min{Re f(x) : x in S+, trace x = 1}: exact on
-    the full algebra, else one kernel solve with C = Re F, N = I; lower is
-    its Krein bound (valid however the solve ended), upper is attained at x."""
+def positivity_minimum(f: Functional) -> tuple[float, np.ndarray]:
+    """min of Re f(x) over the section S ∩ PSD ∩ {trace = 1}, with the
+    attaining element: exact on the full algebra, else one kernel solve
+    with C = Re F, N = I whose primal point, lifted into S+, attains the
+    value (an upper bound of the minimum)."""
     system = f.system
     fr = la.hermitian_part(f.riesz)
     if system.is_full:
         w, u = la.spectral_decompose(fr)
-        return float(w[-1]), float(w[-1]), np.outer(u[:, -1], u[:, -1].conj())
-    solve = _section_sdp(system, fr, system.unit)
-    x = _lift(system, solve.x)
-    return _krein_lower_bound(f, fr - solve.k), float(f.pair(x).real), x
+        return float(w[-1]), np.outer(u[:, -1], u[:, -1].conj())
+    x = _lift(system, _section_sdp(system, fr, system.unit).x)
+    return float(f.pair(x).real), x
 
 
-def positivity_minimum(f: Functional) -> tuple[float, np.ndarray]:
-    """min of Re f(x) over the section S ∩ PSD ∩ {trace = 1}, with the
-    attaining element: the upper end of :func:`_section_bracket`, attained
-    at a feasible point and exact on the full algebra."""
-    _, value, x = _section_bracket(f)
-    return value, x
-
-
-def _krein_lower_bound(f: Functional, w: np.ndarray) -> float:
-    """A lower bound for min{Re f(x) : x in S+, trace x = 1} from a
-    Hermitian W: lambda_min(W) minus the norm of the residuals r of the
-    pairings of W - F with the Hermitian basis.  For x in the section,
-    Re f(x) = trace(W x) - <r, coords(x)> >= lambda_min(W) - ||r|| ||x||_F,
-    and ||x||_F <= trace x = 1."""
-    w = la.hermitian_part(w)
-    residuals = f.system.hermitian_coords(w - la.hermitian_part(f.riesz))
-    return la.lambda_min(w) - float(np.linalg.norm(residuals))
+def _lower_bound(system: OperatorSystem, c: np.ndarray, w: np.ndarray) -> float:
+    """A lower bound for min{<C, X> : X in M_n(S)+, trace X = 1} from a
+    Hermitian W: lambda_min(W) minus the norm of P(W - C), with P the
+    blockwise projection onto M_n(S).  For X in the section,
+    <C, X> = <W, X> - <P(W - C), X> >= lambda_min(W) - ||P(W - C)|| ||X||_F,
+    and ||X||_F <= trace X = 1."""
+    return la.lambda_min(w) - float(np.linalg.norm(_level_coords(system, w - c)))
 
 
 def _refutes(f: Functional, z: np.ndarray, tol: float) -> bool:
@@ -473,7 +463,7 @@ def is_positive_functional(f: Functional, tol: float = DEFAULT_TOL) -> bool | No
     The level-1 case of :func:`cp_verdict` (Krein extension: f >= 0 on S iff
     some PSD W on C^d pairs like F with S), and each answer is re-checked
     here.  True needs the witness W to give a lower bound
-    (:func:`_krein_lower_bound`) of at least -tol.  False needs a point of
+    (:func:`_lower_bound`) of at least -tol.  False needs a point of
     S+ where Re f < -tol: the Farkas certificate normalized, or else the
     kernel's last primal point lifted into S+, which decides the gray band
     that the certificate's 10 tol margin leaves open (a minimum between
@@ -486,8 +476,9 @@ def is_positive_functional(f: Functional, tol: float = DEFAULT_TOL) -> bool | No
     system = f.system
     if system.is_full:
         return cp_verdict(MatrixFunctional([[f]]), tol).status == "feasible"
-    verdict, solve = _choi_verdict(system, la.hermitian_part(f.riesz), 1, tol)
-    if verdict.status == "feasible" and _krein_lower_bound(f, verdict.witness) >= -tol:
+    fr = la.hermitian_part(f.riesz)
+    verdict, solve = _choi_verdict(system, fr, 1, tol)
+    if verdict.status == "feasible" and _lower_bound(system, fr, verdict.witness) >= -tol:
         return True
     z = verdict.certificate
     if _refutes(f, _lift(system, solve.x) if z is None else z, tol):
@@ -535,9 +526,9 @@ def _choi_verdict(
     proper subsystem, with the kernel solve of min <C, X> over X in
     M_n(S)+, trace X = 1, behind it.  The solve stops at the first of:
 
-    * feasible: W = C - K for the dual point K has lambda_min(W) - ||P(W - C)||
-      >= -tol, with P the blockwise projection onto M_n(S); that number is a
-      lower bound of the minimum (as in :func:`_krein_lower_bound`);
+    * feasible: W = C - K for the dual point K has :func:`_lower_bound`
+      lambda_min(W) - ||P(W - C)|| >= -tol, with P the blockwise projection
+      onto M_n(S);
     * infeasible: the primal point lifted into M_n(S)+, Z, has
       <C, Z> < -10 tol ||Z||_F.  Z is PSD and lies in M_n(S)_h, the span of
       the Choi problem's constraints, so it is a Farkas certificate in the
@@ -547,12 +538,9 @@ def _choi_verdict(
     "undecided".  ``gap`` is max(0, -lower bound) at the last dual point and
     ``iterations`` counts Newton steps."""
 
-    def bound(k):
-        w = choi - k
-        return w, la.lambda_min(w) - float(np.linalg.norm(_level_coords(system, w - choi)))
-
     def certify(x, k):
-        w, lower = bound(k)
+        w = choi - k
+        lower = _lower_bound(system, choi, w)
         if lower >= -tol:
             return FeasibilityVerdict("feasible", w, max(0.0, -lower))
         z = _lift(system, x)
@@ -563,7 +551,8 @@ def _choi_verdict(
     solve = _section_sdp(system, choi, np.eye(len(choi)), level=n, certify=certify)
     verdict = solve.evidence
     if verdict is None:
-        verdict = FeasibilityVerdict("undecided", None, max(0.0, -bound(solve.k)[1]))
+        lower = _lower_bound(system, choi, choi - solve.k)
+        verdict = FeasibilityVerdict("undecided", None, max(0.0, -lower))
     verdict.iterations = solve.iterations
     return verdict, solve
 
@@ -639,31 +628,30 @@ def series_state(states, weights=None) -> Functional:
 # Dual order units (Choi-Effros style verification)
 # ----------------------------------------------------------------------------
 
-def _level1_radius(
-    delta: Functional, target: Functional, tol: float, precision: float
+def _radius(
+    system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float, precision: float
 ) -> float | None:
-    """The level-1 radius of a Hermitian delta, or ``None`` when its
-    evidence does not re-check.  Full algebra: lambda_max(L^-1 G L^-*) for
-    the Cholesky factor L of D.  Proper subsystem: one kernel solve with
-    C = -G and N = D; r = -t is kept only when r D - G - K certifies
-    r delta - g >= -tol and the lifted primal point x lies in S+ with
-    g(x)/delta(x) >= r - precision."""
-    system = delta.system
-    dm, gm = la.hermitian_part(delta.riesz), la.hermitian_part(target.riesz)
+    """Smallest r >= 0 with r D - G positive on M_n(S)+ (D = I_n (x) Re
+    delta, G the Choi matrix of g), or ``None`` when its evidence does not
+    re-check.  Full algebra: lambda_max(L^-1 G L^-*), L the Cholesky factor
+    of D.  Otherwise one kernel solve with C = -G and N = D; r = -t stands
+    only when r D - G - K certifies r D - G >= -tol and the lifted primal
+    point x lies in M_n(S)+ with <G, x>/<D, x> >= r - precision."""
     if system.is_full:
         try:
             li = np.linalg.inv(np.linalg.cholesky(dm))
         except np.linalg.LinAlgError:
             return None
         return max(0.0, la.lambda_max(li @ gm @ li.conj().T))
-    solve = _section_sdp(system, -gm, dm)
+    solve = _section_sdp(system, -gm, dm, level=len(dm) // system.d)
     r = max(0.0, -solve.t)
     x = _lift(system, solve.x)
-    dx = delta.pair(x).real
-    certified = _krein_lower_bound(r * delta - target, r * dm - gm - solve.k) >= -tol
-    if not (certified and cone_member(system, x, tol) and dx > 0):
+    dx = np.vdot(dm, x).real
+    c = r * dm - gm
+    if not (_lower_bound(system, c, c - solve.k) >= -tol
+            and cone_member(system, x, tol) and dx > 0):
         return None
-    return r if max(0.0, target.pair(x).real / dx) >= r - precision else None
+    return r if max(0.0, np.vdot(gm, x).real / dx) >= r - precision else None
 
 
 def dual_order_unit_radius(
@@ -679,49 +667,39 @@ def dual_order_unit_radius(
 
     ``g`` may be a Hermitian :class:`Functional` (lifted diagonally to the
     requested level) or a Hermitian :class:`MatrixFunctional` (level taken
-    from its grid).  Level 1 takes :func:`_level1_radius`; when its evidence
-    fails (a non-faithful delta, a breakdown) it bisects, each probe passing
-    only on a certified lower bound, so a breakdown costs tightness, never
-    soundness.  Higher levels bisect through CP certification.  Returns
-    ``None`` when no r <= r_max works; raises :class:`UndecidedError` when a
-    CP verdict is undecided.
+    from its grid).  Every level takes :func:`_radius` on the Choi matrices
+    D = I_n (x) Re delta and G of g: a closed form on the full algebra, one
+    kernel solve on M_n(S) otherwise.  When its evidence fails (a
+    non-faithful or non-Hermitian delta, a breakdown) it bisects, each probe
+    passing only on the certified lower bound of one kernel solve at level
+    n, so a breakdown costs tightness, never soundness.  Returns ``None``
+    when no r <= r_max works.
     """
     check_search_bounds(r_max, precision)
     if not g.is_hermitian(1e-8):
         raise ValidationError("g must be a Hermitian functional or matrix functional")
+    system = delta.system
     if isinstance(g, MatrixFunctional):
-        n, target = g.n, (g.grid[0][0] if g.n == 1 else g)
+        n, gm = g.n, la.hermitian_part(g.choi_matrix())
     else:
-        n, target = level, (g if level == 1 else diag_lift(g, level))
+        n, gm = level, np.kron(np.eye(level), la.hermitian_part(g.riesz))
+    dm = np.kron(np.eye(n), la.hermitian_part(delta.riesz))
+    hermitian = delta.is_hermitian(1e-8)
+    if hermitian:
+        r = _radius(system, dm, gm, tol, precision)
+        if r is not None:
+            return r if r <= r_max else None
+    _SDP_COUNTS["bisection_fallbacks"] += 1
 
-    scale = 1.0
-    if n == 1:
-        if delta.is_hermitian(1e-8):
-            r = _level1_radius(delta, target, tol, precision)
-            if r is not None:
-                return r if r <= r_max else None
-        _SDP_COUNTS["bisection_fallbacks"] += 1
+    def dominated(r: float) -> bool:
+        # for r > 0 a non-Hermitian delta leaves r delta - g non-Hermitian
+        if r and not hermitian:
+            return False
+        c = r * dm - gm
+        k = 0.0 if system.is_full else _section_sdp(system, c, np.eye(len(c)), level=n).k
+        return _lower_bound(system, c, c - k) >= -tol
 
-        def dominated(r: float) -> bool:
-            h = r * delta - target
-            return h.is_hermitian(1e-8) and _section_bracket(h)[0] >= -tol
-    else:
-        lifted_delta = diag_lift(delta, n)
-        # the ambient Choi bound dominates with strict interior margin, so
-        # the exponential search starts from a bracket the solver decides fast
-        lam = la.lambda_min(lifted_delta.choi_matrix())
-        if lam > 1e-12:
-            scale = (la.lambda_max(target.choi_matrix()) + 1.0) / lam
-
-        def dominated(r: float) -> bool:
-            verdict = is_cp(r * lifted_delta - target, tol=tol)
-            if verdict is None:
-                raise UndecidedError(
-                    f"CP verdict undecided during radius bisection at r={r:g}"
-                )
-            return verdict
-
-    r_start = max(scale, 1.0, la.trace_norm(delta.riesz))
+    r_start = max(1.0, la.trace_norm(delta.riesz))
     return smallest_passing(dominated, r_max, precision, r_start=r_start)
 
 

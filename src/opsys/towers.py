@@ -550,7 +550,7 @@ def verify_dual_cones(
         )
         f = pullback_thread(t, f_top)
         val, x = positivity_minimum(f_top)
-        e = t.thread(t.depth, x + max(0.0, -la.lambda_min(x)) * np.eye(top.d))
+        e = t.thread(t.depth, x)
         pair_val = pairing(e, f).real
         if not (val < 0 and pair_val < 0):
             witness_failures += 1
@@ -618,8 +618,7 @@ def verify_gamma(
         f_top = Functional(top, _nonpositive_hermitian(top, rng, floor=-1e-2))
         f = pullback_thread(t, f_top)
         val, x = positivity_minimum(f_top)
-        lift = max(0.0, -la.lambda_min(x))
-        e = t.thread(t.depth, x + lift * np.eye(top.d))
+        e = t.thread(t.depth, x)
         if not (val < 0 and pairing(e, f).real < 0):
             order_violations += 1
     if order_violations:

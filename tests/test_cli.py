@@ -175,7 +175,7 @@ def test_check_cp_json_evidence(tmp_path, capsys):
     code, report = evidence("pauli-span", grid_file("identity", False))
     assert code == EXIT_OK
     ev = report["checks"][0]["evidence"]
-    assert ev["iterations"] >= 1 and ev["certified"] is False
+    assert ev["iterations"] >= 1 and ev["certified"] is True
     assert ev["iterations"] == dual_module.kernel_counts(since=before)["iterations"]
     # the counts are deterministic, so the report is byte-stable
     again = evidence("pauli-span", grid_file("identity", False))[1]

@@ -20,7 +20,7 @@ from opsys.dual import (
     series_state,
     verify_dual_unit_equivalences,
 )
-from opsys.errors import MembershipError, UndecidedError, ValidationError
+from opsys.errors import MembershipError, ValidationError
 from opsys.feasibility import FeasibilityProblem, dykstra_solve
 from opsys.systems import (
     cone_member,
@@ -498,37 +498,45 @@ def _trace_and_series_states(s, rng):
 
 @pytest.mark.parametrize("name", ["pauli-span", "toeplitz:3", "random"])
 def test_kernel_radius_evidence_rechecks_by_hand(name):
-    # the Charnes-Cooper solve behind each level-1 radius, re-checked by
-    # hand: W = r D - G - K is PSD and pairs like r delta - g with S, and the
-    # lifted primal point lies in S+ and closes the bracket to precision
+    # the Charnes-Cooper solve behind each radius at levels 1-3, re-checked
+    # by hand: W = r D - G - K (D = I_n (x) delta, G = I_n (x) g) is PSD and
+    # pairs like r D - G with M_n(S), and the lifted primal point lies in
+    # M_n(S)+ and closes the bracket to precision.  The levels run inside
+    # one test so the test ids stay those of the level-1 version.
     import opsys.dual as dual_module
 
     tol, precision = 1e-8, 1e-6
     rng = np.random.default_rng(21)
     s = random_system(rng, d=4, generators=2) if name == "random" else named_system(name)
-    hb = s.hermitian_basis
-    for delta in _trace_and_series_states(s, rng):
-        for _ in range(4):
-            g = random_hermitian_functional(s, rng)
-            dm, gm = la.hermitian_part(delta.riesz), la.hermitian_part(g.riesz)
-            solve = dual_module._section_sdp(s, -gm, dm)
-            assert solve.stop == "converged"
-            assert 0 < solve.iterations <= dual_module._SDP_ITERS
-            lower, upper = solve.bracket
-            assert abs(upper - lower) <= 1e-8 * max(1.0, abs(upper))
-            r = max(0.0, -solve.t)
-            w = r * dm - gm - solve.k
-            assert la.lambda_min(w) >= -tol
-            pairing = np.einsum("aij,ji->a", hb, w - (r * dm - gm)).real
-            assert np.abs(pairing).max() <= 1e-10
-            x = s.from_hermitian_coords(s.hermitian_coords(la.hermitian_part(solve.x)))
-            x = la.hermitian_part(x) + max(0.0, -la.lambda_min(x)) * np.eye(s.d)
-            x = x / np.trace(x).real
-            assert cone_member(s, x, tol)
-            # r >= 0 always, so the bracket's lower end is max(0, g(x)/delta(x))
-            ratio = np.trace(gm @ x).real / np.trace(dm @ x).real
-            assert max(0.0, ratio) >= r - precision
-            assert dual_order_unit_radius(delta, g, 1) == pytest.approx(r, abs=1e-12)
+    for level in (1, 2, 3):
+        hb = level_hermitian_basis(s, level)
+        eye = np.eye(level)
+        for delta in _trace_and_series_states(s, rng):
+            for _ in range(4):
+                g = random_hermitian_functional(s, rng)
+                dm = np.kron(eye, la.hermitian_part(delta.riesz))
+                gm = np.kron(eye, la.hermitian_part(g.riesz))
+                solve = dual_module._section_sdp(s, -gm, dm, level=level)
+                assert solve.stop == "converged"
+                assert 0 < solve.iterations <= dual_module._SDP_ITERS
+                lower, upper = solve.bracket
+                assert abs(upper - lower) <= 1e-8 * max(1.0, abs(upper))
+                r = max(0.0, -solve.t)
+                w = r * dm - gm - solve.k
+                assert la.lambda_min(w) >= -tol
+                pairing = np.einsum("aij,ji->a", hb, w - (r * dm - gm)).real
+                assert np.abs(pairing).max() <= 1e-10
+                coords = np.einsum("aij,ji->a", hb, la.hermitian_part(solve.x)).real
+                x = np.einsum("a,aij->ij", coords, hb)
+                x = la.hermitian_part(x) + max(0.0, -la.lambda_min(x)) * np.eye(len(x))
+                x = x / np.trace(x).real
+                assert cone_member(s, x, tol)
+                # r >= 0 always, so the bracket's lower end is
+                # max(0, <G, x>/<D, x>)
+                ratio = np.trace(gm @ x).real / np.trace(dm @ x).real
+                assert max(0.0, ratio) >= r - precision
+                radius = dual_order_unit_radius(delta, g, level)
+                assert radius == pytest.approx(r, abs=1e-12)
 
 
 def test_kernel_converges_within_twenty_steps():
@@ -678,8 +686,8 @@ def test_kernel_radius_needs_its_evidence(monkeypatch, fault):
     radius = dual_order_unit_radius(delta, g, 1)
     real_sdp = dual_module._section_sdp
 
-    def skewed(system, c, n):
-        solve = real_sdp(system, c, n)
+    def skewed(system, c, n, **kw):
+        solve = real_sdp(system, c, n, **kw)
         if fault == "dual":
             return solve._replace(t=solve.t + 1e-3)
         return solve._replace(x=np.eye(system.d) / system.d)
@@ -751,21 +759,58 @@ def test_radius_rejects_bad_precision_and_r_max(bad):
 
 def test_radius_level_2_agrees_with_level_1():
     # the diagonal lift of a level-1 dominated difference stays CP, so the
-    # level-2 bisection lands on the same radius
-    s = named_system("full:2")
-    delta = faithful_state(s)
-    g = random_hermitian_functional(s, np.random.default_rng(11))
-    r1 = dual_order_unit_radius(delta, g, 1)
-    r2 = dual_order_unit_radius(delta, g, 2)
-    assert r2 == pytest.approx(r1, abs=1e-5)
+    # level-2 and level-3 radii land on the level-1 one
+    rng = np.random.default_rng(11)
+    for name in ("full:2", "pauli-span", "toeplitz:3"):
+        s = named_system(name)
+        delta = faithful_state(s)
+        g = random_hermitian_functional(s, rng)
+        r1 = dual_order_unit_radius(delta, g, 1)
+        for n in (2, 3):
+            assert dual_order_unit_radius(delta, g, n) == pytest.approx(r1, abs=1e-5)
+
+
+@pytest.mark.parametrize("name", ["pauli-span", "toeplitz:3", "diag:3"])
+def test_level_n_radius_is_one_kernel_solve(name):
+    # every level-n radius of a diagonal lift on a proper subsystem is one
+    # Charnes-Cooper solve whose evidence re-checks: no bisection fallback.
+    # A general Hermitian grid can still end the solve at the cap (here the
+    # series state at level 3 on toeplitz:3) and bisect; either way the
+    # radius dominates.
+    import opsys.dual as dual_module
+
+    rng = np.random.default_rng(31)
+    s = named_system(name)
+    for delta in _trace_and_series_states(s, rng):
+        for n in (2, 3):
+            g = random_hermitian_functional(s, rng)
+            raw = rng.standard_normal((n * s.d, n * s.d))
+            grid = MatrixFunctional.from_choi(s, la.hermitian_part(raw))
+            before = dual_module.kernel_counts()
+            r = dual_order_unit_radius(delta, g, n)
+            counts = dual_module.kernel_counts(since=before)
+            assert counts["solves"] == 1 and counts["bisection_fallbacks"] == 0
+            lifted = diag_lift(delta, n)
+            assert is_cp((r + 1e-2 * max(1.0, r)) * lifted - diag_lift(g, n)) is True
+            r = dual_order_unit_radius(delta, grid, n)
+            assert is_cp((r + 1e-2 * max(1.0, r)) * lifted - grid) is True
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_radius_of_non_hermitian_delta(level):
+    # r delta - g is not Hermitian for r > 0, so only r = 0 can pass: the
+    # radius is 0.0 when -g is positive and None otherwise
+    s = named_system("pauli-span")
+    delta = Functional(s, np.eye(2) + 1j * PAULI_X)
+    assert not delta.is_hermitian()
+    negative = Functional(s, -(np.eye(2) + 0.5 * PAULI_X))
+    assert dual_order_unit_radius(delta, negative, level) == 0.0
+    assert dual_order_unit_radius(delta, -1.0 * negative, level, r_max=1e3) is None
 
 
 def test_wittstock_decomposition():
     # every Hermitian matrix functional splits as p - q with p, q CP, via
-    # the dual order-unit radius of the lifted trace state; the bisection
-    # runs at coarse precision because queries inside the thin boundary
-    # band legitimately come back undecided, in which case the ambient
-    # Choi bound (a certified domination radius) stands in
+    # the dual order-unit radius of the lifted trace state
     rng = np.random.default_rng(12)
     s = named_system("pauli-span")
     delta = faithful_state(s)
@@ -779,12 +824,7 @@ def test_wittstock_decomposition():
         grid[1][0] = off.adjoint()
         h = MatrixFunctional(grid)
         assert h.is_hermitian()
-        try:
-            r = dual_order_unit_radius(delta, h, precision=0.05)
-        except UndecidedError:
-            r = None
-        if r is None:
-            r = s.d * max(0.0, la.lambda_max(h.choi_matrix()))
+        r = dual_order_unit_radius(delta, h, precision=0.05)
         lifted = diag_lift(delta, 2)
         q = (r + 0.05) * lifted
         p = h + q
