@@ -63,7 +63,6 @@ from .towers import (
     Embedding,
     FunctionalThread,
     Tower,
-    dual_tower,
     inductive_positive,
     make_tower,
     pairing,

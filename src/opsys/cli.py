@@ -93,21 +93,30 @@ def _load_matrix(path: str) -> np.ndarray:
     return la.decode_matrix(_load_json_file(path))
 
 
+def _sized(m: np.ndarray, side: int, what: str) -> np.ndarray:
+    """m when it is side x side; any other shape is malformed input."""
+    if m.shape != (side, side):
+        raise ParseError(f"{what}: a {m.shape[0]}x{m.shape[1]} matrix, expected {side}x{side}")
+    return m
+
+
 def _load_matrix_functional(system, path: str) -> MatrixFunctional:
     obj = _load_json_file(path)
+
+    def functional(cell) -> Functional:
+        return Functional(system, _sized(la.decode_matrix(cell), system.d, path))
+
     if isinstance(obj, dict) and "grid" in obj:
         rows = obj["grid"]
         if not isinstance(rows, list) or not rows or not all(
             isinstance(row, list) for row in rows
         ):
             raise ParseError(f'{path}: "grid" must be a nonempty array of arrays')
-        grid = [
-            [Functional(system, la.decode_matrix(cell)) for cell in row]
-            for row in rows
-        ]
-        return MatrixFunctional(grid)
+        if any(len(row) != len(rows) for row in rows):
+            raise ParseError(f'{path}: "grid" must be square')
+        return MatrixFunctional([[functional(cell) for cell in row] for row in rows])
     if isinstance(obj, dict) and "riesz" in obj:
-        return MatrixFunctional([[Functional(system, la.decode_matrix(obj["riesz"]))]])
+        return MatrixFunctional([[functional(obj["riesz"])]])
     raise ParseError(f'{path}: expected an object with "grid" or "riesz"')
 
 
@@ -198,7 +207,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_norm(args) -> tuple[list[Check], dict]:
     system = _load_system(args.system)
-    element = _load_matrix(args.element)
+    element = _sized(_load_matrix(args.element), system.d, args.element)
     tol = _default_tol(args)
     if args.kind == "h":
         value = order_norm_h(system, element, tol=tol)
@@ -226,6 +235,9 @@ def _cmd_norm(args) -> tuple[list[Check], dict]:
 def _cmd_cone(args) -> tuple[list[Check], dict]:
     system = _load_system(args.system)
     element = _load_matrix(args.element)
+    # an element of M_n(S) for the level n its row count implies
+    side = max(1, len(element) // system.d) * system.d
+    element = _sized(element, side, args.element)
     tol = _default_tol(args)
     member = cone_member(system, element, tol)
     check = Check(

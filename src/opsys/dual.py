@@ -64,14 +64,12 @@ __all__ = [
     "is_cp",
     "faithful_state",
     "series_state",
-    "diag_lift",
     "dual_order_unit_radius",
     "verify_dual_unit_equivalences",
     "paulsen_system",
     "random_functional",
     "random_hermitian_functional",
     "random_positive_functional",
-    "random_state",
 ]
 
 
@@ -201,13 +199,9 @@ class MatrixFunctional:
 
     @classmethod
     def diag(cls, f: Functional, n: int) -> "MatrixFunctional":
+        """The diagonal matrix functional diag(f, ..., f) at level n."""
         zero = Functional.zero(f.system)
         return cls([[f if i == j else zero for j in range(n)] for i in range(n)])
-
-    def apply(self, x, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """The induced map S -> M_n, x |-> [f_ij(x)]."""
-        vals = [[f.eval(x, tol) for f in row] for row in self.grid]
-        return np.asarray(vals, dtype=complex)
 
     def choi_matrix(self) -> np.ndarray:
         """The (n d) x (n d) matrix whose block (i, j) is the canonical Riesz
@@ -219,11 +213,6 @@ class MatrixFunctional:
             for j in range(n):
                 blocks[i, j] = self.grid[j][i].riesz
         return from_blocks(blocks)
-
-    def adjoint(self) -> "MatrixFunctional":
-        return MatrixFunctional(
-            [[self.grid[j][i].adjoint() for j in range(self.n)] for i in range(self.n)]
-        )
 
     def is_hermitian(self, tol: float = 1e-8) -> bool:
         return la.is_hermitian(self.choi_matrix(), tol)
@@ -247,11 +236,6 @@ class MatrixFunctional:
         )
 
     __rmul__ = __mul__
-
-
-def diag_lift(f: Functional, n: int) -> MatrixFunctional:
-    """The diagonal matrix functional diag(f, ..., f) at level n."""
-    return MatrixFunctional.diag(f, n)
 
 
 # ----------------------------------------------------------------------------
@@ -703,6 +687,11 @@ def dual_order_unit_radius(
     return smallest_passing(dominated, r_max, precision, r_start=r_start)
 
 
+#: Positivity tolerance of the Archimedean check in
+#: :func:`verify_dual_unit_equivalences`.
+_ARCH_TOL = 1e-6
+
+
 def verify_dual_unit_equivalences(
     system: OperatorSystem,
     delta: Functional,
@@ -710,7 +699,6 @@ def verify_dual_unit_equivalences(
     samples: int = 20,
     *,
     rng: np.random.Generator | None = None,
-    arch_tol: float = 1e-6,
     r_max: float = 1e6,
 ) -> dict:
     """Executable form of the dual order-unit equivalences.
@@ -723,7 +711,7 @@ def verify_dual_unit_equivalences(
       diagonally lifted difference at levels 2..max_level;
     * Archimedean behavior: f passing positivity of r*delta + f along the
       geometric schedule r = 2^-1 .. 2^-20 passes positivity itself at
-      ``arch_tol``.
+      ``_ARCH_TOL``.
 
     When delta is not faithful, an explicit non-dominated witness g built
     from the vanishing direction is reported and the order-unit check fails.
@@ -766,7 +754,7 @@ def verify_dual_unit_equivalences(
         # of r
         margin = 1e-2 * max(1.0, r)
         for n in range(2, max_level + 1):
-            verdict = is_cp(diag_lift((r + margin) * delta - g, n))
+            verdict = is_cp(MatrixFunctional.diag((r + margin) * delta - g, n))
             if verdict is not True:
                 level_ok = False
                 report["counterexamples"].append(
@@ -794,7 +782,7 @@ def verify_dual_unit_equivalences(
         if not premise:
             continue
         arch_checked += 1
-        if not is_positive_functional(f, tol=arch_tol):
+        if not is_positive_functional(f, tol=_ARCH_TOL):
             arch_ok = False
             report["counterexamples"].append(
                 {"check": "archimedean", "detail": "schedule passed but f not positive"}
@@ -864,9 +852,3 @@ def random_positive_functional(
         (system.d, system.d)
     )
     return Functional(system, (g @ g.conj().T) / system.d)
-
-
-def random_state(system: OperatorSystem, rng: np.random.Generator) -> Functional:
-    f = random_positive_functional(system, rng)
-    mass = f.pair(system.unit).real
-    return (1.0 / mass) * f

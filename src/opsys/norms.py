@@ -40,6 +40,10 @@ __all__ = [
     "norm_report",
 ]
 
+#: Size of the gauge program's phase grid on [0, pi); even, so that the
+#: slot pi/2 - a of a canonical split is on the grid.
+_GAUGE_PHASES = 64
+
 
 def _require_member(system: OperatorSystem, v, tol: float) -> np.ndarray:
     m = la.as_matrix(v)
@@ -132,17 +136,11 @@ def numerical_radius(a, *, grid: int = 256, refine: bool = True) -> float:
     return result
 
 
-def min_order_norm(
-    system: OperatorSystem,
-    v,
-    *,
-    grid: int = 256,
-    refine: bool = True,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Minimal order norm = numerical radius of v inside M_d."""
+def min_order_norm(system: OperatorSystem, v, *, tol: float = DEFAULT_TOL) -> float:
+    """Minimal order norm = numerical radius of v inside M_d, on its default
+    refined grid."""
     m = _require_member(system, v, tol)
-    return numerical_radius(m, grid=grid, refine=refine)
+    return numerical_radius(m)
 
 
 def _gauge_phase_vectors(phases: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,15 +180,15 @@ def max_order_norm(
     system: OperatorSystem,
     v,
     *,
-    phases: int = 64,
     subgrad_iters: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> tuple[float, float]:
     """Sandwich bounds (lower, upper) for the maximal order norm.
 
     lower: operator norm of v.  upper: best decomposition cost over the
-    phase-grid gauge program.  The canonical two-term splits at every grid
-    angle already give upper <= ||Re w|| + ||Im w|| <= 2 * min_order_norm.
+    gauge program on a grid of ``_GAUGE_PHASES`` phases.  The canonical
+    two-term splits at every grid angle already give
+    upper <= ||Re w|| + ||Im w|| <= 2 * min_order_norm.
 
     By default the reported upper is the best of those canonical splits: a
     feasible decomposition evaluated through two eigensolves per angle, so
@@ -210,23 +208,16 @@ def max_order_norm(
     lower = la.op_norm(m)
     if la.frobenius(m) == 0.0:
         return 0.0, 0.0
-    upper = _gauge_upper(system, m, phases, subgrad_iters)
+    upper = _gauge_upper(system, m, subgrad_iters)
     if not la.is_hermitian(m, 1e-12):
-        upper = min(upper, _gauge_upper(system, m.conj().T, phases, subgrad_iters))
+        upper = min(upper, _gauge_upper(system, m.conj().T, subgrad_iters))
     # the true max norm dominates the operator norm, so rounding that puts
     # the found upper below `lower` can be clamped without losing validity
     return lower, float(max(upper, lower))
 
 
-def _gauge_upper(
-    system: OperatorSystem,
-    m: np.ndarray,
-    phases: int,
-    subgrad_iters: int,
-) -> float:
-    if phases % 2:
-        raise ValueError("phase grid size must be even")
-
+def _gauge_upper(system: OperatorSystem, m: np.ndarray, subgrad_iters: int) -> float:
+    phases = _GAUGE_PHASES
     # Rotation scan: the split of e^{ia} v into Hermitian and anti-Hermitian
     # parts is a feasible two-term decomposition with both phases on the grid.
     thetas = np.pi * np.arange(phases) / phases
@@ -279,8 +270,6 @@ def norm_report(
     system: OperatorSystem,
     v,
     *,
-    grid: int = 256,
-    phases: int = 64,
     subgrad_iters: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> NormReport:
@@ -291,8 +280,6 @@ def norm_report(
     hval = None
     if la.is_hermitian(m, 1e-8):
         hval = order_norm_h(system, m, tol=tol)
-    mn = min_order_norm(system, m, grid=grid, tol=tol)
-    lower, upper = max_order_norm(
-        system, m, phases=phases, subgrad_iters=subgrad_iters, tol=tol
-    )
+    mn = min_order_norm(system, m, tol=tol)
+    lower, upper = max_order_norm(system, m, subgrad_iters=subgrad_iters, tol=tol)
     return NormReport(h=hval, min=mn, max_lower=lower, max_upper=upper, op=la.op_norm(m))

@@ -17,7 +17,6 @@ from . import linalg as la
 from .dual import (
     Functional,
     MatrixFunctional,
-    diag_lift,
     dual_order_unit_radius,
     faithful_state,
     is_cp,
@@ -38,13 +37,7 @@ from .systems import (
     random_element,
     random_system,
 )
-from .towers import (
-    DualTower,
-    make_tower,
-    pullback_thread,
-    verify_dual_cones,
-    verify_gamma,
-)
+from .towers import make_tower, pullback_thread, verify_dual_cones, verify_gamma
 
 __all__ = ["Check", "SUITES", "run_suite"]
 
@@ -77,11 +70,11 @@ def _round(x: float) -> float:
     return float(f"{x:.9e}")
 
 
-def _sample_systems(rng, count, d_max, *, include_subsystems=True):
+def _sample_systems(rng, count, d_max):
     systems = []
     for i in range(count):
         d = int(rng.integers(2, d_max + 1))
-        if include_subsystems and i % 2 == 1:
+        if i % 2 == 1:
             systems.append(random_system(rng, d=d, generators=1))
         else:
             systems.append(named_system(f"full:{d}"))
@@ -92,13 +85,9 @@ def _sample_systems(rng, count, d_max, *, include_subsystems=True):
 # norm-sandwich: sandwich chain, Hermitian coincidence, UCP contractivity
 # ----------------------------------------------------------------------------
 
-def suite_norm_sandwich(
-    seed: int, *, samples: int = 100, n_systems: int = 10, d_max: int = 5,
-    slack: float = 1e-6,
-) -> list[Check]:
+def suite_norm_sandwich(seed: int, *, samples: int = 100) -> list[Check]:
     rng = np.random.default_rng(seed)
-    systems = [random_system(rng, d=int(rng.integers(2, d_max + 1)))
-               for _ in range(n_systems)]
+    systems = [random_system(rng, d=int(rng.integers(2, 6))) for _ in range(10)]
     checks = []
 
     worst = 0.0
@@ -114,7 +103,7 @@ def suite_norm_sandwich(
             rep.max_upper - 2.0 * rep.min,
         ]
         worst = max(worst, *gaps)
-        if any(g > slack for g in gaps):
+        if any(g > 1e-6 for g in gaps):
             bad += 1
     checks.append(Check(
         name="norm-sandwich/chain",
@@ -182,27 +171,24 @@ def suite_norm_sandwich(
 # mou-unit: order unit <=> matrix order unit at sampled levels
 # ----------------------------------------------------------------------------
 
-def suite_mou_unit(
-    seed: int, *, n_systems: int = 10, max_level: int = 3,
-    samples_per_level: int = 32,
-) -> list[Check]:
+def suite_mou_unit(seed: int, *, samples_per_level: int = 32) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = []
-    for i in range(n_systems):
+    for i in range(10):
         d = int(rng.integers(2, 5))
         s = named_system(f"full:{d}") if i % 2 == 0 else random_system(rng, d=d)
         h = random_hermitian_element(s, rng, scale=0.4)
         shift = max(0.0, -la.lambda_min(h)) + 0.25
         e = h + shift * s.unit  # positive definite by construction
         report = is_matrix_order_unit(
-            s, e, max_level, samples_per_level=samples_per_level, rng=rng
+            s, e, 3, samples_per_level=samples_per_level, rng=rng
         )
         flat = [r for level in report.radii.values() for r in level]
         checks.append(Check(
             name=f"mou-unit/system-{i:02d}",
             op="systems.is_matrix_order_unit",
             status=_status(report.ok and all(r is not None for r in flat)),
-            detail=f"positive-definite unit dominates at levels 1..{max_level}",
+            detail="positive-definite unit dominates at levels 1..3",
             evidence={"max_radius": _round(max(r for r in flat if r is not None))
                       if flat else 0.0},
         ))
@@ -224,11 +210,10 @@ def suite_mou_unit(
 # ----------------------------------------------------------------------------
 
 def suite_choi_effros(
-    seed: int, *, n_systems: int = 20, functionals: int = 20, max_level: int = 3,
-    d_max: int = 4,
+    seed: int, *, functionals: int = 20, max_level: int = 3,
 ) -> list[Check]:
     rng = np.random.default_rng(seed)
-    systems = _sample_systems(rng, n_systems, d_max)
+    systems = _sample_systems(rng, 20, 4)
     checks = []
     for i, s in enumerate(systems):
         delta = faithful_state(s)
@@ -259,7 +244,7 @@ def suite_choi_effros(
             margin = 1e-2 * max(1.0, r_pm)
             for n in range(2, max_level + 1):
                 for sign in (1.0, -1.0):
-                    lifted = diag_lift((r_pm + margin) * delta - sign * g, n)
+                    lifted = MatrixFunctional.diag((r_pm + margin) * delta - sign * g, n)
                     if is_cp(lifted) is not True:
                         ok = False
         checks.append(Check(
@@ -343,14 +328,13 @@ def _pin_constraints(system: OperatorSystem, target: np.ndarray):
     return [(b, float(v)) for b, v in zip(basis, vals)]
 
 
-def suite_feasibility_oracle(
-    seed: int, *, instances: int = 100, d_max: int = 8, tol: float = 1e-7,
-) -> list[Check]:
+def suite_feasibility_oracle(seed: int, *, instances: int = 100) -> list[Check]:
     rng = np.random.default_rng(seed)
+    tol = 1e-7
     disagreements = 0
     undecided = 0
     for _ in range(instances):
-        d = int(rng.integers(2, d_max + 1))
+        d = int(rng.integers(2, 9))
         full = named_system(f"full:{d}")
         while True:
             w0 = random_hermitian_element(full, rng)
@@ -448,16 +432,14 @@ def suite_duality_tower(
         evidence={"failures": gamma["failures"]},
     ))
 
-    dt = DualTower(tower)
     worst = 0.0
-    for k in range(1, depth):
-        target = faithful_state(tower.stage(k + 1))
-        projected = dt.project(k, target)
-        expected = faithful_state(tower.stage(k))
+    for emb in tower.embeddings:
+        projected = emb.pullback(faithful_state(emb.target))
+        expected = faithful_state(emb.source)
         worst = max(worst, la.frobenius(projected.riesz - expected.riesz))
     checks.append(Check(
         name="duality-tower/trace-state-thread",
-        op="towers.dual_tower",
+        op="towers.Embedding.pullback",
         status=_status(worst <= 1e-10),
         detail="adjoints carry trace states to trace states (partial trace)",
         evidence={"max_residual": _round(worst)},

@@ -201,13 +201,11 @@ class OperatorSystem:
             )
 
 
-def make_operator_system(
-    generators, d: int, *, rank_tol: float = _GS_RANK_TOL, name: str | None = None
-) -> OperatorSystem:
+def make_operator_system(generators, d: int, *, name: str | None = None) -> OperatorSystem:
     """Smallest operator system containing the generators.
 
     Spans generators, their adjoints and the identity, then orthonormalizes
-    by Gram-Schmidt with the given rank tolerance.
+    by Gram-Schmidt with rank tolerance ``_GS_RANK_TOL``.
     """
     cands = [la.identity(d)]
     for g in generators:
@@ -216,7 +214,7 @@ def make_operator_system(
             raise DimensionError(f"generator of shape {m.shape} in ambient M_{d}")
         cands.append(m)
         cands.append(m.conj().T)
-    return OperatorSystem(d, la.orthonormalize(cands, rank_tol), name=name)
+    return OperatorSystem(d, la.orthonormalize(cands, _GS_RANK_TOL), name=name)
 
 
 # ----------------------------------------------------------------------------
@@ -265,6 +263,9 @@ def system_from_json(obj) -> OperatorSystem:
     if not isinstance(gens, list):
         raise ParseError('"generators" must be an array of matrices')
     gens = [la.decode_matrix(g) for g in gens]
+    for g in gens:
+        if g.shape != (d, d):
+            raise ParseError(f"generator of shape {g.shape} in ambient M_{d}")
     return make_operator_system(gens, d)
 
 

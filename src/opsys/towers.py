@@ -1,7 +1,9 @@
 """Finite-depth inductive towers of operator systems and their dual towers.
 
 A tower is a chain S_1 -> S_2 -> ... -> S_K of operator systems along
-unital complete order embeddings.  All limit statements are truncated at
+unital complete order embeddings.  Its dual tower S_K' -> ... -> S_1' needs
+no structure of its own: the connecting maps are the adjoints
+:meth:`Embedding.pullback`.  All limit statements are truncated at
 depth K: inductive elements become threads (a representative at a base
 stage plus its images up the tower), dual projective elements become
 compatible tuples of functionals, and the duality pairing is the stage
@@ -22,10 +24,12 @@ from . import linalg as la
 from .dual import (
     Functional,
     MatrixFunctional,
+    cp_verdict,
     dual_order_unit_radius,
     faithful_state,
     is_cp,
     positivity_minimum,
+    random_positive_functional,
 )
 from .errors import (
     DimensionError,
@@ -54,8 +58,7 @@ __all__ = [
     "make_tower",
     "ElementThread",
     "FunctionalThread",
-    "DualTower",
-    "dual_tower",
+    "trace_state_thread",
     "pullback_thread",
     "functional_thread",
     "pullback_matrix_thread",
@@ -68,6 +71,8 @@ __all__ = [
 
 _VALIDATE_SEED = 73939133
 _COMPAT_TOL = 1e-9
+#: Smearing of :func:`inductive_positive`.
+_SMEAR = 1e-6
 
 
 class Embedding:
@@ -117,9 +122,40 @@ class Embedding:
         out = coords @ self.images.reshape(len(self.images), dt * dt)
         return from_blocks(out.reshape(n, n, dt, dt))
 
+    def pullback(self, f: Functional) -> Functional:
+        """The adjoint phi': f |-> f o phi from the target's dual to the
+        source's.  The source basis is orthonormal, so phi maps B_j to
+        ``images[j]`` and f o phi has the values f(images[j])."""
+        if f.system is not self.target:
+            raise ValidationError("functional does not live on the embedding's target")
+        return Functional.from_values(self.source, _pair_stack(f, self.images))
+
+
+def _check_cp(idx: int, emb: Embedding) -> None:
+    """Certify embedding ``idx`` CP or raise ValidationError.  By Choi-Effros
+    phi: S -> M_n is CP exactly when its grid f_ij(x) = phi(x)_ij, with Riesz
+    matrices sum_k images[k]_ij B_k^*, is positive in M_n(S'); :func:`cp_verdict`
+    decides that by one eigensolve (full source) or one section kernel solve."""
+    n = emb.target.d
+    grid = [
+        [Functional.from_values(emb.source, emb.images[:, i, j]) for j in range(n)]
+        for i in range(n)
+    ]
+    status = cp_verdict(MatrixFunctional(grid)).status
+    if status == "undecided":
+        raise ValidationError(
+            f"complete positivity of embedding {idx} could not be certified"
+        )
+    if status != "feasible":
+        raise ValidationError(f"embedding {idx} is not completely positive")
+
 
 class Tower:
-    """Validated chain of systems and unital complete order embeddings."""
+    """Validated chain of systems and unital complete order embeddings.
+
+    Each embedding must be unital into the next stage and is certified CP
+    (:func:`_check_cp`); order reflection is only sampled (:meth:`_validate`).
+    """
 
     def __init__(self, systems, embeddings, name: str | None = None):
         systems = list(systems)
@@ -143,16 +179,7 @@ class Tower:
             raise DimensionError(f"stage {k} outside 1..{self.depth}")
         return self.systems[k - 1]
 
-    def map_element(self, k: int, m: int, x) -> np.ndarray:
-        """phi_{k,m}(x) for stages k <= m, on any matrix level."""
-        if not 1 <= k <= m <= self.depth:
-            raise DimensionError(f"invalid stage pair ({k}, {m})")
-        y = la.as_matrix(x)
-        for s in range(k - 1, m - 1):
-            y = self.embeddings[s].apply_level(y)
-        return y
-
-    def thread(self, k: int, x, *, tol: float = DEFAULT_TOL) -> "ElementThread":
+    def thread(self, k: int, x) -> "ElementThread":
         """Element thread with representative x at base stage k."""
         xm = la.as_matrix(x)
         n = level_of(self.stage(k), xm)
@@ -167,6 +194,9 @@ class Tower:
     # -- validation -----------------------------------------------------------
 
     def _validate(self) -> None:
+        """Order reflection is sampled: a random Hermitian element at levels
+        1..3 with lambda_min < -1e-3 and a positive image is a concrete
+        counterexample.  The sampling only rejects; passing proves nothing."""
         rng = np.random.default_rng(_VALIDATE_SEED)
         for idx, emb in enumerate(self.embeddings, start=1):
             src, tgt = self.systems[idx - 1], self.systems[idx]
@@ -181,13 +211,9 @@ class Tower:
                     f"embedding {idx} maps basis element {outside[0]}"
                     f" outside stage {idx + 1}"
                 )
+            _check_cp(idx, emb)
             for n in (1, 2, 3):
                 for _ in range(4):
-                    pos = random_positive_element(src, rng, level=n)
-                    if not cone_member(tgt, emb.apply_level(pos), 1e-7):
-                        raise ValidationError(
-                            f"embedding {idx} is not completely positive at level {n}"
-                        )
                     h = random_hermitian_element(src, rng, level=n)
                     if la.lambda_min(h) < -1e-3 and cone_member(
                         tgt, emb.apply_level(h), 1e-9
@@ -321,40 +347,13 @@ class FunctionalThread:
                 )
 
 
-@dataclass
-class DualTower:
-    """The projective tower of duals: adjoint maps between stage functionals."""
-
-    tower: Tower
-
-    def project(self, k: int, f: Functional) -> Functional:
-        """Adjoint of the k-th embedding: S_{k+1}' -> S_k'.  The source basis
-        is orthonormal, so the embedding maps B_j to ``images[j]``."""
-        emb = self.tower.embeddings[k - 1]
-        if f.system is not emb.target:
-            raise ValidationError(f"functional does not live on stage {k + 1}")
-        return Functional.from_values(emb.source, _pair_stack(f, emb.images))
-
-    def project_to(self, f: Functional, m: int, k: int) -> Functional:
-        """Composite adjoint from stage m down to stage k <= m."""
-        g = f
-        for s in range(m - 1, k - 1, -1):
-            g = self.project(s, g)
-        return g
-
-    def trace_state_thread(self) -> FunctionalThread:
-        """The stage-wise normalized-trace states; compatible for the
-        built-in towers, validated here for any tower."""
-        entries = [faithful_state(s) for s in self.tower.systems]
-        thread = FunctionalThread(
-            self.tower, tuple(entries), max(f.norm for f in entries)
-        )
-        thread.check_compatibility()
-        return thread
-
-
-def dual_tower(t: Tower) -> DualTower:
-    return DualTower(t)
+def trace_state_thread(t: Tower) -> FunctionalThread:
+    """The stage-wise normalized-trace states; compatible for the built-in
+    towers, validated here for any tower."""
+    entries = [faithful_state(s) for s in t.systems]
+    thread = FunctionalThread(t, tuple(entries), max(f.norm for f in entries))
+    thread.check_compatibility()
+    return thread
 
 
 def pullback_thread(t: Tower, f_top: Functional) -> FunctionalThread:
@@ -362,10 +361,9 @@ def pullback_thread(t: Tower, f_top: Functional) -> FunctionalThread:
     compatibility holds by construction."""
     if f_top.system is not t.stage(t.depth):
         raise ValidationError("functional must live on the deepest stage")
-    dt = DualTower(t)
     entries = [f_top]
-    for k in range(t.depth - 1, 0, -1):
-        entries.append(dt.project(k, entries[-1]))
+    for emb in reversed(t.embeddings):
+        entries.append(emb.pullback(entries[-1]))
     entries.reverse()
     return FunctionalThread(t, tuple(entries), max(f.norm for f in entries))
 
@@ -383,14 +381,9 @@ def functional_thread(t: Tower, entries) -> FunctionalThread:
 def pullback_matrix_thread(t: Tower, mf_top: MatrixFunctional) -> list:
     """Per-stage matrix functionals obtained by pulling the grid back
     entrywise; stage k holds [phi_{k,K}' f_ij]."""
-    dt = DualTower(t)
     stages = [mf_top]
-    for k in range(t.depth - 1, 0, -1):
-        prev = stages[-1]
-        grid = [
-            [dt.project(k, prev.grid[i][j]) for j in range(prev.n)]
-            for i in range(prev.n)
-        ]
+    for emb in reversed(t.embeddings):
+        grid = [[emb.pullback(f) for f in row] for row in stages[-1].grid]
         stages.append(MatrixFunctional(grid))
     stages.reverse()
     return stages
@@ -427,15 +420,9 @@ def thread_norm_sequence(t: Tower, e: ElementThread, kind: str = "h"):
     return values, limit, bool(limit < 1e-8)
 
 
-def inductive_positive(
-    t: Tower,
-    e: ElementThread,
-    *,
-    smear: float = 1e-6,
-    tol: float = DEFAULT_TOL,
-) -> bool:
+def inductive_positive(t: Tower, e: ElementThread, *, tol: float = DEFAULT_TOL) -> bool:
     """Truncated-depth positivity: r-smeared cone membership of the deepest
-    image.  The smearing r = 1e-6 stands in for the vanishing correction
+    image.  The smearing r = ``_SMEAR`` stands in for the vanishing correction
     terms that a finite embedding tower forces to zero, and admits boundary
     elements with lambda_min = 0.
 
@@ -447,20 +434,16 @@ def inductive_positive(
     deep = e.deepest
     if not la.is_hermitian(deep, 1e-8):
         raise HermitianError("inductive positivity needs a Hermitian thread")
-    smeared = smear * np.eye(deep.shape[0]) + deep
+    smeared = _SMEAR * np.eye(deep.shape[0]) + deep
     return cone_member(t.stage(t.depth), smeared, tol)
 
 
-def pairing(
-    e: ElementThread,
-    f: FunctionalThread,
-    *,
-    constancy_tol: float = _COMPAT_TOL,
-) -> complex:
+def pairing(e: ElementThread, f: FunctionalThread) -> complex:
     """Duality pairing <x-thread, f-thread> = f_k(x_k) at the base stage.
 
-    Verifies that f_m(phi_{k,m} x_k) is constant for m >= k; a violation
-    means a broken thread and raises InconsistentThreadError.
+    Verifies that f_m(phi_{k,m} x_k) is constant for m >= k, relative to
+    ``_COMPAT_TOL``; a violation means a broken thread and raises
+    InconsistentThreadError.
     """
     if e.tower is not f.tower:
         raise ValidationError("threads belong to different towers")
@@ -470,7 +453,7 @@ def pairing(
     scale = max(1.0, abs(base_val))
     for m in range(e.base, e.tower.depth + 1):
         val = f.entry(m).pair(e.image_at(m))
-        if abs(val - base_val) > constancy_tol * scale:
+        if abs(val - base_val) > _COMPAT_TOL * scale:
             raise InconsistentThreadError(
                 f"pairing drifts at stage {m}: |{val:.3e} - {base_val:.3e}|"
             )
@@ -481,18 +464,26 @@ def pairing(
 # Verification sweeps
 # ----------------------------------------------------------------------------
 
-def _random_positive_functional_thread(t, rng) -> FunctionalThread:
-    top = t.stage(t.depth)
-    g = rng.standard_normal((top.d, top.d)) + 1j * rng.standard_normal((top.d, top.d))
-    f_top = Functional(top, (g @ g.conj().T) / top.d)
-    return pullback_thread(t, f_top)
-
-
 def _nonpositive_hermitian(system, rng, level=1, floor=-1e-3):
     while True:
         h = random_hermitian_element(system, rng, level=level)
         if la.lambda_min(h) < floor:
             return h
+
+
+def _negative_witness_failures(t: Tower, rng, count: int) -> int:
+    """Draw ``count`` non-positive functionals on the deepest stage; count
+    those whose positivity minimizer is not a positive element thread with
+    negative pairing against the pulled-back thread."""
+    top = t.stage(t.depth)
+    failures = 0
+    for _ in range(count):
+        f_top = Functional(top, _nonpositive_hermitian(top, rng, floor=-1e-2))
+        f = pullback_thread(t, f_top)
+        val, x = positivity_minimum(f_top)
+        if not (val < 0 and pairing(t.thread(t.depth, x), f).real < 0):
+            failures += 1
+    return failures
 
 
 def verify_dual_cones(
@@ -520,7 +511,7 @@ def verify_dual_cones(
         k = int(rng.integers(1, t.depth + 1))
         x = random_positive_element(t.stage(k), rng)
         e = t.thread(k, x)
-        f = _random_positive_functional_thread(t, rng)
+        f = pullback_thread(t, random_positive_functional(t.stage(t.depth), rng))
         val = pairing(e, f)
         pair_count += 1
         if val.real < -tol or abs(val.imag) > 1e-8 * max(1.0, abs(val)):
@@ -542,18 +533,7 @@ def verify_dual_cones(
             sep_failures += 1
     report["separating_states"] = {"failures": sep_failures}
 
-    witness_failures = 0
-    for _ in range(max(1, samples // 5)):
-        top = t.stage(t.depth)
-        f_top = Functional(
-            top, _nonpositive_hermitian(top, rng, floor=-1e-2)
-        )
-        f = pullback_thread(t, f_top)
-        val, x = positivity_minimum(f_top)
-        e = t.thread(t.depth, x)
-        pair_val = pairing(e, f).real
-        if not (val < 0 and pair_val < 0):
-            witness_failures += 1
+    witness_failures = _negative_witness_failures(t, rng, max(1, samples // 5))
     report["negative_witnesses"] = {"failures": witness_failures}
 
     report["passed"] = bool(
@@ -609,22 +589,16 @@ def verify_gamma(
 
     order_violations = 0
     for _ in range(samples):
-        f = _random_positive_functional_thread(t, rng)
+        f = pullback_thread(t, random_positive_functional(top, rng))
         k = int(rng.integers(1, t.depth + 1))
         e = t.thread(k, random_positive_element(t.stage(k), rng))
         if pairing(e, f).real < -1e-8:
             order_violations += 1
-    for _ in range(max(1, samples // 5)):
-        f_top = Functional(top, _nonpositive_hermitian(top, rng, floor=-1e-2))
-        f = pullback_thread(t, f_top)
-        val, x = positivity_minimum(f_top)
-        e = t.thread(t.depth, x)
-        if not (val < 0 and pairing(e, f).real < 0):
-            order_violations += 1
+    order_violations += _negative_witness_failures(t, rng, max(1, samples // 5))
     if order_violations:
         failures.append(f"{order_violations} level-1 order correspondence failures")
 
-    delta_thread = DualTower(t).trace_state_thread()
+    delta_thread = trace_state_thread(t)
     unit_radii = []
     for _ in range(max(1, samples // 5)):
         g_top = Functional(top, la.hermitian_part(random_hermitian_element(top, rng)))

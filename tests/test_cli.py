@@ -88,6 +88,26 @@ def test_unknown_system_name(e12_file, capsys):
     assert run(["norm", "--system", "nope:2", "--element", e12_file]) == EXIT_DATA
 
 
+ONE_BY_ONE = la.encode_matrix(np.eye(1))
+THREE_BY_TWO = la.encode_matrix(np.ones((3, 2)))
+CHECK_CP = ["dual", "check-cp", "--system", "pauli-span", "--functional", "FILE"]
+
+
+@pytest.mark.parametrize("payload, argv", [
+    ({"grid": [[E12, E12], [E12]]}, CHECK_CP),
+    ({"grid": [[ONE_BY_ONE]]}, CHECK_CP),
+    ({"d": 2, "generators": [ONE_BY_ONE]}, ["norm", "--system", "FILE", "--element", "E12"]),
+    (THREE_BY_TWO, ["cone", "--system", "pauli-span", "--element", "FILE"]),
+    (THREE_BY_TWO, ["norm", "--system", "pauli-span", "--element", "FILE"]),
+], ids=["ragged-grid", "grid-cell", "system-generator", "cone-element", "norm-element"])
+def test_wrong_shape_in_input_file_is_malformed(tmp_path, capsys, e12_file, payload, argv):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(payload))
+    argv = [{"FILE": str(f), "E12": e12_file}.get(a, a) for a in argv]
+    assert run(argv) == EXIT_DATA
+    assert "input error" in capsys.readouterr().err
+
+
 # -- norm command ------------------------------------------------------------------
 
 def test_norm_min_value(capsys, e12_file):

@@ -7,7 +7,6 @@ from opsys.dual import (
     MatrixFunctional,
     cp_choi_problem,
     cp_verdict,
-    diag_lift,
     dual_order_unit_radius,
     faithful_state,
     is_cp,
@@ -407,7 +406,7 @@ def test_margin_grid_undecided_by_dykstra_is_certified():
     delta = faithful_state(s)
     g = random_hermitian_functional(s, rng)
     r = max(dual_order_unit_radius(delta, g, 1), dual_order_unit_radius(delta, -1.0 * g, 1))
-    grid = diag_lift((r + 1e-2 * max(1.0, r)) * delta - g, 2)
+    grid = MatrixFunctional.diag((r + 1e-2 * max(1.0, r)) * delta - g, 2)
     verdict = cp_verdict(grid, tol)
     assert verdict.status == "feasible"
     choi = la.hermitian_part(grid.choi_matrix())
@@ -790,8 +789,8 @@ def test_level_n_radius_is_one_kernel_solve(name):
             r = dual_order_unit_radius(delta, g, n)
             counts = dual_module.kernel_counts(since=before)
             assert counts["solves"] == 1 and counts["bisection_fallbacks"] == 0
-            lifted = diag_lift(delta, n)
-            assert is_cp((r + 1e-2 * max(1.0, r)) * lifted - diag_lift(g, n)) is True
+            lifted = MatrixFunctional.diag(delta, n)
+            assert is_cp((r + 1e-2 * max(1.0, r)) * lifted - MatrixFunctional.diag(g, n)) is True
             r = dual_order_unit_radius(delta, grid, n)
             assert is_cp((r + 1e-2 * max(1.0, r)) * lifted - grid) is True
 
@@ -825,7 +824,7 @@ def test_wittstock_decomposition():
         h = MatrixFunctional(grid)
         assert h.is_hermitian()
         r = dual_order_unit_radius(delta, h, precision=0.05)
-        lifted = diag_lift(delta, 2)
+        lifted = MatrixFunctional.diag(delta, 2)
         q = (r + 0.05) * lifted
         p = h + q
         assert is_cp(p) is True

@@ -17,11 +17,9 @@ from opsys.systems import (
     to_blocks,
 )
 from opsys.towers import (
-    DualTower,
     Embedding,
     FunctionalThread,
     Tower,
-    dual_tower,
     functional_thread,
     inductive_positive,
     make_tower,
@@ -29,6 +27,7 @@ from opsys.towers import (
     pullback_matrix_thread,
     pullback_thread,
     thread_norm_sequence,
+    trace_state_thread,
     verify_dual_cones,
     verify_gamma,
 )
@@ -79,6 +78,27 @@ def test_non_unital_map_rejected():
     images = [np.kron(b, np.diag([1.0, 0.0])) for b in s1.basis]  # x -> x (+) 0
     with pytest.raises(ValidationError, match="unital"):
         Tower([s1, s2], [Embedding(s1, s2, images)])
+
+
+def test_non_cp_map_rejected():
+    # the transpose is unital, positive and order reflecting, but not CP
+    s = named_system("full:2")
+    with pytest.raises(ValidationError, match="not completely positive"):
+        Tower([s, s], [Embedding(s, s, [b.T for b in s.basis])])
+
+
+def test_cp_certified_on_a_proper_source():
+    # on span{I, E_12, E_21} the transpose is conjugation by sigma_x, so it
+    # is CP like the inclusion; the section kernel certifies both
+    p, full = named_system("pauli-span"), named_system("full:2")
+    for images in (list(p.basis), [b.T for b in p.basis]):
+        assert Tower([p, full], [Embedding(p, full, images)]).depth == 2
+
+
+@pytest.mark.parametrize("spec", [f"matrix-doubling:{k}" for k in range(1, 5)]
+                         + [f"corner:{k}" for k in range(2, 7)])
+def test_builtin_towers_certified_cp(spec):
+    assert make_tower(spec).depth == int(spec.split(":")[1])
 
 
 def test_non_embedding_rejected():
@@ -165,23 +185,22 @@ def test_zero_functional_thread(doubling3):
 
 def test_adjoint_trace_state_partial_trace_oracle(doubling3):
     # oracle: trace((I/2d)(x (x) I_2)) = trace(x)/d, the partial-trace identity
-    dt = dual_tower(doubling3)
     for k in (1, 2):
         tgt = faithful_state(doubling3.stage(k + 1))
-        projected = dt.project(k, tgt)
+        projected = doubling3.embeddings[k - 1].pullback(tgt)
         expected = faithful_state(doubling3.stage(k))
         assert la.frobenius(projected.riesz - expected.riesz) <= 1e-12
 
 
 def test_adjoint_linear(doubling3):
     rng = np.random.default_rng(2)
-    dt = dual_tower(doubling3)
+    emb = doubling3.embeddings[0]
     top = doubling3.stage(2)
     f = Functional(top, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     g = Functional(top, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     z = complex(rng.standard_normal(), rng.standard_normal())
-    lhs = dt.project(1, f + z * g)
-    rhs = dt.project(1, f) + z * dt.project(1, g)
+    lhs = emb.pullback(f + z * g)
+    rhs = emb.pullback(f) + z * emb.pullback(g)
     assert la.frobenius(lhs.riesz - rhs.riesz) <= 1e-10
 
 
@@ -189,7 +208,6 @@ def test_adjoint_surjective_onto_canonical(doubling3):
     # phi injective makes phi' surjective: every canonical functional at
     # stage k is hit; verified by solving the small linear system
     rng = np.random.default_rng(3)
-    dt = dual_tower(doubling3)
     s1, s2 = doubling3.stage(1), doubling3.stage(2)
     target = Functional(s1, rng.standard_normal((2, 2))
                         + 1j * rng.standard_normal((2, 2)))
@@ -199,7 +217,7 @@ def test_adjoint_surjective_onto_canonical(doubling3):
         vals = np.zeros(s2.dim, dtype=complex)
         vals[j] = 1.0
         f2 = Functional.from_values(s2, vals)
-        f1 = dt.project(1, f2)
+        f1 = doubling3.embeddings[0].pullback(f2)
         m[:, j] = [f1.pair(b) for b in s1.basis]
     want = np.array([target.pair(b) for b in s1.basis])
     sol, *_ = np.linalg.lstsq(m, want, rcond=None)
@@ -210,9 +228,15 @@ def test_adjoint_surjective_onto_canonical(doubling3):
 def test_identity_stage_adjoint_is_identity():
     s = named_system("full:2")
     tower = Tower([s, s], [Embedding(s, s, list(s.basis))])
-    dt = dual_tower(tower)
     f = Functional(s, np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert dt.project(1, f).isclose(f, 1e-12)
+    assert tower.embeddings[0].pullback(f).isclose(f, 1e-12)
+
+
+def test_pullback_rejects_functional_off_the_target(doubling3):
+    emb = doubling3.embeddings[0]
+    for wrong in (doubling3.stage(1), doubling3.stage(3), named_system("full:4")):
+        with pytest.raises(ValidationError, match="target"):
+            emb.pullback(faithful_state(wrong))
 
 
 # -- thread norms ----------------------------------------------------------------
@@ -284,7 +308,7 @@ def test_inductive_positive_cases(doubling3):
 
 def test_pairing_unit_state(doubling3):
     e = doubling3.unit_thread()
-    f = DualTower(doubling3).trace_state_thread()
+    f = trace_state_thread(doubling3)
     assert pairing(e, f) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -304,7 +328,7 @@ def test_pairing_matches_deepest_stage(doubling3):
 
 def test_pairing_detects_inconsistent_thread(doubling3):
     e = doubling3.unit_thread()
-    entries = list(DualTower(doubling3).trace_state_thread().entries)
+    entries = list(trace_state_thread(doubling3).entries)
     entries[1] = 2.0 * entries[1]
     broken = FunctionalThread(doubling3, tuple(entries), 1.0)
     with pytest.raises(InconsistentThreadError):
