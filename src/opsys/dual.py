@@ -46,6 +46,7 @@ from .feasibility import FeasibilityProblem, FeasibilityVerdict
 from .systems import (
     DEFAULT_TOL,
     OperatorSystem,
+    _domination_radius,
     cone_member,
     from_blocks,
     make_operator_system,
@@ -480,9 +481,7 @@ def level_hermitian_basis(system: OperatorSystem, n: int) -> np.ndarray:
     return _level_basis(system.hermitian_basis, n)
 
 
-def cp_choi_problem(
-    mf: MatrixFunctional, tol: float = 1e-7, max_iter: int = 20000
-) -> FeasibilityProblem | None:
+def cp_choi_problem(mf: MatrixFunctional, tol: float = 1e-7) -> FeasibilityProblem | None:
     """The PSD/affine feasibility problem deciding CP-extendability of the
     grid: find W >= 0 on C^n (x) C^d whose pairings against a Hermitian
     basis of M_n(S) match the Choi data.  This is what :func:`cp_verdict`
@@ -499,7 +498,6 @@ def cp_choi_problem(
         dim=mf.n * system.d,
         constraints=[(k, float(b)) for k, b in zip(kbasis, rhs)],
         tol=tol,
-        max_iter=max_iter,
     )
 
 
@@ -616,17 +614,11 @@ def _radius(
     system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float, precision: float
 ) -> float | None:
     """Smallest r >= 0 with r D - G positive on M_n(S)+ (D = I_n (x) Re
-    delta, G the Choi matrix of g), or ``None`` when its evidence does not
-    re-check.  Full algebra: lambda_max(L^-1 G L^-*), L the Cholesky factor
-    of D.  Otherwise one kernel solve with C = -G and N = D; r = -t stands
-    only when r D - G - K certifies r D - G >= -tol and the lifted primal
-    point x lies in M_n(S)+ with <G, x>/<D, x> >= r - precision."""
-    if system.is_full:
-        try:
-            li = np.linalg.inv(np.linalg.cholesky(dm))
-        except np.linalg.LinAlgError:
-            return None
-        return max(0.0, la.lambda_max(li @ gm @ li.conj().T))
+    delta, G the Choi matrix of g) over a proper subsystem, or ``None`` when
+    its evidence does not re-check: one kernel solve with C = -G and N = D;
+    r = -t stands only when r D - G - K certifies r D - G >= -tol and the
+    lifted primal point x lies in M_n(S)+ with <G, x>/<D, x> >= r -
+    precision."""
     solve = _section_sdp(system, -gm, dm, level=len(dm) // system.d)
     r = max(0.0, -solve.t)
     x = _lift(system, solve.x)
@@ -651,13 +643,13 @@ def dual_order_unit_radius(
 
     ``g`` may be a Hermitian :class:`Functional` (lifted diagonally to the
     requested level) or a Hermitian :class:`MatrixFunctional` (level taken
-    from its grid).  Every level takes :func:`_radius` on the Choi matrices
-    D = I_n (x) Re delta and G of g: a closed form on the full algebra, one
-    kernel solve on M_n(S) otherwise.  When its evidence fails (a
-    non-faithful or non-Hermitian delta, a breakdown) it bisects, each probe
-    passing only on the certified lower bound of one kernel solve at level
-    n, so a breakdown costs tightness, never soundness.  Returns ``None``
-    when no r <= r_max works.
+    from its grid).  For a Hermitian delta, D = I_n (x) Re delta and the
+    Choi matrix G of g go to the primal radius routine on the full algebra
+    and to one kernel solve (:func:`_radius`) on M_n(S).  A non-Hermitian
+    delta, or kernel evidence that fails (a non-faithful delta, a
+    breakdown), bisects: each probe passes only on the certified lower bound
+    of one kernel solve at level n, so a breakdown costs tightness, never
+    soundness.  Returns ``None`` when no r <= r_max works.
     """
     check_search_bounds(r_max, precision)
     if not g.is_hermitian(1e-8):
@@ -669,10 +661,11 @@ def dual_order_unit_radius(
         n, gm = level, np.kron(np.eye(level), la.hermitian_part(g.riesz))
     dm = np.kron(np.eye(n), la.hermitian_part(delta.riesz))
     hermitian = delta.is_hermitian(1e-8)
-    if hermitian:
-        r = _radius(system, dm, gm, tol, precision)
-        if r is not None:
-            return r if r <= r_max else None
+    if hermitian and system.is_full:
+        return _domination_radius(dm, gm, tol, r_max, precision)
+    r = _radius(system, dm, gm, tol, precision) if hermitian else None
+    if r is not None:
+        return r if r <= r_max else None
     _SDP_COUNTS["bisection_fallbacks"] += 1
 
     def dominated(r: float) -> bool:

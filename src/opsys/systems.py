@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from ._search import smallest_passing
+from ._search import check_search_bounds, smallest_passing
 from .errors import DimensionError, HermitianError, ParseError, ValidationError
 
 __all__ = [
@@ -43,6 +43,9 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 
 _GS_RANK_TOL = 1e-9
+
+#: Bisection precision of an order-unit radius over a singular unit.
+_RADIUS_PRECISION = 1e-8
 
 #: Fixed seed for the deterministic Hermitian sampling in
 #: :func:`is_matrix_order_unit` when the caller does not inject a generator.
@@ -331,6 +334,19 @@ def cone_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> bool:
     return la.lambda_min(m) >= -tol
 
 
+def _domination_radius(d, x, tol: float, r_max: float, precision: float) -> float | None:
+    """Smallest r >= 0 with r D - X PSD (D PSD, X Hermitian), or ``None``
+    above r_max: exact as max(0, lambda_max(L^-1 X L^-*)), L = chol(D), and
+    bisected to ``precision`` on lambda_min(r D - X) >= -tol for a singular D."""
+    check_search_bounds(r_max, precision)
+    try:
+        li = np.linalg.inv(np.linalg.cholesky(d))
+    except np.linalg.LinAlgError:
+        return smallest_passing(lambda r: la.lambda_min(r * d - x) >= -tol, r_max, precision)
+    r = max(0.0, la.lambda_max(li @ x @ li.conj().T))
+    return r if r <= r_max else None
+
+
 def order_unit_radius_level(
     system: OperatorSystem,
     e,
@@ -338,12 +354,11 @@ def order_unit_radius_level(
     *,
     tol: float = DEFAULT_TOL,
     r_max: float = 1e6,
-    precision: float = 1e-8,
 ) -> float | None:
     """Smallest r >= 0 with ``r*(I_n (x) e) - x`` in M_n(S)+, or ``None``.
 
-    Found by exponential search for an upper bracket followed by bisection;
-    ``None`` means no r <= r_max dominates x.
+    :func:`_domination_radius` on (I_n (x) e, x), exact for a positive
+    definite e; ``None`` means no r <= r_max dominates x.
     """
     em = la.as_matrix(e)
     if em.shape != (system.d, system.d):
@@ -357,13 +372,7 @@ def order_unit_radius_level(
     if not subspace_member(system, xm, tol):
         return None
     lifted = np.kron(np.eye(n), em)
-    xh = la.hermitian_part(xm)
-
-    def dominated(r: float) -> bool:
-        return la.lambda_min(r * lifted - xh) >= -tol
-
-    start = max(1.0, la.op_norm(xh))
-    return smallest_passing(dominated, r_max, precision, r_start=start)
+    return _domination_radius(lifted, la.hermitian_part(xm), tol, r_max, _RADIUS_PRECISION)
 
 
 @dataclass

@@ -272,18 +272,27 @@ def make_tower(spec) -> Tower:
             emb_specs = spec["embeddings"]
         except KeyError as exc:
             raise ParseError(f"tower JSON missing key {exc}") from exc
+        if not (isinstance(sys_specs, list) and isinstance(emb_specs, list)):
+            raise ParseError('tower JSON "systems" and "embeddings" must be arrays')
+        if len(emb_specs) != len(sys_specs) - 1:
+            raise ParseError(
+                f"{len(sys_specs)} systems need {len(sys_specs) - 1} embeddings,"
+                f" got {len(emb_specs)}"
+            )
         systems = [
             named_system(s) if isinstance(s, str) else system_from_json(s)
             for s in sys_specs
         ]
         embeddings = []
         for k, espec in enumerate(emb_specs):
-            if "matrix_on_basis" not in espec:
-                raise ParseError(f'embedding {k} missing "matrix_on_basis"')
+            if not isinstance(espec, dict) or "matrix_on_basis" not in espec:
+                raise ParseError(f'embedding {k} must be an object with "matrix_on_basis"')
             coeffs = la.decode_matrix(espec["matrix_on_basis"])
-            embeddings.append(
-                Embedding.from_coefficients(systems[k], systems[k + 1], coeffs)
-            )
+            try:
+                embedding = Embedding.from_coefficients(systems[k], systems[k + 1], coeffs)
+            except DimensionError as exc:
+                raise ParseError(f"embedding {k}: {exc}") from exc
+            embeddings.append(embedding)
         return Tower(systems, embeddings)
     raise ParseError(f"cannot build a tower from {type(spec).__name__}")
 

@@ -245,6 +245,28 @@ def test_tower_verify_duality(capsys):
     assert code == EXIT_OK, report
 
 
+ON_BASIS_1x1 = {"matrix_on_basis": [[[1, 0]]]}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"systems": "full:2", "embeddings": []}, "must be arrays"),
+    ({"systems": ["full:1", "full:2"], "embeddings": ON_BASIS_1x1}, "must be arrays"),
+    ({"systems": ["full:1", "full:2"], "embeddings": [5]}, "must be an object"),
+    ({"systems": ["full:2"], "embeddings": [ON_BASIS_1x1]}, "need 0 embeddings"),
+    ({"systems": ["full:1", "full:2", "full:4"],
+      "embeddings": [{"matrix_on_basis": [[[1, 0]], [[0, 0]], [[0, 0]], [[0, 0]]]}]},
+     "need 2 embeddings"),
+    ({"systems": ["full:2", "full:4"], "embeddings": [ON_BASIS_1x1]}, "expected (16, 4)"),
+], ids=["systems-string", "embeddings-object", "entry-number", "too-many", "too-few",
+        "wrong-shape"])
+def test_malformed_tower_json(tmp_path, capsys, spec, message):
+    f = tmp_path / "tower.json"
+    f.write_text(json.dumps(spec))
+    assert run(["tower", "build", "--spec", str(f)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "input error" in err and message in err
+
+
 # -- suites and determinism ------------------------------------------------------------------
 
 def test_suite_feasibility_oracle(capsys):

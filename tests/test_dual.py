@@ -745,6 +745,18 @@ def test_full_algebra_radii_skip_the_kernel(monkeypatch):
         positivity_minimum(g)
 
 
+def test_full_algebra_radius_of_a_singular_delta():
+    # delta = diag(1, 0) has no Cholesky factor, so the shared radius
+    # routine bisects: r delta - g = diag(r - 0.5, 1) is positive from
+    # r = 0.5 on, and diag(r, -1) never is
+    s = named_system("full:2")
+    delta = Functional(s, np.diag([1.0, 0.0]).astype(complex))
+    g = Functional(s, np.diag([0.5, -1.0]).astype(complex))
+    assert dual_order_unit_radius(delta, g, 1) == pytest.approx(0.5, abs=1e-6)
+    complement = Functional(s, np.diag([0.0, 1.0]).astype(complex))
+    assert dual_order_unit_radius(delta, complement, 1) is None
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_radius_rejects_bad_precision_and_r_max(bad):
     s = named_system("toeplitz:3")

@@ -289,12 +289,9 @@ def test_radius_requires_hermitian():
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_radius_rejects_bad_precision_and_r_max(bad):
-    # precision 0 used to bisect forever (stalled at adjacent floats) and
-    # NaN returned 1.0 instead of 0.7
+    # a NaN bound used to return 1.0 instead of 0.7
     s = named_system("full:2")
     x = np.diag([0.3, 0.7])
-    with pytest.raises(ValidationError):
-        order_unit_radius_level(s, np.eye(2), x, precision=bad)
     with pytest.raises(ValidationError):
         order_unit_radius_level(s, np.eye(2), x, r_max=bad)
     assert order_unit_radius_level(s, np.eye(2), x) == pytest.approx(0.7, abs=1e-8)
@@ -306,6 +303,42 @@ def test_radius_level2_matches_eigen_oracle():
     x = random_hermitian_element(s, rng, level=2)
     r = order_unit_radius_level(s, np.eye(2), x)
     assert r == pytest.approx(max(la.lambda_max(x), 0.0), abs=1e-6)
+
+
+@pytest.mark.parametrize("name", ["full:3", "pauli-span", "toeplitz:3", "random"])
+def test_positive_definite_unit_radius_is_the_cholesky_closed_form(monkeypatch, name):
+    # a positive definite e takes one congruence, never a bisection: the
+    # radius is lambda_max(L^-1 x L^-*) with L = chol(I_n (x) e), and it is
+    # minimal, since backing off by 1e-6 leaves r (I_n (x) e) - x indefinite
+    import opsys.systems as systems_module
+
+    def no_bisection(*args, **kwargs):
+        raise AssertionError("smallest_passing called on a positive definite unit")
+
+    monkeypatch.setattr(systems_module, "smallest_passing", no_bisection)
+    rng = np.random.default_rng(40)
+    s = random_system(rng, d=3) if name == "random" else named_system(name)
+    h = random_hermitian_element(s, rng, scale=0.4)
+    e = h + (max(0.0, -la.lambda_min(h)) + 0.25) * s.unit
+    for n in (1, 2, 3):
+        lifted = np.kron(np.eye(n), e)
+        x = random_hermitian_element(s, rng, level=n)
+        li = np.linalg.inv(np.linalg.cholesky(lifted))
+        oracle = max(0.0, la.lambda_max(li @ x @ li.conj().T))
+        r = order_unit_radius_level(s, e, x)
+        assert r == pytest.approx(oracle, abs=1e-12)
+        assert la.lambda_min(r * lifted - x) >= -1e-10
+        if r > 1e-6:
+            assert la.lambda_min((r - 1e-6) * lifted - x) < 0
+
+
+def test_singular_unit_radius_bisects_to_a_finite_value():
+    # e = diag(1, 0) has no Cholesky factor; x = diag(0.5, -1) is dominated
+    # from r = 0.5 on, since the kernel direction of e sees -1 <= 0
+    s = named_system("diag:2")
+    e = np.diag([1.0, 0.0]).astype(complex)
+    x = np.diag([0.5, -1.0]).astype(complex)
+    assert order_unit_radius_level(s, e, x) == pytest.approx(0.5, abs=1e-8)
 
 
 # -- matrix order units (order unit iff matrix order unit) ---------------------
@@ -328,8 +361,8 @@ def test_diag_unit_counterexample():
 
 
 def test_positive_definite_unit_dominates():
-    # e = I + 0.5 X is positive definite, so it dominates at every level;
-    # cross-checked by the bisection returning finite radii
+    # e = I + 0.5 X is positive definite, so it dominates at every level
+    # with a finite radius
     s = make_operator_system([PAULI_X], 2)
     e = np.eye(2) + 0.5 * PAULI_X
     assert la.lambda_min(e) > 0
