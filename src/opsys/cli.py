@@ -114,9 +114,9 @@ def _load_matrix_functional(system, path: str) -> MatrixFunctional:
             raise ParseError(f'{path}: "grid" must be a nonempty array of arrays')
         if any(len(row) != len(rows) for row in rows):
             raise ParseError(f'{path}: "grid" must be square')
-        return MatrixFunctional([[functional(cell) for cell in row] for row in rows])
+        return MatrixFunctional.from_grid([[functional(cell) for cell in row] for row in rows])
     if isinstance(obj, dict) and "riesz" in obj:
-        return MatrixFunctional([[functional(obj["riesz"])]])
+        return functional(obj["riesz"])
     raise ParseError(f'{path}: expected an object with "grid" or "riesz"')
 
 

@@ -1,10 +1,13 @@
 """The matrix-ordered dual of an operator system, computationally.
 
-A functional on S <= M_d is carried by its Riesz matrix F with
-f(x) = trace(F x).  F is determined only up to the orthogonal complement of
-S, so functionals are canonicalized by projecting F onto S itself (the span
-is adjoint-closed, which makes the projection of any valid representative
-land on the same matrix).  Equality of functionals is then equality of
+A dual element at any level is one Riesz matrix.  M_n(S') is the
+matrix-ordered dual of M_n(S) (Choi-Effros) under sum_ij f_ij(x_ij) =
+trace(F x), where block (i, j) of the (n d) x (n d) matrix F, the Choi
+matrix of [f_ij], is the Riesz matrix of f_ji; a functional on S <= M_d is
+the level-1 case.  F is determined only up to M_n(S)^perp, so it is
+canonicalized by the blockwise projection onto M_n(S) (the span is
+adjoint-closed, which makes the projection of any valid representative
+land on the same matrix).  Equality of dual elements is then equality of
 canonical matrices.
 
 Positivity of f over a proper subsystem has no closed form.  By Krein
@@ -17,10 +20,10 @@ attains an upper bound.  On the full algebra they have eigenvalue closed
 forms, which double as test oracles.
 
 A matrix functional [f_ij] is positive at level n exactly when the induced
-map F(x) = [f_ij(x)] into M_n is completely positive.  CP-extendability to
+map x -> [f_ij(x)] into M_n is completely positive.  CP-extendability to
 the ambient algebra is equivalent to the existence of a PSD matrix W on
-C^n (x) C^d whose pairing with M_n(S) reproduces the grid, that is, to
-min <C, X> >= 0 over X in M_n(S)+ with trace X = 1 for the Choi matrix C.
+C^n (x) C^d whose pairing with M_n(S) reproduces F, that is, to
+min <C, X> >= 0 over X in M_n(S)+ with trace X = 1 for C = Re F.
 Since M_n(S) = M_n (x) S, the same interior-point kernel answers it at
 every level, with the complement of M_n(S)_h built blockwise; the solve
 stops at the first witness or Farkas certificate that re-checks.  On the
@@ -49,6 +52,7 @@ from .systems import (
     _domination_radius,
     cone_member,
     from_blocks,
+    level_of,
     make_operator_system,
     to_blocks,
 )
@@ -74,21 +78,104 @@ __all__ = [
 ]
 
 
-class Functional:
-    """An element of S' held by its canonical Riesz matrix."""
+class MatrixFunctional:
+    """An element [f_ij] of M_n(S') held by its canonical Riesz (Choi)
+    matrix F: block (i, j) is the Riesz matrix of f_ji, and the pairing with
+    x in M_n(S) is trace(F x).  A functional is the level-1 case."""
 
     def __init__(self, system: OperatorSystem, riesz, *, _canonical: bool = False):
         self.system = system
+        m = la.as_matrix(riesz)
+        self.n = level_of(system, m)
+        if not _canonical:
+            m = _project_level(system, m)
+        m = m.copy()
+        m.flags.writeable = False
+        self.riesz = m
+
+    @classmethod
+    def from_choi(cls, system: OperatorSystem, w) -> "MatrixFunctional":
+        """The element with Riesz (Choi) matrix w: block (i, j) carries f_ji."""
+        return cls(system, w)
+
+    @classmethod
+    def from_grid(cls, grid) -> "MatrixFunctional":
+        """The element [f_ij] of a square grid of functionals over one system."""
+        rows = [list(r) for r in grid]
+        n = len(rows)
+        if n == 0 or any(len(r) != n for r in rows):
+            raise DimensionError("matrix functional grid must be square")
+        system = rows[0][0].system
+        if any(f.system is not system for r in rows for f in r):
+            raise ValidationError("grid functionals over mixed systems")
+        blocks = [[rows[j][i].riesz for j in range(n)] for i in range(n)]
+        return cls(system, from_blocks(blocks), _canonical=True)
+
+    @classmethod
+    def diag(cls, f: "MatrixFunctional", n: int) -> "MatrixFunctional":
+        """The diagonal element diag(f, ..., f) at n times the level of f."""
+        return MatrixFunctional(f.system, np.kron(np.eye(n), f.riesz), _canonical=True)
+
+    @property
+    def grid(self) -> tuple:
+        """The entries f_ij as functionals, read off the blocks of F."""
+        # row i of the grid holds f_ij, which is block (j, i)
+        return tuple(
+            tuple(Functional(self.system, b, _canonical=True) for b in row)
+            for row in to_blocks(self.riesz, self.system.d).swapaxes(0, 1)
+        )
+
+    def pair(self, x) -> complex:
+        """trace(F x) without a membership check (internal fast path)."""
+        return complex(np.einsum("ij,ji->", self.riesz, la.as_matrix(x)))
+
+    # -- involution and arithmetic --------------------------------------------
+
+    def _like(self, riesz: np.ndarray):
+        return type(self)(self.system, riesz, _canonical=True)
+
+    def adjoint(self):
+        """[f_ji*] with f*(v) = conj(f(v*)); its Riesz matrix is F*."""
+        return self._like(self.riesz.conj().T)
+
+    def is_hermitian(self, tol: float = 1e-8) -> bool:
+        return la.is_hermitian(self.riesz, tol)
+
+    def __add__(self, other: "MatrixFunctional"):
+        self._compatible(other)
+        return self._like(self.riesz + other.riesz)
+
+    def __sub__(self, other: "MatrixFunctional"):
+        self._compatible(other)
+        return self._like(self.riesz - other.riesz)
+
+    def __neg__(self):
+        return self._like(-self.riesz)
+
+    def __mul__(self, scalar):
+        return self._like(complex(scalar) * self.riesz)
+
+    __rmul__ = __mul__
+
+    def _compatible(self, other: "MatrixFunctional") -> None:
+        if other.system is not self.system or other.n != self.n:
+            raise ValidationError("dual elements over different systems or levels")
+
+    def isclose(self, other: "MatrixFunctional", tol: float = 1e-10) -> bool:
+        self._compatible(other)
+        return la.frobenius(self.riesz - other.riesz) <= tol
+
+
+class Functional(MatrixFunctional):
+    """An element of S': the level-1 case, with f(x) = trace(F x)."""
+
+    def __init__(self, system: OperatorSystem, riesz, *, _canonical: bool = False):
         m = la.as_matrix(riesz)
         if m.shape != (system.d, system.d):
             raise DimensionError(
                 f"riesz matrix of shape {m.shape} for a system in M_{system.d}"
             )
-        if not _canonical:
-            m = system.project(m)
-        m = m.copy()
-        m.flags.writeable = False
-        self.riesz = m
+        super().__init__(system, m, _canonical=_canonical)
 
     @classmethod
     def from_values(cls, system: OperatorSystem, values) -> "Functional":
@@ -110,12 +197,6 @@ class Functional:
     def zero(cls, system: OperatorSystem) -> "Functional":
         return cls(system, np.zeros((system.d, system.d)), _canonical=True)
 
-    # -- evaluation -----------------------------------------------------------
-
-    def pair(self, x) -> complex:
-        """trace(F x) without a membership check (internal fast path)."""
-        return complex(np.einsum("ij,ji->", self.riesz, la.as_matrix(x)))
-
     def eval(self, x, tol: float = DEFAULT_TOL) -> complex:
         """trace(F x) for x in S; raises MembershipError otherwise."""
         m = la.as_matrix(x)
@@ -128,115 +209,11 @@ class Functional:
     def __call__(self, x, tol: float = DEFAULT_TOL) -> complex:
         return self.eval(x, tol)
 
-    # -- involution and arithmetic --------------------------------------------
-
-    def adjoint(self) -> "Functional":
-        """f* with f*(v) = conj(f(v*)); its Riesz matrix is F*."""
-        return Functional(self.system, self.riesz.conj().T, _canonical=True)
-
-    def is_hermitian(self, tol: float = 1e-8) -> bool:
-        return la.is_hermitian(self.riesz, tol)
-
-    def __add__(self, other: "Functional") -> "Functional":
-        self._same_system(other)
-        return Functional(self.system, self.riesz + other.riesz, _canonical=True)
-
-    def __sub__(self, other: "Functional") -> "Functional":
-        self._same_system(other)
-        return Functional(self.system, self.riesz - other.riesz, _canonical=True)
-
-    def __neg__(self) -> "Functional":
-        return Functional(self.system, -self.riesz, _canonical=True)
-
-    def __mul__(self, scalar) -> "Functional":
-        return Functional(self.system, complex(scalar) * self.riesz, _canonical=True)
-
-    __rmul__ = __mul__
-
-    def _same_system(self, other: "Functional") -> None:
-        if other.system is not self.system:
-            raise ValidationError("functionals live over different systems")
-
-    def isclose(self, other: "Functional", tol: float = 1e-10) -> bool:
-        self._same_system(other)
-        return la.frobenius(self.riesz - other.riesz) <= tol
-
     @property
     def norm(self) -> float:
         """Trace norm of the canonical matrix: an upper bound for the dual
         norm, exact on the full algebra."""
         return la.trace_norm(self.riesz)
-
-
-class MatrixFunctional:
-    """An n x n grid of functionals over one system: an element of M_n(S')."""
-
-    def __init__(self, grid):
-        rows = [list(r) for r in grid]
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise DimensionError("matrix functional grid must be square")
-        system = rows[0][0].system
-        for r in rows:
-            for f in r:
-                if f.system is not system:
-                    raise ValidationError("grid functionals over mixed systems")
-        self.n = n
-        self.system = system
-        self.grid = tuple(tuple(r) for r in rows)
-
-    @classmethod
-    def from_choi(cls, system: OperatorSystem, w) -> "MatrixFunctional":
-        """Inverse of :meth:`choi_matrix`: block (i, j) of W carries f_ji."""
-        m = la.as_matrix(w)
-        n, rem = divmod(m.shape[0], system.d)
-        if rem or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"Choi matrix shape {m.shape} for d={system.d}")
-        blocks = to_blocks(m, system.d)
-        grid = [
-            [Functional(system, blocks[j, i]) for j in range(n)] for i in range(n)
-        ]
-        return cls(grid)
-
-    @classmethod
-    def diag(cls, f: Functional, n: int) -> "MatrixFunctional":
-        """The diagonal matrix functional diag(f, ..., f) at level n."""
-        zero = Functional.zero(f.system)
-        return cls([[f if i == j else zero for j in range(n)] for i in range(n)])
-
-    def choi_matrix(self) -> np.ndarray:
-        """The (n d) x (n d) matrix whose block (i, j) is the canonical Riesz
-        matrix of f_ji; PSD exactly when the induced map is CP on the full
-        algebra.  Block convention matches the level-element flattening."""
-        d, n = self.system.d, self.n
-        blocks = np.empty((n, n, d, d), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                blocks[i, j] = self.grid[j][i].riesz
-        return from_blocks(blocks)
-
-    def is_hermitian(self, tol: float = 1e-8) -> bool:
-        return la.is_hermitian(self.choi_matrix(), tol)
-
-    def __add__(self, other: "MatrixFunctional") -> "MatrixFunctional":
-        if other.n != self.n or other.system is not self.system:
-            raise ValidationError("matrix functionals are not compatible")
-        return MatrixFunctional(
-            [
-                [self.grid[i][j] + other.grid[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
-
-    def __sub__(self, other: "MatrixFunctional") -> "MatrixFunctional":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "MatrixFunctional":
-        return MatrixFunctional(
-            [[scalar * f for f in row] for row in self.grid]
-        )
-
-    __rmul__ = __mul__
 
 
 # ----------------------------------------------------------------------------
@@ -400,12 +377,18 @@ def _level_coords(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
     return system.stack_coords(to_blocks(x, d).reshape(-1, d, d))
 
 
-def _lift(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
-    """x projected onto M_n(S)_h, shifted by the unit into M_n(S)+, at trace
-    one (n is read off the size of x)."""
+def _project_level(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
+    """The blockwise orthogonal projection of an (n d) x (n d) matrix onto
+    M_n(S) (n is read off the size of x)."""
     d, n = system.d, len(x) // system.d
     blocks = _level_coords(system, x) @ system.basis.reshape(system.dim, -1)
-    x = la.hermitian_part(from_blocks(blocks.reshape(n, n, d, d)))
+    return from_blocks(blocks.reshape(n, n, d, d))
+
+
+def _lift(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
+    """x projected onto M_n(S)_h, shifted by the unit into M_n(S)+, at trace
+    one."""
+    x = la.hermitian_part(_project_level(system, x))
     x = x + max(0.0, -la.lambda_min(x)) * np.eye(len(x))
     return x / np.trace(x).real
 
@@ -446,9 +429,10 @@ def is_positive_functional(f: Functional, tol: float = DEFAULT_TOL) -> bool | No
     certified either way.
 
     The level-1 case of :func:`cp_verdict` (Krein extension: f >= 0 on S iff
-    some PSD W on C^d pairs like F with S), and each answer is re-checked
-    here.  True needs the witness W to give a lower bound
-    (:func:`_lower_bound`) of at least -tol.  False needs a point of
+    some PSD W on C^d pairs like F with S), and each answer is re-checked.
+    True is the kernel's witness W, whose lower bound
+    (:func:`_lower_bound`) the solve accepts only at -tol or above.  False
+    needs a point of
     S+ where Re f < -tol: the Farkas certificate normalized, or else the
     kernel's last primal point lifted into S+, which decides the gray band
     that the certificate's 10 tol margin leaves open (a minimum between
@@ -460,10 +444,9 @@ def is_positive_functional(f: Functional, tol: float = DEFAULT_TOL) -> bool | No
         return False
     system = f.system
     if system.is_full:
-        return cp_verdict(MatrixFunctional([[f]]), tol).status == "feasible"
-    fr = la.hermitian_part(f.riesz)
-    verdict, solve = _choi_verdict(system, fr, 1, tol)
-    if verdict.status == "feasible" and _lower_bound(system, fr, verdict.witness) >= -tol:
+        return cp_verdict(f, tol).status == "feasible"
+    verdict, solve = _choi_verdict(system, la.hermitian_part(f.riesz), 1, tol)
+    if verdict.status == "feasible":
         return True
     z = verdict.certificate
     if _refutes(f, _lift(system, solve.x) if z is None else z, tol):
@@ -491,7 +474,7 @@ def cp_choi_problem(mf: MatrixFunctional, tol: float = 1e-7) -> FeasibilityProbl
     system = mf.system
     if system.is_full:
         return None
-    choi = la.hermitian_part(mf.choi_matrix())
+    choi = la.hermitian_part(mf.riesz)
     kbasis = level_hermitian_basis(system, mf.n)
     rhs = np.real(np.einsum("aij,ji->a", kbasis, choi))
     return FeasibilityProblem(
@@ -554,7 +537,7 @@ def cp_verdict(mf: MatrixFunctional, tol: float = 1e-7) -> FeasibilityVerdict:
     ``gap`` the Frobenius norm of the anti-Hermitian part of C and no
     certificate.
     """
-    choi = mf.choi_matrix()
+    choi = mf.riesz
     if not la.is_hermitian(choi, max(tol, 1e-8)):
         return FeasibilityVerdict("infeasible", None, la.frobenius(la.antihermitian_part(choi)))
     choi = la.hermitian_part(choi)
@@ -641,10 +624,10 @@ def dual_order_unit_radius(
 ) -> float | None:
     """Smallest r >= 0 such that r * (I_n (x) delta) - g is positive.
 
-    ``g`` may be a Hermitian :class:`Functional` (lifted diagonally to the
-    requested level) or a Hermitian :class:`MatrixFunctional` (level taken
-    from its grid).  For a Hermitian delta, D = I_n (x) Re delta and the
-    Choi matrix G of g go to the primal radius routine on the full algebra
+    ``g`` is a Hermitian :class:`MatrixFunctional`: at level 1 (a
+    functional) it is lifted diagonally to the requested level, at any other
+    level n is its own.  For a Hermitian delta, D = I_n (x) Re delta and the
+    Riesz matrix G of g go to the primal radius routine on the full algebra
     and to one kernel solve (:func:`_radius`) on M_n(S).  A non-Hermitian
     delta, or kernel evidence that fails (a non-faithful delta, a
     breakdown), bisects: each probe passes only on the certified lower bound
@@ -655,10 +638,9 @@ def dual_order_unit_radius(
     if not g.is_hermitian(1e-8):
         raise ValidationError("g must be a Hermitian functional or matrix functional")
     system = delta.system
-    if isinstance(g, MatrixFunctional):
-        n, gm = g.n, la.hermitian_part(g.choi_matrix())
-    else:
-        n, gm = level, np.kron(np.eye(level), la.hermitian_part(g.riesz))
+    if g.n == 1:
+        g = MatrixFunctional.diag(g, level)
+    n, gm = g.n, la.hermitian_part(g.riesz)
     dm = np.kron(np.eye(n), la.hermitian_part(delta.riesz))
     hermitian = delta.is_hermitian(1e-8)
     if hermitian and system.is_full:

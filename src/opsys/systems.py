@@ -347,6 +347,16 @@ def _domination_radius(d, x, tol: float, r_max: float, precision: float) -> floa
     return r if r <= r_max else None
 
 
+def _checked_unit(system: OperatorSystem, e, tol: float) -> np.ndarray:
+    """e as a matrix, once it is checked to be a level-1 element of S+."""
+    em = la.as_matrix(e)
+    if em.shape != (system.d, system.d):
+        raise DimensionError("order unit e must be a level-1 element")
+    if not cone_member(system, em, tol):
+        raise ValidationError("order unit candidate e is not in S+")
+    return em
+
+
 def order_unit_radius_level(
     system: OperatorSystem,
     e,
@@ -360,11 +370,7 @@ def order_unit_radius_level(
     :func:`_domination_radius` on (I_n (x) e, x), exact for a positive
     definite e; ``None`` means no r <= r_max dominates x.
     """
-    em = la.as_matrix(e)
-    if em.shape != (system.d, system.d):
-        raise DimensionError("order unit e must be a level-1 element")
-    if not cone_member(system, em, tol):
-        raise ValidationError("order unit candidate e is not in S+")
+    em = _checked_unit(system, e, tol)
     xm = la.as_matrix(x)
     n = level_of(system, xm)
     if not la.is_hermitian(xm, 1e-8):
@@ -434,13 +440,16 @@ def is_matrix_order_unit(
             counterexample=ce,
             counterexample_level=1,
         )
+    em = _checked_unit(system, e, tol)
     radii: dict[int, list] = {}
     ok = True
     for n in range(1, max_level + 1):
+        lifted = np.kron(np.eye(n), em)
         level_radii = []
         for _ in range(samples_per_level):
+            # drawn in M_n(S)_h, so x needs neither check of order_unit_radius_level
             x = random_hermitian_element(system, rng, level=n)
-            r = order_unit_radius_level(system, e, x, tol=tol, r_max=r_max)
+            r = _domination_radius(lifted, x, tol, r_max, _RADIUS_PRECISION)
             level_radii.append(r)
             if r is None:
                 ok = False

@@ -16,7 +16,7 @@ Stage indices are 1-based throughout the public API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,13 +135,11 @@ def _check_cp(idx: int, emb: Embedding) -> None:
     """Certify embedding ``idx`` CP or raise ValidationError.  By Choi-Effros
     phi: S -> M_n is CP exactly when its grid f_ij(x) = phi(x)_ij, with Riesz
     matrices sum_k images[k]_ij B_k^*, is positive in M_n(S'); :func:`cp_verdict`
-    decides that by one eigensolve (full source) or one section kernel solve."""
-    n = emb.target.d
-    grid = [
-        [Functional.from_values(emb.source, emb.images[:, i, j]) for j in range(n)]
-        for i in range(n)
-    ]
-    status = cp_verdict(MatrixFunctional(grid)).status
+    decides that by one eigensolve (full source) or one section kernel solve.
+    Block (i, j) of the grid's Riesz matrix is sum_k images[k]_ji B_k^*."""
+    src, n = emb.source, emb.target.d
+    choi = np.einsum("kji,kba->iajb", emb.images, src.basis.conj())
+    status = cp_verdict(MatrixFunctional(src, choi.reshape(n * src.d, n * src.d))).status
     if status == "undecided":
         raise ValidationError(
             f"complete positivity of embedding {idx} could not be certified"
@@ -340,10 +338,14 @@ class FunctionalThread:
 
     tower: Tower
     entries: tuple
-    norm_sup: float = field(default=0.0)
 
     def entry(self, k: int) -> Functional:
         return self.entries[k - 1]
+
+    @property
+    def norm_sup(self) -> float:
+        """max_k of the stage norms (trace norms of the canonical matrices)."""
+        return max(f.norm for f in self.entries)
 
     def check_compatibility(self, tol: float = _COMPAT_TOL) -> None:
         for k in range(1, self.tower.depth):
@@ -360,7 +362,7 @@ def trace_state_thread(t: Tower) -> FunctionalThread:
     """The stage-wise normalized-trace states; compatible for the built-in
     towers, validated here for any tower."""
     entries = [faithful_state(s) for s in t.systems]
-    thread = FunctionalThread(t, tuple(entries), max(f.norm for f in entries))
+    thread = FunctionalThread(t, tuple(entries))
     thread.check_compatibility()
     return thread
 
@@ -374,7 +376,7 @@ def pullback_thread(t: Tower, f_top: Functional) -> FunctionalThread:
     for emb in reversed(t.embeddings):
         entries.append(emb.pullback(entries[-1]))
     entries.reverse()
-    return FunctionalThread(t, tuple(entries), max(f.norm for f in entries))
+    return FunctionalThread(t, tuple(entries))
 
 
 def functional_thread(t: Tower, entries) -> FunctionalThread:
@@ -382,7 +384,7 @@ def functional_thread(t: Tower, entries) -> FunctionalThread:
     entries = tuple(entries)
     if len(entries) != t.depth:
         raise ValidationError(f"need {t.depth} entries, got {len(entries)}")
-    thread = FunctionalThread(t, entries, max(f.norm for f in entries))
+    thread = FunctionalThread(t, entries)
     thread.check_compatibility()
     return thread
 
@@ -393,7 +395,7 @@ def pullback_matrix_thread(t: Tower, mf_top: MatrixFunctional) -> list:
     stages = [mf_top]
     for emb in reversed(t.embeddings):
         grid = [[emb.pullback(f) for f in row] for row in stages[-1].grid]
-        stages.append(MatrixFunctional(grid))
+        stages.append(MatrixFunctional.from_grid(grid))
     stages.reverse()
     return stages
 

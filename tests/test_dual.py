@@ -29,6 +29,7 @@ from opsys.systems import (
     random_positive_element,
     random_system,
     subspace_member,
+    to_blocks,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -153,7 +154,7 @@ def test_positivity_evidence_rechecks_outside_the_solver(name):
     seen = set()
     for k in range(12):
         f = (random_positive_functional if k % 2 == 0 else random_hermitian_functional)(s, rng)
-        mf = MatrixFunctional([[f]])
+        mf = MatrixFunctional.from_grid([[f]])
         oracle = dykstra_solve(cp_choi_problem(mf, tol))
         assert oracle.status != "undecided"
         positive = is_positive_functional(f, tol)
@@ -198,7 +199,7 @@ def test_gray_band_positivity_is_refuted_or_undecided(monkeypatch):
     tol = 1e-8
     s = make_operator_system([PAULI_X], 2)
     f = Functional(s, (np.eye(2) + PAULI_X) / 2 - 3e-8 * np.eye(2))
-    assert cp_verdict(MatrixFunctional([[f]]), tol).status == "undecided"
+    assert cp_verdict(MatrixFunctional.from_grid([[f]]), tol).status == "undecided"
     real_refutes = dual_module._refutes
     points = []
 
@@ -231,7 +232,7 @@ def test_gray_band_positivity_is_refuted_or_undecided(monkeypatch):
 
 def identity_grid(system):
     d = system.d
-    return MatrixFunctional(
+    return MatrixFunctional.from_grid(
         [[Functional(system, la.basis_matrix(d, j, i)) for j in range(d)]
          for i in range(d)]
     )
@@ -239,7 +240,7 @@ def identity_grid(system):
 
 def transpose_grid(system):
     d = system.d
-    return MatrixFunctional(
+    return MatrixFunctional.from_grid(
         [[Functional(system, la.basis_matrix(d, i, j)) for j in range(d)]
          for i in range(d)]
     )
@@ -248,7 +249,7 @@ def transpose_grid(system):
 def test_identity_map_is_cp():
     s = named_system("full:2")
     mf = identity_grid(s)
-    choi = mf.choi_matrix()
+    choi = mf.riesz
     # oracle: maximally entangled (rank one, trace 2)
     assert np.linalg.matrix_rank(choi) == 1
     assert la.lambda_min(choi) >= -1e-12
@@ -258,7 +259,7 @@ def test_identity_map_is_cp():
 def test_transpose_map_not_cp():
     s = named_system("full:2")
     mf = transpose_grid(s)
-    choi = mf.choi_matrix()
+    choi = mf.riesz
     assert la.lambda_min(choi) == pytest.approx(-1.0, abs=1e-12)  # the swap
     assert is_cp(mf) is False
 
@@ -270,7 +271,7 @@ def test_transpose_restricted_to_xy_plane_is_cp():
     s = named_system("pauli-span")
     grid = [[Functional(s, la.basis_matrix(2, i, j)) for j in range(2)]
             for i in range(2)]
-    mf = MatrixFunctional(grid)
+    mf = MatrixFunctional.from_grid(grid)
     assert is_cp(mf) is True
 
 
@@ -278,7 +279,7 @@ def test_is_cp_rejects_non_hermitian_grid():
     s = named_system("full:2")
     f = Functional(s, E12)
     z = Functional.zero(s)
-    mf = MatrixFunctional([[f, f], [z, f]])
+    mf = MatrixFunctional.from_grid([[f, f], [z, f]])
     assert is_cp(mf) is False
 
 
@@ -287,10 +288,55 @@ def test_choi_grid_roundtrip():
     s = named_system("pauli-span")
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     mf = MatrixFunctional.from_choi(s, g @ g.conj().T)
-    clone = MatrixFunctional.from_choi(s, mf.choi_matrix())
+    clone = MatrixFunctional.from_choi(s, mf.riesz)
     for i in range(2):
         for j in range(2):
             assert mf.grid[i][j].isclose(clone.grid[i][j], 1e-10)
+
+
+def test_grid_view_roundtrips_exactly():
+    rng = np.random.default_rng(41)
+    for name in ("pauli-span", "toeplitz:3", "full:2"):
+        s = named_system(name)
+        for n in (1, 2, 3):
+            side = n * s.d
+            raw = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+            mf = MatrixFunctional(s, raw)
+            assert np.array_equal(MatrixFunctional.from_grid(mf.grid).riesz, mf.riesz)
+
+
+def test_level_canonical_form_is_blockwise_functional_projection():
+    # block (i, j) of the canonical matrix is the canonical Riesz matrix of
+    # the functional f_ji, so the level-n projection is the level-1 one on
+    # every block
+    rng = np.random.default_rng(42)
+    for name in ("pauli-span", "toeplitz:3", "full:2"):
+        s = named_system(name)
+        for n in (1, 2, 3):
+            side = n * s.d
+            raw = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+            blocks = to_blocks(MatrixFunctional(s, raw).riesz, s.d)
+            raw_blocks = to_blocks(raw, s.d)
+            for i in range(n):
+                for j in range(n):
+                    f_ji = Functional(s, raw_blocks[i, j])
+                    assert np.abs(blocks[i, j] - f_ji.riesz).max() <= 1e-12
+
+
+def test_functional_is_its_own_level_one_grid():
+    # a functional goes to cp_verdict as itself; wrapping it in a 1 x 1
+    # grid changes neither the status nor the evidence
+    rng = np.random.default_rng(43)
+    for name in ("pauli-span", "toeplitz:3", "full:2"):
+        s = named_system(name)
+        for k in range(6):
+            f = (random_positive_functional if k % 2 == 0 else random_hermitian_functional)(s, rng)
+            direct = cp_verdict(f)
+            wrapped = cp_verdict(MatrixFunctional.from_grid([[f]]))
+            assert direct.status == wrapped.status
+            for a, b in ((direct.witness, wrapped.witness),
+                         (direct.certificate, wrapped.certificate)):
+                assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_cp_cross_validates_positivity_level1():
@@ -304,7 +350,7 @@ def test_cp_cross_validates_positivity_level1():
             f = random_positive_functional(s, rng)
         else:
             f = random_hermitian_functional(s, rng)
-        mf = MatrixFunctional([[f]])
+        mf = MatrixFunctional.from_grid([[f]])
         oracle = dykstra_solve(cp_choi_problem(mf))
         assert oracle.status != "undecided"
         assert is_cp(mf) is (oracle.status == "feasible")
@@ -339,9 +385,9 @@ def test_cp_verdict_on_full_algebra():
     s = named_system("full:2")
     verdict = cp_verdict(identity_grid(s))
     assert verdict.status == "feasible" and verdict.iterations == 0
-    assert np.allclose(verdict.witness, identity_grid(s).choi_matrix())
+    assert np.allclose(verdict.witness, identity_grid(s).riesz)
     assert verdict.certificate is None
-    choi = transpose_grid(s).choi_matrix()
+    choi = transpose_grid(s).riesz
     verdict = cp_verdict(transpose_grid(s))
     assert verdict.status == "infeasible" and verdict.iterations == 0
     p = verdict.certificate
@@ -363,9 +409,9 @@ def test_cp_verdict_reports_solver_evidence(monkeypatch):
     tol = 1e-7
     s = named_system("pauli-span")
     kbasis = level_hermitian_basis(s, 2)
-    grid = MatrixFunctional([[Functional(s, la.basis_matrix(2, i, j)) for j in range(2)]
-                             for i in range(2)])
-    choi = la.hermitian_part(grid.choi_matrix())
+    grid = MatrixFunctional.from_grid([[Functional(s, la.basis_matrix(2, i, j))
+                                        for j in range(2)] for i in range(2)])
+    choi = la.hermitian_part(grid.riesz)
     verdict = cp_verdict(grid, tol)
     assert verdict.status == "feasible" and verdict.certificate is None
     assert 0 <= verdict.iterations <= 50
@@ -378,7 +424,7 @@ def test_cp_verdict_reports_solver_evidence(monkeypatch):
     # a PSD Z in M_2(S) whose pairing with the Choi data is below
     # -10 tol ||Z||_F
     negated = identity_grid(s) * -1.0
-    choi = la.hermitian_part(negated.choi_matrix())
+    choi = la.hermitian_part(negated.riesz)
     verdict = cp_verdict(negated, tol)
     assert verdict.status == "infeasible" and verdict.witness is None
     z = verdict.certificate
@@ -409,7 +455,7 @@ def test_margin_grid_undecided_by_dykstra_is_certified():
     grid = MatrixFunctional.diag((r + 1e-2 * max(1.0, r)) * delta - g, 2)
     verdict = cp_verdict(grid, tol)
     assert verdict.status == "feasible"
-    choi = la.hermitian_part(grid.choi_matrix())
+    choi = la.hermitian_part(grid.riesz)
     pairing = np.einsum("aij,ji->a", level_hermitian_basis(s, 2), verdict.witness - choi).real
     assert np.abs(pairing).max() <= 1e-10
     assert la.lambda_min(verdict.witness) >= -tol
@@ -418,10 +464,10 @@ def test_margin_grid_undecided_by_dykstra_is_certified():
 def test_cp_problem_exposed_for_subsystems_only():
     s = named_system("pauli-span")
     f = random_positive_functional(s, np.random.default_rng(7))
-    assert cp_choi_problem(MatrixFunctional([[f]])) is not None
+    assert cp_choi_problem(MatrixFunctional.from_grid([[f]])) is not None
     full = named_system("full:2")
     g = random_positive_functional(full, np.random.default_rng(8))
-    assert cp_choi_problem(MatrixFunctional([[g]])) is None
+    assert cp_choi_problem(MatrixFunctional.from_grid([[g]])) is None
 
 
 # -- faithful states -----------------------------------------------------------------
@@ -833,7 +879,7 @@ def test_wittstock_decomposition():
                          + 1j * rng.standard_normal((2, 2)))
         grid[0][1] = off
         grid[1][0] = off.adjoint()
-        h = MatrixFunctional(grid)
+        h = MatrixFunctional.from_grid(grid)
         assert h.is_hermitian()
         r = dual_order_unit_radius(delta, h, precision=0.05)
         lifted = MatrixFunctional.diag(delta, 2)

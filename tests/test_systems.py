@@ -360,6 +360,13 @@ def test_diag_unit_counterexample():
     assert order_unit_radius_level(s, np.diag([1.0, 0.0]).astype(complex), h) is None
 
 
+def test_matrix_order_unit_rejects_a_unit_outside_the_system():
+    # diag(2, 1) is positive definite, so no kernel counterexample exists,
+    # but it is not in pauli-span: the unit check raises before any sample
+    with pytest.raises(ValidationError, match="not in S"):
+        is_matrix_order_unit(named_system("pauli-span"), np.diag([2.0, 1.0]))
+
+
 def test_positive_definite_unit_dominates():
     # e = I + 0.5 X is positive definite, so it dominates at every level
     # with a finite radius

@@ -101,6 +101,40 @@ def test_builtin_towers_certified_cp(spec):
     assert make_tower(spec).depth == int(spec.split(":")[1])
 
 
+def _choi_oracle(emb):
+    # the embedding's grid entry by entry: f_ij has values images[:, i, j]
+    n = emb.target.d
+    return MatrixFunctional.from_grid(
+        [[Functional.from_values(emb.source, emb.images[:, i, j]) for j in range(n)]
+         for i in range(n)]
+    ).riesz
+
+
+def test_check_cp_choi_matrix_matches_entrywise_grid(monkeypatch):
+    # _check_cp forms the Choi matrix of each embedding by one einsum; the
+    # matrix it hands to cp_verdict must be the grid's, built entry by entry
+    import opsys.towers as towers_module
+
+    seen = []
+    real_verdict = towers_module.cp_verdict
+
+    def spy(mf, *args):
+        seen.append(mf)
+        return real_verdict(mf, *args)
+
+    monkeypatch.setattr(towers_module, "cp_verdict", spy)
+    p, full = named_system("pauli-span"), named_system("full:2")
+    towers = [make_tower(f"matrix-doubling:{k}") for k in range(1, 5)]
+    towers += [make_tower(f"corner:{k}") for k in range(2, 7)]
+    towers += [Tower([p, full], [Embedding(p, full, images)])
+               for images in (list(p.basis), [b.T for b in p.basis])]
+    embeddings = [emb for t in towers for emb in t.embeddings]
+    assert len(seen) == len(embeddings) == 6 + 15 + 2
+    for mf, emb in zip(seen, embeddings):
+        assert mf.system is emb.source and mf.n == emb.target.d
+        assert np.abs(mf.riesz - _choi_oracle(emb)).max() <= 1e-12
+
+
 def test_non_embedding_rejected():
     # x -> trace-state(x) * I is unital and CP but collapses the order
     s1, s2 = named_system("full:2"), named_system("full:2")
@@ -172,6 +206,15 @@ def test_broken_thread_detected(doubling3):
     entries[0] = entries[0] + Functional(doubling3.stage(1), np.diag([1.0, -1.0]))
     with pytest.raises(InconsistentThreadError):
         functional_thread(doubling3, entries)
+
+
+def test_thread_norm_sup_of_a_directly_built_thread(doubling3):
+    # the sup of the stage norms is read off the entries, however the
+    # thread was built
+    entries = trace_state_thread(doubling3).entries
+    thread = FunctionalThread(doubling3, entries)
+    assert thread.norm_sup == max(f.norm for f in entries)
+    assert thread.norm_sup == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_functional_thread(doubling3):
@@ -330,7 +373,7 @@ def test_pairing_detects_inconsistent_thread(doubling3):
     e = doubling3.unit_thread()
     entries = list(trace_state_thread(doubling3).entries)
     entries[1] = 2.0 * entries[1]
-    broken = FunctionalThread(doubling3, tuple(entries), 1.0)
+    broken = FunctionalThread(doubling3, tuple(entries))
     with pytest.raises(InconsistentThreadError):
         pairing(e, broken)
 
