@@ -55,7 +55,8 @@ _MOU_SAMPLE_SEED = 20240917
 class OperatorSystem:
     """An adjoint-closed unital subspace of M_d with an orthonormal basis.
 
-    ``basis`` is a read-only array of shape (dim, d, d).  Immutable after
+    ``basis`` is a read-only array of shape (dim, d, d); a complex array
+    passed in is kept, not copied, and made read-only.  Immutable after
     construction; all operations on it are pure functions, so instances are
     safe to share across threads.
     """
@@ -64,15 +65,13 @@ class OperatorSystem:
         if d < 1:
             raise DimensionError(f"ambient dimension must be positive, got {d}")
         self.d = int(d)
-        mats = [la.as_matrix(b) for b in basis]
-        for m in mats:
-            if m.shape != (d, d):
-                raise DimensionError(
-                    f"basis element of shape {m.shape} in ambient M_{d}"
-                )
-        if not mats:
+        self.basis = np.asarray(basis, dtype=complex)
+        if self.basis.ndim != 3 or self.basis.shape[1:] != (d, d):
+            raise DimensionError(
+                f"basis of shape {self.basis.shape} in ambient M_{d}"
+            )
+        if not len(self.basis):
             raise ValidationError("a system needs at least one basis element")
-        self.basis = np.stack(mats)
         self.basis.flags.writeable = False
         self.name = name
         self._hermitian_basis: np.ndarray | None = None
@@ -224,11 +223,38 @@ def make_operator_system(generators, d: int, *, name: str | None = None) -> Oper
 # Named systems and the JSON wire format
 # ----------------------------------------------------------------------------
 
+def _full_basis(d: int) -> np.ndarray:
+    """The basis Gram-Schmidt gives M_d from the matrix units, in closed form.
+
+    Gram-Schmidt over I and the units E_ij, E_ji in row-major order keeps
+    I/sqrt(d), then for each row i: the diagonal unit E_ii projected off I
+    and the earlier diagonal units, which is the normalized Helmert vector
+    e_i - (1/m) sum_{k>=i} e_k with m = d - i (none for the last row), and
+    the pairs E_ij, E_ji for j > i.  Every other candidate is a repeat.
+    """
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[0] = np.eye(d) / np.sqrt(d)
+    k = 1
+    for i in range(d - 1):
+        m = d - i
+        tail = np.arange(i + 1, d)
+        basis[k, i, i] = np.sqrt((m - 1) / m)
+        basis[k, tail, tail] = -1.0 / np.sqrt(m * (m - 1))
+        basis[np.arange(k + 1, k + 2 * m - 1, 2), i, tail] = 1.0
+        basis[np.arange(k + 2, k + 2 * m, 2), tail, i] = 1.0
+        k += 2 * m - 1
+    return basis
+
+
 def named_system(name: str) -> OperatorSystem:
     """Built-in systems: ``full:d``, ``pauli-span``, ``diag:d``, ``toeplitz:d``.
 
-    ``pauli-span`` is the system generated by E_12 inside M_2, i.e. the span
-    of {I, sigma_x, sigma_y}.
+    ``full:d`` gets its orthonormal basis in closed form (:func:`_full_basis`),
+    equal to rounding and in the same order to what
+    :func:`make_operator_system` gives from the matrix units; the others are
+    built by Gram-Schmidt from their generators.  ``pauli-span`` is the
+    system generated by E_12 inside M_2, i.e. the span of {I, sigma_x,
+    sigma_y}.
     """
     kind, _, arg = name.partition(":")
     if kind == "pauli-span":
@@ -240,8 +266,8 @@ def named_system(name: str) -> OperatorSystem:
     if d < 1:
         raise ParseError(f"system size must be positive in {name!r}")
     if kind == "full":
-        gens = [la.basis_matrix(d, i, j) for i in range(d) for j in range(d)]
-    elif kind == "diag":
+        return OperatorSystem(d, _full_basis(d), name=name)
+    if kind == "diag":
         gens = [la.basis_matrix(d, i, i) for i in range(d)]
     elif kind == "toeplitz":
         gens = []

@@ -553,6 +553,38 @@ def verify_dual_cones(
     return report
 
 
+def _basis_thread_images(t: Tower) -> list:
+    """The basis threads of every stage, stacked: entry k - 1 lists, for
+    m = k..K, the images at stage m of the basis of stage k as one
+    (dim_k, d_m, d_m) array."""
+    out = []
+    for k, system in enumerate(t.systems):
+        stacks = [system.basis]
+        for emb in t.embeddings[k:]:
+            stacks.append(np.tensordot(emb.source.stack_coords(stacks[-1]), emb.images, 1))
+        out.append(stacks)
+    return out
+
+
+def _max_basis_pairing(basis_images: list, f: FunctionalThread) -> float:
+    """max |<b-thread, f>| over the basis threads of every stage: the
+    batched :func:`pairing`, one product per base and stage, with the same
+    drift check."""
+    top = 0.0
+    for k, stacks in enumerate(basis_images, start=1):
+        base = _pair_stack(f.entry(k), stacks[0])
+        scale = np.maximum(1.0, np.abs(base))
+        for m, xs in enumerate(stacks[1:], start=k + 1):
+            drift = np.abs(_pair_stack(f.entry(m), xs) - base)
+            if np.any(drift > _COMPAT_TOL * scale):
+                raise InconsistentThreadError(
+                    f"pairing drifts at stage {m}: by {drift.max():.3e}"
+                    f" from base stage {k}"
+                )
+        top = max(top, float(np.abs(base).max()))
+    return top
+
+
 def verify_gamma(
     t: Tower,
     samples: int = 30,
@@ -580,21 +612,18 @@ def verify_gamma(
     failures: list[str] = []
 
     zero = pullback_thread(t, Functional.zero(top))
-    basis_threads = [
-        t.thread(k, b) for k in range(1, t.depth + 1) for b in t.stage(k).basis
-    ]
-    zero_pairings = max(abs(pairing(e, zero)) for e in basis_threads)
-    if zero_pairings > 1e-12 or zero.norm_sup > 1e-12:
+    basis_images = _basis_thread_images(t)
+    if _max_basis_pairing(basis_images, zero) > 1e-12 or zero.norm_sup > 1e-12:
         failures.append("zero thread does not map to the zero functional")
 
     for _ in range(samples):
         f_top = Functional(top, la.hermitian_part(random_hermitian_element(top, rng)))
         f = pullback_thread(t, f_top)
-        pi = max(abs(pairing(e, f)) for e in basis_threads)
+        pi = _max_basis_pairing(basis_images, f)
         if (pi <= 1e-9) != (f.norm_sup <= 1e-8):
             failures.append("injectivity mismatch on a sampled thread")
     tiny = pullback_thread(t, 1e-12 * Functional(top, random_hermitian_element(top, rng)))
-    pi = max(abs(pairing(e, tiny)) for e in basis_threads)
+    pi = _max_basis_pairing(basis_images, tiny)
     if not (pi <= 1e-9 and tiny.norm_sup <= 1e-8):
         failures.append("near-zero thread not recognized as zero")
 

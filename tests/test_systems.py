@@ -181,6 +181,21 @@ def test_named_systems():
     assert named_system("pauli-span").dim == 3
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 16])
+def test_full_basis_is_the_gram_schmidt_basis(d):
+    # the closed form stands in for Gram-Schmidt over the matrix units, so
+    # random draws through from_coords stay the same to rounding
+    s = named_system(f"full:{d}")
+    units = [la.basis_matrix(d, i, j) for i in range(d) for j in range(d)]
+    gs = make_operator_system(units, d)
+    assert s.basis.shape == gs.basis.shape == (d * d, d, d)
+    assert np.abs(s.basis - gs.basis).max() <= 1e-14
+    assert not s.basis.flags.writeable
+    s.validate()
+    if d == 1:
+        assert np.array_equal(s.basis, np.ones((1, 1, 1)))
+
+
 def test_json_roundtrip():
     s = named_system("toeplitz:3")
     s2 = system_from_json(system_to_json(s))

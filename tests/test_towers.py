@@ -421,6 +421,22 @@ def test_verify_gamma(doubling3):
     assert report["passed"], report
 
 
+def test_verify_gamma_detects_pairing_drift(monkeypatch):
+    # a pullback off by 1e-6 breaks every pulled-back thread; the batched
+    # basis pairings of verify_gamma must see the drift, as pairing does
+    tower = make_tower("matrix-doubling:3")
+    exact = Embedding.pullback
+
+    def perturbed(self, f):
+        g = exact(self, f)
+        return Functional(g.system, g.riesz + 1e-6 * np.ones_like(g.riesz))
+
+    monkeypatch.setattr(Embedding, "pullback", perturbed)
+    # the batched check fires first, before any per-thread pairing
+    with pytest.raises(InconsistentThreadError, match="from base stage"):
+        verify_gamma(tower, samples=2, max_level=2, rng=np.random.default_rng(11))
+
+
 def test_gamma_on_corner_tower(corner4):
     report = verify_gamma(corner4, samples=6, max_level=2,
                           rng=np.random.default_rng(12))
