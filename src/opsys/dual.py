@@ -38,6 +38,7 @@ when that evidence does not re-check.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -179,19 +180,14 @@ class Functional(MatrixFunctional):
 
     @classmethod
     def from_values(cls, system: OperatorSystem, values) -> "Functional":
-        """Functional with prescribed values on the orthonormal basis.
-
-        sum_i values[i] * B_i^* is already canonical and reproduces the
-        values exactly.
-        """
+        """Functional with prescribed values on the orthonormal basis: the
+        level-1 case of :func:`_riesz_of_values`."""
         vals = np.asarray(values, dtype=complex)
         if vals.shape != (system.dim,):
             raise DimensionError(
                 f"expected {system.dim} basis values, got shape {vals.shape}"
             )
-        # sum_i v_i conj(B_i) is the conjugate of sum_i conj(v_i) B_i
-        flat = (vals.conj() @ system.basis.reshape(system.dim, -1)).conj()
-        return cls(system, flat.reshape(system.d, system.d).T, _canonical=True)
+        return cls(system, _riesz_of_values(system, vals[None]), _canonical=True)
 
     @classmethod
     def zero(cls, system: OperatorSystem) -> "Functional":
@@ -383,6 +379,17 @@ def _project_level(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
     d, n = system.d, len(x) // system.d
     blocks = _level_coords(system, x) @ system.basis.reshape(system.dim, -1)
     return from_blocks(blocks.reshape(n, n, d, d))
+
+
+def _riesz_of_values(system: OperatorSystem, values: np.ndarray) -> np.ndarray:
+    """The canonical Riesz matrix of the element of M_n(S') whose block (i, j)
+    has the basis values ``values[i n + j]``: sum_k values[i n + j, k] B_k^*
+    blockwise, which reproduces the values exactly and lies in M_n(S)."""
+    n, d = math.isqrt(len(values)), system.d
+    # sum_k v_k conj(B_k) is the conjugate of sum_k conj(v_k) B_k, so the
+    # basis is not copied; entry (p, q) of B_k^* is conj(B_k)[q, p]
+    flat = (values.conj() @ system.basis.reshape(system.dim, -1)).conj()
+    return flat.reshape(n, n, d, d).transpose(0, 3, 1, 2).reshape(n * d, n * d)
 
 
 def _lift(system: OperatorSystem, x: np.ndarray) -> np.ndarray:

@@ -3,13 +3,14 @@
 A tower is a chain S_1 -> S_2 -> ... -> S_K of operator systems along
 unital complete order embeddings.  Its dual tower S_K' -> ... -> S_1' needs
 no structure of its own: the connecting maps are the adjoints
-:meth:`Embedding.pullback`.  All limit statements are truncated at
-depth K: inductive elements become threads (a representative at a base
-stage plus its images up the tower), dual projective elements become
-compatible tuples of functionals, and the duality pairing is the stage
-evaluation, which is constant along a valid thread.  Convergence content of
-the untruncated limits shows up here as monotone norm sequences and
-per-stage cone membership.
+:meth:`Embedding.pullback`, at matrix level n the same adjoint amplified,
+(id_n (x) phi)', since the duality is a complete order isomorphism.  All
+limit statements are truncated at depth K: inductive elements become
+threads (a representative at a base stage plus its images up the tower),
+dual projective elements become compatible tuples of dual elements at one
+level, and the duality pairing is the stage evaluation, which is constant
+along a valid thread.  Convergence content of the untruncated limits shows
+up here as monotone norm sequences and per-stage cone membership.
 
 Stage indices are 1-based throughout the public API.
 """
@@ -24,10 +25,12 @@ from . import linalg as la
 from .dual import (
     Functional,
     MatrixFunctional,
+    _riesz_of_values,
     cp_verdict,
     dual_order_unit_radius,
     faithful_state,
     is_cp,
+    is_positive_functional,
     positivity_minimum,
     random_positive_functional,
 )
@@ -61,7 +64,6 @@ __all__ = [
     "trace_state_thread",
     "pullback_thread",
     "functional_thread",
-    "pullback_matrix_thread",
     "thread_norm_sequence",
     "inductive_positive",
     "pairing",
@@ -122,24 +124,27 @@ class Embedding:
         out = coords @ self.images.reshape(len(self.images), dt * dt)
         return from_blocks(out.reshape(n, n, dt, dt))
 
-    def pullback(self, f: Functional) -> Functional:
-        """The adjoint phi': f |-> f o phi from the target's dual to the
-        source's.  The source basis is orthonormal, so phi maps B_j to
-        ``images[j]`` and f o phi has the values f(images[j])."""
+    def pullback(self, f: MatrixFunctional) -> MatrixFunctional:
+        """The adjoint (id_n (x) phi)': [f_ij] |-> [f_ij o phi] from M_n(T')
+        to M_n(S') at the level n of f, with the type of f.  The source
+        basis is orthonormal, so f_ij o phi has the basis values
+        f_ij(images[k]), all of them by one product against the images."""
         if f.system is not self.target:
             raise ValidationError("functional does not live on the embedding's target")
-        return Functional.from_values(self.source, _pair_stack(f, self.images))
+        riesz = _riesz_of_values(self.source, _pair_stack(f, self.images))
+        return type(f)(self.source, riesz, _canonical=True)
 
 
 def _check_cp(idx: int, emb: Embedding) -> None:
     """Certify embedding ``idx`` CP or raise ValidationError.  By Choi-Effros
-    phi: S -> M_n is CP exactly when its grid f_ij(x) = phi(x)_ij, with Riesz
-    matrices sum_k images[k]_ij B_k^*, is positive in M_n(S'); :func:`cp_verdict`
-    decides that by one eigensolve (full source) or one section kernel solve.
-    Block (i, j) of the grid's Riesz matrix is sum_k images[k]_ji B_k^*."""
+    phi: S -> M_n is CP exactly when its grid f_ij(x) = phi(x)_ij is positive
+    in M_n(S'); :func:`cp_verdict` decides that by one eigensolve (full
+    source) or one section kernel solve.  f_ij has the basis values
+    images[k]_ij, and block (i, j) of the grid's Riesz matrix carries f_ji."""
     src, n = emb.source, emb.target.d
-    choi = np.einsum("kji,kba->iajb", emb.images, src.basis.conj())
-    status = cp_verdict(MatrixFunctional(src, choi.reshape(n * src.d, n * src.d))).status
+    grid = MatrixFunctional(src, _riesz_of_values(src, emb.images.T.reshape(n * n, -1)),
+                            _canonical=True)
+    status = cp_verdict(grid).status
     if status == "undecided":
         raise ValidationError(
             f"complete positivity of embedding {idx} could not be certified"
@@ -243,11 +248,8 @@ def make_tower(spec) -> Tower:
             raise ParseError("tower depth must be positive")
         if kind == "matrix-doubling":
             systems = [named_system(f"full:{2 ** k}") for k in range(1, depth + 1)]
-            embeddings = []
-            for k in range(depth - 1):
-                src, tgt = systems[k], systems[k + 1]
-                images = [np.kron(b, np.eye(2)) for b in src.basis]
-                embeddings.append(Embedding(src, tgt, images))
+            embeddings = [Embedding(src, tgt, [np.kron(b, np.eye(2)) for b in src.basis])
+                          for src, tgt in zip(systems, systems[1:])]
             return Tower(systems, embeddings, name=spec)
         if kind == "corner":
             systems = [named_system(f"full:{k}") for k in range(1, depth + 1)]
@@ -299,9 +301,12 @@ def make_tower(spec) -> Tower:
 # Threads
 # ----------------------------------------------------------------------------
 
-def _pair_stack(f: Functional, xs: np.ndarray) -> np.ndarray:
-    """trace(F x) for every matrix x of a (k, d, d) stack, by one product."""
-    return xs.reshape(len(xs), -1) @ f.riesz.T.reshape(-1)
+def _pair_stack(f: MatrixFunctional, xs: np.ndarray) -> np.ndarray:
+    """trace(F_ij x) for every block F_ij of the Riesz matrix of f (row
+    i n + j) and every matrix x of a (k, d, d) stack, by one product."""
+    n, d = f.n, xs.shape[-1]
+    blocks = f.riesz.reshape(n, d, n, d).transpose(0, 2, 3, 1).reshape(n * n, d * d)
+    return blocks @ xs.reshape(len(xs), -1).T
 
 
 @dataclass
@@ -334,20 +339,23 @@ class ElementThread:
 
 @dataclass
 class FunctionalThread:
-    """Projective-limit representative: compatible (f_1, ..., f_K)."""
+    """Projective-limit representative at a level n: compatible
+    (f_1, ..., f_K) with f_k = (id_n (x) phi_k)' f_{k+1} in M_n(S_k')."""
 
     tower: Tower
     entries: tuple
 
-    def entry(self, k: int) -> Functional:
+    def entry(self, k: int) -> MatrixFunctional:
         return self.entries[k - 1]
 
     @property
     def norm_sup(self) -> float:
-        """max_k of the stage norms (trace norms of the canonical matrices)."""
+        """max_k of the stage norms (trace norms of the canonical matrices),
+        at level 1."""
         return max(f.norm for f in self.entries)
 
     def check_compatibility(self, tol: float = _COMPAT_TOL) -> None:
+        """f_{k+1} o phi_k = f_k entrywise on the basis of each stage k < K."""
         for k in range(1, self.tower.depth):
             emb = self.tower.embeddings[k - 1]
             lhs = _pair_stack(self.entries[k], emb.images)
@@ -367,9 +375,9 @@ def trace_state_thread(t: Tower) -> FunctionalThread:
     return thread
 
 
-def pullback_thread(t: Tower, f_top: Functional) -> FunctionalThread:
-    """Thread (phi_{1,K}' f, ..., f) from a functional on the deepest stage;
-    compatibility holds by construction."""
+def pullback_thread(t: Tower, f_top: MatrixFunctional) -> FunctionalThread:
+    """Thread (phi_{1,K}' f, ..., f) from an element f of M_n(S_K') at any
+    level n; compatibility holds by construction."""
     if f_top.system is not t.stage(t.depth):
         raise ValidationError("functional must live on the deepest stage")
     entries = [f_top]
@@ -387,17 +395,6 @@ def functional_thread(t: Tower, entries) -> FunctionalThread:
     thread = FunctionalThread(t, entries)
     thread.check_compatibility()
     return thread
-
-
-def pullback_matrix_thread(t: Tower, mf_top: MatrixFunctional) -> list:
-    """Per-stage matrix functionals obtained by pulling the grid back
-    entrywise; stage k holds [phi_{k,K}' f_ij]."""
-    stages = [mf_top]
-    for emb in reversed(t.embeddings):
-        grid = [[emb.pullback(f) for f in row] for row in stages[-1].grid]
-        stages.append(MatrixFunctional.from_grid(grid))
-    stages.reverse()
-    return stages
 
 
 # ----------------------------------------------------------------------------
@@ -458,8 +455,8 @@ def pairing(e: ElementThread, f: FunctionalThread) -> complex:
     """
     if e.tower is not f.tower:
         raise ValidationError("threads belong to different towers")
-    if e.level != 1:
-        raise DimensionError("pairing is defined for level-1 element threads")
+    if e.level != 1 or f.entry(1).n != 1:
+        raise DimensionError("pairing is defined for level-1 threads")
     base_val = f.entry(e.base).pair(e.image_at(e.base))
     scale = max(1.0, abs(base_val))
     for m in range(e.base, e.tower.depth + 1):
@@ -483,13 +480,16 @@ def _nonpositive_hermitian(system, rng, level=1, floor=-1e-3):
 
 
 def _negative_witness_failures(t: Tower, rng, count: int) -> int:
-    """Draw ``count`` non-positive functionals on the deepest stage; count
-    those whose positivity minimizer is not a positive element thread with
-    negative pairing against the pulled-back thread."""
+    """Draw ``count`` functionals on the deepest stage certified not positive
+    (a non-PSD Riesz matrix can give a positive functional on a proper
+    stage); count those whose positivity minimizer is not a positive element
+    thread with negative pairing against the pulled-back thread."""
     top = t.stage(t.depth)
     failures = 0
     for _ in range(count):
         f_top = Functional(top, _nonpositive_hermitian(top, rng, floor=-1e-2))
+        while is_positive_functional(f_top) is not False:
+            f_top = Functional(top, _nonpositive_hermitian(top, rng, floor=-1e-2))
         f = pullback_thread(t, f_top)
         val, x = positivity_minimum(f_top)
         if not (val < 0 and pairing(t.thread(t.depth, x), f).real < 0):
@@ -534,7 +534,9 @@ def verify_dual_cones(
         k = int(rng.integers(1, t.depth + 1))
         x = _nonpositive_hermitian(t.stage(k), rng)
         e = t.thread(k, x)
-        assert not inductive_positive(t, e)
+        if inductive_positive(t, e):
+            sep_failures += 1
+            continue
         w, u = la.spectral_decompose(e.deepest)
         psi = u[:, -1]
         f_top = Functional(t.stage(t.depth), np.outer(psi, psi.conj()))
@@ -553,38 +555,6 @@ def verify_dual_cones(
     return report
 
 
-def _basis_thread_images(t: Tower) -> list:
-    """The basis threads of every stage, stacked: entry k - 1 lists, for
-    m = k..K, the images at stage m of the basis of stage k as one
-    (dim_k, d_m, d_m) array."""
-    out = []
-    for k, system in enumerate(t.systems):
-        stacks = [system.basis]
-        for emb in t.embeddings[k:]:
-            stacks.append(np.tensordot(emb.source.stack_coords(stacks[-1]), emb.images, 1))
-        out.append(stacks)
-    return out
-
-
-def _max_basis_pairing(basis_images: list, f: FunctionalThread) -> float:
-    """max |<b-thread, f>| over the basis threads of every stage: the
-    batched :func:`pairing`, one product per base and stage, with the same
-    drift check."""
-    top = 0.0
-    for k, stacks in enumerate(basis_images, start=1):
-        base = _pair_stack(f.entry(k), stacks[0])
-        scale = np.maximum(1.0, np.abs(base))
-        for m, xs in enumerate(stacks[1:], start=k + 1):
-            drift = np.abs(_pair_stack(f.entry(m), xs) - base)
-            if np.any(drift > _COMPAT_TOL * scale):
-                raise InconsistentThreadError(
-                    f"pairing drifts at stage {m}: by {drift.max():.3e}"
-                    f" from base stage {k}"
-                )
-        top = max(top, float(np.abs(base).max()))
-    return top
-
-
 def verify_gamma(
     t: Tower,
     samples: int = 30,
@@ -598,7 +568,8 @@ def verify_gamma(
     * zero thread: all basis pairings vanish and the thread norm is zero;
     * injectivity: vanishing pairings against the basis threads of every
       stage force the thread norm below 1e-8 (and conversely nonzero
-      threads show a nonzero pairing);
+      threads show a nonzero pairing); on a thread checked compatible the
+      pairing with a basis thread of stage k is the basis value f_k(b);
     * level 1 order correspondence, both directions with witnesses;
     * levels 2..max_level: matrix functional threads built from PSD Choi
       data are CP at every stage, non-PSD data fails at the deepest stage,
@@ -611,19 +582,23 @@ def verify_gamma(
     report: dict = {"passed": True}
     failures: list[str] = []
 
+    def max_basis_pairing(f: FunctionalThread) -> float:
+        f.check_compatibility()
+        return max(float(np.abs(_pair_stack(g, s.basis)).max())
+                   for g, s in zip(f.entries, t.systems))
+
     zero = pullback_thread(t, Functional.zero(top))
-    basis_images = _basis_thread_images(t)
-    if _max_basis_pairing(basis_images, zero) > 1e-12 or zero.norm_sup > 1e-12:
+    if max_basis_pairing(zero) > 1e-12 or zero.norm_sup > 1e-12:
         failures.append("zero thread does not map to the zero functional")
 
     for _ in range(samples):
         f_top = Functional(top, la.hermitian_part(random_hermitian_element(top, rng)))
         f = pullback_thread(t, f_top)
-        pi = _max_basis_pairing(basis_images, f)
+        pi = max_basis_pairing(f)
         if (pi <= 1e-9) != (f.norm_sup <= 1e-8):
             failures.append("injectivity mismatch on a sampled thread")
     tiny = pullback_thread(t, 1e-12 * Functional(top, random_hermitian_element(top, rng)))
-    pi = _max_basis_pairing(basis_images, tiny)
+    pi = max_basis_pairing(tiny)
     if not (pi <= 1e-9 and tiny.norm_sup <= 1e-8):
         failures.append("near-zero thread not recognized as zero")
 
@@ -664,7 +639,7 @@ def verify_gamma(
             if i % 2 == 0:
                 choi = (g @ g.conj().T) / side  # PSD: the induced map is CP
                 mf_top = MatrixFunctional.from_choi(top, choi)
-                stages = pullback_matrix_thread(t, mf_top)
+                stages = pullback_thread(t, mf_top).entries
                 if not all(is_cp(mf) is True for mf in stages):
                     cp_failures += 1
             else:

@@ -37,7 +37,6 @@ from opsys.systems import (
 from opsys.towers import (
     make_tower,
     pairing,
-    pullback_matrix_thread,
     pullback_thread,
     verify_dual_cones,
 )
@@ -234,7 +233,7 @@ def test_criterion_7_duality_tower():
                 choi -= np.eye(32)
             member = False
         mf_top = MatrixFunctional.from_choi(top, choi)
-        stages = pullback_matrix_thread(tower, mf_top)
+        stages = pullback_thread(tower, mf_top).entries
         stagewise = [is_cp(mf) for mf in stages]
         if member:
             ok_e &= all(v is True for v in stagewise)

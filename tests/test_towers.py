@@ -11,6 +11,7 @@ from opsys.errors import (
 from opsys.norms import max_order_norm, min_order_norm
 from opsys.systems import (
     from_blocks,
+    make_operator_system,
     named_system,
     random_element,
     random_hermitian_element,
@@ -24,7 +25,6 @@ from opsys.towers import (
     inductive_positive,
     make_tower,
     pairing,
-    pullback_matrix_thread,
     pullback_thread,
     thread_norm_sequence,
     trace_state_thread,
@@ -41,6 +41,24 @@ def doubling3():
 @pytest.fixture(scope="module")
 def corner4():
     return make_tower("corner:4")
+
+
+@pytest.fixture(scope="module")
+def pauli_inclusion():
+    # the proper source pauli-span included in full:2
+    p, full = named_system("pauli-span"), named_system("full:2")
+    return Tower([p, full], [Embedding(p, full, list(p.basis))])
+
+
+def _pauli_chain():
+    # S_1 = M_2 -> S_2 = span{I, sigma_a (x) I, I (x) sigma_a} in M_4 along
+    # x -> x (x) I_2: the top stage is a proper subsystem of dimension 7
+    sigmas = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]])]
+    s1 = named_system("full:2")
+    s2 = make_operator_system([np.kron(a, np.eye(2)) for a in sigmas]
+                              + [np.kron(np.eye(2), a) for a in sigmas], 4)
+    return Tower([s1, s2], [Embedding(s1, s2, [np.kron(b, np.eye(2)) for b in s1.basis])])
 
 
 # -- construction and validation -----------------------------------------------
@@ -111,7 +129,7 @@ def _choi_oracle(emb):
 
 
 def test_check_cp_choi_matrix_matches_entrywise_grid(monkeypatch):
-    # _check_cp forms the Choi matrix of each embedding by one einsum; the
+    # _check_cp forms the Choi matrix of each embedding by one product; the
     # matrix it hands to cp_verdict must be the grid's, built entry by entry
     import opsys.towers as towers_module
 
@@ -198,6 +216,21 @@ def test_pullback_is_partial_trace(doubling3):
         assert np.abs(thread.entry(k).riesz - want).max() <= 1e-13
 
 
+def test_broken_level_two_thread_detected(doubling3):
+    # compatibility is checked entrywise at the thread's level
+    rng = np.random.default_rng(17)
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    thread = pullback_thread(doubling3, MatrixFunctional.from_choi(doubling3.stage(3), g))
+    assert [f.n for f in thread.entries] == [2, 2, 2]
+    functional_thread(doubling3, thread.entries)
+    entries = list(thread.entries)
+    bumped = entries[1].riesz.copy()
+    bumped[0, 0] += 1e-6
+    entries[1] = MatrixFunctional(doubling3.stage(2), bumped)
+    with pytest.raises(InconsistentThreadError):
+        functional_thread(doubling3, entries)
+
+
 def test_broken_thread_detected(doubling3):
     top = doubling3.stage(3)
     f = Functional(top, np.eye(8) / 8)
@@ -273,6 +306,23 @@ def test_identity_stage_adjoint_is_identity():
     tower = Tower([s, s], [Embedding(s, s, list(s.basis))])
     f = Functional(s, np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert tower.embeddings[0].pullback(f).isclose(f, 1e-12)
+
+
+@pytest.mark.parametrize("name", ["doubling3", "corner4", "pauli_inclusion"])
+def test_level_pullback_matches_entrywise_oracle(name, request):
+    # (id_n (x) phi)' in one product equals the grid of level-1 pullbacks
+    tower = request.getfixturevalue(name)
+    rng = np.random.default_rng(18)
+    for emb in tower.embeddings:
+        for n in (1, 2, 3):
+            side = n * emb.target.d
+            g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+            mf = MatrixFunctional.from_choi(emb.target, g)
+            want = MatrixFunctional.from_grid([[emb.pullback(f) for f in row]
+                                               for row in mf.grid])
+            got = emb.pullback(mf)
+            assert got.system is emb.source and got.n == n
+            assert np.abs(got.riesz - want.riesz).max() <= 1e-13
 
 
 def test_pullback_rejects_functional_off_the_target(doubling3):
@@ -415,6 +465,27 @@ def test_verify_dual_cones(doubling3):
     assert report["passed"], report
 
 
+def test_negative_witnesses_on_a_proper_top_stage():
+    # a non-PSD Riesz matrix can give a positive functional on a proper
+    # stage; such a draw is no negative witness and must be redrawn
+    tower = _pauli_chain()
+    assert not tower.stage(2).is_full and tower.stage(2).dim == 7
+    for seed in range(12):
+        report = verify_dual_cones(tower, 50, rng=np.random.default_rng(seed))
+        assert report["passed"], (seed, report)
+
+
+def test_verify_dual_cones_reports_a_positive_nonpositive_sample(doubling3, monkeypatch):
+    # a non-positive sample judged inductively positive is a separating
+    # failure in the report, not an exception
+    import opsys.towers as towers_module
+
+    monkeypatch.setattr(towers_module, "inductive_positive", lambda t, e: True)
+    report = verify_dual_cones(doubling3, samples=10, rng=np.random.default_rng(19))
+    assert report["passed"] is False
+    assert report["separating_states"]["failures"] >= 1
+
+
 def test_verify_gamma(doubling3):
     report = verify_gamma(doubling3, samples=10, max_level=2,
                           rng=np.random.default_rng(11))
@@ -422,8 +493,8 @@ def test_verify_gamma(doubling3):
 
 
 def test_verify_gamma_detects_pairing_drift(monkeypatch):
-    # a pullback off by 1e-6 breaks every pulled-back thread; the batched
-    # basis pairings of verify_gamma must see the drift, as pairing does
+    # a pullback off by 1e-6 breaks every pulled-back thread; the
+    # compatibility check of verify_gamma must see the drift, as pairing does
     tower = make_tower("matrix-doubling:3")
     exact = Embedding.pullback
 
@@ -432,8 +503,8 @@ def test_verify_gamma_detects_pairing_drift(monkeypatch):
         return Functional(g.system, g.riesz + 1e-6 * np.ones_like(g.riesz))
 
     monkeypatch.setattr(Embedding, "pullback", perturbed)
-    # the batched check fires first, before any per-thread pairing
-    with pytest.raises(InconsistentThreadError, match="from base stage"):
+    # the compatibility check fires first, before any per-thread pairing
+    with pytest.raises(InconsistentThreadError, match="adjoint compatibility"):
         verify_gamma(tower, samples=2, max_level=2, rng=np.random.default_rng(11))
 
 
@@ -472,7 +543,7 @@ def test_projective_cone_stagewise(doubling3):
     side = top.d * 2
     g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     mf_cp = MatrixFunctional.from_choi(top, g @ g.conj().T / side)
-    stages = pullback_matrix_thread(doubling3, mf_cp)
+    stages = pullback_thread(doubling3, mf_cp).entries
     assert all(is_cp(mf) is True for mf in stages)
     bad = la.hermitian_part(g) - 1.0 * np.eye(side)
     if la.lambda_min(bad) > -1e-3:
