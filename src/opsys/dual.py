@@ -233,7 +233,6 @@ class _SectionSolve(NamedTuple):
     t: float
     iterations: int
     stop: str  # "converged", "certified", "breakdown" or "cap"
-    bracket: tuple[float, float]  # the solver's own dual and primal values
     evidence: object = None  # what ``certify`` returned when it ended the solve
 
 
@@ -300,7 +299,8 @@ def _section_sdp(
     a = np.concatenate([_level_basis(system.complement_basis, level), n[None]])
     k = len(a)
     flat = a.reshape(k, -1)
-    b = np.eye(k)[-1]
+    b = np.zeros(k)
+    b[-1] = 1.0
 
     def pairings(x):
         return (flat.conj() @ x.reshape(-1)).real
@@ -360,9 +360,7 @@ def _section_sdp(
     _SDP_COUNTS["certified"] += stop == "certified"
     _SDP_COUNTS["breakdowns"] += stop == "breakdown"
     _SDP_COUNTS["cap_hits"] += stop == "cap"
-    t = float(y[-1])
-    return _SectionSolve(x, combine(np.append(y[:-1], 0.0)), t, it, stop,
-                         (t, float(np.vdot(c, x).real)), evidence)
+    return _SectionSolve(x, combine(np.append(y[:-1], 0.0)), float(y[-1]), it, stop, evidence)
 
 
 def _level_coords(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
@@ -375,7 +373,9 @@ def _level_coords(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
 
 def _project_level(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
     """The blockwise orthogonal projection of an (n d) x (n d) matrix onto
-    M_n(S) (n is read off the size of x)."""
+    M_n(S) (n is read off the size of x): x itself on a full algebra."""
+    if system.is_full:
+        return x
     d, n = system.d, len(x) // system.d
     blocks = _level_coords(system, x) @ system.basis.reshape(system.dim, -1)
     return from_blocks(blocks.reshape(n, n, d, d))
@@ -550,11 +550,11 @@ def cp_verdict(mf: MatrixFunctional, tol: float = 1e-7) -> FeasibilityVerdict:
     choi = la.hermitian_part(choi)
     if not mf.system.is_full:
         return _choi_verdict(mf.system, choi, mf.n, tol)[0]
-    w, u = la.spectral_decompose(choi)
-    gap = max(0.0, -float(w[-1]))
-    if w[-1] >= -tol:
+    lam = la.lambda_min(choi)
+    gap = max(0.0, -lam)
+    if lam >= -tol:
         return FeasibilityVerdict("feasible", choi, gap)
-    v = u[:, -1]
+    v = la.spectral_decompose(choi)[1][:, -1]
     return FeasibilityVerdict("infeasible", None, gap, certificate=np.outer(v, v.conj()))
 
 

@@ -6,19 +6,20 @@ Three quantities are computed for an element v of S:
   which for a concrete system with unit e = I is max |eigenvalue|;
 * the minimal order norm, the supremum of |f(v)| over states f.  Every state
   of S extends to a state of the ambient M_d, so this equals the numerical
-  radius max |trace(rho v)| over density matrices, computed on a phase grid
-  with local refinement around the best grid point;
+  radius max |trace(rho v)| over density matrices;
 * the maximal order norm, an infimum over decompositions v = sum_j c_j h_j
   into Hermitian h_j in S of sum_j |c_j| * ||h_j||_h.  The infimum has no
   closed form, so a certified sandwich is reported instead: the operator
   norm from below (the operator norm is itself an order norm) and the best
   decomposition found by a phase-grid gauge program from above.
 
-The gauge program restricts phases to a uniform grid on [0, pi) and
-minimizes the decomposition cost by projected subgradient descent, seeded
-with the canonical splits v = e^{-ia}(Re(e^{ia} v) + i Im(e^{ia} v)) for
-every grid angle a.  Any feasible decomposition certifies an upper bound,
-so solver quality affects tightness, never validity.
+Both norms are read off one phase curve c(theta) = lambda_max(Re(e^{i theta}
+v)): the numerical radius is its maximum, and the canonical splits
+v = e^{-ia}(Re(e^{ia} v) + i Im(e^{ia} v)) cost max(c(a), c(a + pi)) +
+max(c(a - pi/2), c(a + pi/2)).  The gauge program restricts phases to a
+uniform grid on [0, pi) and takes the best split, optionally improved by
+projected subgradient descent.  Any feasible decomposition certifies an
+upper bound, so solver quality affects tightness, never validity.
 """
 
 from __future__ import annotations
@@ -40,8 +41,14 @@ __all__ = [
     "norm_report",
 ]
 
-#: Size of the gauge program's phase grid on [0, pi); even, so that the
-#: slot pi/2 - a of a canonical split is on the grid.
+#: Phase curves c(pi k / K), k = -K..K: the numerical radius scans K = 128
+#: and refines ``_REFINE_LEVELS`` times by a factor ``_REFINE_POINTS``; the
+#: gauge program's phases are the K = 64 angles on [0, pi) (even, so that
+#: the slot pi/2 - a of a canonical split is on the grid), whose curve is
+#: the even entries of the K = 128 one, the same doubles.
+_RADIUS_HALF = 128
+_REFINE_POINTS = 8
+_REFINE_LEVELS = 14
 _GAUGE_PHASES = 64
 
 
@@ -90,62 +97,61 @@ def order_norm_h(system: OperatorSystem, v, *, tol: float = DEFAULT_TOL) -> floa
     return float(max(w[0], -w[-1], 0.0))
 
 
-def _radius_curve(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_max of the Hermitian part of e^{i theta} a, vectorized."""
-    phases = np.exp(1j * thetas)
-    rotated = phases[:, None, None] * a[None, :, :]
+def _lambda_max_rotated(m: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """lambda_max(Re(p m)) for every phase p, in one eigensolve batch."""
+    rotated = phases[:, None, None] * m[None, :, :]
     herm = (rotated + rotated.conj().transpose(0, 2, 1)) / 2.0
     return np.linalg.eigvalsh(herm)[:, -1]
 
 
-def numerical_radius(a, *, grid: int = 256, refine: bool = True) -> float:
-    """max over density matrices of |trace(rho a)|.
+def _phase_curve(m: np.ndarray, half: int) -> np.ndarray:
+    """c(pi k / K) = lambda_max(Re(e^{i pi k / K} m)) for k = -K..K, K =
+    ``half``, at index k mod 2K.  The phases at negative angles are the exact
+    conjugates of those at positive ones, so the curve of m* is this curve
+    read backwards, bit for bit; pi and -pi are one angle, which keeps the
+    larger of its two values."""
+    half_turn = np.exp(1j * np.pi * np.arange(half + 1) / half)
+    curve = _lambda_max_rotated(m, np.concatenate([half_turn, half_turn[:0:-1].conj()]))
+    curve[half] = max(curve[half], curve[half + 1])
+    return np.delete(curve, half + 1)
 
-    Scans lambda_max(Re(e^{i theta} a)) over a uniform theta grid; the grid
-    maximum undershoots by at most w * (1 - cos(pi/grid)).  With ``refine``
-    a golden-section pass around the best grid point removes that gap, which
-    matters when downstream bounds carry 1e-6 slack.
+
+def _curve_maximum(m: np.ndarray, curve: np.ndarray) -> float:
+    """max of c(theta) = lambda_max(Re(e^{i theta} m)) from its phase curve,
+    refined around the best grid angle by nested grids: the grid step h
+    shrinks by ``_REFINE_POINTS`` per level, and each level scans
+    ``_REFINE_POINTS`` new steps on either side of the best angle so far."""
+    half = len(curve) // 2
+    best = int(np.argmax(curve))
+    result, theta, h = float(curve[best]), np.pi * best / half, np.pi / half
+    for _ in range(_REFINE_LEVELS):
+        h /= _REFINE_POINTS
+        thetas = theta + h * np.arange(-_REFINE_POINTS, _REFINE_POINTS + 1)
+        vals = _lambda_max_rotated(m, np.exp(1j * thetas))
+        i = int(np.argmax(vals))
+        if vals[i] > result:
+            result, theta = float(vals[i]), thetas[i]
+    return result
+
+
+def numerical_radius(a) -> float:
+    """max over density matrices of |trace(rho a)| = max over theta of
+    lambda_max(Re(e^{i theta} a)).
+
+    The phase curve's maximum undershoots by at most w (1 - cos(pi / 256));
+    nested grids around its best angle remove that gap, which matters when
+    downstream bounds carry 1e-6 slack.
     """
     m = la.as_matrix(a)
     if la.frobenius(m) == 0.0:
         return 0.0
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    vals = _radius_curve(m, thetas)
-    best = int(np.argmax(vals))
-    result = float(vals[best])
-    if not refine:
-        return result
-    span = 2.0 * np.pi / grid
-    lo = thetas[best] - span
-    hi = thetas[best] + span
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = float(_radius_curve(m, np.array([x1]))[0])
-    f2 = float(_radius_curve(m, np.array([x2]))[0])
-    for _ in range(60):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = float(_radius_curve(m, np.array([x2]))[0])
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = float(_radius_curve(m, np.array([x1]))[0])
-        result = max(result, f1, f2)
-    return result
+    return _curve_maximum(m, _phase_curve(m, _RADIUS_HALF))
 
 
 def min_order_norm(system: OperatorSystem, v, *, tol: float = DEFAULT_TOL) -> float:
-    """Minimal order norm = numerical radius of v inside M_d, on its default
-    refined grid."""
+    """Minimal order norm = numerical radius of v inside M_d."""
     m = _require_member(system, v, tol)
     return numerical_radius(m)
-
-
-def _gauge_phase_vectors(phases: int) -> tuple[np.ndarray, np.ndarray]:
-    thetas = np.pi * np.arange(phases) / phases
-    return np.cos(thetas), np.sin(thetas)
 
 
 def _gauge_cost(coeffs: np.ndarray, hbasis: np.ndarray) -> float:
@@ -190,80 +196,71 @@ def max_order_norm(
     two-term splits at every grid angle already give
     upper <= ||Re w|| + ||Im w|| <= 2 * min_order_norm.
 
-    By default the reported upper is the best of those canonical splits: a
-    feasible decomposition evaluated through two eigensolves per angle, so
-    the bound is exactly monotone under unital compressions and stable
-    under scaling, which the downstream contractivity checks rely on at
-    1e-7 slack.  ``subgrad_iters > 0`` additionally runs projected
-    subgradient descent from the best split; any iterate is feasible, so
-    the refinement only ever tightens the bound, but its path (not its
+    By default the reported upper is the best of those canonical splits,
+    read off the phase curve of v: a feasible decomposition, so the bound
+    is exactly monotone under unital compressions and stable under scaling,
+    which the downstream contractivity checks rely on at 1e-7 slack.  The
+    curve of v* is that of v read backwards, so the bound is exactly
+    *-symmetric.  ``subgrad_iters > 0`` additionally runs projected
+    subgradient descent from the best split of v and from that of v*
+    (their decompositions mirror at equal cost); any iterate is feasible,
+    so the refinement only ever tightens the bound, but its path (not its
     validity) is sensitive to last-bit input changes, which is why it is
     opt-in.
-
-    Decompositions of v and of v* mirror into each other at equal cost, so
-    the program is solved for both and the smaller value reported; that
-    keeps the bound *-symmetric, which one solver path alone is not.
     """
     m = _require_member(system, v, tol)
     lower = la.op_norm(m)
     if la.frobenius(m) == 0.0:
         return 0.0, 0.0
-    upper = _gauge_upper(system, m, subgrad_iters)
-    if not la.is_hermitian(m, 1e-12):
-        upper = min(upper, _gauge_upper(system, m.conj().T, subgrad_iters))
-    # the true max norm dominates the operator norm, so rounding that puts
-    # the found upper below `lower` can be clamped without losing validity
-    return lower, float(max(upper, lower))
+    return lower, _gauge_upper(system, m, _phase_curve(m, _GAUGE_PHASES), subgrad_iters, lower)
 
 
-def _gauge_upper(system: OperatorSystem, m: np.ndarray, subgrad_iters: int) -> float:
-    phases = _GAUGE_PHASES
-    # Rotation scan: the split of e^{ia} v into Hermitian and anti-Hermitian
-    # parts is a feasible two-term decomposition with both phases on the grid.
-    thetas = np.pi * np.arange(phases) / phases
-    rotated = np.exp(1j * thetas)[:, None, None] * m[None, :, :]
-    re_part = (rotated + rotated.conj().transpose(0, 2, 1)) / 2.0
-    im_part = (rotated - rotated.conj().transpose(0, 2, 1)) / 2.0j
-    re_top = np.abs(np.linalg.eigvalsh(re_part)).max(axis=1)
-    im_top = np.abs(np.linalg.eigvalsh(im_part)).max(axis=1)
-    scan = re_top + im_top
-    best_angle = int(np.argmin(scan))
-    upper = float(scan[best_angle])
-
+def _gauge_upper(system: OperatorSystem, m: np.ndarray, curve: np.ndarray,
+                 subgrad_iters: int, lower: float) -> float:
+    """The best canonical split on the phase curve of m, refined by the
+    subgradient runs; clamped at ``lower``, which the true max norm
+    dominates, so rounding below it costs no validity."""
+    half = len(curve) // 2
+    norms = np.maximum(curve[:half], curve[half:])  # ||Re(e^{i pi j / K} m)||
+    scan = norms + np.roll(norms, half // 2)  # + ||Im(e^{ia} m)|| = ||Re(e^{i(a - pi/2)} m)||
+    upper = float(scan.min())
     if subgrad_iters > 0:
-        hbasis = system.hermitian_basis
-        cosv, sinv = _gauge_phase_vectors(phases)
-        target_re = system.hermitian_coords(la.hermitian_part(m))
-        target_im = system.hermitian_coords(la.antihermitian_part(m))
-        # Start from the best rotated canonical split: phase slots -a and
-        # pi/2 - a (mod pi, signs folded into the Hermitian pieces).
-        coeffs = np.zeros((phases, system.dim))
-        a_idx = best_angle
-        re_rot = la.hermitian_part(rotated[a_idx])
-        im_rot = la.antihermitian_part(rotated[a_idx])
-        slot_re = (-a_idx) % phases
-        sign_re = 1.0 if ((-a_idx) // phases) % 2 == 0 else -1.0
-        slot_im = (phases // 2 - a_idx) % phases
-        sign_im = 1.0 if ((phases // 2 - a_idx) // phases) % 2 == 0 else -1.0
-        coeffs[slot_re] += sign_re * system.hermitian_coords(re_rot)
-        coeffs[slot_im] += sign_im * system.hermitian_coords(im_rot)
-        coeffs = _project_gauge_constraints(coeffs, cosv, sinv, target_re, target_im)
-        cost0 = _gauge_cost(coeffs, hbasis)
-        upper = min(upper, cost0)
-        # diminishing normalized steps: the path depends only on the input
-        # bits, which keeps upper(v*) = upper(v) exact via the mirrored run
-        scale = 0.15 * max(cost0, 1e-30)
-        for k in range(subgrad_iters):
-            g = _gauge_subgradient(coeffs, hbasis)
-            gnorm = float(np.linalg.norm(g))
-            if gnorm <= 1e-30:
-                break
-            step = scale / (gnorm * np.sqrt(k + 1.0))
-            coeffs = _project_gauge_constraints(
-                coeffs - step * g, cosv, sinv, target_re, target_im
-            )
-            upper = min(upper, _gauge_cost(coeffs, hbasis))
-    return float(upper)
+        upper = min(upper, _gauge_descent(system, m, int(np.argmin(scan)), subgrad_iters))
+        if not la.is_hermitian(m, 1e-12):
+            mirrored = scan[-np.arange(half) % half]  # the scan of m*
+            upper = min(upper, _gauge_descent(system, m.conj().T, int(np.argmin(mirrored)),
+                                              subgrad_iters))
+    return float(max(upper, lower))
+
+
+def _gauge_descent(system: OperatorSystem, m: np.ndarray, a_idx: int, iters: int) -> float:
+    phases = _GAUGE_PHASES
+    hbasis = system.hermitian_basis
+    thetas = np.pi * np.arange(phases) / phases
+    cosv, sinv = np.cos(thetas), np.sin(thetas)
+    target_re = system.hermitian_coords(la.hermitian_part(m))
+    target_im = system.hermitian_coords(la.antihermitian_part(m))
+    # Start from the rotated canonical split at angle a: phase slots -a and
+    # pi/2 - a (mod pi, signs folded into the Hermitian pieces).
+    coeffs = np.zeros((phases, system.dim))
+    rotated = np.exp(1j * np.pi * a_idx / phases) * m
+    for part, slot in ((la.hermitian_part(rotated), -a_idx),
+                       (la.antihermitian_part(rotated), phases // 2 - a_idx)):
+        coeffs[slot % phases] += (-1.0) ** (slot // phases) * system.hermitian_coords(part)
+    coeffs = _project_gauge_constraints(coeffs, cosv, sinv, target_re, target_im)
+    upper = cost0 = _gauge_cost(coeffs, hbasis)
+    # diminishing normalized steps: the path depends only on the input
+    # bits, which keeps upper(v*) = upper(v) exact via the mirrored run
+    scale = 0.15 * max(cost0, 1e-30)
+    for k in range(iters):
+        g = _gauge_subgradient(coeffs, hbasis)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= 1e-30:
+            break
+        step = scale / (gnorm * np.sqrt(k + 1.0))
+        coeffs = _project_gauge_constraints(coeffs - step * g, cosv, sinv, target_re, target_im)
+        upper = min(upper, _gauge_cost(coeffs, hbasis))
+    return upper
 
 
 def norm_report(
@@ -273,13 +270,14 @@ def norm_report(
     subgrad_iters: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> NormReport:
-    """All norm quantities for one element; ``h`` only when v is Hermitian."""
+    """All norm quantities for one element; ``h`` only when v is Hermitian.
+    Both order norms come from one phase curve: its even entries are the
+    curve of :func:`max_order_norm` bit for bit."""
     m = _require_member(system, v, tol)
     if la.frobenius(m) == 0.0:
         return NormReport(h=0.0, min=0.0, max_lower=0.0, max_upper=0.0, op=0.0)
-    hval = None
-    if la.is_hermitian(m, 1e-8):
-        hval = order_norm_h(system, m, tol=tol)
-    mn = min_order_norm(system, m, tol=tol)
-    lower, upper = max_order_norm(system, m, subgrad_iters=subgrad_iters, tol=tol)
-    return NormReport(h=hval, min=mn, max_lower=lower, max_upper=upper, op=la.op_norm(m))
+    hval = order_norm_h(system, m, tol=tol) if la.is_hermitian(m, 1e-8) else None
+    curve = _phase_curve(m, _RADIUS_HALF)
+    op = la.op_norm(m)
+    upper = _gauge_upper(system, m, curve[::2], subgrad_iters, op)
+    return NormReport(h=hval, min=_curve_maximum(m, curve), max_lower=op, max_upper=upper, op=op)

@@ -572,9 +572,10 @@ def verify_gamma(
       pairing with a basis thread of stage k is the basis value f_k(b);
     * level 1 order correspondence, both directions with witnesses;
     * levels 2..max_level: matrix functional threads built from PSD Choi
-      data are CP at every stage, non-PSD data fails at the deepest stage,
-      and the stage-wise trace states form a matrix order unit with a
-      uniform finite radius over the truncation.
+      data are CP at every stage, non-PSD data (redrawn while its projection
+      onto the deepest stage is CP) is certified not CP there, and the
+      stage-wise trace states form a matrix order unit with a uniform
+      finite radius over the truncation.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -629,13 +630,21 @@ def verify_gamma(
             unit_radii.append(max(stage_radii))
     report["unit_radii"] = unit_radii
 
+    def gaussian(side: int) -> np.ndarray:
+        return rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+
+    def nonpsd_verdict(g: np.ndarray):
+        choi = la.hermitian_part(g)
+        lam = la.lambda_min(choi)
+        if lam > -1e-3:
+            choi = choi - (1e-2 + abs(lam)) * np.eye(len(choi))
+        return cp_verdict(MatrixFunctional.from_choi(top, choi))
+
     cp_failures = 0
     for n in range(2, max_level + 1):
         for i in range(samples):
             side = top.d * n
-            g = rng.standard_normal((side, side)) + 1j * rng.standard_normal(
-                (side, side)
-            )
+            g = gaussian(side)
             if i % 2 == 0:
                 choi = (g @ g.conj().T) / side  # PSD: the induced map is CP
                 mf_top = MatrixFunctional.from_choi(top, choi)
@@ -643,11 +652,12 @@ def verify_gamma(
                 if not all(is_cp(mf) is True for mf in stages):
                     cp_failures += 1
             else:
-                choi = la.hermitian_part(g)
-                if la.lambda_min(choi) > -1e-3:
-                    choi = choi - (1e-2 + abs(la.lambda_min(choi))) * np.eye(side)
-                mf_top = MatrixFunctional.from_choi(top, choi)
-                if top.is_full and is_cp(mf_top) is not False:
+                # projected onto M_n(S), non-PSD data can be CP on a proper
+                # stage: redraw until it is not (a full stage never redraws)
+                verdict = nonpsd_verdict(g)
+                while verdict.status == "feasible":
+                    verdict = nonpsd_verdict(gaussian(side))
+                if verdict.status != "infeasible" or verdict.certificate is None:
                     cp_failures += 1
         # the stage-wise trace states lift to a matrix order unit
         dthread = [MatrixFunctional.diag(delta_thread.entry(k), n)

@@ -564,7 +564,7 @@ def test_kernel_radius_evidence_rechecks_by_hand(name):
                 solve = dual_module._section_sdp(s, -gm, dm, level=level)
                 assert solve.stop == "converged"
                 assert 0 < solve.iterations <= dual_module._SDP_ITERS
-                lower, upper = solve.bracket
+                lower, upper = solve.t, np.vdot(-gm, solve.x).real
                 assert abs(upper - lower) <= 1e-8 * max(1.0, abs(upper))
                 r = max(0.0, -solve.t)
                 w = r * dm - gm - solve.k

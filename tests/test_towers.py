@@ -508,6 +508,60 @@ def test_verify_gamma_detects_pairing_drift(monkeypatch):
         verify_gamma(tower, samples=2, max_level=2, rng=np.random.default_rng(11))
 
 
+def test_verify_gamma_on_a_proper_top_stage():
+    # non-PSD level-2 data on the Pauli chain's proper top stage is
+    # certified not CP (redrawn while its projection is CP)
+    tower = _pauli_chain()
+    for seed in range(3):
+        report = verify_gamma(tower, samples=10, max_level=2, rng=np.random.default_rng(seed))
+        assert report["passed"], (seed, report)
+
+
+def test_verify_gamma_refutes_non_cp_data_on_a_proper_top_stage(monkeypatch):
+    # a top-stage verdict that is not a certified "infeasible" is a failure,
+    # on a proper stage as on a full one
+    import opsys.towers as towers_module
+    from opsys.feasibility import FeasibilityVerdict
+
+    tower = _pauli_chain()
+    top = tower.stage(tower.depth)
+    exact = towers_module.cp_verdict
+
+    def undecided_on_top(mf, *args, **kwargs):
+        if mf.system is top:
+            return FeasibilityVerdict("undecided", None, 0.0)
+        return exact(mf, *args, **kwargs)
+
+    monkeypatch.setattr(towers_module, "cp_verdict", undecided_on_top)
+    report = verify_gamma(tower, samples=4, max_level=2, rng=np.random.default_rng(0))
+    assert report["passed"] is False
+    assert any("matrix-level CP failures" in f for f in report["failures"])
+
+
+def test_verify_gamma_redraws_non_psd_data_found_cp(monkeypatch):
+    # projected onto a proper top stage, non-PSD data can be CP; such a draw
+    # is no refutation and is redrawn, not counted as a failure
+    import opsys.towers as towers_module
+    from opsys.feasibility import FeasibilityVerdict
+
+    tower = _pauli_chain()
+    top = tower.stage(tower.depth)
+    exact = towers_module.cp_verdict
+    top_calls = []
+
+    def feasible_once_on_top(mf, *args, **kwargs):
+        if mf.system is top:
+            top_calls.append(mf)
+            if len(top_calls) == 1:
+                return FeasibilityVerdict("feasible", mf.riesz, 0.0)
+        return exact(mf, *args, **kwargs)
+
+    monkeypatch.setattr(towers_module, "cp_verdict", feasible_once_on_top)
+    report = verify_gamma(tower, samples=4, max_level=2, rng=np.random.default_rng(0))
+    assert report["passed"], report
+    assert len(top_calls) == 3  # two non-PSD samples, the first one redrawn
+
+
 def test_gamma_on_corner_tower(corner4):
     report = verify_gamma(corner4, samples=6, max_level=2,
                           rng=np.random.default_rng(12))
