@@ -38,19 +38,19 @@ when that evidence does not re-check.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg as la
 from ._search import check_search_bounds, smallest_passing
-from .errors import DimensionError, MembershipError, ValidationError
+from .errors import DimensionError, ValidationError
 from .feasibility import FeasibilityProblem, FeasibilityVerdict
 from .systems import (
     DEFAULT_TOL,
     OperatorSystem,
     _domination_radius,
+    _require_member,
     cone_member,
     from_blocks,
     level_of,
@@ -89,7 +89,7 @@ class MatrixFunctional:
         m = la.as_matrix(riesz)
         self.n = level_of(system, m)
         if not _canonical:
-            m = _project_level(system, m)
+            m = system.project_level(m)
         m = m.copy()
         m.flags.writeable = False
         self.riesz = m
@@ -126,9 +126,27 @@ class MatrixFunctional:
             for row in to_blocks(self.riesz, self.system.d).swapaxes(0, 1)
         )
 
+    @classmethod
+    def of_map(cls, system: OperatorSystem, images) -> "MatrixFunctional":
+        """The grid [f_ij] of the map phi: S -> M_n with phi(B_k) =
+        ``images[k]`` on the orthonormal basis, f_ij(x) = phi(x)_ij; its
+        Riesz matrix is the Choi matrix of phi.  Block (i, j) carries f_ji,
+        whose basis values are images[k][j, i]."""
+        ims = np.asarray(images)
+        values = ims.T.reshape(-1, system.dim)
+        return cls(system, system.riesz_of_values(values), _canonical=True)
+
     def pair(self, x) -> complex:
         """trace(F x) without a membership check (internal fast path)."""
         return complex(np.einsum("ij,ji->", self.riesz, la.as_matrix(x)))
+
+    def values(self, xs) -> np.ndarray:
+        """trace(F_ij x) for every d x d block F_ij of the Riesz matrix (row
+        i n + j) and every matrix x of a (k, d, d) stack, shape (n^2, k), by
+        one product: block (i, j) carries f_ji, so these are its values."""
+        n, d = self.n, self.system.d
+        blocks = self.riesz.reshape(n, d, n, d).transpose(0, 2, 3, 1).reshape(n * n, d * d)
+        return blocks @ np.asarray(xs).reshape(len(xs), -1).T
 
     # -- involution and arithmetic --------------------------------------------
 
@@ -181,13 +199,13 @@ class Functional(MatrixFunctional):
     @classmethod
     def from_values(cls, system: OperatorSystem, values) -> "Functional":
         """Functional with prescribed values on the orthonormal basis: the
-        level-1 case of :func:`_riesz_of_values`."""
+        level-1 case of :meth:`OperatorSystem.riesz_of_values`."""
         vals = np.asarray(values, dtype=complex)
         if vals.shape != (system.dim,):
             raise DimensionError(
                 f"expected {system.dim} basis values, got shape {vals.shape}"
             )
-        return cls(system, _riesz_of_values(system, vals[None]), _canonical=True)
+        return cls(system, system.riesz_of_values(vals[None]), _canonical=True)
 
     @classmethod
     def zero(cls, system: OperatorSystem) -> "Functional":
@@ -195,12 +213,7 @@ class Functional(MatrixFunctional):
 
     def eval(self, x, tol: float = DEFAULT_TOL) -> complex:
         """trace(F x) for x in S; raises MembershipError otherwise."""
-        m = la.as_matrix(x)
-        if m.shape != (self.system.d, self.system.d):
-            raise MembershipError(f"element shape {m.shape} does not match system")
-        if self.system.residual(m) > tol:
-            raise MembershipError("element is not in the system")
-        return self.pair(m)
+        return self.pair(_require_member(self.system, x, tol))
 
     def __call__(self, x, tol: float = DEFAULT_TOL) -> complex:
         return self.eval(x, tol)
@@ -363,39 +376,10 @@ def _section_sdp(
     return _SectionSolve(x, combine(np.append(y[:-1], 0.0)), float(y[-1]), it, stop, evidence)
 
 
-def _level_coords(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
-    """Coordinates of the d x d blocks of an (n d) x (n d) matrix over the
-    orthonormal basis of S, shape (n^2, dim); their norm is the Frobenius
-    norm of the orthogonal projection onto M_n(S)."""
-    d = system.d
-    return system.stack_coords(to_blocks(x, d).reshape(-1, d, d))
-
-
-def _project_level(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
-    """The blockwise orthogonal projection of an (n d) x (n d) matrix onto
-    M_n(S) (n is read off the size of x): x itself on a full algebra."""
-    if system.is_full:
-        return x
-    d, n = system.d, len(x) // system.d
-    blocks = _level_coords(system, x) @ system.basis.reshape(system.dim, -1)
-    return from_blocks(blocks.reshape(n, n, d, d))
-
-
-def _riesz_of_values(system: OperatorSystem, values: np.ndarray) -> np.ndarray:
-    """The canonical Riesz matrix of the element of M_n(S') whose block (i, j)
-    has the basis values ``values[i n + j]``: sum_k values[i n + j, k] B_k^*
-    blockwise, which reproduces the values exactly and lies in M_n(S)."""
-    n, d = math.isqrt(len(values)), system.d
-    # sum_k v_k conj(B_k) is the conjugate of sum_k conj(v_k) B_k, so the
-    # basis is not copied; entry (p, q) of B_k^* is conj(B_k)[q, p]
-    flat = (values.conj() @ system.basis.reshape(system.dim, -1)).conj()
-    return flat.reshape(n, n, d, d).transpose(0, 3, 1, 2).reshape(n * d, n * d)
-
-
 def _lift(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
     """x projected onto M_n(S)_h, shifted by the unit into M_n(S)+, at trace
     one."""
-    x = la.hermitian_part(_project_level(system, x))
+    x = la.hermitian_part(system.project_level(x))
     x = x + max(0.0, -la.lambda_min(x)) * np.eye(len(x))
     return x / np.trace(x).real
 
@@ -420,7 +404,7 @@ def _lower_bound(system: OperatorSystem, c: np.ndarray, w: np.ndarray) -> float:
     blockwise projection onto M_n(S).  For X in the section,
     <C, X> = <W, X> - <P(W - C), X> >= lambda_min(W) - ||P(W - C)|| ||X||_F,
     and ||X||_F <= trace X = 1."""
-    return la.lambda_min(w) - float(np.linalg.norm(_level_coords(system, w - c)))
+    return la.lambda_min(w) - float(np.linalg.norm(system.level_coords(w - c)))
 
 
 def _refutes(f: Functional, z: np.ndarray, tol: float) -> bool:

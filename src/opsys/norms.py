@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .errors import HermitianError, MembershipError
-from .systems import DEFAULT_TOL, OperatorSystem
+from .errors import HermitianError
+from .systems import DEFAULT_TOL, OperatorSystem, _require_member
 
 __all__ = [
     "NormReport",
@@ -50,18 +50,6 @@ _RADIUS_HALF = 128
 _REFINE_POINTS = 8
 _REFINE_LEVELS = 14
 _GAUGE_PHASES = 64
-
-
-def _require_member(system: OperatorSystem, v, tol: float) -> np.ndarray:
-    m = la.as_matrix(v)
-    if m.shape != (system.d, system.d):
-        raise MembershipError(
-            f"element of shape {m.shape} for a system in M_{system.d}"
-        )
-    res = system.residual(m)
-    if res > tol:
-        raise MembershipError(f"element is not in the system (residual {res:.3e})")
-    return m
 
 
 @dataclass

@@ -10,13 +10,20 @@ block convention is used for Choi matrices in the dual module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg as la
 from ._search import check_search_bounds, smallest_passing
-from .errors import DimensionError, HermitianError, ParseError, ValidationError
+from .errors import (
+    DimensionError,
+    HermitianError,
+    MembershipError,
+    ParseError,
+    ValidationError,
+)
 
 __all__ = [
     "OperatorSystem",
@@ -89,6 +96,10 @@ class OperatorSystem:
 
     @property
     def is_full(self) -> bool:
+        """True on the full algebra M_d, whose orthonormal basis spans every
+        matrix: there the projection onto the system, at every level, is the
+        identity, so :meth:`residuals` and :meth:`project_level` skip their
+        basis products."""
         return self.dim == self.d * self.d
 
     def __repr__(self):  # pragma: no cover - debugging aid
@@ -107,21 +118,21 @@ class OperatorSystem:
         c = np.asarray(c, dtype=complex)
         return (c @ self.basis.reshape(self.dim, -1)).reshape(self.d, self.d)
 
-    def stack_coords(self, xs) -> np.ndarray:
-        """Coordinates of every matrix of a (k, d, d) stack, shape (k, dim),
-        by one matrix product."""
+    def _stack(self, xs) -> np.ndarray:
         m = np.asarray(xs, dtype=complex)
         if m.ndim != 3 or m.shape[1:] != (self.d, self.d):
             raise DimensionError(
                 f"expected a stack of {self.d}x{self.d} matrices, got {m.shape}"
             )
+        return m
+
+    def stack_coords(self, xs) -> np.ndarray:
+        """Coordinates of every matrix of a (k, d, d) stack, shape (k, dim),
+        by one matrix product."""
+        m = self._stack(xs)
         flat = m.reshape(len(m), -1)
         # X B^H is formed as the conjugate of B X^H, so the basis is not copied
         return (self.basis.reshape(self.dim, -1) @ flat.conj().T).conj().T
-
-    def project(self, x) -> np.ndarray:
-        """Orthogonal projection of a d x d matrix onto the system."""
-        return self.from_coords(self.coords(x))
 
     def residual(self, x) -> float:
         """Frobenius distance from a d x d matrix to the system."""
@@ -129,14 +140,46 @@ class OperatorSystem:
 
     def residuals(self, xs) -> np.ndarray:
         """Frobenius distances to the system of every matrix of a (k, d, d)
-        stack, shape (k,), by two matrix products."""
-        m = np.asarray(xs, dtype=complex)
-        coords = self.stack_coords(m)
+        stack, shape (k,), by two matrix products (zero on a full algebra)."""
+        m = self._stack(xs)
+        if self.is_full:
+            return np.zeros(len(m))
         flat = m.reshape(len(m), -1)
-        return np.linalg.norm(flat - coords @ self.basis.reshape(self.dim, -1), axis=1)
+        return np.linalg.norm(flat - self.stack_coords(m) @ self.basis.reshape(self.dim, -1),
+                              axis=1)
 
-    def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        return self.residual(x) <= tol
+    def level_coords(self, x) -> np.ndarray:
+        """Coordinates of the d x d blocks of an (n d) x (n d) matrix, block
+        (i, j) in row i n + j, shape (n^2, dim); their norm is the Frobenius
+        norm of the orthogonal projection onto M_n(S)."""
+        return self.stack_coords(to_blocks(x, self.d).reshape(-1, self.d, self.d))
+
+    def project_level(self, x) -> np.ndarray:
+        """The blockwise orthogonal projection of an (n d) x (n d) matrix onto
+        M_n(S) (n is read off the size of x): x itself on a full algebra."""
+        if self.is_full:
+            return x
+        d, n = self.d, len(x) // self.d
+        blocks = self.level_coords(x) @ self.basis.reshape(self.dim, -1)
+        return from_blocks(blocks.reshape(n, n, d, d))
+
+    def riesz_of_values(self, values) -> np.ndarray:
+        """The adjoint of the coordinate map: the (n d) x (n d) matrix R in
+        M_n(S) whose block (i, j) has the basis values trace(R_ij B_k) =
+        ``values[i n + j, k]``, that is sum_k values[i n + j, k] B_k^*."""
+        n, d = math.isqrt(len(values)), self.d
+        # sum_k v_k conj(B_k) is the conjugate of sum_k conj(v_k) B_k, so the
+        # basis is not copied; entry (p, q) of B_k^* is conj(B_k)[q, p]
+        flat = (np.conj(values) @ self.basis.reshape(self.dim, -1)).conj()
+        return flat.reshape(n, n, d, d).transpose(0, 3, 1, 2).reshape(n * d, n * d)
+
+    def level_values(self, x) -> np.ndarray:
+        """trace(x_ij B_k) for every d x d block x_ij of an (n d) x (n d)
+        matrix, block (i, j) in row i n + j: the values that
+        :meth:`riesz_of_values` turns back into x on M_n(S), read as the
+        conjugate coordinates of the blocks' adjoints."""
+        blocks = to_blocks(x, self.d).reshape(-1, self.d, self.d)
+        return self.stack_coords(blocks.conj().swapaxes(1, 2)).conj()
 
     @property
     def hermitian_basis(self) -> np.ndarray:
@@ -182,10 +225,6 @@ class OperatorSystem:
         """Real coordinates of a Hermitian element over the Hermitian basis."""
         m = la.as_matrix(x)
         return np.real(self.hermitian_basis.reshape(self.dim, -1) @ m.reshape(-1).conj())
-
-    def from_hermitian_coords(self, c) -> np.ndarray:
-        c = np.asarray(c, dtype=float)
-        return (c @ self.hermitian_basis.reshape(self.dim, -1)).reshape(self.d, self.d)
 
     # -- validation ----------------------------------------------------------
 
@@ -340,6 +379,18 @@ def from_blocks(blocks) -> np.ndarray:
     return b.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
+def _require_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """x as a d x d matrix, once it is checked to lie in the system; raises
+    MembershipError otherwise."""
+    m = la.as_matrix(x)
+    if m.shape != (system.d, system.d):
+        raise MembershipError(f"element of shape {m.shape} for a system in M_{system.d}")
+    res = system.residual(m)
+    if res > tol:
+        raise MembershipError(f"element is not in the system (residual {res:.3e})")
+    return m
+
+
 def subspace_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> bool:
     """True iff every grid entry of ``x`` projects onto the system within ``tol``."""
     blocks = to_blocks(x, system.d).reshape(-1, system.d, system.d)
@@ -431,7 +482,7 @@ def _kernel_counterexample(system, e, tol):
         if w[k] > 1e-7:
             break
         psi = u[:, k]
-        h = la.hermitian_part(system.project(np.outer(psi, psi.conj())))
+        h = la.hermitian_part(system.project_level(np.outer(psi, psi.conj())))
         gain = float(np.real(psi.conj() @ h @ psi))
         if gain > 1e-7:
             return h

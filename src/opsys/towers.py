@@ -25,7 +25,6 @@ from . import linalg as la
 from .dual import (
     Functional,
     MatrixFunctional,
-    _riesz_of_values,
     cp_verdict,
     dual_order_unit_radius,
     faithful_state,
@@ -131,7 +130,7 @@ class Embedding:
         f_ij(images[k]), all of them by one product against the images."""
         if f.system is not self.target:
             raise ValidationError("functional does not live on the embedding's target")
-        riesz = _riesz_of_values(self.source, _pair_stack(f, self.images))
+        riesz = self.source.riesz_of_values(f.values(self.images))
         return type(f)(self.source, riesz, _canonical=True)
 
 
@@ -139,12 +138,8 @@ def _check_cp(idx: int, emb: Embedding) -> None:
     """Certify embedding ``idx`` CP or raise ValidationError.  By Choi-Effros
     phi: S -> M_n is CP exactly when its grid f_ij(x) = phi(x)_ij is positive
     in M_n(S'); :func:`cp_verdict` decides that by one eigensolve (full
-    source) or one section kernel solve.  f_ij has the basis values
-    images[k]_ij, and block (i, j) of the grid's Riesz matrix carries f_ji."""
-    src, n = emb.source, emb.target.d
-    grid = MatrixFunctional(src, _riesz_of_values(src, emb.images.T.reshape(n * n, -1)),
-                            _canonical=True)
-    status = cp_verdict(grid).status
+    source) or one section kernel solve."""
+    status = cp_verdict(MatrixFunctional.of_map(emb.source, emb.images)).status
     if status == "undecided":
         raise ValidationError(
             f"complete positivity of embedding {idx} could not be certified"
@@ -301,14 +296,6 @@ def make_tower(spec) -> Tower:
 # Threads
 # ----------------------------------------------------------------------------
 
-def _pair_stack(f: MatrixFunctional, xs: np.ndarray) -> np.ndarray:
-    """trace(F_ij x) for every block F_ij of the Riesz matrix of f (row
-    i n + j) and every matrix x of a (k, d, d) stack, by one product."""
-    n, d = f.n, xs.shape[-1]
-    blocks = f.riesz.reshape(n, d, n, d).transpose(0, 2, 3, 1).reshape(n * n, d * d)
-    return blocks @ xs.reshape(len(xs), -1).T
-
-
 @dataclass
 class ElementThread:
     """Inductive-limit representative: x at base stage k plus images up to K."""
@@ -358,8 +345,8 @@ class FunctionalThread:
         """f_{k+1} o phi_k = f_k entrywise on the basis of each stage k < K."""
         for k in range(1, self.tower.depth):
             emb = self.tower.embeddings[k - 1]
-            lhs = _pair_stack(self.entries[k], emb.images)
-            rhs = _pair_stack(self.entries[k - 1], emb.source.basis)
+            lhs = self.entries[k].values(emb.images)
+            rhs = emb.source.level_values(self.entries[k - 1].riesz)
             if np.any(np.abs(lhs - rhs) > tol * np.maximum(1.0, np.abs(rhs))):
                 raise InconsistentThreadError(
                     f"adjoint compatibility broken at stage {k}"
@@ -585,7 +572,7 @@ def verify_gamma(
 
     def max_basis_pairing(f: FunctionalThread) -> float:
         f.check_compatibility()
-        return max(float(np.abs(_pair_stack(g, s.basis)).max())
+        return max(float(np.abs(s.level_values(g.riesz)).max())
                    for g, s in zip(f.entries, t.systems))
 
     zero = pullback_thread(t, Functional.zero(top))

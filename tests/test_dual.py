@@ -76,7 +76,7 @@ def test_canonical_riesz_agrees_on_basis():
     for b in s.basis:
         assert abs(f(b) - np.trace(raw @ b)) <= 1e-12
     # canonical matrix lies in the span and is unique
-    assert s.contains(f.riesz, 1e-10)
+    assert subspace_member(s, f.riesz, 1e-10)
 
 
 def test_from_values_matches_basis_sum():
@@ -90,6 +90,54 @@ def test_from_values_matches_basis_sum():
 
 
 # -- positivity -------------------------------------------------------------------
+
+def _seam_systems():
+    return [named_system("pauli-span"), named_system("toeplitz:3"),
+            random_system(np.random.default_rng(22), d=4)]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_level_projection_is_least_squares_onto_level_hermitian_span(level):
+    # M_n(S) is the complex span of the real basis of M_n(S)_h
+    rng = np.random.default_rng(23)
+    for s in _seam_systems():
+        side = level * s.d
+        span = level_hermitian_basis(s, level).reshape(-1, side * side).T
+        for _ in range(2):
+            x = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+            c = np.linalg.lstsq(span, x.reshape(-1), rcond=None)[0]
+            want = (span @ c).reshape(side, side)
+            assert np.abs(s.project_level(x) - want).max() <= 1e-12
+            assert subspace_member(s, s.project_level(x), 1e-12)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_riesz_of_values_reproduces_its_basis_values(level):
+    # the adjoint of the coordinate map, read back by the element's values
+    # on the basis and by the system's own basis pairing
+    rng = np.random.default_rng(24)
+    for s in _seam_systems():
+        vals = (rng.standard_normal((level * level, s.dim))
+                + 1j * rng.standard_normal((level * level, s.dim)))
+        riesz = s.riesz_of_values(vals)
+        assert np.abs(s.project_level(riesz) - riesz).max() <= 1e-12
+        mf = MatrixFunctional(s, riesz)
+        assert mf.n == level
+        assert np.abs(mf.values(s.basis) - vals).max() <= 1e-12
+        assert np.abs(s.level_values(mf.riesz) - vals).max() <= 1e-12
+
+
+def test_of_map_grid_entries_are_the_map_entries():
+    # f_ij(x) = phi(x)_ij on the basis, for a map S -> M_3 given by images
+    rng = np.random.default_rng(25)
+    for s in _seam_systems():
+        images = rng.standard_normal((s.dim, 3, 3)) + 1j * rng.standard_normal((s.dim, 3, 3))
+        grid = MatrixFunctional.of_map(s, images).grid
+        for i in range(3):
+            for j in range(3):
+                got = [grid[i][j](b) for b in s.basis]
+                assert np.abs(np.array(got) - images[:, i, j]).max() <= 1e-12
+
 
 def test_trace_positive():
     s = named_system("full:3")
@@ -138,7 +186,7 @@ def test_positivity_dual_cone_sampling():
             val, witness = positivity_minimum(f)
             assert val < -1e-8
             assert la.lambda_min(witness) >= -1e-8
-            assert s.contains(witness, 1e-8)
+            assert subspace_member(s, witness, 1e-8)
 
 
 @pytest.mark.parametrize("name", ["pauli-span", "toeplitz:3"])
@@ -953,7 +1001,7 @@ def test_paulsen_e12_dimensions():
     block[:2, :2] = 1.5 * np.eye(2)
     block[2:, 2:] = 0.5 * np.eye(2)
     block[0, 3] = 2.0  # X = 2 E12 in the top-right slot
-    assert s.contains(block, 1e-9)
+    assert subspace_member(s, block, 1e-9)
     assert tr(block) == pytest.approx(2.0)
 
 

@@ -5,6 +5,7 @@ from opsys import linalg as la
 from opsys.errors import DimensionError, HermitianError, ValidationError
 from opsys.norms import max_order_norm
 from opsys.systems import (
+    OperatorSystem,
     cone_member,
     from_blocks,
     is_matrix_order_unit,
@@ -30,20 +31,20 @@ E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 def test_generated_by_pauli_x():
     s = make_operator_system([PAULI_X], 2)
     assert s.dim == 2
-    assert s.contains(np.eye(2)) and s.contains(PAULI_X)
+    assert subspace_member(s, np.eye(2)) and subspace_member(s, PAULI_X)
 
 
 def test_adjoint_closure_forced():
     s = make_operator_system([E12], 2)
     assert s.dim == 3
     for m in (np.eye(2), E12, E12.conj().T):
-        assert s.contains(m)
+        assert subspace_member(s, m)
 
 
 def test_empty_generators_scalar_system():
     s = make_operator_system([], 3)
     assert s.dim == 1
-    assert s.contains(np.eye(3))
+    assert subspace_member(s, np.eye(3))
 
 
 def test_generator_dimension_mismatch():
@@ -201,7 +202,7 @@ def test_json_roundtrip():
     s2 = system_from_json(system_to_json(s))
     assert s2.d == s.d and s2.dim == s.dim
     for b in s.basis:
-        assert s2.contains(b)
+        assert subspace_member(s2, b)
 
 
 # -- level elements -----------------------------------------------------------
@@ -218,7 +219,7 @@ def test_residuals_match_per_matrix_projection():
     for s in (named_system("toeplitz:4"), named_system("full:3"), random_system(rng)):
         xs = np.stack([random_element(s, rng) for _ in range(3)]
                       + [rng.standard_normal((s.d, s.d)) for _ in range(3)])
-        want = [la.frobenius(x - s.project(x)) for x in xs]
+        want = [la.frobenius(x - s.from_coords(s.coords(x))) for x in xs]
         assert np.abs(s.residuals(xs) - want).max() <= 1e-13
         assert np.abs(s.stack_coords(xs) - [s.coords(x) for x in xs]).max() <= 1e-13
 
@@ -237,11 +238,32 @@ def test_coordinate_maps_match_einsum_formulas(name):
             want_c = np.einsum("kij,ij->k", b.conj(), x)
             assert np.abs(s.coords(x) - want_c).max() <= 1e-13
             assert np.abs(s.from_coords(c) - np.einsum("k,kij->ij", c, b)).max() <= 1e-13
-            assert np.abs(s.project(x) - np.einsum("k,kij->ij", want_c, b)).max() <= 1e-13
+            assert np.abs(s.project_level(x) - np.einsum("k,kij->ij", want_c, b)).max() <= 1e-13
             want_h = np.real(np.einsum("kij,ij->k", hb.conj(), h))
             assert np.abs(s.hermitian_coords(h) - want_h).max() <= 1e-13
-            want_fh = np.einsum("k,kij->ij", r, hb)
-            assert np.abs(s.from_hermitian_coords(r) - want_fh).max() <= 1e-13
+            # hermitian_coords inverts the real combination of the Hermitian basis
+            assert np.abs(s.hermitian_coords(np.einsum("k,kij->ij", r, hb)) - r).max() <= 1e-13
+
+
+def test_full_algebra_skips_the_basis_products(monkeypatch):
+    # a full algebra projects by the identity: its memberships answer
+    # without one coordinate product
+    s = named_system("full:8")
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+
+    def no_product(self, xs):
+        raise AssertionError("basis product on a full algebra")
+
+    monkeypatch.setattr(OperatorSystem, "stack_coords", no_product)
+    assert np.array_equal(s.residuals(np.stack([x, x.T])), np.zeros(2))
+    assert subspace_member(s, np.kron(np.eye(3), x))
+    h = la.hermitian_part(x)
+    shift = abs(la.lambda_min(h)) + 0.5
+    assert cone_member(s, h + shift * np.eye(8))
+    assert not cone_member(s, np.kron(np.eye(2), h - shift * np.eye(8)))
+    with pytest.raises(DimensionError):
+        s.residuals(np.zeros((2, 4, 4)))
 
 
 def test_subspace_member():
