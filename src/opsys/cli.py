@@ -89,6 +89,10 @@ def _load_system(spec: str):
     return named_system(spec)
 
 
+def _load_tower(spec: str):
+    return make_tower(_load_json_file(spec) if os.path.exists(spec) else spec)
+
+
 def _load_matrix(path: str) -> np.ndarray:
     return la.decode_matrix(_load_json_file(path))
 
@@ -312,9 +316,7 @@ def _cmd_dual(args) -> tuple[list[Check], dict]:
 
 def _cmd_tower(args) -> tuple[list[Check], dict]:
     if args.tower_cmd == "build":
-        spec = args.spec
-        tower_spec = _load_json_file(spec) if os.path.exists(spec) else spec
-        tower = make_tower(tower_spec)
+        tower = _load_tower(args.spec)
         checks = [Check(
             name="tower/build",
             op="towers.make_tower",
@@ -325,8 +327,7 @@ def _cmd_tower(args) -> tuple[list[Check], dict]:
         )]
         return checks, {"spec": args.spec}
     spec = args.spec or f"matrix-doubling:{args.depth}"
-    tower_spec = _load_json_file(spec) if os.path.exists(spec) else spec
-    tower = make_tower(tower_spec)
+    tower = _load_tower(spec)
     rng = np.random.default_rng(args.seed)
     cones = verify_dual_cones(tower, samples=args.samples, rng=rng)
     gamma = verify_gamma(tower, samples=min(args.samples, 30),

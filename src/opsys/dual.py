@@ -8,7 +8,8 @@ the level-1 case.  F is determined only up to M_n(S)^perp, so it is
 canonicalized by the blockwise projection onto M_n(S) (the span is
 adjoint-closed, which makes the projection of any valid representative
 land on the same matrix).  Equality of dual elements is then equality of
-canonical matrices.
+canonical matrices.  The projection and the adjoint that reads off F are
+:class:`OperatorSystem`'s; this module owns the block convention.
 
 Positivity of f over a proper subsystem has no closed form.  By Krein
 extension (Choi-Effros) f >= 0 on S exactly when some PSD W on C^d agrees
@@ -128,12 +129,10 @@ class MatrixFunctional:
 
     @classmethod
     def of_map(cls, system: OperatorSystem, images) -> "MatrixFunctional":
-        """The grid [f_ij] of the map phi: S -> M_n with phi(B_k) =
-        ``images[k]`` on the orthonormal basis, f_ij(x) = phi(x)_ij; its
-        Riesz matrix is the Choi matrix of phi.  Block (i, j) carries f_ji,
-        whose basis values are images[k][j, i]."""
-        ims = np.asarray(images)
-        values = ims.T.reshape(-1, system.dim)
+        """The grid f_ij(x) = phi(x)_ij of phi: S -> M_n with phi(B_k) =
+        ``images[k]``, whose Riesz matrix is the Choi matrix of phi: block
+        (i, j) carries f_ji, with the basis values images[k][j, i]."""
+        values = np.asarray(images).T.reshape(-1, system.dim)
         return cls(system, system.riesz_of_values(values), _canonical=True)
 
     def pair(self, x) -> complex:
@@ -141,9 +140,8 @@ class MatrixFunctional:
         return complex(np.einsum("ij,ji->", self.riesz, la.as_matrix(x)))
 
     def values(self, xs) -> np.ndarray:
-        """trace(F_ij x) for every d x d block F_ij of the Riesz matrix (row
-        i n + j) and every matrix x of a (k, d, d) stack, shape (n^2, k), by
-        one product: block (i, j) carries f_ji, so these are its values."""
+        """trace(F_ij x), the values of f_ji, for every block F_ij of F (row
+        i n + j) and every x of a (k, d, d) stack, by one product."""
         n, d = self.n, self.system.d
         blocks = self.riesz.reshape(n, d, n, d).transpose(0, 2, 3, 1).reshape(n * n, d * d)
         return blocks @ np.asarray(xs).reshape(len(xs), -1).T
@@ -215,8 +213,7 @@ class Functional(MatrixFunctional):
         """trace(F x) for x in S; raises MembershipError otherwise."""
         return self.pair(_require_member(self.system, x, tol))
 
-    def __call__(self, x, tol: float = DEFAULT_TOL) -> complex:
-        return self.eval(x, tol)
+    __call__ = eval
 
     @property
     def norm(self) -> float:

@@ -130,10 +130,11 @@ def project_psd(h) -> np.ndarray:
 
 
 def op_norm(a) -> float:
-    """Operator (spectral) norm: sqrt of the largest eigenvalue of A*A."""
-    m = as_matrix(a)
-    gram = m.conj().T @ m
-    top = lambda_max(gram)
+    """Operator norm of a square matrix: sqrt of the larger of lambda_max(A*A)
+    and lambda_max(AA*), in one eigensolve, so op_norm(A*) = op_norm(A) exactly."""
+    m = _require_square(a, "op_norm")
+    grams = np.stack([hermitian_part(m.conj().T @ m), hermitian_part(m @ m.conj().T)])
+    top = np.linalg.eigvalsh(grams)[:, -1].max()
     return float(np.sqrt(max(top, 0.0)))
 
 

@@ -144,21 +144,21 @@ def min_order_norm(system: OperatorSystem, v, *, tol: float = DEFAULT_TOL) -> fl
 
 def _gauge_cost(coeffs: np.ndarray, hbasis: np.ndarray) -> float:
     # h_j = sum_a c_{ja} H_a for every phase slot j
-    mats = np.einsum("ja,axy->jxy", coeffs, hbasis, optimize=True)
-    w = np.linalg.eigvalsh(mats)
+    d = hbasis.shape[-1]
+    w = np.linalg.eigvalsh((coeffs @ hbasis.reshape(len(hbasis), -1)).reshape(-1, d, d))
     return float(np.abs(w).max(axis=1).sum())
 
 
 def _gauge_subgradient(coeffs: np.ndarray, hbasis: np.ndarray) -> np.ndarray:
-    mats = np.einsum("ja,axy->jxy", coeffs, hbasis, optimize=True)
-    w, u = np.linalg.eigh(mats)
+    dim, d = hbasis.shape[:2]
+    w, u = np.linalg.eigh((coeffs @ hbasis.reshape(dim, -1)).reshape(-1, d, d))
     top, bot = w[:, -1], w[:, 0]
     use_top = top >= -bot
     signs = np.where(use_top, 1.0, -1.0)
     psis = np.where(use_top[:, None], u[:, :, -1], u[:, :, 0])
-    grads = signs[:, None] * np.real(
-        np.einsum("ji,aik,jk->ja", psis.conj(), hbasis, psis, optimize=True)
-    )
+    # <psi_j, H_a psi_j>: every H_a psi_j by one product, then weighted by psi_j*
+    hpsi = (hbasis.reshape(-1, d) @ psis.T).reshape(dim, d, -1)
+    grads = signs[:, None] * np.real((psis.T.conj()[None] * hpsi).sum(axis=1)).T
     active = np.maximum.reduce([top, -bot, np.zeros_like(top)]) > 0.0
     return grads * active[:, None]
 

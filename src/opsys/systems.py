@@ -6,6 +6,9 @@ are handled as flattened (n*d) x (n*d) arrays; block (i, j) of a level
 element occupies rows [i*d, (i+1)*d) and columns [j*d, (j+1)*d), i.e. the
 flattened form of a grid ``g`` is ``sum_ij E_ij (x) g[i][j]``.  The same
 block convention is used for Choi matrices in the dual module.
+
+:class:`OperatorSystem` owns every map between M_n(S) and basis coordinates:
+blockwise coordinates and projection, and the adjoint to Riesz matrices.
 """
 
 from __future__ import annotations
@@ -17,13 +20,7 @@ import numpy as np
 
 from . import linalg as la
 from ._search import check_search_bounds, smallest_passing
-from .errors import (
-    DimensionError,
-    HermitianError,
-    MembershipError,
-    ParseError,
-    ValidationError,
-)
+from .errors import DimensionError, HermitianError, MembershipError, ParseError, ValidationError
 
 __all__ = [
     "OperatorSystem",
@@ -96,10 +93,8 @@ class OperatorSystem:
 
     @property
     def is_full(self) -> bool:
-        """True on the full algebra M_d, whose orthonormal basis spans every
-        matrix: there the projection onto the system, at every level, is the
-        identity, so :meth:`residuals` and :meth:`project_level` skip their
-        basis products."""
+        """True on the full algebra M_d, whose projection is the identity at
+        every level: :meth:`residuals` and :meth:`project_level` skip it."""
         return self.dim == self.d * self.d
 
     def __repr__(self):  # pragma: no cover - debugging aid
@@ -121,9 +116,7 @@ class OperatorSystem:
     def _stack(self, xs) -> np.ndarray:
         m = np.asarray(xs, dtype=complex)
         if m.ndim != 3 or m.shape[1:] != (self.d, self.d):
-            raise DimensionError(
-                f"expected a stack of {self.d}x{self.d} matrices, got {m.shape}"
-            )
+            raise DimensionError(f"expected a stack of {self.d}x{self.d} matrices, got {m.shape}")
         return m
 
     def stack_coords(self, xs) -> np.ndarray:
@@ -144,14 +137,13 @@ class OperatorSystem:
         m = self._stack(xs)
         if self.is_full:
             return np.zeros(len(m))
+        coords = self.stack_coords(m)
         flat = m.reshape(len(m), -1)
-        return np.linalg.norm(flat - self.stack_coords(m) @ self.basis.reshape(self.dim, -1),
-                              axis=1)
+        return np.linalg.norm(flat - coords @ self.basis.reshape(self.dim, -1), axis=1)
 
     def level_coords(self, x) -> np.ndarray:
-        """Coordinates of the d x d blocks of an (n d) x (n d) matrix, block
-        (i, j) in row i n + j, shape (n^2, dim); their norm is the Frobenius
-        norm of the orthogonal projection onto M_n(S)."""
+        """Coordinates of the blocks of an (n d) x (n d) matrix, row i n + j:
+        their norm is that of its orthogonal projection onto M_n(S)."""
         return self.stack_coords(to_blocks(x, self.d).reshape(-1, self.d, self.d))
 
     def project_level(self, x) -> np.ndarray:
@@ -164,9 +156,8 @@ class OperatorSystem:
         return from_blocks(blocks.reshape(n, n, d, d))
 
     def riesz_of_values(self, values) -> np.ndarray:
-        """The adjoint of the coordinate map: the (n d) x (n d) matrix R in
-        M_n(S) whose block (i, j) has the basis values trace(R_ij B_k) =
-        ``values[i n + j, k]``, that is sum_k values[i n + j, k] B_k^*."""
+        """The adjoint of the coordinate map: R in M_n(S) with trace(R_ij B_k) =
+        ``values[i n + j, k]``, blockwise sum_k values[i n + j, k] B_k^*."""
         n, d = math.isqrt(len(values)), self.d
         # sum_k v_k conj(B_k) is the conjugate of sum_k conj(v_k) B_k, so the
         # basis is not copied; entry (p, q) of B_k^* is conj(B_k)[q, p]
@@ -174,10 +165,8 @@ class OperatorSystem:
         return flat.reshape(n, n, d, d).transpose(0, 3, 1, 2).reshape(n * d, n * d)
 
     def level_values(self, x) -> np.ndarray:
-        """trace(x_ij B_k) for every d x d block x_ij of an (n d) x (n d)
-        matrix, block (i, j) in row i n + j: the values that
-        :meth:`riesz_of_values` turns back into x on M_n(S), read as the
-        conjugate coordinates of the blocks' adjoints."""
+        """trace(x_ij B_k), the conjugate coordinates of x_ij^*, for every block
+        x_ij (row i n + j); :meth:`riesz_of_values` inverts them on M_n(S)."""
         blocks = to_blocks(x, self.d).reshape(-1, self.d, self.d)
         return self.stack_coords(blocks.conj().swapaxes(1, 2)).conj()
 

@@ -12,7 +12,8 @@ level, and the duality pairing is the stage evaluation, which is constant
 along a valid thread.  Convergence content of the untruncated limits shows
 up here as monotone norm sequences and per-stage cone membership.
 
-Stage indices are 1-based throughout the public API.
+Stage indices are 1-based throughout the public API.  Basis coordinates
+are :class:`OperatorSystem`'s, Riesz blocks :class:`MatrixFunctional`'s.
 """
 
 from __future__ import annotations
