@@ -81,6 +81,11 @@ def order_norm_h(system: OperatorSystem, v, *, tol: float = DEFAULT_TOL) -> floa
     m = _require_member(system, v, tol)
     if not la.is_hermitian(m, 1e-8):
         raise HermitianError("order_norm_h is defined on Hermitian elements only")
+    return _spectral_radius(m)
+
+
+def _spectral_radius(m: np.ndarray) -> float:
+    """max |eigenvalue| of a checked Hermitian element."""
     w = la.eigenvalues_desc(m)
     return float(max(w[0], -w[-1], 0.0))
 
@@ -264,7 +269,7 @@ def norm_report(
     m = _require_member(system, v, tol)
     if la.frobenius(m) == 0.0:
         return NormReport(h=0.0, min=0.0, max_lower=0.0, max_upper=0.0, op=0.0)
-    hval = order_norm_h(system, m, tol=tol) if la.is_hermitian(m, 1e-8) else None
+    hval = _spectral_radius(m) if la.is_hermitian(m, 1e-8) else None
     curve = _phase_curve(m, _RADIUS_HALF)
     op = la.op_norm(m)
     upper = _gauge_upper(system, m, curve[::2], subgrad_iters, op)

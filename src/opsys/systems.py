@@ -60,7 +60,8 @@ class OperatorSystem:
     """An adjoint-closed unital subspace of M_d with an orthonormal basis.
 
     ``basis`` is a read-only array of shape (dim, d, d); a complex array
-    passed in is kept, not copied, and made read-only.  Immutable after
+    passed in is kept, not copied, and made read-only (``full:d`` builds
+    its basis only on demand, see :func:`named_system`).  Immutable after
     construction; all operations on it are pure functions, so instances are
     safe to share across threads.
     """
@@ -69,14 +70,14 @@ class OperatorSystem:
         if d < 1:
             raise DimensionError(f"ambient dimension must be positive, got {d}")
         self.d = int(d)
-        self.basis = np.asarray(basis, dtype=complex)
-        if self.basis.ndim != 3 or self.basis.shape[1:] != (d, d):
-            raise DimensionError(
-                f"basis of shape {self.basis.shape} in ambient M_{d}"
-            )
-        if not len(self.basis):
+        b = np.asarray(basis, dtype=complex)
+        if b.ndim != 3 or b.shape[1:] != (d, d):
+            raise DimensionError(f"basis of shape {b.shape} in ambient M_{d}")
+        if not len(b):
             raise ValidationError("a system needs at least one basis element")
-        self.basis.flags.writeable = False
+        b.flags.writeable = False
+        self._basis: np.ndarray | None = b
+        self.dim = len(b)
         self.name = name
         self._hermitian_basis: np.ndarray | None = None
         self._complement_basis: np.ndarray | None = None
@@ -84,8 +85,8 @@ class OperatorSystem:
     # -- structure -----------------------------------------------------------
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def basis(self) -> np.ndarray:
+        return self._basis
 
     @property
     def unit(self) -> np.ndarray:
@@ -104,14 +105,16 @@ class OperatorSystem:
     # -- coordinates ---------------------------------------------------------
 
     def coords(self, x) -> np.ndarray:
-        """Complex coordinates <B_i, x> with respect to the orthonormal basis,
-        by one matrix product (conjugating x, not the basis)."""
-        m = la.as_matrix(x)
-        return (self.basis.reshape(self.dim, -1) @ m.reshape(-1).conj()).conj()
+        """Complex coordinates <B_i, x> with respect to the orthonormal basis."""
+        return self.stack_coords(la.as_matrix(x)[None])[0]
 
     def from_coords(self, c) -> np.ndarray:
-        c = np.asarray(c, dtype=complex)
-        return (c @ self.basis.reshape(self.dim, -1)).reshape(self.d, self.d)
+        return self._combine(np.asarray(c, dtype=complex)[None])[0]
+
+    def _combine(self, coords: np.ndarray) -> np.ndarray:
+        """sum_k c_k B_k for every row c of a (k, dim) array, shape (k, d, d),
+        by one matrix product."""
+        return (coords @ self.basis.reshape(self.dim, -1)).reshape(-1, self.d, self.d)
 
     def _stack(self, xs) -> np.ndarray:
         m = np.asarray(xs, dtype=complex)
@@ -137,9 +140,8 @@ class OperatorSystem:
         m = self._stack(xs)
         if self.is_full:
             return np.zeros(len(m))
-        coords = self.stack_coords(m)
-        flat = m.reshape(len(m), -1)
-        return np.linalg.norm(flat - coords @ self.basis.reshape(self.dim, -1), axis=1)
+        off = m - self._combine(self.stack_coords(m))
+        return np.linalg.norm(off.reshape(len(m), -1), axis=1)
 
     def level_coords(self, x) -> np.ndarray:
         """Coordinates of the blocks of an (n d) x (n d) matrix, row i n + j:
@@ -152,8 +154,7 @@ class OperatorSystem:
         if self.is_full:
             return x
         d, n = self.d, len(x) // self.d
-        blocks = self.level_coords(x) @ self.basis.reshape(self.dim, -1)
-        return from_blocks(blocks.reshape(n, n, d, d))
+        return from_blocks(self._combine(self.level_coords(x)).reshape(n, n, d, d))
 
     def riesz_of_values(self, values) -> np.ndarray:
         """The adjoint of the coordinate map: R in M_n(S) with trace(R_ij B_k) =
@@ -161,7 +162,7 @@ class OperatorSystem:
         n, d = math.isqrt(len(values)), self.d
         # sum_k v_k conj(B_k) is the conjugate of sum_k conj(v_k) B_k, so the
         # basis is not copied; entry (p, q) of B_k^* is conj(B_k)[q, p]
-        flat = (np.conj(values) @ self.basis.reshape(self.dim, -1)).conj()
+        flat = self._combine(np.conj(values)).conj()
         return flat.reshape(n, n, d, d).transpose(0, 3, 1, 2).reshape(n * d, n * d)
 
     def level_values(self, x) -> np.ndarray:
@@ -251,27 +252,81 @@ def make_operator_system(generators, d: int, *, name: str | None = None) -> Oper
 # Named systems and the JSON wire format
 # ----------------------------------------------------------------------------
 
-def _full_basis(d: int) -> np.ndarray:
-    """The basis Gram-Schmidt gives M_d from the matrix units, in closed form.
+def _full_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the basis Gram-Schmidt gives M_d from the matrix units puts
+    each entry of a matrix, in closed form.
 
     Gram-Schmidt over I and the units E_ij, E_ji in row-major order keeps
     I/sqrt(d), then for each row i: the diagonal unit E_ii projected off I
     and the earlier diagonal units, which is the normalized Helmert vector
     e_i - (1/m) sum_{k>=i} e_k with m = d - i (none for the last row), and
     the pairs E_ij, E_ji for j > i.  Every other candidate is a repeat.
-    """
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[0] = np.eye(d) / np.sqrt(d)
-    k = 1
-    for i in range(d - 1):
-        m = d - i
-        tail = np.arange(i + 1, d)
-        basis[k, i, i] = np.sqrt((m - 1) / m)
-        basis[k, tail, tail] = -1.0 / np.sqrt(m * (m - 1))
-        basis[np.arange(k + 1, k + 2 * m - 1, 2), i, tail] = 1.0
-        basis[np.arange(k + 2, k + 2 * m, 2), tail, i] = 1.0
-        k += 2 * m - 1
-    return basis
+
+    Returns the orthogonal d x d Helmert matrix H (row r is the diagonal of
+    the r-th diagonal basis element), the basis indices ``slots`` of those d
+    elements, and for every basis index the flat index ``perm`` of its unit
+    (at ``slots[r]``, of the diagonal entry r)."""
+    rows = np.arange(d - 1)
+    m = d - rows
+    # row i starts at slot 1 + sum_{t<i} (2(d - t) - 1) = 1 + i(2d - i)
+    slots = np.concatenate([[0], 1 + rows * (2 * d - rows)])
+    helmert = np.zeros((d, d))
+    helmert[0] = 1.0 / np.sqrt(d)
+    helmert[rows + 1, rows] = np.sqrt((m - 1) / m)
+    i, j = np.triu_indices(d, 1)
+    helmert[i + 1, j] = -1.0 / np.sqrt(m[i] * (m[i] - 1))
+    # E_ij, E_ji sit at slots 2(j - i) - 1 and 2(j - i) past row i's start
+    perm = np.empty(d * d, dtype=np.intp)
+    perm[slots[i + 1] + 2 * (j - i) - 1] = i * d + j
+    perm[slots[i + 1] + 2 * (j - i)] = j * d + i
+    perm[slots] = np.arange(d) * (d + 1)
+    return helmert, slots, perm
+
+
+def _full_basis(d: int) -> np.ndarray:
+    """The (d^2, d, d) basis of :func:`_full_layout` written out."""
+    helmert, slots, perm = _full_layout(d)
+    basis = np.zeros((d * d, d * d), dtype=complex)
+    basis[np.arange(d * d), perm] = 1.0
+    basis[slots[:, None], np.arange(d) * (d + 1)] = helmert
+    return basis.reshape(d * d, d, d)
+
+
+class _FullAlgebra(OperatorSystem):
+    """M_d over the basis of :func:`_full_basis`, with closed-form
+    coordinates: the Helmert transform of the diagonal plus a fixed
+    permutation of the off-diagonal entries, and back.  Every other
+    coordinate map of :class:`OperatorSystem` runs through these two; the
+    (d^2, d, d) basis array is built only when something asks for it."""
+
+    def __init__(self, d: int, name: str | None = None):
+        self.d = d
+        self.dim = d * d
+        self.name = name
+        self._basis = None
+        self._hermitian_basis = None
+        self._complement_basis = None
+        self._helmert, self._slots, self._perm = _full_layout(d)
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:
+            b = _full_basis(self.d)
+            b.flags.writeable = False
+            self._basis = b
+        return self._basis
+
+    def stack_coords(self, xs) -> np.ndarray:
+        flat = self._stack(xs).reshape(-1, self.dim)
+        out = flat[:, self._perm]
+        out[:, self._slots] = flat[:, ::self.d + 1] @ self._helmert.T
+        return out
+
+    def _combine(self, coords: np.ndarray) -> np.ndarray:
+        flat = np.empty((len(coords), self.dim), dtype=complex)
+        flat[:, self._perm] = coords
+        flat[:, ::self.d + 1] = coords[:, self._slots] @ self._helmert
+        return flat.reshape(-1, self.d, self.d)
 
 
 def named_system(name: str) -> OperatorSystem:
@@ -279,7 +334,8 @@ def named_system(name: str) -> OperatorSystem:
 
     ``full:d`` gets its orthonormal basis in closed form (:func:`_full_basis`),
     equal to rounding and in the same order to what
-    :func:`make_operator_system` gives from the matrix units; the others are
+    :func:`make_operator_system` gives from the matrix units, and its
+    coordinates in closed form (:class:`_FullAlgebra`); the others are
     built by Gram-Schmidt from their generators.  ``pauli-span`` is the
     system generated by E_12 inside M_2, i.e. the span of {I, sigma_x,
     sigma_y}.
@@ -294,7 +350,7 @@ def named_system(name: str) -> OperatorSystem:
     if d < 1:
         raise ParseError(f"system size must be positive in {name!r}")
     if kind == "full":
-        return OperatorSystem(d, _full_basis(d), name=name)
+        return _FullAlgebra(d, name=name)
     if kind == "diag":
         gens = [la.basis_matrix(d, i, i) for i in range(d)]
     elif kind == "toeplitz":
@@ -395,7 +451,9 @@ def cone_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> bool:
     m = la.as_matrix(x)
     if not subspace_member(system, m, tol):
         return False
-    if la.op_norm(m - m.conj().T) / 2.0 > tol:
+    # the skew part's norm, as the largest |eigenvalue| of i(m - m*)/2
+    skew = np.linalg.eigvalsh(0.5j * (m - m.conj().T))
+    if max(skew[-1], -skew[0]) > tol:
         return False
     return la.lambda_min(m) >= -tol
 
@@ -533,12 +591,11 @@ def random_element(
     system: OperatorSystem, rng: np.random.Generator, *, level: int = 1, scale: float = 1.0
 ) -> np.ndarray:
     """Random element of M_n(S) with independent complex Gaussian coordinates."""
-    n = level
-    blocks = np.empty((n, n, system.d, system.d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            c = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
-            blocks[i, j] = system.from_coords(scale * c / np.sqrt(2 * system.dim))
+    n, d, dim = level, system.d, system.dim
+    # block by block, the real then the imaginary parts: one draw of them all
+    z = rng.standard_normal((n * n, 2, dim))
+    c = z[:, 0] + 1j * z[:, 1]
+    blocks = system._combine(scale * c / np.sqrt(2 * dim)).reshape(n, n, d, d)
     return from_blocks(blocks) if n > 1 else blocks[0, 0]
 
 

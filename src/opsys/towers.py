@@ -12,6 +12,15 @@ level, and the duality pairing is the stage evaluation, which is constant
 along a valid thread.  Convergence content of the untruncated limits shows
 up here as monotone norm sequences and per-stage cone membership.
 
+The built-in towers hold their embeddings as Kraus operators V_r, with
+phi(x) = sum_r V_r x V_r^*: such a map is CP by Choi's theorem, so a tower
+checks only that it is unital (and, on a proper target, that its images
+lie in the target).  The map, its amplifications and its adjoint
+sum_r V_r^* F V_r are products with the V_r, and together with the
+closed-form coordinates of ``full:d`` no basis array or basis image is
+stored on their path.  An embedding given by basis images is certified CP
+by its Choi matrix; on a full source it is then turned into Kraus form.
+
 Stage indices are 1-based throughout the public API.  Basis coordinates
 are :class:`OperatorSystem`'s, Riesz blocks :class:`MatrixFunctional`'s.
 """
@@ -77,8 +86,27 @@ _COMPAT_TOL = 1e-9
 _SMEAR = 1e-6
 
 
+def _kraus_sum(left: np.ndarray, right: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """sum_r (I_n (x) left_r) x (I_n (x) right_r) for x of shape (n q, n q),
+    left of shape (r, p, q) and right of shape (r, q, p): every block of x
+    times every left_r by one batched product, then times every right_r by
+    another, so the Kraus index is never paired with a foreign factor."""
+    r, p, q = left.shape
+    rows = left[:, None] @ x.reshape(1, n, q, n * q)
+    return (rows.reshape(r, -1, q) @ right).sum(0).reshape(n * p, n * p)
+
+
 class Embedding:
-    """Linear map between systems given by its action on basis elements."""
+    """Linear map phi: S -> T between systems, held one of two ways.
+
+    * Coefficient form (the constructor, :meth:`from_coefficients`): the
+      images phi(B_k) of the source basis; :class:`Tower` certifies such a
+      map CP by its Choi matrix.
+    * Kraus form (:meth:`from_kraus`): operators V_r of shape (r, d_T, d_S)
+      with phi(x) = sum_r V_r x V_r^*, CP by Choi's theorem.  The map, its
+      amplifications and its adjoint are products with the V_r; the images
+      are derived only when something asks for them.
+    """
 
     def __init__(self, source: OperatorSystem, target: OperatorSystem, images):
         self.source = source
@@ -95,7 +123,8 @@ class Embedding:
             raise DimensionError(
                 f"{len(mats)} images for a source of dimension {source.dim}"
             )
-        self.images = np.stack(mats)
+        self._images = np.stack(mats)
+        self.kraus = None
 
     @classmethod
     def from_coefficients(cls, source, target, coeffs) -> "Embedding":
@@ -109,51 +138,114 @@ class Embedding:
         images = [target.from_coords(c[:, j]) for j in range(source.dim)]
         return cls(source, target, images)
 
+    @classmethod
+    def from_kraus(cls, source, target, kraus) -> "Embedding":
+        """The map x -> sum_r V_r x V_r^* for a stack of (d_T x d_S)
+        operators V_r."""
+        v = np.array(kraus, dtype=complex)
+        if v.ndim != 3 or not len(v) or v.shape[1:] != (target.d, source.d):
+            raise DimensionError(
+                f"Kraus operators of shape {v.shape}, expected (r, {target.d}, {source.d})"
+            )
+        emb = cls.__new__(cls)
+        emb.source, emb.target, emb._images = source, target, None
+        v.flags.writeable = False
+        emb.kraus = v
+        emb._kraus_h = v.conj().swapaxes(1, 2).copy()
+        return emb
+
+    @property
+    def images(self) -> np.ndarray:
+        """phi(B_k) for the source basis, shape (source.dim, d_T, d_T)."""
+        if self._images is None:
+            basis = self.source.basis
+            self._images = sum(v @ basis @ vh for v, vh in zip(self.kraus, self._kraus_h))
+        return self._images
+
     def apply(self, x) -> np.ndarray:
-        coords = self.source.coords(x)
-        return np.einsum("k,kij->ij", coords, self.images)
+        """phi(x) for a d_S x d_S matrix x: the level-1 :meth:`apply_level`."""
+        m = la.as_matrix(x)
+        if m.shape != (self.source.d, self.source.d):
+            raise DimensionError(f"element of shape {m.shape} for a source in M_{self.source.d}")
+        return self.apply_level(m)
 
     def apply_level(self, x) -> np.ndarray:
         """Amplification id_n (x) phi on a flattened level element: the
-        coordinates of all n^2 blocks, then their images, by two matrix
-        products."""
+        Kraus products blockwise, or the coordinates of all n^2 blocks, then
+        their images, by two matrix products."""
         ds, dt = self.source.d, self.target.d
         blocks = to_blocks(x, ds)
         n = blocks.shape[0]
+        if self.kraus is not None:
+            return _kraus_sum(self.kraus, self._kraus_h,
+                              self.source.project_level(la.as_matrix(x)), n)
         coords = self.source.stack_coords(blocks.reshape(n * n, ds, ds))
         out = coords @ self.images.reshape(len(self.images), dt * dt)
         return from_blocks(out.reshape(n, n, dt, dt))
 
+    def _pulled_values(self, f: MatrixFunctional) -> np.ndarray:
+        """The basis values f_ij(phi(B_k)) of the pullback of f, shape
+        (n^2, source.dim), without projecting anything onto M_n(S)."""
+        if self.kraus is None:
+            return f.values(self.images)
+        return self.source.level_values(_kraus_sum(self._kraus_h, self.kraus, f.riesz, f.n))
+
     def pullback(self, f: MatrixFunctional) -> MatrixFunctional:
         """The adjoint (id_n (x) phi)': [f_ij] |-> [f_ij o phi] from M_n(T')
-        to M_n(S') at the level n of f, with the type of f.  The source
-        basis is orthonormal, so f_ij o phi has the basis values
+        to M_n(S') at the level n of f, with the type of f.  In Kraus form
+        it is sum_r (I_n (x) V_r)^* F (I_n (x) V_r) projected onto M_n(S) (a
+        partial trace on the doubling tower); in coefficient form the
+        source basis is orthonormal, so f_ij o phi has the basis values
         f_ij(images[k]), all of them by one product against the images."""
         if f.system is not self.target:
             raise ValidationError("functional does not live on the embedding's target")
-        riesz = self.source.riesz_of_values(f.values(self.images))
+        if self.kraus is None:
+            riesz = self.source.riesz_of_values(f.values(self.images))
+        else:
+            riesz = self.source.project_level(
+                _kraus_sum(self._kraus_h, self.kraus, f.riesz, f.n))
         return type(f)(self.source, riesz, _canonical=True)
 
 
-def _check_cp(idx: int, emb: Embedding) -> None:
-    """Certify embedding ``idx`` CP or raise ValidationError.  By Choi-Effros
-    phi: S -> M_n is CP exactly when its grid f_ij(x) = phi(x)_ij is positive
-    in M_n(S'); :func:`cp_verdict` decides that by one eigensolve (full
-    source) or one section kernel solve."""
-    status = cp_verdict(MatrixFunctional.of_map(emb.source, emb.images)).status
-    if status == "undecided":
+def _kraus_of_choi(choi: np.ndarray, dt: int) -> np.ndarray:
+    """Kraus operators of the CP map with PSD Choi matrix C (the Riesz matrix
+    of :meth:`MatrixFunctional.of_map`): C = sum_r w_r w_r^* with
+    w_r = conj(V_r) flattened, read off the eigenvectors whose eigenvalues
+    clear the numerical rank cut."""
+    w, u = np.linalg.eigh(choi)
+    keep = w > w[-1] * len(w) * np.finfo(float).eps
+    vecs = u[:, keep] * np.sqrt(w[keep])
+    return vecs.T.conj().reshape(-1, dt, len(choi) // dt)
+
+
+def _check_cp(idx: int, emb: Embedding) -> Embedding:
+    """Certify coefficient embedding ``idx`` CP or raise ValidationError.  By
+    Choi-Effros phi: S -> M_n is CP exactly when its grid f_ij(x) = phi(x)_ij
+    is positive in M_n(S'); :func:`cp_verdict` decides that by one
+    eigensolve (full source) or one section kernel solve.  On a full source
+    the witness is the Choi matrix itself, and the embedding comes back in
+    Kraus form read off it, unless those operators miss the images by more
+    than ``_COMPAT_TOL``; on a proper source it comes back as it is."""
+    verdict = cp_verdict(MatrixFunctional.of_map(emb.source, emb.images))
+    if verdict.status == "undecided":
         raise ValidationError(
             f"complete positivity of embedding {idx} could not be certified"
         )
-    if status != "feasible":
+    if verdict.status != "feasible":
         raise ValidationError(f"embedding {idx} is not completely positive")
+    if not emb.source.is_full:
+        return emb
+    kraus = Embedding.from_kraus(emb.source, emb.target,
+                                 _kraus_of_choi(verdict.witness, emb.target.d))
+    return kraus if np.abs(kraus.images - emb.images).max() <= _COMPAT_TOL else emb
 
 
 class Tower:
     """Validated chain of systems and unital complete order embeddings.
 
-    Each embedding must be unital into the next stage and is certified CP
-    (:func:`_check_cp`); order reflection is only sampled (:meth:`_validate`).
+    Each embedding must be unital into the next stage and is CP by its Kraus
+    form or certified CP (:func:`_check_cp`); order reflection is only
+    sampled (:meth:`_validate`).
     """
 
     def __init__(self, systems, embeddings, name: str | None = None):
@@ -193,9 +285,13 @@ class Tower:
     # -- validation -----------------------------------------------------------
 
     def _validate(self) -> None:
-        """Order reflection is sampled: a random Hermitian element at levels
-        1..3 with lambda_min < -1e-3 and a positive image is a concrete
-        counterexample.  The sampling only rejects; passing proves nothing."""
+        """Each embedding must connect its stages and be unital; on a proper
+        target its images must lie in the target.  A coefficient embedding
+        is certified CP by :func:`_check_cp` and kept in the form it returns;
+        a Kraus embedding is CP as it stands.  Order reflection is sampled:
+        a random Hermitian element at levels 1..3 with lambda_min < -1e-3
+        and a positive image is a concrete counterexample.  The sampling
+        only rejects; passing proves nothing."""
         rng = np.random.default_rng(_VALIDATE_SEED)
         for idx, emb in enumerate(self.embeddings, start=1):
             src, tgt = self.systems[idx - 1], self.systems[idx]
@@ -204,22 +300,29 @@ class Tower:
             image_unit = emb.apply(src.unit)
             if la.frobenius(image_unit - tgt.unit) > _COMPAT_TOL:
                 raise ValidationError(f"embedding {idx} is not unital")
-            outside = np.flatnonzero(tgt.residuals(emb.images) > _COMPAT_TOL)
-            if outside.size:
-                raise ValidationError(
-                    f"embedding {idx} maps basis element {outside[0]}"
-                    f" outside stage {idx + 1}"
-                )
-            _check_cp(idx, emb)
+            if not tgt.is_full:
+                outside = np.flatnonzero(tgt.residuals(emb.images) > _COMPAT_TOL)
+                if outside.size:
+                    raise ValidationError(
+                        f"embedding {idx} maps basis element {outside[0]}"
+                        f" outside stage {idx + 1}"
+                    )
+            if emb.kraus is None:
+                emb = self.embeddings[idx - 1] = _check_cp(idx, emb)
             for n in (1, 2, 3):
-                for _ in range(4):
-                    h = random_hermitian_element(src, rng, level=n)
-                    if la.lambda_min(h) < -1e-3 and cone_member(
-                        tgt, emb.apply_level(h), 1e-9
-                    ):
-                        raise ValidationError(
-                            f"embedding {idx} is not order reflecting at level {n}"
-                        )
+                # the same draws as one at a time; lambda_min of the four
+                # samples, then of the candidates' images, by one eigvalsh
+                # each, and cone_member only where an image could pass it
+                hs = np.stack([random_hermitian_element(src, rng, level=n) for _ in range(4)])
+                images = [emb.apply_level(h) for h in hs[np.linalg.eigvalsh(hs)[:, 0] < -1e-3]]
+                if not images:
+                    continue
+                images = np.stack(images)
+                lam = np.linalg.eigvalsh(0.5 * (images + images.conj().swapaxes(1, 2)))[:, 0]
+                if any(cone_member(tgt, image, 1e-9) for image in images[lam >= -1e-9]):
+                    raise ValidationError(
+                        f"embedding {idx} is not order reflecting at level {n}"
+                    )
 
 
 def make_tower(spec) -> Tower:
@@ -244,24 +347,23 @@ def make_tower(spec) -> Tower:
             raise ParseError("tower depth must be positive")
         if kind == "matrix-doubling":
             systems = [named_system(f"full:{2 ** k}") for k in range(1, depth + 1)]
-            embeddings = [Embedding(src, tgt, [np.kron(b, np.eye(2)) for b in src.basis])
-                          for src, tgt in zip(systems, systems[1:])]
-            return Tower(systems, embeddings, name=spec)
-        if kind == "corner":
+            # V_k = I_d (x) e_k, k = 1, 2
+            kraus = [[np.kron(np.eye(s.d), e) for e in np.eye(2)[:, :, None]]
+                     for s in systems[:-1]]
+        elif kind == "corner":
             systems = [named_system(f"full:{k}") for k in range(1, depth + 1)]
-            embeddings = []
-            for k in range(depth - 1):
-                src, tgt = systems[k], systems[k + 1]
-                dk = src.d
-                images = []
-                for b in src.basis:
-                    m = np.zeros((dk + 1, dk + 1), dtype=complex)
-                    m[:dk, :dk] = b
-                    m[dk, dk] = np.trace(b) / dk
-                    images.append(m)
-                embeddings.append(Embedding(src, tgt, images))
-            return Tower(systems, embeddings, name=spec)
-        raise ParseError(f"unknown tower spec {spec!r}")
+            # V_0 = [I_d; 0] and V_j = e_{d+1} e_j^T / sqrt(d), j = 1..d
+            kraus = []
+            for s in systems[:-1]:
+                v = np.zeros((s.d + 1, s.d + 1, s.d))
+                v[0, :s.d] = np.eye(s.d)
+                v[np.arange(1, s.d + 1), s.d, np.arange(s.d)] = 1.0 / np.sqrt(s.d)
+                kraus.append(v)
+        else:
+            raise ParseError(f"unknown tower spec {spec!r}")
+        embeddings = [Embedding.from_kraus(src, tgt, v)
+                      for src, tgt, v in zip(systems, systems[1:], kraus)]
+        return Tower(systems, embeddings, name=spec)
     if isinstance(spec, dict):
         try:
             sys_specs = spec["systems"]
@@ -346,7 +448,7 @@ class FunctionalThread:
         """f_{k+1} o phi_k = f_k entrywise on the basis of each stage k < K."""
         for k in range(1, self.tower.depth):
             emb = self.tower.embeddings[k - 1]
-            lhs = self.entries[k].values(emb.images)
+            lhs = emb._pulled_values(self.entries[k])
             rhs = emb.source.level_values(self.entries[k - 1].riesz)
             if np.any(np.abs(lhs - rhs) > tol * np.maximum(1.0, np.abs(rhs))):
                 raise InconsistentThreadError(

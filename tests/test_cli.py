@@ -16,6 +16,7 @@ from opsys.cli import (
     exit_code_for,
     run,
 )
+from opsys.systems import named_system
 
 E12 = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]  # wire format for E_12
 
@@ -265,6 +266,23 @@ def test_malformed_tower_json(tmp_path, capsys, spec, message):
     assert run(["tower", "build", "--spec", str(f)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "input error" in err and message in err
+
+
+def test_json_tower_transpose_rejected_and_doubling_built(tmp_path, capsys):
+    # a coefficient embedding on a full source is certified by its Choi
+    # matrix before it is turned into Kraus form: the transpose is refused
+    s = named_system("full:2")
+    transpose = s.stack_coords(s.basis.swapaxes(1, 2)).T
+    f = tmp_path / "tower.json"
+    f.write_text(json.dumps({"systems": ["full:2", "full:2"],
+                             "embeddings": [{"matrix_on_basis": la.encode_matrix(transpose)}]}))
+    assert run(["tower", "build", "--spec", str(f)]) == EXIT_FAIL
+    assert "not completely positive" in capsys.readouterr().err
+    s4 = named_system("full:4")
+    doubling = s4.stack_coords(np.stack([np.kron(b, np.eye(2)) for b in s.basis])).T
+    f.write_text(json.dumps({"systems": ["full:2", "full:4"],
+                             "embeddings": [{"matrix_on_basis": la.encode_matrix(doubling)}]}))
+    assert run(["tower", "verify-duality", "--spec", str(f), "--samples", "8"]) == EXIT_OK
 
 
 # -- suites and determinism ------------------------------------------------------------------

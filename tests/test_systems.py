@@ -197,6 +197,32 @@ def test_full_basis_is_the_gram_schmidt_basis(d):
         assert np.array_equal(s.basis, np.ones((1, 1, 1)))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 16])
+def test_full_coordinates_match_the_basis_products(d):
+    # the closed form (Helmert diagonal, permuted off-diagonal entries)
+    # against the products with the stored basis that every other system
+    # uses; the basis is built only on demand, bit for bit _full_basis
+    from opsys.systems import _full_basis
+
+    s = named_system(f"full:{d}")
+    ref = OperatorSystem(d, _full_basis(d))
+    rng = np.random.default_rng(d)
+    xs = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    tol = 1e-13 * d
+    assert np.abs(s.stack_coords(xs) - ref.stack_coords(xs)).max() <= tol
+    assert np.abs(s.coords(xs[0]) - ref.coords(xs[0])).max() <= tol
+    c = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    assert np.abs(s.from_coords(c) - ref.from_coords(c)).max() <= tol
+    for n in (1, 2, 3):
+        x = rng.standard_normal((n * d, n * d)) + 1j * rng.standard_normal((n * d, n * d))
+        assert np.abs(s.level_values(x) - ref.level_values(x)).max() <= tol
+        assert np.abs(s.level_coords(x) - ref.level_coords(x)).max() <= tol
+        v = rng.standard_normal((n * n, d * d)) + 1j * rng.standard_normal((n * n, d * d))
+        assert np.abs(s.riesz_of_values(v) - ref.riesz_of_values(v)).max() <= tol
+    assert s.dim == d * d and s._basis is None
+    assert np.array_equal(s.basis, _full_basis(d)) and not s.basis.flags.writeable
+
+
 def test_json_roundtrip():
     s = named_system("toeplitz:3")
     s2 = system_from_json(system_to_json(s))

@@ -119,18 +119,34 @@ def test_builtin_towers_certified_cp(spec):
     assert make_tower(spec).depth == int(spec.split(":")[1])
 
 
-def _choi_oracle(emb):
-    # the embedding's grid entry by entry: f_ij has values images[:, i, j]
-    n = emb.target.d
+def _choi_oracle(source, images):
+    # the map's grid entry by entry: f_ij has values images[:, i, j]
+    n = images.shape[1]
     return MatrixFunctional.from_grid(
-        [[Functional.from_values(emb.source, emb.images[:, i, j]) for j in range(n)]
+        [[Functional.from_values(source, images[:, i, j]) for j in range(n)]
          for i in range(n)]
     ).riesz
 
 
+def _reference_images(spec, source):
+    # the built-in maps written out on the source basis: x (x) I_2 and
+    # diag(x, trace(x)/d)
+    basis = source.basis
+    if spec.startswith("matrix-doubling"):
+        return np.stack([np.kron(b, np.eye(2)) for b in basis])
+    d = source.d
+    images = np.zeros((source.dim, d + 1, d + 1), dtype=complex)
+    images[:, :d, :d] = basis
+    images[:, d, d] = np.trace(basis, axis1=1, axis2=2) / d
+    return images
+
+
 def test_check_cp_choi_matrix_matches_entrywise_grid(monkeypatch):
-    # _check_cp forms the Choi matrix of each embedding by one product; the
-    # matrix it hands to cp_verdict must be the grid's, built entry by entry
+    # a coefficient embedding goes through cp_verdict with its Choi matrix,
+    # formed by one product, which must be the grid's built entry by entry;
+    # a Kraus embedding skips cp_verdict, and the images and the Choi matrix
+    # sum_r w_r w_r^* (w_r = conj(V_r) flattened) of its Kraus operators
+    # must be those of the map it stands for
     import opsys.towers as towers_module
 
     seen = []
@@ -142,15 +158,82 @@ def test_check_cp_choi_matrix_matches_entrywise_grid(monkeypatch):
 
     monkeypatch.setattr(towers_module, "cp_verdict", spy)
     p, full = named_system("pauli-span"), named_system("full:2")
-    towers = [make_tower(f"matrix-doubling:{k}") for k in range(1, 5)]
-    towers += [make_tower(f"corner:{k}") for k in range(2, 7)]
-    towers += [Tower([p, full], [Embedding(p, full, images)])
-               for images in (list(p.basis), [b.T for b in p.basis])]
-    embeddings = [emb for t in towers for emb in t.embeddings]
-    assert len(seen) == len(embeddings) == 6 + 15 + 2
-    for mf, emb in zip(seen, embeddings):
-        assert mf.system is emb.source and mf.n == emb.target.d
-        assert np.abs(mf.riesz - _choi_oracle(emb)).max() <= 1e-12
+    coefficient = [Tower([p, full], [Embedding(p, full, images)]).embeddings[0]
+                   for images in (list(p.basis), [b.T for b in p.basis])]
+    assert len(seen) == 2
+    for mf, emb in zip(seen, coefficient):
+        assert emb.kraus is None
+        assert mf.system is p and mf.n == 2
+        assert np.abs(mf.riesz - _choi_oracle(p, emb.images)).max() <= 1e-12
+    specs = [f"matrix-doubling:{k}" for k in range(1, 5)] + [f"corner:{k}" for k in range(2, 7)]
+    pairs = [(spec, emb) for spec in specs for emb in make_tower(spec).embeddings]
+    assert len(pairs) == 6 + 15 and len(seen) == 2
+    for spec, emb in pairs:
+        images = _reference_images(spec, emb.source)
+        assert np.abs(emb.images - images).max() <= 1e-12
+        w = emb.kraus.conj().reshape(len(emb.kraus), -1)
+        assert np.abs(w.T @ w.conj() - _choi_oracle(emb.source, images)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", ["matrix-doubling:4", "corner:5"])
+def test_kraus_form_matches_the_images_path(spec):
+    # the same map in coefficient form: apply_level and the adjoint agree
+    # at levels 1-3 on every stage
+    rng = np.random.default_rng(20)
+    for emb in make_tower(spec).embeddings:
+        coeffs = emb.target.stack_coords(emb.images).T
+        ref = Embedding.from_coefficients(emb.source, emb.target, coeffs)
+        assert emb.kraus is not None and ref.kraus is None
+        for n in (1, 2, 3):
+            x = random_element(emb.source, rng, level=n)
+            assert np.abs(emb.apply_level(x) - ref.apply_level(x)).max() <= 1e-12
+            side = n * emb.target.d
+            g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+            mf = MatrixFunctional.from_choi(emb.target, g)
+            got, want = emb.pullback(mf), ref.pullback(mf)
+            assert got.n == want.n == n
+            assert np.abs(got.riesz - want.riesz).max() <= 1e-12
+            assert np.abs(emb._pulled_values(mf) - ref._pulled_values(mf)).max() <= 1e-12
+
+
+def test_non_unital_kraus_list_rejected():
+    # one doubling Kraus operator alone is x -> x (+) 0 up to a permutation
+    s1, s2 = named_system("full:2"), named_system("full:4")
+    half = Embedding.from_kraus(s1, s2, [np.kron(np.eye(2), [[1.0], [0.0]])])
+    with pytest.raises(ValidationError, match="unital"):
+        Tower([s1, s2], [half])
+    scaled = Embedding.from_kraus(s1, s2, 1.001 * np.stack(
+        [np.kron(np.eye(2), e) for e in np.eye(2)[:, :, None]]))
+    with pytest.raises(ValidationError, match="unital"):
+        Tower([s1, s2], [scaled])
+
+
+def test_json_embedding_on_a_full_source_comes_back_in_kraus_form():
+    # its Choi matrix is the witness; the Kraus operators read off it
+    # reproduce the coefficient images
+    s1, s2 = named_system("full:2"), named_system("full:4")
+    images = np.stack([np.kron(b, np.eye(2)) for b in s1.basis])
+    coeffs = s2.stack_coords(images).T
+    spec = {"systems": ["full:2", "full:4"],
+            "embeddings": [{"matrix_on_basis": la.encode_matrix(coeffs)}]}
+    emb = make_tower(spec).embeddings[0]
+    assert emb.kraus is not None and len(emb.kraus) == 2
+    assert np.abs(emb.images - images).max() <= 1e-12
+
+
+def test_doubling_tower_path_builds_no_basis(monkeypatch):
+    # Kraus embeddings and closed-form coordinates: building and checking
+    # matrix-doubling:6 (top stage M_64) never writes out a basis array
+    import opsys.systems as systems_module
+
+    def refuse(d):
+        raise AssertionError(f"basis of full:{d} built")
+
+    monkeypatch.setattr(systems_module, "_full_basis", refuse)
+    tower = make_tower("matrix-doubling:6")
+    report = verify_gamma(tower, samples=2, max_level=2, rng=np.random.default_rng(21))
+    assert report["passed"], report
+    assert all(s._basis is None for s in tower.systems)
 
 
 def test_non_embedding_rejected():
