@@ -88,9 +88,10 @@ _SMEAR = 1e-6
 
 def _kraus_sum(left: np.ndarray, right: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     """sum_r (I_n (x) left_r) x (I_n (x) right_r) for x of shape (n q, n q),
-    left of shape (r, p, q) and right of shape (r, q, p): every block of x
-    times every left_r by one batched product, then times every right_r by
-    another, so the Kraus index is never paired with a foreign factor."""
+    left of shape (r, p, q) and right of shape (r, q, p): every block row of
+    x times every left_r by one batched product, then every result times
+    its own right_r by another.  The Kraus index is a batch axis of both
+    products, so no cross term left_r x right_s is ever formed."""
     r, p, q = left.shape
     rows = left[:, None] @ x.reshape(1, n, q, n * q)
     return (rows.reshape(r, -1, q) @ right).sum(0).reshape(n * p, n * p)
