@@ -69,16 +69,21 @@ class OperatorSystem:
     def __init__(self, d: int, basis, name: str | None = None):
         if d < 1:
             raise DimensionError(f"ambient dimension must be positive, got {d}")
-        self.d = int(d)
         b = np.asarray(basis, dtype=complex)
         if b.ndim != 3 or b.shape[1:] != (d, d):
             raise DimensionError(f"basis of shape {b.shape} in ambient M_{d}")
         if not len(b):
             raise ValidationError("a system needs at least one basis element")
         b.flags.writeable = False
-        self._basis: np.ndarray | None = b
-        self.dim = len(b)
+        self._init_fields(d, len(b), name, b)
+
+    def _init_fields(self, d: int, dim: int, name: str | None, basis) -> None:
+        """The fields of every system; a subclass that builds its basis on
+        demand passes None."""
+        self.d = int(d)
+        self.dim = dim
         self.name = name
+        self._basis: np.ndarray | None = basis
         self._hermitian_basis: np.ndarray | None = None
         self._complement_basis: np.ndarray | None = None
 
@@ -300,12 +305,7 @@ class _FullAlgebra(OperatorSystem):
     (d^2, d, d) basis array is built only when something asks for it."""
 
     def __init__(self, d: int, name: str | None = None):
-        self.d = d
-        self.dim = d * d
-        self.name = name
-        self._basis = None
-        self._hermitian_basis = None
-        self._complement_basis = None
+        self._init_fields(d, d * d, name, None)
         self._helmert, self._slots, self._perm = _full_layout(d)
 
     @property

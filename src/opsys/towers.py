@@ -18,8 +18,8 @@ checks only that it is unital (and, on a proper target, that its images
 lie in the target).  The map, its amplifications and its adjoint
 sum_r V_r^* F V_r are products with the V_r, and together with the
 closed-form coordinates of ``full:d`` no basis array or basis image is
-stored on their path.  An embedding given by basis images is certified CP
-by its Choi matrix; on a full source it is then turned into Kraus form.
+stored on their path.  An embedding given by basis images keeps them and
+is certified CP by its Choi matrix.
 
 Stage indices are 1-based throughout the public API.  Basis coordinates
 are :class:`OperatorSystem`'s, Riesz blocks :class:`MatrixFunctional`'s.
@@ -184,61 +184,36 @@ class Embedding:
         out = coords @ self.images.reshape(len(self.images), dt * dt)
         return from_blocks(out.reshape(n, n, dt, dt))
 
-    def _pulled_values(self, f: MatrixFunctional) -> np.ndarray:
-        """The basis values f_ij(phi(B_k)) of the pullback of f, shape
-        (n^2, source.dim), without projecting anything onto M_n(S)."""
-        if self.kraus is None:
-            return f.values(self.images)
-        return self.source.level_values(_kraus_sum(self._kraus_h, self.kraus, f.riesz, f.n))
-
     def pullback(self, f: MatrixFunctional) -> MatrixFunctional:
         """The adjoint (id_n (x) phi)': [f_ij] |-> [f_ij o phi] from M_n(T')
-        to M_n(S') at the level n of f, with the type of f.  In Kraus form
-        it is sum_r (I_n (x) V_r)^* F (I_n (x) V_r) projected onto M_n(S) (a
-        partial trace on the doubling tower); in coefficient form the
-        source basis is orthonormal, so f_ij o phi has the basis values
-        f_ij(images[k]), all of them by one product against the images."""
+        to M_n(S') at the level n of f, with the type of f."""
         if f.system is not self.target:
             raise ValidationError("functional does not live on the embedding's target")
+        return type(f)(self.source, self._pulled_riesz(f), _canonical=True)
+
+    def _pulled_riesz(self, f: MatrixFunctional) -> np.ndarray:
+        """The Riesz matrix of the pullback of f.  In Kraus form it is
+        sum_r (I_n (x) V_r)^* F (I_n (x) V_r) projected onto M_n(S) (a
+        partial trace on the doubling tower); in coefficient form the source
+        basis is orthonormal, so f_ij o phi has the basis values
+        f_ij(images[k]), all of them by one product against the images."""
         if self.kraus is None:
-            riesz = self.source.riesz_of_values(f.values(self.images))
-        else:
-            riesz = self.source.project_level(
-                _kraus_sum(self._kraus_h, self.kraus, f.riesz, f.n))
-        return type(f)(self.source, riesz, _canonical=True)
+            return self.source.riesz_of_values(f.values(self.images))
+        return self.source.project_level(_kraus_sum(self._kraus_h, self.kraus, f.riesz, f.n))
 
 
-def _kraus_of_choi(choi: np.ndarray, dt: int) -> np.ndarray:
-    """Kraus operators of the CP map with PSD Choi matrix C (the Riesz matrix
-    of :meth:`MatrixFunctional.of_map`): C = sum_r w_r w_r^* with
-    w_r = conj(V_r) flattened, read off the eigenvectors whose eigenvalues
-    clear the numerical rank cut."""
-    w, u = np.linalg.eigh(choi)
-    keep = w > w[-1] * len(w) * np.finfo(float).eps
-    vecs = u[:, keep] * np.sqrt(w[keep])
-    return vecs.T.conj().reshape(-1, dt, len(choi) // dt)
-
-
-def _check_cp(idx: int, emb: Embedding) -> Embedding:
+def _check_cp(idx: int, emb: Embedding) -> None:
     """Certify coefficient embedding ``idx`` CP or raise ValidationError.  By
     Choi-Effros phi: S -> M_n is CP exactly when its grid f_ij(x) = phi(x)_ij
     is positive in M_n(S'); :func:`cp_verdict` decides that by one
-    eigensolve (full source) or one section kernel solve.  On a full source
-    the witness is the Choi matrix itself, and the embedding comes back in
-    Kraus form read off it, unless those operators miss the images by more
-    than ``_COMPAT_TOL``; on a proper source it comes back as it is."""
-    verdict = cp_verdict(MatrixFunctional.of_map(emb.source, emb.images))
-    if verdict.status == "undecided":
+    eigensolve (full source) or one section kernel solve."""
+    status = cp_verdict(MatrixFunctional.of_map(emb.source, emb.images)).status
+    if status == "undecided":
         raise ValidationError(
             f"complete positivity of embedding {idx} could not be certified"
         )
-    if verdict.status != "feasible":
+    if status != "feasible":
         raise ValidationError(f"embedding {idx} is not completely positive")
-    if not emb.source.is_full:
-        return emb
-    kraus = Embedding.from_kraus(emb.source, emb.target,
-                                 _kraus_of_choi(verdict.witness, emb.target.d))
-    return kraus if np.abs(kraus.images - emb.images).max() <= _COMPAT_TOL else emb
 
 
 class Tower:
@@ -288,11 +263,11 @@ class Tower:
     def _validate(self) -> None:
         """Each embedding must connect its stages and be unital; on a proper
         target its images must lie in the target.  A coefficient embedding
-        is certified CP by :func:`_check_cp` and kept in the form it returns;
-        a Kraus embedding is CP as it stands.  Order reflection is sampled:
-        a random Hermitian element at levels 1..3 with lambda_min < -1e-3
-        and a positive image is a concrete counterexample.  The sampling
-        only rejects; passing proves nothing."""
+        is certified CP by :func:`_check_cp`; a Kraus embedding is CP as it
+        stands.  Order reflection is sampled: a random Hermitian element at
+        levels 1..3 with lambda_min < -1e-3 and a positive image is a
+        concrete counterexample.  The sampling only rejects; passing proves
+        nothing."""
         rng = np.random.default_rng(_VALIDATE_SEED)
         for idx, emb in enumerate(self.embeddings, start=1):
             src, tgt = self.systems[idx - 1], self.systems[idx]
@@ -309,7 +284,7 @@ class Tower:
                         f" outside stage {idx + 1}"
                     )
             if emb.kraus is None:
-                emb = self.embeddings[idx - 1] = _check_cp(idx, emb)
+                _check_cp(idx, emb)
             for n in (1, 2, 3):
                 # the same draws as one at a time; lambda_min of the four
                 # samples, then of the candidates' images, by one eigvalsh
@@ -446,10 +421,12 @@ class FunctionalThread:
         return max(f.norm for f in self.entries)
 
     def check_compatibility(self, tol: float = _COMPAT_TOL) -> None:
-        """f_{k+1} o phi_k = f_k entrywise on the basis of each stage k < K."""
+        """f_{k+1} o phi_k = f_k entrywise on the basis of each stage k < K.
+        The adjoint is recomputed here, not taken from the thread's own
+        pullbacks, so a stored entry that drifted from it is seen."""
         for k in range(1, self.tower.depth):
             emb = self.tower.embeddings[k - 1]
-            lhs = emb._pulled_values(self.entries[k])
+            lhs = emb.source.level_values(emb._pulled_riesz(self.entries[k]))
             rhs = emb.source.level_values(self.entries[k - 1].riesz)
             if np.any(np.abs(lhs - rhs) > tol * np.maximum(1.0, np.abs(rhs))):
                 raise InconsistentThreadError(
