@@ -13,6 +13,7 @@ compare reports with that field normalized.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import linalg as la
 from .dual import Functional, MatrixFunctional, cp_choi_problem, cp_verdict
-from .errors import OpsysError, ParseError
-from .norms import norm_report, min_order_norm, order_norm_h
+from .errors import HermitianError, OpsysError, ParseError
+from .norms import norm_report
 from .suites import SUITES, Check, run_suite
 from .systems import cone_member, named_system, system_from_json
 from .towers import make_tower, verify_dual_cones, verify_gamma
@@ -213,18 +214,12 @@ def _cmd_norm(args) -> tuple[list[Check], dict]:
     system = _load_system(args.system)
     element = _sized(_load_matrix(args.element), system.d, args.element)
     tol = _default_tol(args)
-    if args.kind == "h":
-        value = order_norm_h(system, element, tol=tol)
-        rep = {"h": value}
-    elif args.kind == "min":
-        value = min_order_norm(system, element, tol=tol)
-        rep = {"min": value}
-    else:
-        full = norm_report(system, element, tol=tol)
-        rep = full.to_json()
-        value = rep["max_upper"] if args.kind == "max" else None
-        if args.kind == "max":
-            rep = {"max_lower": full.max_lower, "max_upper": full.max_upper}
+    rep = norm_report(system, element, tol=tol).to_json()
+    if args.kind == "h" and rep["h"] is None:
+        raise HermitianError("the order seminorm h is defined on Hermitian elements only")
+    if args.kind is not None:
+        keys = ("max_lower", "max_upper") if args.kind == "max" else (args.kind,)
+        rep = {key: rep[key] for key in keys}
     check = Check(
         name=f"norm/{args.kind or 'report'}",
         op="norms.norm_report",
@@ -352,27 +347,11 @@ def _cmd_tower(args) -> tuple[list[Check], dict]:
                     "samples": args.samples}
 
 
-_SUITE_SAMPLES_PARAM = {
-    "norm-sandwich": "samples",
-    "mou-unit": "samples_per_level",
-    "choi-effros": "functionals",
-    "duality-tower": "samples",
-    "feasibility-oracle": "instances",
-    "dual-equivalences": "samples",
-}
-
-
 def _cmd_suite(args) -> tuple[list[Check], dict]:
-    params = {}
-    if args.samples is not None:
-        params[_SUITE_SAMPLES_PARAM[args.name]] = args.samples
-    if args.name == "duality-tower":
-        if args.depth is not None:
-            params["depth"] = args.depth
-        if args.levels is not None:
-            params["levels"] = args.levels
-    elif args.name == "choi-effros" and args.levels is not None:
-        params["max_level"] = args.levels
+    # a flag that the suite does not take is ignored
+    accepted = inspect.signature(SUITES[args.name]).parameters
+    params = {flag: getattr(args, flag) for flag in ("depth", "levels", "samples")
+              if flag in accepted and getattr(args, flag) is not None}
     checks = run_suite(args.name, args.seed, **params)
     return checks, {"suite": args.name, **params}
 

@@ -209,9 +209,9 @@ class Functional(MatrixFunctional):
     def zero(cls, system: OperatorSystem) -> "Functional":
         return cls(system, np.zeros((system.d, system.d)), _canonical=True)
 
-    def eval(self, x, tol: float = DEFAULT_TOL) -> complex:
+    def eval(self, x) -> complex:
         """trace(F x) for x in S; raises MembershipError otherwise."""
-        return self.pair(_require_member(self.system, x, tol))
+        return self.pair(_require_member(self.system, x))
 
     __call__ = eval
 
@@ -291,22 +291,23 @@ def _step(m: np.ndarray, dm: np.ndarray) -> float:
 
 
 def _section_sdp(
-    system: OperatorSystem, c: np.ndarray, n: np.ndarray, *, level: int = 1, certify=None
+    system: OperatorSystem, c: np.ndarray, n: np.ndarray, *, certify=None
 ) -> _SectionSolve:
     """min <C, X> over X in M_n(S)+ with <N, X> = 1 (Hermitian C, N of size
-    n d, n = ``level``) and its Krein dual max t over C - K - t N >= 0, K in
-    M_n(S)_h^perp = (M_n)_h (x) S_h^perp: infeasible primal-dual path
-    following, HKM direction, Mehrotra predictor-corrector (Helmberg,
-    Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996), with sigma raised to
-    1 - min(step lengths) so a predictor blocked at the boundary re-centers.
+    n d, n read off the size of C) and its Krein dual max t over
+    C - K - t N >= 0, K in M_n(S)_h^perp = (M_n)_h (x) S_h^perp: infeasible
+    primal-dual path following, HKM direction, Mehrotra predictor-corrector
+    (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996), with
+    sigma raised to 1 - min(step lengths) so a predictor blocked at the
+    boundary re-centers.
     ``certify(x, k)``, when given, sees the iterate after every Newton
     step; the first result that is not ``None`` ends the solve as
     "certified" and is returned as ``evidence``.
     The optimum is often rank-deficient: a failed factorization ends the
     solve as "breakdown" with the last iterate, ``_SDP_ITERS`` steps as
     "cap"; neither raises, and callers re-check every point they use."""
-    d = level * system.d
-    a = np.concatenate([_level_basis(system.complement_basis, level), n[None]])
+    d = len(c)
+    a = np.concatenate([_level_basis(system.complement_basis, d // system.d), n[None]])
     k = len(a)
     flat = a.reshape(k, -1)
     b = np.zeros(k)
@@ -410,6 +411,13 @@ def _refutes(f: Functional, z: np.ndarray, tol: float) -> bool:
     return cone_member(f.system, x, tol) and f.pair(x).real < -tol
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is not positive and finite: a verdict at a
+    zero, negative or NaN tolerance would rest on a meaningless test."""
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
+
+
 def is_positive_functional(f: Functional, tol: float = DEFAULT_TOL) -> bool | None:
     """True iff min{Re f(x) : x in S+, trace x = 1} >= -tol and f is
     Hermitian as a functional (a positive functional must be real on the
@@ -426,14 +434,16 @@ def is_positive_functional(f: Functional, tol: float = DEFAULT_TOL) -> bool | No
     that the certificate's 10 tol margin leaves open (a minimum between
     -10 tol and -tol).  A solve that ends with neither (a breakdown or the
     cap) is ``None``, never an uncertified True.  On the full algebra the
-    verdict is lambda_min(F) >= -tol.
+    verdict is lambda_min(F) >= -tol.  A tolerance that is not positive and
+    finite raises ValidationError.
     """
+    _check_tol(tol)
     if not f.is_hermitian(max(tol, 1e-9)):
         return False
     system = f.system
     if system.is_full:
         return cp_verdict(f, tol).status == "feasible"
-    verdict, solve = _choi_verdict(system, la.hermitian_part(f.riesz), 1, tol)
+    verdict, solve = _choi_verdict(system, la.hermitian_part(f.riesz), tol)
     if verdict.status == "feasible":
         return True
     z = verdict.certificate
@@ -473,7 +483,7 @@ def cp_choi_problem(mf: MatrixFunctional, tol: float = 1e-7) -> FeasibilityProbl
 
 
 def _choi_verdict(
-    system: OperatorSystem, choi: np.ndarray, n: int, tol: float
+    system: OperatorSystem, choi: np.ndarray, tol: float
 ) -> tuple[FeasibilityVerdict, _SectionSolve]:
     """The CP verdict on the Hermitian Choi matrix C of a level-n grid over a
     proper subsystem, with the kernel solve of min <C, X> over X in
@@ -501,7 +511,7 @@ def _choi_verdict(
             return FeasibilityVerdict("infeasible", None, -lower, certificate=z)
         return None
 
-    solve = _section_sdp(system, choi, np.eye(len(choi)), level=n, certify=certify)
+    solve = _section_sdp(system, choi, np.eye(len(choi)), certify=certify)
     verdict = solve.evidence
     if verdict is None:
         lower = _lower_bound(system, choi, choi - solve.k)
@@ -523,14 +533,16 @@ def cp_verdict(mf: MatrixFunctional, tol: float = 1e-7) -> FeasibilityVerdict:
     lambda_min(W) at least -tol up to its pairing residual, a Farkas
     certificate, or "undecided".  A non-Hermitian grid is infeasible with
     ``gap`` the Frobenius norm of the anti-Hermitian part of C and no
-    certificate.
+    certificate.  A tolerance that is not positive and finite raises
+    ValidationError.
     """
+    _check_tol(tol)
     choi = mf.riesz
     if not la.is_hermitian(choi, max(tol, 1e-8)):
         return FeasibilityVerdict("infeasible", None, la.frobenius(la.antihermitian_part(choi)))
     choi = la.hermitian_part(choi)
     if not mf.system.is_full:
-        return _choi_verdict(mf.system, choi, mf.n, tol)[0]
+        return _choi_verdict(mf.system, choi, tol)[0]
     lam = la.lambda_min(choi)
     gap = max(0.0, -lam)
     if lam >= -tol:
@@ -539,11 +551,11 @@ def cp_verdict(mf: MatrixFunctional, tol: float = 1e-7) -> FeasibilityVerdict:
     return FeasibilityVerdict("infeasible", None, gap, certificate=np.outer(v, v.conj()))
 
 
-def is_cp(mf: MatrixFunctional, tol: float = 1e-7) -> bool | None:
-    """Complete positivity of the induced map S -> M_n as a bool; the
-    "undecided" verdict of :func:`cp_verdict` is returned as ``None``,
-    never coerced."""
-    verdict = cp_verdict(mf, tol)
+def is_cp(mf: MatrixFunctional) -> bool | None:
+    """Complete positivity of the induced map S -> M_n as a bool, at
+    :func:`cp_verdict`'s default tolerance; its "undecided" verdict is
+    returned as ``None``, never coerced."""
+    verdict = cp_verdict(mf)
     if verdict.status == "undecided":
         return None
     return verdict.status == "feasible"
@@ -559,20 +571,18 @@ def faithful_state(system: OperatorSystem) -> Functional:
     return Functional(system, system.unit / system.d, _canonical=True)
 
 
-def series_state(states, weights=None) -> Functional:
-    """Weighted series sum_n w_n f_n of states, default weights 2^-n
-    renormalized to total mass one; faithful as soon as the family
+def series_state(states) -> Functional:
+    """The series sum_n w_n f_n of states over one system, with the weights
+    2^-n renormalized to total mass one; faithful as soon as the family
     separates the cone."""
     states = list(states)
     if not states:
         raise ValueError("series_state needs at least one state")
-    if weights is None:
-        weights = [2.0 ** -(n + 1) for n in range(len(states))]
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(states),) or weights.min() < 0 or weights.sum() == 0:
-        raise ValueError("weights must be nonnegative with positive sum")
-    weights = weights / weights.sum()
     system = states[0].system
+    if any(f.system is not system for f in states):
+        raise ValidationError("series of states over mixed systems")
+    weights = np.asarray([2.0 ** -(n + 1) for n in range(len(states))])
+    weights = weights / weights.sum()
     riesz = sum(w * f.riesz for w, f in zip(weights, states))
     return Functional(system, riesz, _canonical=True)
 
@@ -590,7 +600,7 @@ def _radius(
     r = -t stands only when r D - G - K certifies r D - G >= -tol and the
     lifted primal point x lies in M_n(S)+ with <G, x>/<D, x> >= r -
     precision."""
-    solve = _section_sdp(system, -gm, dm, level=len(dm) // system.d)
+    solve = _section_sdp(system, -gm, dm)
     r = max(0.0, -solve.t)
     x = _lift(system, solve.x)
     dx = np.vdot(dm, x).real
@@ -605,47 +615,49 @@ def dual_order_unit_radius(
     delta: Functional,
     g,
     level: int = 1,
-    tol: float = DEFAULT_TOL,
     *,
     precision: float = 1e-6,
     r_max: float = 1e6,
 ) -> float | None:
-    """Smallest r >= 0 such that r * (I_n (x) delta) - g is positive.
+    """Smallest r >= 0 such that r * (I_n (x) delta) - g is positive, at
+    positivity tolerance ``DEFAULT_TOL``.
 
-    ``g`` is a Hermitian :class:`MatrixFunctional`: at level 1 (a
-    functional) it is lifted diagonally to the requested level, at any other
-    level n is its own.  For a Hermitian delta, D = I_n (x) Re delta and the
-    Riesz matrix G of g go to the primal radius routine on the full algebra
-    and to one kernel solve (:func:`_radius`) on M_n(S).  A non-Hermitian
-    delta, or kernel evidence that fails (a non-faithful delta, a
-    breakdown), bisects: each probe passes only on the certified lower bound
-    of one kernel solve at level n, so a breakdown costs tightness, never
-    soundness.  Returns ``None`` when no r <= r_max works.
+    ``g`` is a Hermitian :class:`MatrixFunctional` over the system of delta:
+    at level 1 (a functional) it is lifted diagonally to the requested
+    level, at any other level n is its own.  For a Hermitian delta,
+    D = I_n (x) Re delta and the Riesz matrix G of g go to the primal radius
+    routine on the full algebra and to one kernel solve (:func:`_radius`) on
+    M_n(S).  Kernel evidence that fails (a non-faithful delta, a breakdown)
+    bisects: each probe passes only on the certified lower bound of one
+    kernel solve at level n, so a breakdown costs tightness, never
+    soundness.  For a non-Hermitian delta, r delta - g is not Hermitian at
+    any r > 0, so one such check at r = 0 decides.  Returns ``None`` when no
+    r <= r_max works.
     """
     check_search_bounds(r_max, precision)
     if not g.is_hermitian(1e-8):
         raise ValidationError("g must be a Hermitian functional or matrix functional")
-    system = delta.system
+    system, tol = delta.system, DEFAULT_TOL
+    if g.system is not system:
+        raise ValidationError("delta and g live on different systems")
     if g.n == 1:
         g = MatrixFunctional.diag(g, level)
-    n, gm = g.n, la.hermitian_part(g.riesz)
-    dm = np.kron(np.eye(n), la.hermitian_part(delta.riesz))
-    hermitian = delta.is_hermitian(1e-8)
-    if hermitian and system.is_full:
+    gm = la.hermitian_part(g.riesz)
+    dm = np.kron(np.eye(g.n), la.hermitian_part(delta.riesz))
+
+    def dominated(r: float) -> bool:
+        c = r * dm - gm
+        k = 0.0 if system.is_full else _section_sdp(system, c, np.eye(len(c))).k
+        return _lower_bound(system, c, c - k) >= -tol
+
+    if not delta.is_hermitian(1e-8):
+        return 0.0 if dominated(0.0) else None
+    if system.is_full:
         return _domination_radius(dm, gm, tol, r_max, precision)
-    r = _radius(system, dm, gm, tol, precision) if hermitian else None
+    r = _radius(system, dm, gm, tol, precision)
     if r is not None:
         return r if r <= r_max else None
     _SDP_COUNTS["bisection_fallbacks"] += 1
-
-    def dominated(r: float) -> bool:
-        # for r > 0 a non-Hermitian delta leaves r delta - g non-Hermitian
-        if r and not hermitian:
-            return False
-        c = r * dm - gm
-        k = 0.0 if system.is_full else _section_sdp(system, c, np.eye(len(c)), level=n).k
-        return _lower_bound(system, c, c - k) >= -tol
-
     r_start = max(1.0, la.trace_norm(delta.riesz))
     return smallest_passing(dominated, r_max, precision, r_start=r_start)
 
@@ -662,7 +674,6 @@ def verify_dual_unit_equivalences(
     samples: int = 20,
     *,
     rng: np.random.Generator | None = None,
-    r_max: float = 1e6,
 ) -> dict:
     """Executable form of the dual order-unit equivalences.
 
@@ -690,7 +701,7 @@ def verify_dual_unit_equivalences(
     report["faithful"] = {"min_on_section": min_delta, "ok": faithful}
     if not faithful:
         witness = Functional(system, la.hermitian_part(x0))
-        r = dual_order_unit_radius(delta, witness, 1, r_max=r_max)
+        r = dual_order_unit_radius(delta, witness, 1)
         report["order_unit"] = {"ok": r is not None, "witness_radius": r}
         report["passed"] = False
         report["counterexamples"].append(
@@ -703,7 +714,7 @@ def verify_dual_unit_equivalences(
     level_ok = True
     for _ in range(samples):
         g = random_hermitian_functional(system, rng)
-        r = dual_order_unit_radius(delta, g, 1, r_max=r_max)
+        r = dual_order_unit_radius(delta, g, 1)
         radii.append(r)
         if r is None:
             level_ok = False

@@ -76,9 +76,9 @@ class NormReport:
         }
 
 
-def order_norm_h(system: OperatorSystem, v, *, tol: float = DEFAULT_TOL) -> float:
+def order_norm_h(system: OperatorSystem, v) -> float:
     """Order seminorm of a Hermitian element: max |eigenvalue|."""
-    m = _require_member(system, v, tol)
+    m = _require_member(system, v)
     if not la.is_hermitian(m, 1e-8):
         raise HermitianError("order_norm_h is defined on Hermitian elements only")
     return _spectral_radius(m)
@@ -141,9 +141,9 @@ def numerical_radius(a) -> float:
     return _curve_maximum(m, _phase_curve(m, _RADIUS_HALF))
 
 
-def min_order_norm(system: OperatorSystem, v, *, tol: float = DEFAULT_TOL) -> float:
+def min_order_norm(system: OperatorSystem, v) -> float:
     """Minimal order norm = numerical radius of v inside M_d."""
-    m = _require_member(system, v, tol)
+    m = _require_member(system, v)
     return numerical_radius(m)
 
 
@@ -176,11 +176,7 @@ def _project_gauge_constraints(coeffs, cosv, sinv, target_re, target_im):
 
 
 def max_order_norm(
-    system: OperatorSystem,
-    v,
-    *,
-    subgrad_iters: int = 0,
-    tol: float = DEFAULT_TOL,
+    system: OperatorSystem, v, *, subgrad_iters: int = 0
 ) -> tuple[float, float]:
     """Sandwich bounds (lower, upper) for the maximal order norm.
 
@@ -201,7 +197,7 @@ def max_order_norm(
     validity) is sensitive to last-bit input changes, which is why it is
     opt-in.
     """
-    m = _require_member(system, v, tol)
+    m = _require_member(system, v)
     lower = la.op_norm(m)
     if la.frobenius(m) == 0.0:
         return 0.0, 0.0

@@ -4,7 +4,9 @@ Each suite draws all randomness from one generator seeded by the caller,
 runs a battery of property checks against independent oracles (eigenvalue
 computations, brute-force sections, partial-trace identities) and returns a
 flat list of named checks.  The CLI wraps these into reports; the
-acceptance tests run the same sweeps directly.
+acceptance tests run the same sweeps directly.  A suite's options are
+named after the ``opsys suite`` flags (``samples``, ``levels``,
+``depth``), and the CLI passes on each flag that the suite takes.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def suite_norm_sandwich(seed: int, *, samples: int = 100) -> list[Check]:
 # mou-unit: order unit <=> matrix order unit at sampled levels
 # ----------------------------------------------------------------------------
 
-def suite_mou_unit(seed: int, *, samples_per_level: int = 32) -> list[Check]:
+def suite_mou_unit(seed: int, *, samples: int = 32) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = []
     for i in range(10):
@@ -180,9 +182,7 @@ def suite_mou_unit(seed: int, *, samples_per_level: int = 32) -> list[Check]:
         h = random_hermitian_element(s, rng, scale=0.4)
         shift = max(0.0, -la.lambda_min(h)) + 0.25
         e = h + shift * s.unit  # positive definite by construction
-        report = is_matrix_order_unit(
-            s, e, 3, samples_per_level=samples_per_level, rng=rng
-        )
+        report = is_matrix_order_unit(s, e, 3, samples_per_level=samples, rng=rng)
         flat = [r for level in report.radii.values() for r in level]
         checks.append(Check(
             name=f"mou-unit/system-{i:02d}",
@@ -209,9 +209,7 @@ def suite_mou_unit(seed: int, *, samples_per_level: int = 32) -> list[Check]:
 # choi-effros: faithful trace state is an Archimedean matrix order unit
 # ----------------------------------------------------------------------------
 
-def suite_choi_effros(
-    seed: int, *, functionals: int = 20, max_level: int = 3,
-) -> list[Check]:
+def suite_choi_effros(seed: int, *, samples: int = 20, levels: int = 3) -> list[Check]:
     rng = np.random.default_rng(seed)
     systems = _sample_systems(rng, 20, 4)
     checks = []
@@ -221,7 +219,7 @@ def suite_choi_effros(
         ok = True
         oracle_gap = 0.0
         counts = kernel_counts()
-        for _ in range(functionals):
+        for _ in range(samples):
             g = random_hermitian_functional(s, rng)
             r = dual_order_unit_radius(delta, g, 1)
             if r is None:
@@ -242,7 +240,7 @@ def suite_choi_effros(
             # has no Slater point, so a witness could be PSD only up to the
             # solver's accuracy; the margin keeps every grid strictly inside
             margin = 1e-2 * max(1.0, r_pm)
-            for n in range(2, max_level + 1):
+            for n in range(2, levels + 1):
                 for sign in (1.0, -1.0):
                     lifted = MatrixFunctional.diag((r_pm + margin) * delta - sign * g, n)
                     if is_cp(lifted) is not True:
@@ -328,12 +326,12 @@ def _pin_constraints(system: OperatorSystem, target: np.ndarray):
     return [(b, float(v)) for b, v in zip(basis, vals)]
 
 
-def suite_feasibility_oracle(seed: int, *, instances: int = 100) -> list[Check]:
+def suite_feasibility_oracle(seed: int, *, samples: int = 100) -> list[Check]:
     rng = np.random.default_rng(seed)
     tol = 1e-7
     disagreements = 0
     undecided = 0
-    for _ in range(instances):
+    for _ in range(samples):
         d = int(rng.integers(2, 9))
         full = named_system(f"full:{d}")
         while True:
@@ -354,7 +352,7 @@ def suite_feasibility_oracle(seed: int, *, instances: int = 100) -> list[Check]:
         name="feasibility-oracle/pinned-instances",
         op="feasibility.dykstra_solve",
         status=_status(disagreements == 0 and undecided == 0),
-        detail=f"{instances} fully pinned instances against the eigenvalue "
+        detail=f"{samples} fully pinned instances against the eigenvalue "
                f"oracle",
         evidence={"disagreements": disagreements, "undecided": undecided},
     )]

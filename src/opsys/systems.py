@@ -223,8 +223,10 @@ class OperatorSystem:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, tol: float = 1e-10) -> None:
-        """Check the structural invariants; raises ValidationError on failure."""
+    def validate(self) -> None:
+        """Check the structural invariants to 1e-10; raises ValidationError on
+        failure."""
+        tol = 1e-10
         gram = np.einsum("aij,bij->ab", self.basis.conj(), self.basis)
         if not np.allclose(gram, np.eye(self.dim), atol=tol):
             raise ValidationError("basis Gram matrix is not the identity")
@@ -482,18 +484,15 @@ def _checked_unit(system: OperatorSystem, e, tol: float) -> np.ndarray:
 
 
 def order_unit_radius_level(
-    system: OperatorSystem,
-    e,
-    x,
-    *,
-    tol: float = DEFAULT_TOL,
-    r_max: float = 1e6,
+    system: OperatorSystem, e, x, *, r_max: float = 1e6
 ) -> float | None:
     """Smallest r >= 0 with ``r*(I_n (x) e) - x`` in M_n(S)+, or ``None``.
 
-    :func:`_domination_radius` on (I_n (x) e, x), exact for a positive
-    definite e; ``None`` means no r <= r_max dominates x.
+    :func:`_domination_radius` on (I_n (x) e, x) at tolerance
+    ``DEFAULT_TOL``, exact for a positive definite e; ``None`` means no
+    r <= r_max dominates x.
     """
+    tol = DEFAULT_TOL
     em = _checked_unit(system, e, tol)
     xm = la.as_matrix(x)
     n = level_of(system, xm)
@@ -519,12 +518,11 @@ class MatrixOrderUnitReport:
         return self.ok
 
 
-def _kernel_counterexample(system, e, tol):
-    """Deterministic order-unit failure search: if e has (near-)kernel vector
-    psi and the projection of psi psi* onto S still has positive mass at psi,
-    no multiple of e dominates that projection."""
-    em = la.hermitian_part(e)
-    w, u = la.spectral_decompose(em)
+def _kernel_counterexample(system: OperatorSystem, em: np.ndarray):
+    """Deterministic order-unit failure search on a checked unit e: if e has
+    (near-)kernel vector psi and the projection of psi psi* onto S still has
+    positive mass at psi, no multiple of e dominates that projection."""
+    w, u = la.spectral_decompose(la.hermitian_part(em))
     for k in range(len(w) - 1, -1, -1):
         if w[k] > 1e-7:
             break
@@ -542,21 +540,22 @@ def is_matrix_order_unit(
     max_level: int = 3,
     *,
     samples_per_level: int = 32,
-    tol: float = DEFAULT_TOL,
-    r_max: float = 1e6,
     rng: np.random.Generator | None = None,
 ) -> MatrixOrderUnitReport:
     """Check whether e dominates sampled Hermitian elements at levels 1..max_level.
 
-    A level-1 order unit must pass at every level, so a single failed radius
-    refutes matrix-order-unit-hood.  Sampling is deterministic by default
-    (fixed internal seed) for reproducible runs; pass ``rng`` to override.
-    A deterministic counterexample search along near-kernel directions of e
-    supplements the random sampling at level 1.
+    e must lie in S+ (ValidationError otherwise).  A level-1 order unit must
+    pass at every level, so a single failed radius (none up to 1e6, at
+    tolerance ``DEFAULT_TOL``) refutes matrix-order-unit-hood.  Sampling is
+    deterministic by default (fixed internal seed) for reproducible runs;
+    pass ``rng`` to override.  A deterministic counterexample search along
+    near-kernel directions of e supplements the random sampling at level 1.
     """
     if rng is None:
         rng = np.random.default_rng(_MOU_SAMPLE_SEED)
-    ce = _kernel_counterexample(system, e, tol)
+    tol = DEFAULT_TOL
+    em = _checked_unit(system, e, tol)
+    ce = _kernel_counterexample(system, em)
     if ce is not None:
         return MatrixOrderUnitReport(
             ok=False,
@@ -564,7 +563,6 @@ def is_matrix_order_unit(
             counterexample=ce,
             counterexample_level=1,
         )
-    em = _checked_unit(system, e, tol)
     radii: dict[int, list] = {}
     ok = True
     for n in range(1, max_level + 1):
@@ -573,7 +571,7 @@ def is_matrix_order_unit(
         for _ in range(samples_per_level):
             # drawn in M_n(S)_h, so x needs neither check of order_unit_radius_level
             x = random_hermitian_element(system, rng, level=n)
-            r = _domination_radius(lifted, x, tol, r_max, _RADIUS_PRECISION)
+            r = _domination_radius(lifted, x, tol, 1e6, _RADIUS_PRECISION)
             level_radii.append(r)
             if r is None:
                 ok = False
@@ -608,10 +606,10 @@ def random_hermitian_element(
 
 
 def random_positive_element(
-    system: OperatorSystem, rng: np.random.Generator, *, level: int = 1, scale: float = 1.0
+    system: OperatorSystem, rng: np.random.Generator, *, level: int = 1
 ) -> np.ndarray:
     """Random element of M_n(S)+, built as h + (|lambda_min| + u) * identity."""
-    h = random_hermitian_element(system, rng, level=level, scale=scale)
+    h = random_hermitian_element(system, rng, level=level)
     lift = max(0.0, -la.lambda_min(h)) + float(rng.uniform(0.05, 0.5))
     return h + lift * np.eye(h.shape[0])
 

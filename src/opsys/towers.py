@@ -52,7 +52,6 @@ from .errors import (
 )
 from .norms import numerical_radius
 from .systems import (
-    DEFAULT_TOL,
     OperatorSystem,
     cone_member,
     from_blocks,
@@ -255,8 +254,9 @@ class Tower:
             images.append(self.embeddings[s].apply_level(images[-1]))
         return ElementThread(tower=self, base=k, level=n, images=tuple(images))
 
-    def unit_thread(self, k: int = 1) -> "ElementThread":
-        return self.thread(k, self.stage(k).unit)
+    def unit_thread(self) -> "ElementThread":
+        """The thread of the unit of the first stage."""
+        return self.thread(1, self.stage(1).unit)
 
     # -- validation -----------------------------------------------------------
 
@@ -393,10 +393,11 @@ class ElementThread:
     def deepest(self) -> np.ndarray:
         return self.images[-1]
 
-    def check_compatibility(self, tol: float = _COMPAT_TOL) -> None:
+    def check_compatibility(self) -> None:
+        """Each image is the embedding of the one before, to ``_COMPAT_TOL``."""
         for s, (cur, nxt) in enumerate(zip(self.images, self.images[1:])):
             emb = self.tower.embeddings[self.base - 1 + s]
-            if la.frobenius(emb.apply_level(cur) - nxt) > tol:
+            if la.frobenius(emb.apply_level(cur) - nxt) > _COMPAT_TOL:
                 raise InconsistentThreadError(
                     f"image recursion broken between stages {self.base + s}"
                     f" and {self.base + s + 1}"
@@ -420,15 +421,16 @@ class FunctionalThread:
         at level 1."""
         return max(f.norm for f in self.entries)
 
-    def check_compatibility(self, tol: float = _COMPAT_TOL) -> None:
-        """f_{k+1} o phi_k = f_k entrywise on the basis of each stage k < K.
-        The adjoint is recomputed here, not taken from the thread's own
-        pullbacks, so a stored entry that drifted from it is seen."""
+    def check_compatibility(self) -> None:
+        """f_{k+1} o phi_k = f_k entrywise on the basis of each stage k < K,
+        relative to ``_COMPAT_TOL``.  The adjoint is recomputed here, not
+        taken from the thread's own pullbacks, so a stored entry that
+        drifted from it is seen."""
         for k in range(1, self.tower.depth):
             emb = self.tower.embeddings[k - 1]
             lhs = emb.source.level_values(emb._pulled_riesz(self.entries[k]))
             rhs = emb.source.level_values(self.entries[k - 1].riesz)
-            if np.any(np.abs(lhs - rhs) > tol * np.maximum(1.0, np.abs(rhs))):
+            if np.any(np.abs(lhs - rhs) > _COMPAT_TOL * np.maximum(1.0, np.abs(rhs))):
                 raise InconsistentThreadError(
                     f"adjoint compatibility broken at stage {k}"
                 )
@@ -496,11 +498,12 @@ def thread_norm_sequence(t: Tower, e: ElementThread, kind: str = "h"):
     return values, limit, bool(limit < 1e-8)
 
 
-def inductive_positive(t: Tower, e: ElementThread, *, tol: float = DEFAULT_TOL) -> bool:
+def inductive_positive(t: Tower, e: ElementThread) -> bool:
     """Truncated-depth positivity: r-smeared cone membership of the deepest
-    image.  The smearing r = ``_SMEAR`` stands in for the vanishing correction
-    terms that a finite embedding tower forces to zero, and admits boundary
-    elements with lambda_min = 0.
+    image at :func:`cone_member`'s default tolerance.  The smearing
+    r = ``_SMEAR`` stands in for the vanishing correction terms that a
+    finite embedding tower forces to zero, and admits boundary elements
+    with lambda_min = 0.
 
     The verdict means "positive at depth K": elements whose positivity only
     emerges past the truncation depth cannot be seen here.
@@ -511,7 +514,7 @@ def inductive_positive(t: Tower, e: ElementThread, *, tol: float = DEFAULT_TOL) 
     if not la.is_hermitian(deep, 1e-8):
         raise HermitianError("inductive positivity needs a Hermitian thread")
     smeared = _SMEAR * np.eye(deep.shape[0]) + deep
-    return cone_member(t.stage(t.depth), smeared, tol)
+    return cone_member(t.stage(t.depth), smeared)
 
 
 def pairing(e: ElementThread, f: FunctionalThread) -> complex:
@@ -540,9 +543,9 @@ def pairing(e: ElementThread, f: FunctionalThread) -> complex:
 # Verification sweeps
 # ----------------------------------------------------------------------------
 
-def _nonpositive_hermitian(system, rng, level=1, floor=-1e-3):
+def _nonpositive_hermitian(system, rng, floor=-1e-3):
     while True:
-        h = random_hermitian_element(system, rng, level=level)
+        h = random_hermitian_element(system, rng)
         if la.lambda_min(h) < floor:
             return h
 
@@ -570,11 +573,10 @@ def verify_dual_cones(
     samples: int = 50,
     *,
     rng: np.random.Generator | None = None,
-    tol: float = 1e-8,
 ) -> dict:
     """Dual-cone behavior of the truncated pairing.
 
-    (a) positive x positive pairings are >= -tol; (b) every sampled
+    (a) positive x positive pairings are >= -1e-8; (b) every sampled
     non-positive element thread gets a positive functional thread built from
     the most-negative eigendirection at the deepest stage, with pairing < 0;
     (c) every sampled non-positive functional thread gets a positive element
@@ -593,7 +595,7 @@ def verify_dual_cones(
         f = pullback_thread(t, random_positive_functional(t.stage(t.depth), rng))
         val = pairing(e, f)
         pair_count += 1
-        if val.real < -tol or abs(val.imag) > 1e-8 * max(1.0, abs(val)):
+        if val.real < -1e-8 or abs(val.imag) > 1e-8 * max(1.0, abs(val)):
             violations += 1
     report["positive_pairs"] = {"count": pair_count, "violations": violations}
 

@@ -16,6 +16,7 @@ from opsys.cli import (
     exit_code_for,
     run,
 )
+from opsys.norms import norm_report
 from opsys.systems import named_system
 
 E12 = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]  # wire format for E_12
@@ -132,6 +133,27 @@ def test_norm_full_report(capsys, e12_file):
     ev = report["checks"][0]["evidence"]
     assert ev["max_upper"] == pytest.approx(1.0, abs=1e-8)
     assert ev["h"] is None
+
+
+def test_norm_kinds_read_the_norm_report(tmp_path, capsys, e12_file):
+    # every --kind is the matching fields of one norm_report, to the bit;
+    # h of a non-Hermitian element is an error (exit 2)
+    s = named_system("pauli-span")
+    h = np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, 1.0]])
+    h_file = tmp_path / "h.json"
+    h_file.write_text(json.dumps(la.encode_matrix(h)))
+    fields = {"h": ["h"], "min": ["min"], "max": ["max_lower", "max_upper"]}
+    for path, element in ((str(h_file), h), (e12_file, la.decode_matrix(E12))):
+        rep = norm_report(s, element).to_json()
+        for kind, keys in fields.items():
+            if kind == "h" and rep["h"] is None:
+                continue
+            argv = ["norm", "--system", "pauli-span", "--element", path, "--kind", kind, "--json"]
+            code, report = run_json(capsys, argv)
+            assert code == EXIT_OK
+            assert report["checks"][0]["evidence"] == {key: rep[key] for key in keys}
+    assert run(["norm", "--system", "pauli-span", "--element", e12_file, "--kind", "h"]) == EXIT_FAIL
+    assert "Hermitian" in capsys.readouterr().err
 
 
 # -- cone command --------------------------------------------------------------------
@@ -295,6 +317,21 @@ def test_suite_feasibility_oracle(capsys):
     assert code == EXIT_OK
     assert all(c["status"] == "pass" for c in report["checks"])
     assert all(c["op"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["choi-effros", "--levels", "2", "--samples", "2"], {"levels": 2, "samples": 2}),
+    (["duality-tower", "--depth", "3", "--levels", "3"], {"depth": 3, "levels": 3}),
+    # norm-sandwich takes no depth: the flag is ignored
+    (["norm-sandwich", "--depth", "3", "--samples", "4"], {"samples": 4}),
+], ids=["choi-effros", "duality-tower", "norm-sandwich"])
+def test_suite_flags_reach_the_suites_that_take_them(capsys, argv, config):
+    code, report = run_json(capsys, ["suite", *argv, "--seed", "3", "--json"])
+    assert code == EXIT_OK
+    assert report["config"] == {"suite": argv[0], **config}
+    if argv[0] == "duality-tower":
+        gamma = next(c for c in report["checks"] if c["name"] == "duality-tower/gamma")
+        assert gamma["detail"].endswith("at depth 3")
 
 
 def test_report_deterministic_modulo_elapsed(capsys):

@@ -609,7 +609,7 @@ def test_kernel_radius_evidence_rechecks_by_hand(name):
                 g = random_hermitian_functional(s, rng)
                 dm = np.kron(eye, la.hermitian_part(delta.riesz))
                 gm = np.kron(eye, la.hermitian_part(g.riesz))
-                solve = dual_module._section_sdp(s, -gm, dm, level=level)
+                solve = dual_module._section_sdp(s, -gm, dm)
                 assert solve.stop == "converged"
                 assert 0 < solve.iterations <= dual_module._SDP_ITERS
                 lower, upper = solve.t, np.vdot(-gm, solve.x).real
@@ -904,13 +904,46 @@ def test_level_n_radius_is_one_kernel_solve(name):
 @pytest.mark.parametrize("level", [1, 2])
 def test_radius_of_non_hermitian_delta(level):
     # r delta - g is not Hermitian for r > 0, so only r = 0 can pass: the
-    # radius is 0.0 when -g is positive and None otherwise
+    # radius is 0.0 when -g is positive and None otherwise, each decided by
+    # the one kernel solve at r = 0, with no search above it
+    import opsys.dual as dual_module
+
     s = named_system("pauli-span")
     delta = Functional(s, np.eye(2) + 1j * PAULI_X)
     assert not delta.is_hermitian()
     negative = Functional(s, -(np.eye(2) + 0.5 * PAULI_X))
-    assert dual_order_unit_radius(delta, negative, level) == 0.0
-    assert dual_order_unit_radius(delta, -1.0 * negative, level, r_max=1e3) is None
+    for g, radius in ((negative, 0.0), (-1.0 * negative, None)):
+        before = dual_module.kernel_counts()
+        assert dual_order_unit_radius(delta, g, level, r_max=1e3) == radius
+        counts = dual_module.kernel_counts(since=before)
+        assert counts["solves"] == 1 and counts["bisection_fallbacks"] == 0
+
+
+def test_radius_rejects_g_on_another_system():
+    # a g over another system used to give 0.0 (same d) or a raw numpy
+    # error (another d)
+    g = random_hermitian_functional(named_system("diag:3"), np.random.default_rng(41))
+    for name in ("toeplitz:3", "full:2"):
+        with pytest.raises(ValidationError, match="different systems"):
+            dual_order_unit_radius(faithful_state(named_system(name)), g, 1)
+
+
+def test_series_state_rejects_mixed_systems():
+    states = [faithful_state(named_system("toeplitz:3")), faithful_state(named_system("diag:3"))]
+    with pytest.raises(ValidationError, match="mixed systems"):
+        series_state(states)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["full:3", "toeplitz:3"])
+def test_verdicts_reject_bad_tolerances(name, bad):
+    # at tol = nan the trace state on full:3 used to get an infeasible CP
+    # verdict and fail positivity on both systems
+    f = faithful_state(named_system(name))
+    with pytest.raises(ValidationError, match="positive and finite"):
+        cp_verdict(f, bad)
+    with pytest.raises(ValidationError, match="positive and finite"):
+        is_positive_functional(f, bad)
 
 
 def test_wittstock_decomposition():

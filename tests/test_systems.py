@@ -424,10 +424,13 @@ def test_diag_unit_counterexample():
 
 
 def test_matrix_order_unit_rejects_a_unit_outside_the_system():
-    # diag(2, 1) is positive definite, so no kernel counterexample exists,
-    # but it is not in pauli-span: the unit check raises before any sample
-    with pytest.raises(ValidationError, match="not in S"):
-        is_matrix_order_unit(named_system("pauli-span"), np.diag([2.0, 1.0]))
+    # none of these is in pauli-span: the unit check raises before any
+    # search.  diag(2, 1) is positive definite; the singular diag(1, 0) and
+    # the non-Hermitian [[1, 2], [0, 0]] used to reach the kernel
+    # counterexample search first and come back ok=False
+    for e in (np.diag([2.0, 1.0]), np.diag([1.0, 0.0]), np.array([[1.0, 2.0], [0.0, 0.0]])):
+        with pytest.raises(ValidationError, match="not in S"):
+            is_matrix_order_unit(named_system("pauli-span"), e)
 
 
 def test_positive_definite_unit_dominates():
