@@ -255,10 +255,8 @@ def _cmd_dual(args) -> tuple[list[Check], dict]:
         mf = _load_matrix_functional(system, args.functional)
         tol = _default_tol(args, 1e-7)
         if args.dump_problem:
-            problem = cp_choi_problem(mf, tol)
-            payload = problem.to_json() if problem else {"bypass": "full algebra"}
             with open(args.dump_problem, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
+                json.dump(cp_choi_problem(mf, tol).to_json(), fh, indent=2, sort_keys=True)
         verdict = cp_verdict(mf, tol)
         status = {"feasible": "pass", "infeasible": "fail"}.get(verdict.status, "undecided")
         checks = [Check(

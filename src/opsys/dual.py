@@ -462,16 +462,15 @@ def level_hermitian_basis(system: OperatorSystem, n: int) -> np.ndarray:
     return _level_basis(system.hermitian_basis, n)
 
 
-def cp_choi_problem(mf: MatrixFunctional, tol: float = 1e-7) -> FeasibilityProblem | None:
+def cp_choi_problem(mf: MatrixFunctional, tol: float = 1e-7) -> FeasibilityProblem:
     """The PSD/affine feasibility problem deciding CP-extendability of the
     grid: find W >= 0 on C^n (x) C^d whose pairings against a Hermitian
     basis of M_n(S) match the Choi data.  This is what :func:`cp_verdict`
-    decides through the section kernel; the explicit problem is for export
-    and for the Dykstra solver.  Returns ``None`` on the full algebra,
-    where the Choi eigenvalues decide directly."""
+    decides, through the section kernel on a proper subsystem and by the
+    Choi eigenvalues on the full algebra, where the pairings pin W to the
+    Choi matrix; the explicit problem is for export and for the Dykstra
+    solver."""
     system = mf.system
-    if system.is_full:
-        return None
     choi = la.hermitian_part(mf.riesz)
     kbasis = level_hermitian_basis(system, mf.n)
     rhs = np.real(np.einsum("aij,ji->a", kbasis, choi))
@@ -614,7 +613,7 @@ def _radius(
 def dual_order_unit_radius(
     delta: Functional,
     g,
-    level: int = 1,
+    level: int | None = None,
     *,
     precision: float = 1e-6,
     r_max: float = 1e6,
@@ -622,9 +621,11 @@ def dual_order_unit_radius(
     """Smallest r >= 0 such that r * (I_n (x) delta) - g is positive, at
     positivity tolerance ``DEFAULT_TOL``.
 
-    ``g`` is a Hermitian :class:`MatrixFunctional` over the system of delta:
-    at level 1 (a functional) it is lifted diagonally to the requested
-    level, at any other level n is its own.  For a Hermitian delta,
+    ``g`` is a Hermitian :class:`MatrixFunctional` over the system of delta.
+    ``level`` defaults to the level of g; a level-1 g (a functional) is
+    lifted diagonally to any requested level, and a g of level n > 1 takes
+    no level but n.  Another level, or one below 1, raises ValidationError.
+    For a Hermitian delta,
     D = I_n (x) Re delta and the Riesz matrix G of g go to the primal radius
     routine on the full algebra and to one kernel solve (:func:`_radius`) on
     M_n(S).  Kernel evidence that fails (a non-faithful delta, a breakdown)
@@ -640,8 +641,11 @@ def dual_order_unit_radius(
     system, tol = delta.system, DEFAULT_TOL
     if g.system is not system:
         raise ValidationError("delta and g live on different systems")
+    n = g.n if level is None else level
+    if n < 1 or g.n not in (1, n):
+        raise ValidationError(f"level {level} for a g of level {g.n}")
     if g.n == 1:
-        g = MatrixFunctional.diag(g, level)
+        g = MatrixFunctional.diag(g, n)
     gm = la.hermitian_part(g.riesz)
     dm = np.kron(np.eye(g.n), la.hermitian_part(delta.riesz))
 
@@ -673,7 +677,7 @@ def verify_dual_unit_equivalences(
     max_level: int = 3,
     samples: int = 20,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> dict:
     """Executable form of the dual order-unit equivalences.
 
@@ -691,8 +695,6 @@ def verify_dual_unit_equivalences(
     from the vanishing direction is reported and the order-unit check fails.
     ``report["kernel"]`` holds the :func:`kernel_counts` of the sweep.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     report: dict = {"passed": True, "counterexamples": []}
     counts = kernel_counts()
 

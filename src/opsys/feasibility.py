@@ -7,23 +7,26 @@ the origin: with the corrections, the iterates converge to a point of the
 intersection whenever one exists, and the gap between the cone-side and
 affine-side iterates converges to the distance between the sets otherwise.
 
-The solver serves explicit problems: those loaded from JSON, the Choi
-problems that ``opsys dual check-cp --dump-problem`` exports, and the fully
-pinned instances of the acceptance tests and the feasibility-oracle suite.
-CP and positivity verdicts of the dual module come from its own
-interior-point kernel, which decides the same Choi problems, not from here.
+The solver serves explicit problems: the Choi problems of
+:func:`opsys.dual.cp_choi_problem`, which ``opsys dual check-cp
+--dump-problem`` exports and from which the acceptance tests and the
+feasibility-oracle suite build their fully pinned instances.  CP and
+positivity verdicts of the dual module come from its own interior-point
+kernel, which decides the same Choi problems, not from here.
 
-Verdicts are three-valued.  "infeasible" rests on a Farkas certificate
-whenever the identity lies in span{A_k} (every Choi problem and every fully
-pinned one): the displacement y - x between the cone-side and affine-side
-iterates, projected onto span{A_k} and shifted by a multiple of I until it
-is PSD, is a matrix Z with <Z, W> >= 0 on the cone and <Z, W> = sum c_k b_k
-on the affine set (Bauschke & Borwein, J. Approx. Theory 1994).  The solver
-accepts it only when sum c_k b_k < -10 tol ||Z||_F, which proves that the
-sets lie more than 10 tol apart, so the "feasible" test could never fire.
-Without I in the span the certificate cannot be formed, and the fallback is
-the stall rule: the gap stops moving at a value above 10 tol.  Budget
-exhaustion yields "undecided", which callers surface rather than coerce.
+Verdicts are three-valued, and each definite one is checked.  "feasible"
+is the affine-side iterate, which meets every constraint exactly, once it
+lies within tol of the cone.  "infeasible" needs a Farkas certificate,
+which can be formed only when the identity lies in span{A_k} (every Choi
+problem and every fully pinned one): the displacement y - x between the
+cone-side and affine-side iterates, projected onto span{A_k} and shifted by
+a multiple of I until it is PSD, is a matrix Z with <Z, W> >= 0 on the cone
+and <Z, W> = sum c_k b_k on the affine set (Bauschke & Borwein, J. Approx.
+Theory 1994).  The solver accepts it only when sum c_k b_k < -10 tol
+||Z||_F, which proves that the sets lie more than 10 tol apart, so the
+"feasible" test could never fire.  Everything else, a problem without I in
+its constraint span included, ends "undecided" when the budget runs out,
+which callers surface rather than coerce.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .errors import DimensionError, InfeasibleAffineError, ParseError, ValidationError
+from .errors import DimensionError, InfeasibleAffineError, ValidationError
 
 __all__ = [
     "FeasibilityProblem",
@@ -42,7 +45,6 @@ __all__ = [
     "dykstra_solve",
 ]
 
-_STALL_WINDOW = 50
 #: The identity counts as in span{A_k} when its residual off the span is
 #: below this, relative to ||I||_F.
 _UNIT_RTOL = 1e-10
@@ -86,19 +88,6 @@ class FeasibilityProblem:
             ],
         }
 
-    @classmethod
-    def from_json(cls, obj) -> "FeasibilityProblem":
-        try:
-            cons = [(la.decode_matrix(c["a"]), float(c["b"])) for c in obj["constraints"]]
-            return cls(
-                dim=int(obj["dim"]),
-                constraints=cons,
-                tol=float(obj.get("tol", 1e-7)),
-                max_iter=int(obj.get("max_iter", 20000)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed feasibility problem JSON: {exc}") from exc
-
 
 @dataclass
 class FeasibilityVerdict:
@@ -107,7 +96,8 @@ class FeasibilityVerdict:
     gap: float
     iterations: int = 0
     # infeasible only: PSD Z in span{A_k} with <Z, W> < -10 tol ||Z||_F on
-    # the affine set (None when the verdict came from the stall rule)
+    # the affine set; every infeasible Dykstra verdict carries one (the CP
+    # verdict of a non-Hermitian grid has none)
     certificate: np.ndarray | None = None
 
     def __bool__(self) -> bool:
@@ -181,11 +171,9 @@ def dykstra_solve(problem: FeasibilityProblem) -> FeasibilityVerdict:
                 docstring) is tried at iterations 1, 2, 4, 8, ... while the
                 gap exceeds 10 * tol, and the solve stops at the first that
                 verifies; it proves the sets are more than 10 * tol apart.
-                Fallback: the gap stalls (relative change < tol/10 over a
-                50-iteration window) at a value above 10 * tol, after one
-                last certificate attempt.
     undecided:  iteration budget exhausted before either test fires, e.g.
-                when the distance between the sets is in (tol, 10 * tol).
+                when the distance between the sets is in (tol, 10 * tol) or
+                I is not in span{A_k}.
     """
     span = _AffineSpan.build(problem)
     x = span.project(np.zeros((problem.dim,) * 2, dtype=complex))
@@ -193,24 +181,16 @@ def dykstra_solve(problem: FeasibilityProblem) -> FeasibilityVerdict:
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     margin = 10 * problem.tol
-    gaps: list[float] = []
     for it in range(1, problem.max_iter + 1):
         y = la.project_psd(x + p)
         p = x + p - y
         x = la.hermitian_part(span.project(y + q))
         q = y + q - x
         gap = la.frobenius(y - x)
-        gaps.append(gap)
         if gap < problem.tol:
             return FeasibilityVerdict("feasible", x, gap, it)
-        stalled = (
-            it > _STALL_WINDOW and gap > margin
-            and abs(gap - gaps[-1 - _STALL_WINDOW]) < (problem.tol / 10.0) * max(1.0, gap)
-        )
-        if span.has_unit and gap > margin and (stalled or it & (it - 1) == 0):
+        if span.has_unit and gap > margin and it & (it - 1) == 0:
             certificate = _farkas_certificate(span, y, x, problem.tol)
             if certificate is not None:
                 return FeasibilityVerdict("infeasible", None, gap, it, certificate)
-        if stalled:
-            return FeasibilityVerdict("infeasible", None, gap, it)
     return FeasibilityVerdict("undecided", None, gap, problem.max_iter)

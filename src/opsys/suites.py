@@ -19,6 +19,7 @@ from . import linalg as la
 from .dual import (
     Functional,
     MatrixFunctional,
+    cp_choi_problem,
     dual_order_unit_radius,
     faithful_state,
     is_cp,
@@ -28,10 +29,9 @@ from .dual import (
     random_hermitian_functional,
     random_positive_functional,
 )
-from .feasibility import FeasibilityProblem, dykstra_solve
+from .feasibility import dykstra_solve
 from .norms import max_order_norm, min_order_norm, norm_report, order_norm_h
 from .systems import (
-    OperatorSystem,
     make_operator_system,
     named_system,
     is_matrix_order_unit,
@@ -320,12 +320,6 @@ def suite_dual_equivalences(seed: int, *, samples: int = 50) -> list[Check]:
 # feasibility-oracle: Dykstra verdicts against the eigenvalue oracle
 # ----------------------------------------------------------------------------
 
-def _pin_constraints(system: OperatorSystem, target: np.ndarray):
-    basis = system.hermitian_basis
-    vals = np.real(np.einsum("aij,ji->a", basis, target))
-    return [(b, float(v)) for b, v in zip(basis, vals)]
-
-
 def suite_feasibility_oracle(seed: int, *, samples: int = 100) -> list[Check]:
     rng = np.random.default_rng(seed)
     tol = 1e-7
@@ -337,12 +331,13 @@ def suite_feasibility_oracle(seed: int, *, samples: int = 100) -> list[Check]:
         while True:
             w0 = random_hermitian_element(full, rng)
             lam = la.lambda_min(w0)
-            # keep instances out of the (tol, 10 tol) gray band where the
-            # stall heuristic is specified to stay undecided
+            # keep instances out of the (tol, 10 tol) gray band, where
+            # neither the feasible exit nor a Farkas certificate can fire
             if not (-10 * tol < lam < -tol):
                 break
-        problem = FeasibilityProblem(d, _pin_constraints(full, w0), tol=tol)
-        verdict = dykstra_solve(problem)
+        # at level 1 on full:d the Choi problem pins every Hermitian
+        # coordinate of w0
+        verdict = dykstra_solve(cp_choi_problem(MatrixFunctional.from_choi(full, w0), tol))
         oracle_feasible = lam >= -tol
         if verdict.status == "undecided":
             undecided += 1
@@ -362,8 +357,10 @@ def suite_feasibility_oracle(seed: int, *, samples: int = 100) -> list[Check]:
     for i in range(2):
         for j in range(2):
             swap[2 * i + j, 2 * j + i] = 1.0
-    problem = FeasibilityProblem(4, _pin_constraints(named_system("full:4"), swap), tol=tol)
-    verdict = dykstra_solve(problem)
+    # pinned as a level-1 problem on full:4: the level-2 grid over full:2
+    # pairs against another basis, which moves the digits of the gap
+    verdict = dykstra_solve(
+        cp_choi_problem(MatrixFunctional.from_choi(named_system("full:4"), swap), tol))
     mf = MatrixFunctional.from_choi(full2, swap)
     checks.append(Check(
         name="feasibility-oracle/transpose-choi",

@@ -572,7 +572,7 @@ def verify_dual_cones(
     t: Tower,
     samples: int = 50,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> dict:
     """Dual-cone behavior of the truncated pairing.
 
@@ -582,8 +582,6 @@ def verify_dual_cones(
     (c) every sampled non-positive functional thread gets a positive element
     thread with negative pairing from the positivity minimizer.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     report: dict = {"passed": True}
 
     violations = 0
@@ -630,7 +628,7 @@ def verify_gamma(
     samples: int = 30,
     max_level: int = 2,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> dict:
     """Truncated-depth checks that the pairing map is a complete order
     isomorphism onto the dual of the inductive limit.
@@ -647,8 +645,6 @@ def verify_gamma(
       stage-wise trace states form a matrix order unit with a uniform
       finite radius over the truncation.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     top = t.stage(t.depth)
     report: dict = {"passed": True}
     failures: list[str] = []

@@ -179,6 +179,23 @@ def test_check_cp_transpose(tmp_path, capsys):
     assert code == EXIT_FAIL  # the transpose map is not CP
 
 
+def test_check_cp_dump_on_full_algebra(tmp_path, capsys):
+    # the full algebra exports its Choi problem too: 16 Hermitian-basis
+    # pairings of M_4 that pin W to the transpose map's Choi matrix, the swap
+    grid = [[la.encode_matrix(np.eye(2)[[i], :].T @ np.eye(2)[[j], :])
+             for j in range(2)] for i in range(2)]
+    f = tmp_path / "transpose.json"
+    f.write_text(json.dumps({"grid": grid}))
+    dump = tmp_path / "problem.json"
+    code = run(["dual", "check-cp", "--system", "full:2", "--functional", str(f),
+                "--dump-problem", str(dump)])
+    assert code == EXIT_FAIL
+    problem = json.loads(dump.read_text())
+    assert problem["dim"] == 4 and len(problem["constraints"]) == 16
+    pinned = sum(c["b"] * la.decode_matrix(c["a"]) for c in problem["constraints"])
+    assert np.abs(pinned - np.eye(4)[[0, 2, 1, 3]]).max() <= 1e-12
+
+
 def test_check_cp_identity_with_dump(tmp_path, capsys):
     grid = [[la.encode_matrix(np.eye(2)[[j], :].T @ np.eye(2)[[i], :])
              for j in range(2)] for i in range(2)]

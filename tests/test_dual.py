@@ -19,7 +19,7 @@ from opsys.dual import (
     series_state,
     verify_dual_unit_equivalences,
 )
-from opsys.errors import MembershipError, ValidationError
+from opsys.errors import DimensionError, MembershipError, ValidationError
 from opsys.feasibility import FeasibilityProblem, dykstra_solve
 from opsys.systems import (
     cone_member,
@@ -331,6 +331,24 @@ def test_is_cp_rejects_non_hermitian_grid():
     assert is_cp(mf) is False
 
 
+def test_dual_elements_reject_malformed_input():
+    s, t = named_system("pauli-span"), named_system("toeplitz:3")
+    f = faithful_state(s)
+    with pytest.raises(DimensionError, match="square"):
+        MatrixFunctional.from_grid([[f, f]])
+    with pytest.raises(DimensionError, match="square"):
+        MatrixFunctional.from_grid([])
+    g = Functional(named_system("full:2"), np.eye(2))
+    with pytest.raises(ValidationError, match="mixed systems"):
+        MatrixFunctional.from_grid([[f, f], [f, g]])
+    with pytest.raises(ValidationError, match="different systems or levels"):
+        f + MatrixFunctional.diag(f, 2)
+    with pytest.raises(DimensionError, match="riesz matrix of shape"):
+        Functional(t, np.eye(2))
+    with pytest.raises(DimensionError, match="riesz matrix of shape"):
+        Functional(s, np.eye(4))
+
+
 def test_choi_grid_roundtrip():
     rng = np.random.default_rng(4)
     s = named_system("pauli-span")
@@ -509,13 +527,25 @@ def test_margin_grid_undecided_by_dykstra_is_certified():
     assert la.lambda_min(verdict.witness) >= -tol
 
 
-def test_cp_problem_exposed_for_subsystems_only():
+def test_cp_problem_exposed_on_every_system():
     s = named_system("pauli-span")
     f = random_positive_functional(s, np.random.default_rng(7))
-    assert cp_choi_problem(MatrixFunctional.from_grid([[f]])) is not None
+    assert len(cp_choi_problem(MatrixFunctional.from_grid([[f]])).constraints) == s.dim
+    # on full:2 the problem pins every Hermitian-basis pairing of the Choi
+    # matrix, and Dykstra reaches cp_verdict's eigenvalue verdict
     full = named_system("full:2")
     g = random_positive_functional(full, np.random.default_rng(8))
-    assert cp_choi_problem(MatrixFunctional.from_grid([[g]])) is None
+    swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)  # Choi matrix of the transpose
+    grids = (MatrixFunctional.from_grid([[g]]), MatrixFunctional.diag(g, 2),
+             MatrixFunctional.from_choi(full, swap))
+    for mf, status in zip(grids, ("feasible", "feasible", "infeasible")):
+        problem = cp_choi_problem(mf)
+        basis = level_hermitian_basis(full, mf.n)
+        assert problem.dim == 2 * mf.n and len(problem.constraints) == len(basis)
+        for (a, b), k in zip(problem.constraints, basis):
+            assert np.allclose(a, k, atol=1e-15)
+            assert b == pytest.approx(np.trace(k @ mf.riesz).real, abs=1e-12)
+        assert dykstra_solve(problem).status == cp_verdict(mf).status == status
 
 
 # -- faithful states -----------------------------------------------------------------
@@ -926,6 +956,37 @@ def test_radius_rejects_g_on_another_system():
     for name in ("toeplitz:3", "full:2"):
         with pytest.raises(ValidationError, match="different systems"):
             dual_order_unit_radius(faithful_state(named_system(name)), g, 1)
+
+
+def test_radius_rejects_non_hermitian_g():
+    s = named_system("pauli-span")
+    g = Functional(s, 1j * np.eye(2))
+    with pytest.raises(ValidationError, match="Hermitian"):
+        dual_order_unit_radius(faithful_state(s), g)
+
+
+def test_radius_reads_the_level_off_a_grid():
+    # a level-2 grid used to give its level-2 radius for level 1, 2 and 3
+    # alike; it now takes level 2 or none, and a functional any level >= 1
+    s = named_system("toeplitz:3")
+    delta = faithful_state(s)
+    f = random_hermitian_functional(s, np.random.default_rng(1))
+    g = MatrixFunctional.diag(f, 2)
+    r = dual_order_unit_radius(delta, g)
+    assert r == pytest.approx(0.8815560183118218, abs=1e-12)
+    assert dual_order_unit_radius(delta, g, 2) == r
+    assert dual_order_unit_radius(delta, f) == dual_order_unit_radius(delta, f, 1)
+    for level in (0, 1, 3):
+        with pytest.raises(ValidationError, match=f"level {level} for a g of level 2"):
+            dual_order_unit_radius(delta, g, level)
+    for level in (0, -1):
+        with pytest.raises(ValidationError, match=f"level {level} for a g of level 1"):
+            dual_order_unit_radius(delta, f, level)
+
+
+def test_series_state_needs_a_state():
+    with pytest.raises(ValueError, match="at least one state"):
+        series_state([])
 
 
 def test_series_state_rejects_mixed_systems():

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from opsys import linalg as la
-from opsys.errors import InfeasibleAffineError, ParseError, ValidationError
+from opsys.errors import InfeasibleAffineError, ValidationError
 from opsys.feasibility import (
     FeasibilityProblem,
     _AffineSpan,
@@ -121,7 +123,7 @@ def test_transpose_choi_infeasible():
     problem = FeasibilityProblem(4, pin_constraints(4, swap))
     verdict = dykstra_solve(problem)
     assert verdict.status == "infeasible"
-    assert verdict.iterations == 1  # the stall rule alone needs >= 51
+    assert verdict.iterations == 1  # the first certificate attempt verifies
     assert_certificate_verifies(problem, verdict.certificate)
 
 
@@ -170,14 +172,15 @@ def test_certificate_needs_the_ten_tol_margin(depth, certified):
         assert_certificate_verifies(problem, z)
 
 
-def test_no_unit_in_span_falls_back_to_stall_rule():
+def test_no_unit_in_span_stays_undecided():
     # trace(diag(1, 0) W) = -1 has no PSD solution, but I is not in the
-    # constraint span, so no certificate can be formed
-    problem = FeasibilityProblem(2, [(np.diag([1.0, 0.0]), -1.0)])
+    # constraint span, so no certificate can be formed and the budget runs
+    # out: infeasible is never reported without a certificate
+    problem = FeasibilityProblem(2, [(np.diag([1.0, 0.0]), -1.0)], max_iter=200)
     verdict = dykstra_solve(problem)
-    assert verdict.status == "infeasible"
+    assert verdict.status == "undecided"
     assert verdict.certificate is None
-    assert verdict.iterations > 50
+    assert verdict.iterations == problem.max_iter
 
 
 def test_oracle_equivalence_pinned():
@@ -190,8 +193,11 @@ def test_oracle_equivalence_pinned():
             lam = la.lambda_min(w0)
             if not (-10 * tol < lam < -tol):
                 break
-        verdict = dykstra_solve(FeasibilityProblem(d, pin_constraints(d, w0), tol=tol))
+        problem = FeasibilityProblem(d, pin_constraints(d, w0), tol=tol)
+        verdict = dykstra_solve(problem)
         assert verdict.status == ("feasible" if lam >= -tol else "infeasible")
+        if verdict.status == "infeasible":
+            assert_certificate_verifies(problem, verdict.certificate)
 
 
 def test_feasible_witness_reverifies():
@@ -248,14 +254,17 @@ def test_gray_band_stays_undecided():
 def test_problem_rejects_bad_budget_and_tolerance(bad):
     with pytest.raises(ValidationError):
         FeasibilityProblem(2, [(np.eye(2), 1.0)], **bad)
-    obj = FeasibilityProblem(2, [(np.eye(2), 1.0)]).to_json()
-    obj.update(bad)
-    with pytest.raises(ParseError):
-        FeasibilityProblem.from_json(obj)
 
 
 def test_problem_json_roundtrip():
-    problem = FeasibilityProblem(2, [(np.eye(2), 1.0)], tol=1e-6, max_iter=123)
-    clone = FeasibilityProblem.from_json(problem.to_json())
-    assert clone.dim == 2 and clone.tol == 1e-6 and clone.max_iter == 123
-    assert np.array_equal(clone.constraints[0][0], problem.constraints[0][0])
+    # the export of ``opsys dual check-cp --dump-problem`` decodes back to
+    # the constraints, with the budget and tolerance beside them
+    rng = np.random.default_rng(5)
+    a = random_hermitian_element(named_system("full:3"), rng)
+    problem = FeasibilityProblem(3, [(np.eye(3), 1.0), (a, 0.25)], tol=1e-6, max_iter=123)
+    obj = json.loads(json.dumps(problem.to_json()))
+    assert (obj["dim"], obj["tol"], obj["max_iter"]) == (3, 1e-6, 123)
+    assert len(obj["constraints"]) == len(problem.constraints)
+    for c, (m, b) in zip(obj["constraints"], problem.constraints):
+        assert np.array_equal(la.decode_matrix(c["a"]), m)
+        assert c["b"] == b

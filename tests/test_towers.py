@@ -4,6 +4,8 @@ import pytest
 from opsys import linalg as la
 from opsys.dual import Functional, MatrixFunctional, faithful_state, is_cp
 from opsys.errors import (
+    DimensionError,
+    HermitianError,
     InconsistentThreadError,
     ParseError,
     ValidationError,
@@ -237,6 +239,23 @@ def test_non_embedding_rejected():
         Tower([s1, s2], [Embedding(s1, s2, images)])
 
 
+def test_embedding_rejects_bad_shapes_and_counts():
+    p, full = named_system("pauli-span"), named_system("full:2")
+    with pytest.raises(DimensionError, match="ambient M_2"):
+        Embedding(p, full, [np.eye(3)] * p.dim)
+    with pytest.raises(DimensionError, match="2 images for a source of dimension 3"):
+        Embedding(p, full, list(p.basis[:2]))
+    for kraus in (np.eye(2), np.zeros((0, 2, 2)), np.zeros((1, 3, 2))):
+        with pytest.raises(DimensionError, match="Kraus operators of shape"):
+            Embedding.from_kraus(p, full, kraus)
+
+
+def test_tower_needs_one_embedding_per_step():
+    s1, s2 = named_system("full:1"), named_system("full:2")
+    with pytest.raises(ValidationError, match="2 systems need 1 embeddings, got 0"):
+        Tower([s1, s2], [])
+
+
 def test_tower_from_json_spec():
     s1 = named_system("full:2")
     s2 = named_system("full:4")
@@ -408,6 +427,14 @@ def test_pullback_rejects_functional_off_the_target(doubling3):
             emb.pullback(faithful_state(wrong))
 
 
+def test_thread_constructors_reject_the_wrong_stage_or_length(doubling3):
+    with pytest.raises(ValidationError, match="deepest stage"):
+        pullback_thread(doubling3, faithful_state(doubling3.stage(2)))
+    short = [faithful_state(s) for s in doubling3.systems[:2]]
+    with pytest.raises(ValidationError, match="need 3 entries, got 2"):
+        functional_thread(doubling3, short)
+
+
 # -- thread norms ----------------------------------------------------------------
 
 def test_norm_sequence_zero_thread(doubling3):
@@ -457,6 +484,15 @@ def test_thread_norm_sandwich(corner4):
         assert sup_max <= 2 * sup_min + 1e-6
 
 
+def test_norm_sequence_rejects_unknown_kind_and_non_hermitian_h(doubling3):
+    e = doubling3.unit_thread()
+    with pytest.raises(ValueError, match="unknown norm kind 'max'"):
+        thread_norm_sequence(doubling3, e, "max")
+    e12 = doubling3.thread(1, np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(HermitianError):
+        thread_norm_sequence(doubling3, e12, "h")
+
+
 # -- inductive positivity -----------------------------------------------------------
 
 def test_inductive_positive_cases(doubling3):
@@ -471,6 +507,12 @@ def test_inductive_positive_cases(doubling3):
     h = random_hermitian_element(s1, rng)
     boundary = doubling3.thread(1, h - la.lambda_min(h) * np.eye(2))
     assert inductive_positive(doubling3, boundary)
+
+
+def test_inductive_positive_needs_a_hermitian_thread(doubling3):
+    e12 = doubling3.thread(1, np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(HermitianError):
+        inductive_positive(doubling3, e12)
 
 
 # -- pairing ------------------------------------------------------------------------
@@ -502,6 +544,19 @@ def test_pairing_detects_inconsistent_thread(doubling3):
     broken = FunctionalThread(doubling3, tuple(entries))
     with pytest.raises(InconsistentThreadError):
         pairing(e, broken)
+
+
+def test_pairing_needs_one_tower_and_level_one(doubling3, corner4):
+    e = doubling3.unit_thread()
+    with pytest.raises(ValidationError, match="different towers"):
+        pairing(e, trace_state_thread(corner4))
+    state = trace_state_thread(doubling3)
+    level2 = doubling3.thread(1, np.eye(4))
+    with pytest.raises(DimensionError, match="level-1"):
+        pairing(level2, state)
+    top = MatrixFunctional.diag(faithful_state(doubling3.stage(3)), 2)
+    with pytest.raises(DimensionError, match="level-1"):
+        pairing(e, pullback_thread(doubling3, top))
 
 
 # -- functor square -------------------------------------------------------------------
