@@ -282,12 +282,23 @@ def _level_basis(hb: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([diag.reshape(-1, size, size), mixed.reshape(-1, size, size)])
 
 
-def _step(m: np.ndarray, dm: np.ndarray) -> float:
-    """``_SDP_STEP`` of the step from the positive definite m along dm to
-    the boundary of the PSD cone, at most 1."""
-    li = np.linalg.inv(np.linalg.cholesky(m))
-    lam = np.linalg.eigvalsh(li @ dm @ li.conj().T)[0]
-    return 1.0 if lam >= 0 else min(1.0, _SDP_STEP / -lam)
+def _step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
+    """``_SDP_STEP`` of each step from a positive definite m along dm to the
+    boundary of the PSD cone, at most 1, over the leading axis, given
+    li = inv(cholesky(m)): min(1, _SDP_STEP / -lam) for the least
+    eigenvalue lam of li dm li^*, and 1 when lam >= 0."""
+    lam = np.linalg.eigvalsh(li @ dm @ li.conj().swapaxes(-1, -2))[..., 0]
+    return _SDP_STEP / np.maximum(-lam, _SDP_STEP)
+
+
+def _tally(solve: _SectionSolve) -> _SectionSolve:
+    """Add one solve to the running totals of :func:`kernel_counts`."""
+    _SDP_COUNTS["solves"] += 1
+    _SDP_COUNTS["iterations"] += solve.iterations
+    _SDP_COUNTS["certified"] += solve.stop == "certified"
+    _SDP_COUNTS["breakdowns"] += solve.stop == "breakdown"
+    _SDP_COUNTS["cap_hits"] += solve.stop == "cap"
+    return solve
 
 
 def _section_sdp(
@@ -300,13 +311,23 @@ def _section_sdp(
     (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996), with
     sigma raised to 1 - min(step lengths) so a predictor blocked at the
     boundary re-centers.
-    ``certify(x, k)``, when given, sees the iterate after every Newton
-    step; the first result that is not ``None`` ends the solve as
-    "certified" and is returned as ``evidence``.
+    ``certify(x, k)``, when given, sees the start point and then the
+    iterate after every Newton step; the first result that is not ``None``
+    ends the solve as "certified" and is returned as ``evidence``.  The
+    start point is X = I / <N, I> with K = 0, so the first witness tried is
+    C itself, and a solve it decides takes 0 steps and builds no
+    constraints.
     The optimum is often rank-deficient: a failed factorization ends the
     solve as "breakdown" with the last iterate, ``_SDP_ITERS`` steps as
     "cap"; neither raises, and callers re-check every point they use."""
     d = len(c)
+    # I lies in M_n(S), so X = I / <N, I> starts primal feasible when <N, I> > 0
+    x = np.eye(d, dtype=complex) / max(np.trace(n).real, 1e-6)
+    if certify is not None:
+        k0 = np.zeros((d, d), dtype=complex)
+        evidence = certify(x, k0)
+        if evidence is not None:
+            return _tally(_SectionSolve(x, k0, 0.0, 0, "certified", evidence))
     a = np.concatenate([_level_basis(system.complement_basis, d // system.d), n[None]])
     k = len(a)
     flat = a.reshape(k, -1)
@@ -319,8 +340,6 @@ def _section_sdp(
     def combine(y):
         return (y @ flat).reshape(d, d)
 
-    # I lies in M_n(S), so X = I / <N, I> starts primal feasible when <N, I> > 0
-    x = np.eye(d, dtype=complex) / max(np.trace(n).real, 1e-6)
     scale = max(1.0, la.frobenius(c))
     z = scale * np.eye(d, dtype=complex)
     y = np.zeros(k)
@@ -341,6 +360,9 @@ def _section_sdp(
                 break
             if it == _SDP_ITERS:
                 break
+            # x and z stay fixed through the predictor and the corrector:
+            # one factorization of each serves both step lengths
+            li = np.linalg.inv(np.linalg.cholesky(np.stack([x, z])))
             zi = np.linalg.inv(z)
             mu = np.vdot(x, z).real / d
             ax, azi = a @ x, a @ zi
@@ -358,20 +380,17 @@ def _section_sdp(
                 return dx, dy, dz
 
             dx, dy, dz = direction(-xrz)
-            ap, ad = _step(x, dx), _step(z, dz)
+            ap, ad = _step(li, np.stack([dx, dz]))
             sigma = (np.vdot(x + ap * dx, z + ad * dz).real / d / mu) ** 3
             sigma = max(sigma, 1.0 - min(ap, ad))
             dx, dy, dz = direction(sigma * mu * zi - xrz - dx @ dz @ zi)
-            ap, ad = _step(x, dx), _step(z, dz)
+            ap, ad = _step(li, np.stack([dx, dz]))
             x, y, z = x + ap * dx, y + ad * dy, z + ad * dz
     except np.linalg.LinAlgError:
         stop = "breakdown"
-    _SDP_COUNTS["solves"] += 1
-    _SDP_COUNTS["iterations"] += it
-    _SDP_COUNTS["certified"] += stop == "certified"
-    _SDP_COUNTS["breakdowns"] += stop == "breakdown"
-    _SDP_COUNTS["cap_hits"] += stop == "cap"
-    return _SectionSolve(x, combine(np.append(y[:-1], 0.0)), float(y[-1]), it, stop, evidence)
+    return _tally(
+        _SectionSolve(x, combine(np.append(y[:-1], 0.0)), float(y[-1]), it, stop, evidence)
+    )
 
 
 def _lift(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
@@ -486,7 +505,8 @@ def _choi_verdict(
 ) -> tuple[FeasibilityVerdict, _SectionSolve]:
     """The CP verdict on the Hermitian Choi matrix C of a level-n grid over a
     proper subsystem, with the kernel solve of min <C, X> over X in
-    M_n(S)+, trace X = 1, behind it.  The solve stops at the first of:
+    M_n(S)+, trace X = 1, behind it.  The solve stops at the first point,
+    the start point X = I / nd, K = 0 included, that gives one of:
 
     * feasible: W = C - K for the dual point K has :func:`_lower_bound`
       lambda_min(W) - ||P(W - C)|| >= -tol, with P the blockwise projection
@@ -496,9 +516,12 @@ def _choi_verdict(
       the Choi problem's constraints, so it is a Farkas certificate in the
       sense of :class:`FeasibilityVerdict`.
 
-    A solve that converges, breaks down or reaches its cap with neither is
-    "undecided".  ``gap`` is max(0, -lower bound) at the last dual point and
-    ``iterations`` counts Newton steps."""
+    At the start point the witness is C itself, so a Choi matrix with
+    lambda_min(C) >= -tol is feasible with ``iterations`` 0, as on a full
+    algebra, and one with trace C < -10 tol sqrt(nd) is refuted by
+    Z = I / nd at 0 steps.  A solve that converges, breaks down or reaches
+    its cap with neither is "undecided".  ``gap`` is max(0, -lower bound)
+    at the last dual point and ``iterations`` counts Newton steps."""
 
     def certify(x, k):
         w = choi - k

@@ -741,13 +741,15 @@ def test_trace_state_radii_are_not_refuted():
     assert refuted == []
 
 
-@pytest.mark.parametrize("fault_after", [0, 3, 12])
+@pytest.mark.parametrize("fault_after", [0, 1, 6])
 def test_kernel_breakdown_never_raises(monkeypatch, fault_after):
     # a factorization that fails near a rank-deficient optimum ends the
     # solve as "breakdown"; the evidence check, not an exception, decides.
     # Here the failure is injected after a fixed number of step-length
-    # factorizations on toeplitz:3 boundary functionals (PSD Riesz matrix of
-    # rank d - 1, so the minimizer is rank-deficient).
+    # calls (two per Newton step: predictor and corrector) on toeplitz:3
+    # boundary functionals (PSD Riesz matrix of rank d - 1, so the
+    # minimizer is rank-deficient): in the first step's predictor, its
+    # corrector, and the fourth step's predictor.
     import opsys.dual as dual_module
 
     rng = np.random.default_rng(23)
@@ -792,6 +794,83 @@ def test_kernel_breakdown_never_raises(monkeypatch, fault_after):
         positivity_minimum(f)
         dual_order_unit_radius(delta, f, 1)
         assert dual_module.kernel_counts(since=before)["solves"] == 2
+
+
+def test_step_lengths_match_the_per_matrix_rule():
+    # the batched step of the Newton loop against the rule applied to one
+    # matrix at a time: factor m, whiten dm, and step _SDP_STEP of the way
+    # to the PSD boundary, at most 1
+    import opsys.dual as dual_module
+
+    rng = np.random.default_rng(41)
+
+    def hermitian(size):
+        return la.hermitian_part(rng.standard_normal((size, size))
+                                 + 1j * rng.standard_normal((size, size)))
+
+    seen = set()
+    for scale in (1e-2, 0.3, 1.0, 10.0, 1e3):
+        for size in (2, 3, 6):
+            m = np.stack([h @ h + 1e-3 * np.eye(size) for h in (hermitian(size), hermitian(size))])
+            h = scale * hermitian(size)
+            dm = np.stack([h, h @ h])  # a PSD direction never leaves the cone
+            expected = []
+            for mi, di in zip(m, dm):
+                li = np.linalg.inv(np.linalg.cholesky(mi))
+                lam = np.linalg.eigvalsh(li @ di @ li.conj().T)[0]
+                expected.append(1.0 if lam >= 0 else min(1.0, dual_module._SDP_STEP / -lam))
+            li = np.linalg.inv(np.linalg.cholesky(m))
+            steps = dual_module._step(li, dm)
+            assert steps.shape == (2,)
+            assert steps.tolist() == expected
+            seen.update("full" if a == 1.0 else "short" for a in expected)
+    assert seen == {"full", "short"}
+
+
+def test_cp_start_point_decides_in_zero_steps():
+    # at the start point K = 0, so the witness tried first is the Choi
+    # matrix C itself: a grid with lambda_min(C) > tol is CP at 0 steps, and
+    # one with trace C < 0 is refuted at 0 steps by the unit, Z = I / nd
+    import opsys.dual as dual_module
+
+    tol = 1e-7
+    rng = np.random.default_rng(43)
+    s = named_system("diag:3")
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    grid = MatrixFunctional.from_choi(s, a @ a.conj().T + np.eye(6))
+    choi = la.hermitian_part(grid.riesz)
+    assert grid.n == 2 and la.lambda_min(choi) > tol
+    before = dual_module.kernel_counts()
+    verdict = cp_verdict(grid, tol)
+    assert verdict.status == "feasible" and verdict.iterations == 0
+    assert np.array_equal(verdict.witness, choi)
+    assert verdict.gap == 0.0 and verdict.certificate is None
+    counts = dual_module.kernel_counts(since=before)
+    assert counts["solves"] == counts["certified"] == 1 and counts["iterations"] == 0
+    negated = grid * -1.0
+    choi = la.hermitian_part(negated.riesz)
+    assert np.trace(choi).real < 0
+    verdict = cp_verdict(negated, tol)
+    assert verdict.status == "infeasible" and verdict.iterations == 0
+    z = verdict.certificate
+    assert verdict.witness is None and cone_member(s, z, tol)
+    assert np.vdot(z, choi).real < -10 * tol * la.frobenius(z)
+    assert is_cp(negated) is False
+
+
+def test_positive_functional_certified_at_the_start_point():
+    # a functional with a positive definite Riesz matrix is its own witness:
+    # one solve, certified, no Newton step
+    import opsys.dual as dual_module
+
+    s = named_system("toeplitz:3")
+    f = Functional(s, np.diag([1.0, 2.0, 3.0]).astype(complex))
+    assert la.lambda_min(f.riesz) > 0
+    before = dual_module.kernel_counts()
+    assert is_positive_functional(f) is True
+    counts = dual_module.kernel_counts(since=before)
+    assert counts["solves"] == counts["certified"] == 1
+    assert counts["iterations"] == 0
 
 
 @pytest.mark.parametrize("fault", ["dual", "primal"])
