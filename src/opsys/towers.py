@@ -13,13 +13,16 @@ along a valid thread.  Convergence content of the untruncated limits shows
 up here as monotone norm sequences and per-stage cone membership.
 
 The built-in towers hold their embeddings as Kraus operators V_r, with
-phi(x) = sum_r V_r x V_r^*: such a map is CP by Choi's theorem, so a tower
-checks only that it is unital (and, on a proper target, that its images
-lie in the target).  The map, its amplifications and its adjoint
+phi(x) = sum_r V_r x V_r^*: such a map is CP by Choi's theorem, and a
+tower checks that it is unital (and, on a proper target, that its images
+lie in the target) and that V_0^* V_r = delta_0r I, which makes
+y -> V_0^* y V_0 a unital CP left inverse and phi a complete order
+embedding.  The map, its amplifications and its adjoint
 sum_r V_r^* F V_r are products with the V_r, and together with the
 closed-form coordinates of ``full:d`` no basis array or basis image is
 stored on their path.  An embedding given by basis images keeps them and
-is certified CP by its Choi matrix.
+is certified CP by its Choi matrix, and order reflecting by the Choi
+matrix of its inverse on the span of the images.
 
 Stage indices are 1-based throughout the public API.  Basis coordinates
 are :class:`OperatorSystem`'s, Riesz blocks :class:`MatrixFunctional`'s.
@@ -56,6 +59,7 @@ from .systems import (
     cone_member,
     from_blocks,
     level_of,
+    make_operator_system,
     named_system,
     random_hermitian_element,
     random_positive_element,
@@ -79,7 +83,6 @@ __all__ = [
     "verify_gamma",
 ]
 
-_VALIDATE_SEED = 73939133
 _COMPAT_TOL = 1e-9
 #: Smearing of :func:`inductive_positive`.
 _SMEAR = 1e-6
@@ -101,7 +104,7 @@ class Embedding:
 
     * Coefficient form (the constructor, :meth:`from_coefficients`): the
       images phi(B_k) of the source basis; :class:`Tower` certifies such a
-      map CP by its Choi matrix.
+      map CP and order reflecting by Choi matrices.
     * Kraus form (:meth:`from_kraus`): operators V_r of shape (r, d_T, d_S)
       with phi(x) = sum_r V_r x V_r^*, CP by Choi's theorem.  The map, its
       amplifications and its adjoint are products with the V_r; the images
@@ -201,26 +204,23 @@ class Embedding:
         return self.source.project_level(_kraus_sum(self._kraus_h, self.kraus, f.riesz, f.n))
 
 
-def _check_cp(idx: int, emb: Embedding) -> None:
-    """Certify coefficient embedding ``idx`` CP or raise ValidationError.  By
-    Choi-Effros phi: S -> M_n is CP exactly when its grid f_ij(x) = phi(x)_ij
-    is positive in M_n(S'); :func:`cp_verdict` decides that by one
-    eigensolve (full source) or one section kernel solve."""
-    status = cp_verdict(MatrixFunctional.of_map(emb.source, emb.images)).status
+def _require_cp(mf: MatrixFunctional, idx: int, prop: str) -> None:
+    """Certify the map S -> M_n of the grid ``mf`` CP, or raise
+    ValidationError that embedding ``idx`` is not (or not certified)
+    ``prop``.  By Choi-Effros the map is CP iff its grid is positive in
+    M_n(S'), which :func:`cp_verdict` decides by one eigensolve or solve."""
+    status = cp_verdict(mf).status
     if status == "undecided":
-        raise ValidationError(
-            f"complete positivity of embedding {idx} could not be certified"
-        )
+        raise ValidationError(f"embedding {idx} could not be certified {prop}")
     if status != "feasible":
-        raise ValidationError(f"embedding {idx} is not completely positive")
+        raise ValidationError(f"embedding {idx} is not {prop}")
 
 
 class Tower:
     """Validated chain of systems and unital complete order embeddings.
 
-    Each embedding must be unital into the next stage and is CP by its Kraus
-    form or certified CP (:func:`_check_cp`); order reflection is only
-    sampled (:meth:`_validate`).
+    Each embedding must be unital into the next stage, and is certified CP
+    and order reflecting when the tower is built (:meth:`_validate`).
     """
 
     def __init__(self, systems, embeddings, name: str | None = None):
@@ -262,13 +262,15 @@ class Tower:
 
     def _validate(self) -> None:
         """Each embedding must connect its stages and be unital; on a proper
-        target its images must lie in the target.  A coefficient embedding
-        is certified CP by :func:`_check_cp`; a Kraus embedding is CP as it
-        stands.  Order reflection is sampled: a random Hermitian element at
-        levels 1..3 with lambda_min < -1e-3 and a positive image is a
-        concrete counterexample.  The sampling only rejects; passing proves
-        nothing."""
-        rng = np.random.default_rng(_VALIDATE_SEED)
+        target its images must lie in the target.  A unital CP phi: S -> T is
+        a complete order embedding iff some unital CP psi has psi o phi =
+        id_S (Arveson extension; Paulsen 2002).  A Kraus embedding is CP as
+        it stands, and psi(y) = V_0^* y V_0 is such a psi when V_0^* V_r =
+        delta_0r I.  Otherwise (a coefficient embedding, certified CP first,
+        or a Kraus list failing that test) phi must be injective and
+        phi^-1: phi(S) -> M_{d_S} CP, by one :func:`cp_verdict` whose
+        refutation is a point of M_{d_S}(phi(S))+ with a non-positive
+        preimage."""
         for idx, emb in enumerate(self.embeddings, start=1):
             src, tgt = self.systems[idx - 1], self.systems[idx]
             if emb.source is not src or emb.target is not tgt:
@@ -284,21 +286,21 @@ class Tower:
                         f" outside stage {idx + 1}"
                     )
             if emb.kraus is None:
-                _check_cp(idx, emb)
-            for n in (1, 2, 3):
-                # the same draws as one at a time; lambda_min of the four
-                # samples, then of the candidates' images, by one eigvalsh
-                # each, and cone_member only where an image could pass it
-                hs = np.stack([random_hermitian_element(src, rng, level=n) for _ in range(4)])
-                images = [emb.apply_level(h) for h in hs[np.linalg.eigvalsh(hs)[:, 0] < -1e-3]]
-                if not images:
+                _require_cp(MatrixFunctional.of_map(src, emb.images), idx, "completely positive")
+            else:
+                gram = emb._kraus_h[0] @ emb.kraus
+                gram[0] -= np.eye(src.d)
+                if la.frobenius(gram) <= _COMPAT_TOL:
                     continue
-                images = np.stack(images)
-                lam = np.linalg.eigvalsh(0.5 * (images + images.conj().swapaxes(1, 2)))[:, 0]
-                if any(cone_member(tgt, image, 1e-9) for image in images[lam >= -1e-9]):
-                    raise ValidationError(
-                        f"embedding {idx} is not order reflecting at level {n}"
-                    )
+            image = make_operator_system(emb.images, tgt.d)
+            if image.dim != src.dim:
+                raise ValidationError(f"embedding {idx} is not order reflecting (not injective)")
+            # phi(B_j) = sum_k A_jk C_k over the basis C of phi(S), so
+            # phi^-1(C_k) = sum_j (A^-1)_kj B_j
+            preimages = np.linalg.solve(image.stack_coords(emb.images),
+                                        src.basis.reshape(src.dim, -1))
+            _require_cp(MatrixFunctional.of_map(image, preimages.reshape(-1, src.d, src.d)),
+                        idx, "order reflecting")
 
 
 def make_tower(spec) -> Tower:
@@ -643,7 +645,8 @@ def verify_gamma(
       data are CP at every stage, non-PSD data (redrawn while its projection
       onto the deepest stage is CP) is certified not CP there, and the
       stage-wise trace states form a matrix order unit with a uniform
-      finite radius over the truncation.
+      finite radius over the truncation.  Uniform means over the K stages
+      of this tower only; it says nothing of the radii as K grows.
     """
     top = t.stage(t.depth)
     report: dict = {"passed": True}

@@ -324,6 +324,20 @@ def test_json_tower_transpose_rejected_and_doubling_built(tmp_path, capsys):
     assert run(["tower", "verify-duality", "--spec", str(f), "--samples", "8"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_json_tower_depolarizing_not_order_reflecting(tmp_path, capsys, eps):
+    # x -> (1 - eps) x + eps tr(x)/2 I is unital, CP and injective on M_2,
+    # but its inverse is not positive: the build fails with exit 2
+    s = named_system("full:2")
+    images = (1 - eps) * s.basis + eps * np.einsum("kii->k", s.basis)[:, None, None] / 2 * np.eye(2)
+    f = tmp_path / "tower.json"
+    f.write_text(json.dumps({"systems": ["full:2", "full:2"],
+                             "embeddings": [{"matrix_on_basis": la.encode_matrix(
+                                 s.stack_coords(images).T)}]}))
+    assert run(["tower", "build", "--spec", str(f)]) == EXIT_FAIL
+    assert "embedding 1 is not order reflecting" in capsys.readouterr().err
+
+
 # -- suites and determinism ------------------------------------------------------------------
 
 def test_suite_feasibility_oracle(capsys):

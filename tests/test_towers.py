@@ -149,38 +149,107 @@ def _reference_images(spec, source):
     return images
 
 
-def test_check_cp_choi_matrix_matches_entrywise_grid(monkeypatch):
-    # a coefficient embedding goes through cp_verdict with its Choi matrix,
-    # formed by one product, which must be the grid's built entry by entry;
-    # a Kraus embedding skips cp_verdict, and the images and the Choi matrix
-    # sum_r w_r w_r^* (w_r = conj(V_r) flattened) of its Kraus operators
-    # must be those of the map it stands for
+def _spy_cp_verdict(monkeypatch):
+    # every (grid, verdict) pair the tower checks decide
     import opsys.towers as towers_module
 
     seen = []
     real_verdict = towers_module.cp_verdict
 
     def spy(mf, *args):
-        seen.append(mf)
-        return real_verdict(mf, *args)
+        seen.append((mf, real_verdict(mf, *args)))
+        return seen[-1][1]
 
     monkeypatch.setattr(towers_module, "cp_verdict", spy)
+    return seen
+
+
+def test_check_cp_choi_matrix_matches_entrywise_grid(monkeypatch):
+    # a coefficient embedding goes through cp_verdict on its source with its
+    # Choi matrix, formed by one product, which must be the grid's built
+    # entry by entry (its order reflection is decided on the image system);
+    # a Kraus embedding whose V_0 is a left inverse skips cp_verdict, and
+    # the images and the Choi matrix sum_r w_r w_r^* (w_r = conj(V_r)
+    # flattened) of its Kraus operators must be those of the map it stands
+    # for
+    seen = _spy_cp_verdict(monkeypatch)
     p, full = named_system("pauli-span"), named_system("full:2")
     coefficient = [Tower([p, full], [Embedding(p, full, images)]).embeddings[0]
                    for images in (list(p.basis), [b.T for b in p.basis])]
-    assert len(seen) == 2
-    for mf, emb in zip(seen, coefficient):
+    on_source = [mf for mf, _ in seen if mf.system is p]
+    assert len(on_source) == 2
+    for mf, emb in zip(on_source, coefficient):
         assert emb.kraus is None
-        assert mf.system is p and mf.n == 2
+        assert mf.n == 2
         assert np.abs(mf.riesz - _choi_oracle(p, emb.images)).max() <= 1e-12
+    calls = len(seen)
     specs = [f"matrix-doubling:{k}" for k in range(1, 5)] + [f"corner:{k}" for k in range(2, 7)]
     pairs = [(spec, emb) for spec in specs for emb in make_tower(spec).embeddings]
-    assert len(pairs) == 6 + 15 and len(seen) == 2
+    assert len(pairs) == 6 + 15 and len(seen) == calls
     for spec, emb in pairs:
         images = _reference_images(spec, emb.source)
         assert np.abs(emb.images - images).max() <= 1e-12
         w = emb.kraus.conj().reshape(len(emb.kraus), -1)
         assert np.abs(w.T @ w.conj() - _choi_oracle(emb.source, images)).max() <= 1e-12
+
+
+def _depolarizing(eps):
+    # x -> (1 - eps) x + eps tr(x)/2 I on M_2: unital, CP and injective,
+    # but its inverse is not positive
+    return lambda x: (1 - eps) * x + eps * np.trace(x) / 2 * np.eye(2)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_depolarizing_map_refuted_by_a_farkas_certificate(monkeypatch, eps):
+    seen = _spy_cp_verdict(monkeypatch)
+    s = named_system("full:2")
+    with pytest.raises(ValidationError, match="embedding 1 is not order reflecting"):
+        Tower([s, s], [Embedding(s, s, [_depolarizing(eps)(b) for b in s.basis])])
+    (cp_grid, cp), (inv_grid, inv) = seen
+    assert cp_grid.system is s and cp.status == "feasible"
+    # the inverse grid rebuilt entry by entry from the closed-form inverse
+    # (y - eps tr(y)/2 I) / (1 - eps) on the basis of the image system
+    image = inv_grid.system
+    assert image.dim == 4 and image.d == 2
+    preimages = np.stack([(c - eps * np.trace(c) / 2 * np.eye(2)) / (1 - eps)
+                          for c in image.basis])
+    choi = _choi_oracle(image, preimages)
+    assert np.abs(inv_grid.riesz - choi).max() <= 1e-12
+    # Z is PSD, lies in M_2(phi(S)) and pairs negatively with the Choi matrix
+    assert inv.status == "infeasible"
+    z = inv.certificate
+    assert la.lambda_min(z) >= -1e-12
+    assert np.abs(image.project_level(z) - z).max() <= 1e-12
+    assert np.vdot(z, choi).real < -1e-3
+
+
+def test_kraus_list_without_a_left_inverse_falls_back(monkeypatch):
+    # corner:5's Kraus operators reversed: from M_2 on, V_0 = e_{d+1} e_d^T
+    # / sqrt(d) is not a left inverse, so those stages are certified through
+    # cp_verdict of the inverse on the image system, a proper subsystem (on
+    # M_1 the reversed V_0 = e_2 is still an isometry and a left inverse)
+    seen = _spy_cp_verdict(monkeypatch)
+    corner = make_tower("corner:5")
+    reversed_ = [Embedding.from_kraus(e.source, e.target, e.kraus[::-1])
+                 for e in corner.embeddings]
+    tower = Tower(corner.systems, reversed_)
+    assert tower.depth == 5 and len(seen) == 3
+    for (mf, verdict), emb in zip(seen, reversed_[1:]):
+        assert mf.system.d == emb.target.d and mf.system.dim == emb.source.dim
+        assert mf.n == emb.source.d and verdict.status == "feasible"
+    # the depolarizing map in Pauli-Kraus form fails the same test and is
+    # refused on the same route
+    s = named_system("full:2")
+    eps = 0.1
+    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+    kraus = [np.sqrt(1 - 3 * eps / 4) * paulis[0]] + [np.sqrt(eps / 4) * np.array(m)
+                                                      for m in paulis[1:]]
+    depolarizing = Embedding.from_kraus(s, s, kraus)
+    x = random_hermitian_element(s, np.random.default_rng(22))
+    assert np.abs(depolarizing.apply(x) - _depolarizing(eps)(x)).max() <= 1e-12
+    with pytest.raises(ValidationError, match="embedding 1 is not order reflecting"):
+        Tower([s, s], [depolarizing])
+    assert len(seen) == 4 and seen[-1][1].status == "infeasible"
 
 
 @pytest.mark.parametrize("spec", ["matrix-doubling:4", "corner:5"])
