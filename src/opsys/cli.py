@@ -152,13 +152,22 @@ def _emit(report: dict, as_json: bool) -> None:
     print(f"-- {summary} in {report['elapsed_ms']} ms")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``; anything else is a usage error."""
+    def integer(text: str) -> int:
+        if int(text) < low:  # argparse turns a ValueError into a usage error
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="opsys", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit the JSON report")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance override (env OPSYS_TOL also honored)")
 
@@ -186,8 +195,8 @@ def _build_parser() -> _Parser:
     p_ce = dual_sub.add_parser("choi-effros", help="dual order-unit equivalences")
     common(p_ce)
     p_ce.add_argument("--system", required=True)
-    p_ce.add_argument("--levels", type=int, default=3)
-    p_ce.add_argument("--samples", type=int, default=10)
+    p_ce.add_argument("--levels", type=_int_at_least(1), default=3)
+    p_ce.add_argument("--samples", type=_int_at_least(1), default=10)
 
     p_tower = sub.add_parser("tower", help="tower construction and duality")
     tower_sub = p_tower.add_subparsers(dest="tower_cmd", required=True)
@@ -197,16 +206,16 @@ def _build_parser() -> _Parser:
     p_verify = tower_sub.add_parser("verify-duality", help="pairing/cone/Gamma checks")
     common(p_verify)
     p_verify.add_argument("--spec", default=None, help="name or JSON file")
-    p_verify.add_argument("--depth", type=int, default=4)
-    p_verify.add_argument("--levels", type=int, default=2)
-    p_verify.add_argument("--samples", type=int, default=50)
+    p_verify.add_argument("--depth", type=_int_at_least(1), default=4)
+    p_verify.add_argument("--levels", type=_int_at_least(1), default=2)
+    p_verify.add_argument("--samples", type=_int_at_least(1), default=50)
 
     p_suite = sub.add_parser("suite", help="named verification suites")
     common(p_suite)
     p_suite.add_argument("name", choices=sorted(SUITES))
-    p_suite.add_argument("--depth", type=int, default=None)
-    p_suite.add_argument("--levels", type=int, default=None)
-    p_suite.add_argument("--samples", type=int, default=None)
+    p_suite.add_argument("--depth", type=_int_at_least(1), default=None)
+    p_suite.add_argument("--levels", type=_int_at_least(1), default=None)
+    p_suite.add_argument("--samples", type=_int_at_least(1), default=None)
     return parser
 
 

@@ -46,7 +46,7 @@ import numpy as np
 from . import linalg as la
 from ._search import check_search_bounds, smallest_passing
 from .errors import DimensionError, ValidationError
-from .feasibility import FeasibilityProblem, FeasibilityVerdict
+from .feasibility import FeasibilityProblem, FeasibilityVerdict, _check_tol
 from .systems import (
     DEFAULT_TOL,
     OperatorSystem,
@@ -428,13 +428,6 @@ def _refutes(f: Functional, z: np.ndarray, tol: float) -> bool:
     """True iff x = Z / trace Z lies in S+ and Re f(x) < -tol."""
     x = la.hermitian_part(z) / np.trace(z).real
     return cone_member(f.system, x, tol) and f.pair(x).real < -tol
-
-
-def _check_tol(tol: float) -> None:
-    """Reject a tolerance that is not positive and finite: a verdict at a
-    zero, negative or NaN tolerance would rest on a meaningless test."""
-    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
 
 
 def is_positive_functional(f: Functional, tol: float = DEFAULT_TOL) -> bool | None:

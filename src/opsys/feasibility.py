@@ -50,6 +50,12 @@ __all__ = [
 _UNIT_RTOL = 1e-10
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is not positive and finite: no verdict at it means anything."""
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
+
+
 @dataclass
 class FeasibilityProblem:
     """trace(A_k W) = b_k for Hermitian A_k, real b_k, with W >= 0 sought."""
@@ -64,8 +70,7 @@ class FeasibilityProblem:
             raise DimensionError(f"problem dimension must be positive, got {self.dim}")
         if not self.constraints:
             raise ValueError("constraint list must be nonempty")
-        if not 0.0 < self.tol < np.inf:
-            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
+        _check_tol(self.tol)
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be positive, got {self.max_iter}")
         checked = []

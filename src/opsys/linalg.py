@@ -148,62 +148,31 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-#: Candidates per block in :func:`orthonormalize`.
-_GS_BLOCK = 64
-
-
 def orthonormalize(vectors, rank_tol: float) -> np.ndarray:
     """Orthonormal basis (trace inner product) of the span of equally shaped
-    arrays, shaped ``(k, *vector shape)``, by block classical Gram-Schmidt
-    with one reorthogonalization (block CGS2).
-
-    The decision is made per vector, in input order: each vector is
-    normalized, projected off the basis twice, and kept if the residual
-    exceeds rank_tol.  Candidates are taken in blocks of ``_GS_BLOCK``.  A
-    block is projected off the basis accepted before it twice, with two
-    matrix products per pass; then each vector of the block is projected
-    twice off the vectors accepted earlier in the same block.  The two
-    parts of the basis are orthogonal, so this is the one-vector-at-a-time
-    rule up to rounding, and exactly that rule for at most ``_GS_BLOCK``
-    candidates.  When a kept vector lost more than a factor sqrt(2) of its
-    norm inside its block, the block's kept vectors get one more pass off
-    the earlier basis, so the result stays orthonormal to rounding.
-    """
+    arrays, shaped ``(k, *vector shape)``, by classical Gram-Schmidt with one
+    reorthogonalization (CGS2) in input order: a vector is normalized,
+    projected off the basis kept so far twice, and kept if its residual
+    exceeds rank_tol; one of norm at most rank_tol is dropped at once.  Two
+    passes are enough (Giraud, Langou, Rozloznik, van den Eshof, 2005)."""
     vecs = [np.asarray(v, dtype=complex) for v in vectors]
     n = vecs[0].size
     basis = np.empty((min(len(vecs), n), n), dtype=complex)
-    # conjugates of the vectors kept in the current block, so that the
-    # in-block projections need no conjugate copy
-    block_conj = np.empty((min(len(vecs), _GS_BLOCK), n), dtype=complex)
+    basis_conj = np.empty_like(basis)  # so that no projection copies it
     k = 0
-    for start in range(0, len(vecs), _GS_BLOCK):
-        block = np.stack([v.reshape(n) for v in vecs[start:start + _GS_BLOCK]])
-        nrm = np.array([frobenius(v) for v in block])
-        block = block[nrm > rank_tol] / nrm[nrm > rank_tol, None]
-        q = basis[:k]
-        if k:
-            for _ in range(2):  # second pass kills rounding drift
-                # coefficients W Q^H, formed as the conjugate of Q W^H so
-                # that no conjugate copy of the basis is made
-                block -= (q @ block.conj().T).conj().T @ q
-        k0 = k
-        cancelled = False
-        for w, w_norm in zip(block, np.linalg.norm(block, axis=1)):
-            for _ in range(2):
-                w = w - (block_conj[:k - k0] @ w) @ basis[k0:k]
-            res = frobenius(w)
-            if res > rank_tol:
-                basis[k] = w / res
-                block_conj[k - k0] = basis[k].conj()
-                k += 1
-                cancelled |= res < w_norm / np.sqrt(2)
-        if k0 and cancelled:
-            # cancellation inside the block magnifies what is left of the
-            # earlier basis in a kept vector by w_norm / res; one more pass
-            # over the kept vectors removes it (the 1/sqrt(2) criterion of
-            # Daniel, Gragg, Kaufman and Stewart, 1976)
-            new = basis[k0:k]
-            new -= (q @ new.conj().T).conj().T @ q
+    for v in vecs:
+        w = v.reshape(n)
+        nrm = frobenius(w)
+        if nrm <= rank_tol:
+            continue
+        w = w / nrm
+        for _ in range(2):  # second pass kills rounding drift
+            w = w - (basis_conj[:k] @ w) @ basis[:k]
+        res = frobenius(w)
+        if res > rank_tol:
+            basis[k] = w / res
+            basis_conj[k] = basis[k].conj()
+            k += 1
     return basis[:k].reshape((k,) + vecs[0].shape)
 
 

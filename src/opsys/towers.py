@@ -53,7 +53,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .norms import numerical_radius
+from .norms import _spectral_radius, numerical_radius
 from .systems import (
     OperatorSystem,
     cone_member,
@@ -490,8 +490,7 @@ def thread_norm_sequence(t: Tower, e: ElementThread, kind: str = "h"):
         if kind == "h":
             if not la.is_hermitian(img, 1e-8):
                 raise HermitianError("kind='h' needs a Hermitian thread")
-            w = la.eigenvalues_desc(img)
-            values.append(float(max(w[0], -w[-1], 0.0)))
+            values.append(_spectral_radius(img))
         elif kind == "min":
             values.append(numerical_radius(img))
         else:

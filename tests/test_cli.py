@@ -402,6 +402,29 @@ def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, monkeypatch, ba
         assert run(argv + (["--tol", bad] if via == "flag" else [])) == EXIT_DATA
 
 
+SEEDED_COMMANDS = {
+    "suite": ["suite", "mou-unit"],
+    "choi-effros": ["dual", "choi-effros", "--system", "toeplitz:3"],
+    "verify-duality": ["tower", "verify-duality"],
+}
+BAD_COUNTS = [("--seed", "-1"), ("--samples", "0"), ("--samples", "-3"),
+              ("--levels", "0"), ("--levels", "-1"), ("--depth", "0"), ("--depth", "-1")]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for command in SEEDED_COMMANDS for flag, value in BAD_COUNTS
+    if not (command == "choi-effros" and flag == "--depth")  # takes no depth
+])
+def test_negative_seed_and_nonpositive_counts_are_usage_errors(capsys, command, flag, value):
+    # a negative seed used to crash the generator (exit 1), and a zero or
+    # negative count to check nothing and report pass
+    assert run(SEEDED_COMMANDS[command] + [flag, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected an integer >= " in captured.err
+
+
 def test_check_cp_tolerance_default_and_env(tmp_path, capsys, monkeypatch):
     f = tmp_path / "f.json"
     f.write_text(json.dumps({"riesz": la.encode_matrix(np.eye(2))}))

@@ -65,7 +65,7 @@ def test_structural_invariants_random():
 
 def mgs2_reference(vectors, rank_tol):
     """Modified Gram-Schmidt with reorthogonalization, one basis vector at a
-    time: the reference the vectorized orthonormalizer must reproduce."""
+    time: the reference the classical (CGS2) orthonormalizer must reproduce."""
     basis = []
     for v in vectors:
         nrm = np.linalg.norm(v)
@@ -95,7 +95,7 @@ def reference_generators():
     rng = np.random.default_rng(20)
     cases = {
         "full:8": (8, [unit(8, i, j) for i in range(8) for j in range(8)]),
-        # 163 candidates: three orthonormalization blocks
+        # 163 candidates: more than any benchmark op orthonormalizes
         "full:9": (9, [unit(9, i, j) for i in range(9) for j in range(9)]),
         "toeplitz:5": (5, [shift(5, k) for k in range(1, 5)]),
         "pauli-span": (2, [E12]),
@@ -130,17 +130,17 @@ def test_orthonormalize_matches_mgs2_reference(name):
 
 
 def test_orthonormalize_dependences_across_block_boundaries():
-    # dependent candidates around the block boundaries at 64 and 128: some
-    # lie in the span of earlier blocks, some in the span of earlier vectors
-    # of their own block, some mix both
+    # 140 candidates, dependent ones among them near positions 64 and 128:
+    # some on candidates far back, some on their close predecessors, some
+    # mixing both
     rng = np.random.default_rng(5)
     cands = [rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
              for _ in range(140)]
     combos = {
-        62: [3, 40], 63: [0],  # the end of block 0, on block 0
-        64: [10, 20, 30], 65: [63],  # the start of block 1, on block 0
-        67: [66], 70: [66, 68, 69],  # on their own block
-        128: [5, 100], 130: [129, 2, 90],  # on earlier blocks, and on both
+        62: [3, 40], 63: [0],  # on candidates far back
+        64: [10, 20, 30], 65: [63],  # far back, and on a dependent one
+        67: [66], 70: [66, 68, 69],  # on close predecessors
+        128: [5, 100], 130: [129, 2, 90],  # far back, and on both
     }
     for i, deps in combos.items():
         cands[i] = sum(complex(*rng.standard_normal(2)) * cands[j] for j in deps)
@@ -151,10 +151,10 @@ def test_orthonormalize_dependences_across_block_boundaries():
 
 
 def test_orthonormalize_stays_orthonormal_under_cancellation():
-    # candidates within 1e-7 of the span of earlier ones: 66 of earlier
-    # blocks only, 131 and 134 also of their own block, so that projecting
-    # off their own block cancels nearly all of them; the kept residuals
-    # must still be orthonormal
+    # candidates within 1e-7 of the span of earlier ones: 66 of candidates
+    # far back, 131 and 134 also of close predecessors, so that projection
+    # cancels nearly all of them; the kept residuals, normalized up by
+    # about 1e7, must still be orthonormal
     rng = np.random.default_rng(7)
     cands = [rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
              for _ in range(140)]
