@@ -5,6 +5,13 @@ otherwise) listing named checks with pass/fail/undecided status and the
 module operation that produced each one.  Exit codes: 0 all checks pass,
 2 any failed, 3 only undecided, 64 usage error, 65 malformed input file.
 
+Each command has one handler and takes only the flags that handler reads:
+--seed the seeded ones (dual choi-effros, tower verify-duality, suite;
+the others report seed 0), --tol (or OPSYS_TOL) those that compare
+against a tolerance (norm, cone, dual check-cp).  A suite flag that the
+named suite does not take, and --spec with --depth on tower
+verify-duality, are usage errors too.
+
 Reports are deterministic for a fixed seed and configuration, with the
 single exception of the elapsed_ms field (wall time); determinism tests
 compare reports with that field normalized.
@@ -163,55 +170,60 @@ def _int_at_least(low: int):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="opsys", description=__doc__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub = parser.add_subparsers(required=True)
 
-    def common(p):
+    def command(subparsers, name, handler, help, *, seeded=False, tol=False):
+        """The subcommand ``name``, run by ``handler``; it takes --seed and
+        --tol only when the handler reads them."""
+        p = subparsers.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit the JSON report")
-        p.add_argument("--seed", type=_int_at_least(0), default=0)
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override (env OPSYS_TOL also honored)")
+        if seeded:
+            p.add_argument("--seed", type=_int_at_least(0), default=0)
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="tolerance override (env OPSYS_TOL also honored)")
+        return p
 
-    p_norm = sub.add_parser("norm", help="order norms of one element")
-    common(p_norm)
+    p_norm = command(sub, "norm", _cmd_norm, "order norms of one element", tol=True)
     p_norm.add_argument("--system", required=True, help="file or built-in name")
     p_norm.add_argument("--element", required=True, help="matrix JSON file")
     p_norm.add_argument("--kind", choices=["h", "min", "max"], default=None,
                         help="print a single value instead of the full report")
 
-    p_cone = sub.add_parser("cone", help="cone membership of a level element")
-    common(p_cone)
+    p_cone = command(sub, "cone", _cmd_cone, "cone membership of a level element", tol=True)
     p_cone.add_argument("--system", required=True)
     p_cone.add_argument("--element", required=True)
 
-    p_dual = sub.add_parser("dual", help="dual-space verifications")
-    dual_sub = p_dual.add_subparsers(dest="dual_cmd", required=True)
-    p_cp = dual_sub.add_parser("check-cp", help="complete positivity of a grid")
-    common(p_cp)
+    dual_sub = sub.add_parser("dual", help="dual-space verifications").add_subparsers(
+        required=True)
+    p_cp = command(dual_sub, "check-cp", _cmd_check_cp, "complete positivity of a grid",
+                   tol=True)
     p_cp.add_argument("--system", required=True)
     p_cp.add_argument("--functional", required=True,
                       help='JSON file with "grid" (or "riesz" for level 1)')
     p_cp.add_argument("--dump-problem", default=None, metavar="PATH",
                       help="write the Choi feasibility problem as JSON")
-    p_ce = dual_sub.add_parser("choi-effros", help="dual order-unit equivalences")
-    common(p_ce)
+    p_ce = command(dual_sub, "choi-effros", _cmd_choi_effros, "dual order-unit equivalences",
+                   seeded=True)
     p_ce.add_argument("--system", required=True)
     p_ce.add_argument("--levels", type=_int_at_least(1), default=3)
     p_ce.add_argument("--samples", type=_int_at_least(1), default=10)
 
-    p_tower = sub.add_parser("tower", help="tower construction and duality")
-    tower_sub = p_tower.add_subparsers(dest="tower_cmd", required=True)
-    p_build = tower_sub.add_parser("build", help="build and validate a tower")
-    common(p_build)
+    tower_sub = sub.add_parser("tower", help="tower construction and duality").add_subparsers(
+        required=True)
+    p_build = command(tower_sub, "build", _cmd_build, "build and validate a tower")
     p_build.add_argument("--spec", required=True, help="name or JSON file")
-    p_verify = tower_sub.add_parser("verify-duality", help="pairing/cone/Gamma checks")
-    common(p_verify)
-    p_verify.add_argument("--spec", default=None, help="name or JSON file")
-    p_verify.add_argument("--depth", type=_int_at_least(1), default=4)
+    p_verify = command(tower_sub, "verify-duality", _cmd_verify, "pairing/cone/Gamma checks",
+                       seeded=True)
+    which = p_verify.add_mutually_exclusive_group()
+    which.add_argument("--spec", default=None, help="name or JSON file")
+    which.add_argument("--depth", type=_int_at_least(1), default=None,
+                       help="depth of the matrix-doubling tower (default 4)")
     p_verify.add_argument("--levels", type=_int_at_least(1), default=2)
     p_verify.add_argument("--samples", type=_int_at_least(1), default=50)
 
-    p_suite = sub.add_parser("suite", help="named verification suites")
-    common(p_suite)
+    p_suite = command(sub, "suite", _cmd_suite, "named verification suites", seeded=True)
     p_suite.add_argument("name", choices=sorted(SUITES))
     p_suite.add_argument("--depth", type=_int_at_least(1), default=None)
     p_suite.add_argument("--levels", type=_int_at_least(1), default=None)
@@ -258,30 +270,31 @@ def _cmd_cone(args) -> tuple[list[Check], dict]:
     return [check], {"system": args.system, "element": args.element, "tol": tol}
 
 
-def _cmd_dual(args) -> tuple[list[Check], dict]:
+def _cmd_check_cp(args) -> tuple[list[Check], dict]:
     system = _load_system(args.system)
-    if args.dual_cmd == "check-cp":
-        mf = _load_matrix_functional(system, args.functional)
-        tol = _default_tol(args, 1e-7)
-        if args.dump_problem:
-            with open(args.dump_problem, "w", encoding="utf-8") as fh:
-                json.dump(cp_choi_problem(mf, tol).to_json(), fh, indent=2, sort_keys=True)
-        verdict = cp_verdict(mf, tol)
-        status = {"feasible": "pass", "infeasible": "fail"}.get(verdict.status, "undecided")
-        checks = [Check(
-            name="dual/check-cp",
-            op="dual.cp_verdict",
-            status=status,
-            detail=f"level {mf.n} grid over d={system.d}, dim={system.dim}",
-            # a feasible verdict carries its witness, an infeasible one its
-            # certificate; an undecided one (or a non-Hermitian grid) neither
-            evidence={"tol": tol, "iterations": verdict.iterations,
-                      "certified": (verdict.witness if verdict.status == "feasible"
-                                    else verdict.certificate) is not None},
-        )]
-        return checks, {"system": args.system, "functional": args.functional,
-                        "tol": tol}
-    # choi-effros
+    mf = _load_matrix_functional(system, args.functional)
+    tol = _default_tol(args, 1e-7)
+    if args.dump_problem:
+        with open(args.dump_problem, "w", encoding="utf-8") as fh:
+            json.dump(cp_choi_problem(mf, tol).to_json(), fh, indent=2, sort_keys=True)
+    verdict = cp_verdict(mf, tol)
+    status = {"feasible": "pass", "infeasible": "fail"}.get(verdict.status, "undecided")
+    checks = [Check(
+        name="dual/check-cp",
+        op="dual.cp_verdict",
+        status=status,
+        detail=f"level {mf.n} grid over d={system.d}, dim={system.dim}",
+        # a feasible verdict carries its witness, an infeasible one its
+        # certificate; an undecided one (or a non-Hermitian grid) neither
+        evidence={"tol": tol, "iterations": verdict.iterations,
+                  "certified": (verdict.witness if verdict.status == "feasible"
+                                else verdict.certificate) is not None},
+    )]
+    return checks, {"system": args.system, "functional": args.functional, "tol": tol}
+
+
+def _cmd_choi_effros(args) -> tuple[list[Check], dict]:
+    system = _load_system(args.system)
     rng = np.random.default_rng(args.seed)
     delta = faithful_state(system)
     report = verify_dual_unit_equivalences(
@@ -316,19 +329,21 @@ def _cmd_dual(args) -> tuple[list[Check], dict]:
                     "samples": args.samples}
 
 
-def _cmd_tower(args) -> tuple[list[Check], dict]:
-    if args.tower_cmd == "build":
-        tower = _load_tower(args.spec)
-        checks = [Check(
-            name="tower/build",
-            op="towers.make_tower",
-            status="pass",
-            detail=f"depth {tower.depth}, stages "
-                   + " -> ".join(f"M_{s.d}(dim {s.dim})" for s in tower.systems),
-            evidence={"depth": tower.depth},
-        )]
-        return checks, {"spec": args.spec}
-    spec = args.spec or f"matrix-doubling:{args.depth}"
+def _cmd_build(args) -> tuple[list[Check], dict]:
+    tower = _load_tower(args.spec)
+    checks = [Check(
+        name="tower/build",
+        op="towers.make_tower",
+        status="pass",
+        detail=f"depth {tower.depth}, stages "
+               + " -> ".join(f"M_{s.d}(dim {s.dim})" for s in tower.systems),
+        evidence={"depth": tower.depth},
+    )]
+    return checks, {"spec": args.spec}
+
+
+def _cmd_verify(args) -> tuple[list[Check], dict]:
+    spec = args.spec or f"matrix-doubling:{args.depth or 4}"
     tower = _load_tower(spec)
     rng = np.random.default_rng(args.seed)
     cones = verify_dual_cones(tower, samples=args.samples, rng=rng)
@@ -355,10 +370,12 @@ def _cmd_tower(args) -> tuple[list[Check], dict]:
 
 
 def _cmd_suite(args) -> tuple[list[Check], dict]:
-    # a flag that the suite does not take is ignored
     accepted = inspect.signature(SUITES[args.name]).parameters
     params = {flag: getattr(args, flag) for flag in ("depth", "levels", "samples")
-              if flag in accepted and getattr(args, flag) is not None}
+              if getattr(args, flag) is not None}
+    for flag in params:
+        if flag not in accepted:
+            raise _UsageError(f"argument --{flag}: suite {args.name} does not take it")
     checks = run_suite(args.name, args.seed, **params)
     return checks, {"suite": args.name, **params}
 
@@ -369,21 +386,11 @@ def run(argv) -> int:
     t0 = time.monotonic()
     try:
         args = parser.parse_args(argv)
+        checks, config = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    try:
-        if args.cmd == "norm":
-            checks, config = _cmd_norm(args)
-        elif args.cmd == "cone":
-            checks, config = _cmd_cone(args)
-        elif args.cmd == "dual":
-            checks, config = _cmd_dual(args)
-        elif args.cmd == "tower":
-            checks, config = _cmd_tower(args)
-        else:
-            checks, config = _cmd_suite(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -90,6 +90,8 @@ class MatrixFunctional:
         m = la.as_matrix(riesz)
         self.n = level_of(system, m)
         if not _canonical:
+            if not np.isfinite(m).all():
+                raise ValidationError("Riesz matrix with a non-finite entry")
             m = system.project_level(m)
         m = m.copy()
         m.flags.writeable = False
@@ -645,11 +647,11 @@ def dual_order_unit_radius(
     D = I_n (x) Re delta and the Riesz matrix G of g go to the primal radius
     routine on the full algebra and to one kernel solve (:func:`_radius`) on
     M_n(S).  Kernel evidence that fails (a non-faithful delta, a breakdown)
-    bisects: each probe passes only on the certified lower bound of one
-    kernel solve at level n, so a breakdown costs tightness, never
-    soundness.  For a non-Hermitian delta, r delta - g is not Hermitian at
-    any r > 0, so one such check at r = 0 decides.  Returns ``None`` when no
-    r <= r_max works.
+    bisects: each probe is the :func:`cp_verdict` of r (I_n (x) delta) - g,
+    which passes only on a witness that re-checks, so a breakdown costs
+    tightness, never soundness.  For a non-Hermitian delta, r delta - g is
+    not Hermitian at any r > 0, so one such check at r = 0 decides.
+    Returns ``None`` when no r <= r_max works.
     """
     check_search_bounds(r_max, precision)
     if not g.is_hermitian(1e-8):
@@ -666,9 +668,8 @@ def dual_order_unit_radius(
     dm = np.kron(np.eye(g.n), la.hermitian_part(delta.riesz))
 
     def dominated(r: float) -> bool:
-        c = r * dm - gm
-        k = 0.0 if system.is_full else _section_sdp(system, c, np.eye(len(c))).k
-        return _lower_bound(system, c, c - k) >= -tol
+        g_r = MatrixFunctional(system, r * dm - gm, _canonical=True)
+        return cp_verdict(g_r, tol).status == "feasible"
 
     if not delta.is_hermitian(1e-8):
         return 0.0 if dominated(0.0) else None

@@ -80,7 +80,10 @@ class FeasibilityProblem:
                 raise DimensionError(
                     f"constraint matrix of shape {m.shape}, expected {(self.dim,) * 2}"
                 )
-            checked.append((la.hermitian_part(m), float(b)))
+            b = float(b)
+            if not (np.isfinite(m).all() and np.isfinite(b)):
+                raise ValidationError("constraint with a non-finite entry")
+            checked.append((la.hermitian_part(m), b))
         self.constraints = checked
 
     def to_json(self) -> dict:

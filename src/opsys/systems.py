@@ -74,6 +74,8 @@ class OperatorSystem:
             raise DimensionError(f"basis of shape {b.shape} in ambient M_{d}")
         if not len(b):
             raise ValidationError("a system needs at least one basis element")
+        if not np.isfinite(b).all():
+            raise ValidationError("basis with a non-finite entry")
         b.flags.writeable = False
         self._init_fields(d, len(b), name, b)
 
@@ -141,10 +143,11 @@ class OperatorSystem:
 
     def residuals(self, xs) -> np.ndarray:
         """Frobenius distances to the system of every matrix of a (k, d, d)
-        stack, shape (k,), by two matrix products (zero on a full algebra)."""
+        stack, shape (k,), by two matrix products (on a full algebra zero, or
+        NaN for a matrix with a non-finite entry)."""
         m = self._stack(xs)
         if self.is_full:
-            return np.zeros(len(m))
+            return np.where(np.isfinite(m).all(axis=(1, 2)), 0.0, np.nan)
         off = m - self._combine(self.stack_coords(m))
         return np.linalg.norm(off.reshape(len(m), -1), axis=1)
 
@@ -250,6 +253,8 @@ def make_operator_system(generators, d: int, *, name: str | None = None) -> Oper
         m = la.as_matrix(g)
         if m.shape != (d, d):
             raise DimensionError(f"generator of shape {m.shape} in ambient M_{d}")
+        if not np.isfinite(m).all():
+            raise ValidationError("generator with a non-finite entry")
         cands.append(m)
         cands.append(m.conj().T)
     return OperatorSystem(d, la.orthonormalize(cands, _GS_RANK_TOL), name=name)
@@ -433,7 +438,7 @@ def _require_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> np.n
     if m.shape != (system.d, system.d):
         raise MembershipError(f"element of shape {m.shape} for a system in M_{system.d}")
     res = system.residual(m)
-    if res > tol:
+    if not res <= tol:  # a NaN residual fails too
         raise MembershipError(f"element is not in the system (residual {res:.3e})")
     return m
 
@@ -441,7 +446,7 @@ def _require_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> np.n
 def subspace_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> bool:
     """True iff every grid entry of ``x`` projects onto the system within ``tol``."""
     blocks = to_blocks(x, system.d).reshape(-1, system.d, system.d)
-    return not np.any(system.residuals(blocks) > tol)
+    return bool(np.all(system.residuals(blocks) <= tol))  # NaN fails
 
 
 def cone_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> bool:
@@ -519,19 +524,17 @@ class MatrixOrderUnitReport:
 
 
 def _kernel_counterexample(system: OperatorSystem, em: np.ndarray):
-    """Deterministic order-unit failure search on a checked unit e: if e has
-    (near-)kernel vector psi and the projection of psi psi* onto S still has
-    positive mass at psi, no multiple of e dominates that projection."""
+    """Deterministic order-unit failure on a checked unit e: for a
+    (near-)kernel unit vector psi of e, the projection P(psi psi*) onto S
+    has mass at psi, so no multiple of e dominates it; ``None`` when e is
+    positive definite."""
     w, u = la.spectral_decompose(la.hermitian_part(em))
-    for k in range(len(w) - 1, -1, -1):
-        if w[k] > 1e-7:
-            break
-        psi = u[:, k]
-        h = la.hermitian_part(system.project_level(np.outer(psi, psi.conj())))
-        gain = float(np.real(psi.conj() @ h @ psi))
-        if gain > 1e-7:
-            return h
-    return None
+    if w[-1] > 1e-7:
+        return None
+    psi = u[:, -1]
+    # <psi, P(psi psi*) psi> = ||P(psi psi*)||_F^2 >= <I/sqrt(d), psi psi*>^2 = 1/d,
+    # since I lies in S
+    return la.hermitian_part(system.project_level(np.outer(psi, psi.conj())))
 
 
 def is_matrix_order_unit(

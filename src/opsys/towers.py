@@ -276,10 +276,10 @@ class Tower:
             if emb.source is not src or emb.target is not tgt:
                 raise ValidationError(f"embedding {idx} does not connect its stages")
             image_unit = emb.apply(src.unit)
-            if la.frobenius(image_unit - tgt.unit) > _COMPAT_TOL:
+            if not la.frobenius(image_unit - tgt.unit) <= _COMPAT_TOL:  # NaN fails
                 raise ValidationError(f"embedding {idx} is not unital")
             if not tgt.is_full:
-                outside = np.flatnonzero(tgt.residuals(emb.images) > _COMPAT_TOL)
+                outside = np.flatnonzero(~(tgt.residuals(emb.images) <= _COMPAT_TOL))
                 if outside.size:
                     raise ValidationError(
                         f"embedding {idx} maps basis element {outside[0]}"

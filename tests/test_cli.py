@@ -353,16 +353,63 @@ def test_suite_feasibility_oracle(capsys):
 @pytest.mark.parametrize("argv, config", [
     (["choi-effros", "--levels", "2", "--samples", "2"], {"levels": 2, "samples": 2}),
     (["duality-tower", "--depth", "3", "--levels", "3"], {"depth": 3, "levels": 3}),
-    # norm-sandwich takes no depth: the flag is ignored
-    (["norm-sandwich", "--depth", "3", "--samples", "4"], {"samples": 4}),
-], ids=["choi-effros", "duality-tower", "norm-sandwich"])
+    (["duality-tower", "--depth", "3", "--levels", "2", "--samples", "3"],
+     {"depth": 3, "levels": 2, "samples": 3}),
+    # norm-sandwich takes no depth: the flag is a usage error
+    (["norm-sandwich", "--depth", "3", "--samples", "4"], None),
+], ids=["choi-effros", "duality-tower", "duality-tower-all-flags", "norm-sandwich"])
 def test_suite_flags_reach_the_suites_that_take_them(capsys, argv, config):
+    if config is None:
+        assert run(["suite", *argv, "--seed", "3", "--json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --depth: suite norm-sandwich does not take it" in captured.err
+        return
     code, report = run_json(capsys, ["suite", *argv, "--seed", "3", "--json"])
     assert code == EXIT_OK
     assert report["config"] == {"suite": argv[0], **config}
     if argv[0] == "duality-tower":
         gamma = next(c for c in report["checks"] if c["name"] == "duality-tower/gamma")
         assert gamma["detail"].endswith("at depth 3")
+
+
+SEED_1, TOL_1E3 = ["--seed", "1"], ["--tol", "1e-3"]
+# each argv runs and exits 0 without its last flag and value
+UNREAD_SETTINGS = {
+    "norm-seed": ["norm", "--system", "pauli-span", "--element", "EYE", *SEED_1],
+    "cone-seed": ["cone", "--system", "pauli-span", "--element", "EYE", *SEED_1],
+    "check-cp-seed": ["dual", "check-cp", "--system", "pauli-span", "--functional", "RIESZ",
+                      *SEED_1],
+    "build-seed": ["tower", "build", "--spec", "matrix-doubling:2", *SEED_1],
+    "build-tol": ["tower", "build", "--spec", "matrix-doubling:2", *TOL_1E3],
+    "choi-effros-tol": ["dual", "choi-effros", "--system", "full:2", "--levels", "1",
+                        "--samples", "1", *TOL_1E3],
+    "verify-duality-tol": ["tower", "verify-duality", "--depth", "2", "--levels", "1",
+                           "--samples", "1", *TOL_1E3],
+    "suite-tol": ["suite", "mou-unit", "--samples", "1", *TOL_1E3],
+    "verify-duality-spec-depth": ["tower", "verify-duality", "--spec", "corner:3",
+                                  "--levels", "1", "--samples", "1", "--depth", "3"],
+    **{f"{name}-depth": ["suite", name, "--samples", "1", "--depth", "2"]
+       for name in ["norm-sandwich", "mou-unit", "choi-effros", "dual-equivalences",
+                    "feasibility-oracle"]},
+    **{f"{name}-levels": ["suite", name, "--samples", "1", "--levels", "2"]
+       for name in ["norm-sandwich", "mou-unit", "dual-equivalences", "feasibility-oracle"]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_SETTINGS))
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, case):
+    # each of these settings used to be accepted and then read by nothing
+    # (a suite or --spec dropped the flag, a command never drew randomness
+    # or compared against a tolerance)
+    files = {"EYE": la.encode_matrix(np.eye(2)), "RIESZ": {"riesz": la.encode_matrix(np.eye(2))}}
+    for key, payload in files.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(payload))
+    argv = [str(tmp_path / f"{a}.json") if a in files else a for a in UNREAD_SETTINGS[case]]
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and argv[-2] in captured.err
 
 
 def test_report_deterministic_modulo_elapsed(capsys):

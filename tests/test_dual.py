@@ -610,6 +610,23 @@ def test_radius_none_for_non_faithful():
     assert r is None
 
 
+@pytest.mark.parametrize("name", ["toeplitz:3", "full:3"])
+def test_non_finite_element_is_not_evaluated(name):
+    # a NaN residual fails no `res > tol`: eval used to return nan+nanj
+    with pytest.raises(MembershipError):
+        faithful_state(named_system(name)).eval(np.full((3, 3), np.nan))
+
+
+def test_non_finite_riesz_matrix_rejected():
+    # a NaN grid used to be projected, read "infeasible" with no certificate
+    # by cp_verdict and not positive by is_positive_functional
+    s = named_system("toeplitz:3")
+    with pytest.raises(ValidationError, match="non-finite"):
+        MatrixFunctional(s, np.full((6, 6), np.nan))
+    with pytest.raises(ValidationError, match="non-finite"):
+        Functional(s, np.diag([1.0, np.inf, 1.0]))
+
+
 def _trace_and_series_states(s, rng):
     raw = []
     for _ in range(3):
@@ -660,6 +677,31 @@ def test_kernel_radius_evidence_rechecks_by_hand(name):
                 assert max(0.0, ratio) >= r - precision
                 radius = dual_order_unit_radius(delta, g, level)
                 assert radius == pytest.approx(r, abs=1e-12)
+
+
+def test_radius_fallback_probes_stop_at_certificates():
+    # the one radius of a 160-radius sweep (pauli-span, toeplitz:3/4,
+    # diag:3, seeds 31-40, trace and series states, levels 2-3) whose kernel
+    # evidence does not re-check, so it bisects.  Each probe is the CP
+    # verdict of r (I_n (x) delta) - g, which stops at the first witness or
+    # certificate that checks; it used to run every solve to convergence
+    # (453 Newton steps, 3 cap stops, no certificate stop).
+    import opsys.dual as dual_module
+
+    s = named_system("toeplitz:4")
+    rng = np.random.default_rng(37)
+    cases = []
+    for delta in _trace_and_series_states(s, rng):
+        for n in (2, 3):
+            g = la.hermitian_part(rng.standard_normal((n * s.d, n * s.d)))
+            cases.append((delta, MatrixFunctional(s, g)))
+    delta, g = cases[-1]  # the series state at level 3
+    before = dual_module.kernel_counts()
+    r = dual_order_unit_radius(delta, g)
+    counts = dual_module.kernel_counts(since=before)
+    assert counts["bisection_fallbacks"] == 1
+    assert r == pytest.approx(11.758309364318848, abs=1e-9)
+    assert counts["certified"] >= 25
 
 
 def test_kernel_converges_within_twenty_steps():

@@ -51,6 +51,15 @@ def assert_certificate_verifies(problem, z):
     assert c @ b < -10 * problem.tol * norm
 
 
+@pytest.mark.parametrize("a, b", [(np.eye(3), np.nan), (np.diag([1.0, np.inf, 0.0]), 1.0)],
+                         ids=["nan-rhs", "inf-matrix"])
+def test_non_finite_constraint_rejected(a, b):
+    # such a problem used to build, and dykstra_solve then raised
+    # NumericalError
+    with pytest.raises(ValidationError, match="non-finite"):
+        FeasibilityProblem(3, [(a, b)])
+
+
 # -- affine projection ----------------------------------------------------------
 
 def test_project_affine_fixed_point():

@@ -423,6 +423,26 @@ def test_diag_unit_counterexample():
     assert order_unit_radius_level(s, np.diag([1.0, 0.0]).astype(complex), h) is None
 
 
+@pytest.mark.parametrize("name", ["toeplitz:3", "full:3"])
+def test_non_finite_element_is_not_in_the_system(name):
+    # `res > tol` is False for a NaN residual: this used to be a member
+    x = np.eye(3)
+    x[0, 1] = np.nan
+    assert subspace_member(named_system(name), x) is False
+
+
+def test_non_finite_generator_rejected():
+    # Gram-Schmidt kept no NaN direction: the generator was dropped and the
+    # system came back as span{I}
+    with pytest.raises(ValidationError, match="non-finite"):
+        make_operator_system([np.full((3, 3), np.nan)], 3)
+
+
+def test_non_finite_basis_rejected():
+    with pytest.raises(ValidationError, match="non-finite"):
+        OperatorSystem(2, [np.eye(2) / np.sqrt(2), np.diag([np.inf, 0.0])])
+
+
 def test_matrix_order_unit_rejects_a_unit_outside_the_system():
     # none of these is in pauli-span: the unit check raises before any
     # search.  diag(2, 1) is positive definite; the singular diag(1, 0) and

@@ -223,6 +223,14 @@ def test_depolarizing_map_refuted_by_a_farkas_certificate(monkeypatch, eps):
     assert np.vdot(z, choi).real < -1e-3
 
 
+def test_non_finite_embedding_is_not_unital():
+    # a NaN unit image passed `distance > tol`; the tower was refused only
+    # later, as not completely positive
+    s = named_system("full:2")
+    with pytest.raises(ValidationError, match="embedding 1 is not unital"):
+        Tower([s, s], [Embedding(s, s, np.full((4, 2, 2), np.nan))])
+
+
 def test_kraus_list_without_a_left_inverse_falls_back(monkeypatch):
     # corner:5's Kraus operators reversed: from M_2 on, V_0 = e_{d+1} e_d^T
     # / sqrt(d) is not a left inverse, so those stages are certified through
