@@ -47,12 +47,16 @@ EXIT_DATA = 65
 
 
 class _UsageError(Exception):
-    pass
+    """A usage error, with the usage line of the (sub)command that failed."""
+
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
-        raise _UsageError(message)
+        raise _UsageError(message, self.format_usage())
 
 
 def exit_code_for(statuses) -> int:
@@ -176,7 +180,7 @@ def _build_parser() -> _Parser:
         """The subcommand ``name``, run by ``handler``; it takes --seed and
         --tol only when the handler reads them."""
         p = subparsers.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         p.add_argument("--json", action="store_true", help="emit the JSON report")
         if seeded:
             p.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -375,7 +379,7 @@ def _cmd_suite(args) -> tuple[list[Check], dict]:
               if getattr(args, flag) is not None}
     for flag in params:
         if flag not in accepted:
-            raise _UsageError(f"argument --{flag}: suite {args.name} does not take it")
+            args.parser.error(f"argument --{flag}: suite {args.name} does not take it")
     checks = run_suite(args.name, args.seed, **params)
     return checks, {"suite": args.name, **params}
 
@@ -385,11 +389,15 @@ def run(argv) -> int:
     parser = _build_parser()
     t0 = time.monotonic()
     try:
-        args = parser.parse_args(argv)
+        # parse_args would report unrecognized arguments against the
+        # top-level parser; the command's own parser reports them here
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         checks, config = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        print(exc.usage, end="", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)

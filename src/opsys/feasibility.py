@@ -6,6 +6,9 @@ plain alternating projections because the affine set is not a cone through
 the origin: with the corrections, the iterates converge to a point of the
 intersection whenever one exists, and the gap between the cone-side and
 affine-side iterates converges to the distance between the sets otherwise.
+The affine projection runs over an orthonormal basis of span{A_k}:
+orthonormal constraints are used as given, and any others are
+orthonormalized.
 
 The solver serves explicit problems: the Choi problems of
 :func:`opsys.dual.cp_choi_problem`, which ``opsys dual check-cp
@@ -48,6 +51,9 @@ __all__ = [
 #: The identity counts as in span{A_k} when its residual off the span is
 #: below this, relative to ||I||_F.
 _UNIT_RTOL = 1e-10
+#: Constraints whose real Gram matrix is within this of I entrywise are
+#: taken as the orthonormal basis; it is also Gram-Schmidt's rank tolerance.
+_ORTHONORMAL_ATOL = 1e-12
 
 
 def _check_tol(tol: float) -> None:
@@ -114,8 +120,11 @@ class FeasibilityVerdict:
 
 @dataclass
 class _AffineSpan:
-    """Orthonormalized constraint system; dependent constraints are pruned
-    after a consistency check on their right-hand sides."""
+    """Orthonormal constraint system.  Constraints whose real Gram matrix
+    is I within ``_ORTHONORMAL_ATOL`` entrywise are the basis as given, with
+    their own right-hand sides; any other set is orthonormalized by
+    Gram-Schmidt, and dependent constraints are pruned after a consistency
+    check on their right-hand sides."""
 
     basis: np.ndarray  # (m, 2 dim^2): orthonormal matrices as flat (re, im) views
     rhs: np.ndarray  # (m,)
@@ -125,15 +134,24 @@ class _AffineSpan:
     def build(cls, problem: FeasibilityProblem) -> "_AffineSpan":
         flat = np.stack([a.reshape(-1) for a, _ in problem.constraints])
         b = np.array([b for _, b in problem.constraints])
-        basis = la.orthonormalize(flat, 1e-12)
-        # constraint k is sum_j coef[k, j] <B_j, W> = b_k: the right-hand
-        # sides over the kept basis solve that system in least squares
-        coef = np.real(flat @ basis.conj().T)
-        rhs = np.linalg.lstsq(coef, b, rcond=None)[0]
+        # constraint k is sum_j coef[k, j] <B_j, W> = b_k over the basis B.
+        # Orthonormal constraints (every Choi problem) are their own basis,
+        # coef is their Gram matrix and b the right-hand sides; any other set
+        # (duplicated, scaled, nearly orthonormal) is Gram-Schmidted, and the
+        # right-hand sides over the kept basis solve coef in least squares
+        real = flat.view(float)
+        gram = real @ real.T
+        if np.abs(gram - np.eye(len(b))).max() <= _ORTHONORMAL_ATOL:
+            basis, coef, rhs = real, gram, b
+        else:
+            basis = la.orthonormalize(flat, _ORTHONORMAL_ATOL)
+            coef = np.real(flat @ basis.conj().T)
+            rhs = np.linalg.lstsq(coef, b, rcond=None)[0]
+            basis = basis.view(float)
         residual = float(np.abs(coef @ rhs - b).max())
         if residual > problem.tol:
             raise InfeasibleAffineError(f"dependent constraint residual {residual:.3e}")
-        span = cls(basis=basis.view(float), rhs=rhs, has_unit=False)
+        span = cls(basis=basis, rhs=rhs, has_unit=False)
         eye = np.eye(problem.dim, dtype=complex)
         off = la.frobenius(eye - span.linear_part(eye))
         span.has_unit = off <= _UNIT_RTOL * np.sqrt(problem.dim)

@@ -1,10 +1,11 @@
 """Named verification suites: reproducible sweeps over the whole toolkit.
 
-Each suite draws all randomness from one generator seeded by the caller,
-runs a battery of property checks against independent oracles (eigenvalue
-computations, brute-force sections, partial-trace identities) and returns a
-flat list of named checks.  The CLI wraps these into reports; the
-acceptance tests run the same sweeps directly.  A suite's options are
+Each suite draws all randomness from one generator seeded by the caller
+(feasibility-oracle's kernel cross-check from a second stream of the same
+seed), runs a battery of property checks against independent oracles
+(eigenvalue computations, brute-force sections, partial-trace identities)
+and returns a flat list of named checks.  The CLI wraps these into reports;
+the acceptance tests run the same sweeps directly.  A suite's options are
 named after the ``opsys suite`` flags (``samples``, ``levels``,
 ``depth``), and the CLI passes on each flag that the suite takes.
 """
@@ -20,6 +21,7 @@ from .dual import (
     Functional,
     MatrixFunctional,
     cp_choi_problem,
+    cp_verdict,
     dual_order_unit_radius,
     faithful_state,
     is_cp,
@@ -37,6 +39,7 @@ from .systems import (
     is_matrix_order_unit,
     random_hermitian_element,
     random_element,
+    random_positive_element,
     random_system,
 )
 from .towers import make_tower, pullback_thread, verify_dual_cones, verify_gamma
@@ -317,7 +320,8 @@ def suite_dual_equivalences(seed: int, *, samples: int = 50) -> list[Check]:
 
 
 # ----------------------------------------------------------------------------
-# feasibility-oracle: Dykstra verdicts against the eigenvalue oracle
+# feasibility-oracle: Dykstra verdicts against the eigenvalue oracle and
+# against the kernel's CP verdicts
 # ----------------------------------------------------------------------------
 
 def suite_feasibility_oracle(seed: int, *, samples: int = 100) -> list[Check]:
@@ -369,7 +373,83 @@ def suite_feasibility_oracle(seed: int, *, samples: int = 100) -> list[Check]:
         detail="transpose-map Choi (the swap) reported infeasible",
         evidence={"gap": _round(verdict.gap)},
     ))
+    checks.append(_dykstra_cross_check(seed))
     return checks
+
+
+def _choi_grids(s, n: int, rng) -> list:
+    """Two level-n grids over s, built as the cp-certify benchmark builds
+    them, each with the verdict its construction proves: PSD Choi data (CP)
+    and data refuted by a point x of M_n(S)+ with <x, C> = -2 ||x||_F (not
+    CP)."""
+    side = n * s.d
+    g = rng.standard_normal((side, side // 2)) + 1j * rng.standard_normal((side, side // 2))
+    w = g @ g.conj().T / side + 0.02 * np.eye(side)
+    x = random_positive_element(s, rng, level=n)
+    t = (np.trace(x @ w).real + 2.0 * la.frobenius(x)) / np.trace(x @ x).real
+    return [(MatrixFunctional.from_choi(s, w), True),
+            (MatrixFunctional.from_choi(s, w - t * x), False)]
+
+
+def _cross_check_grids(seed: int):
+    """:func:`_choi_grids` at levels 2 and 3, in four rounds over
+    pauli-span, diag:3, toeplitz:3 and two fresh random systems, drawn from
+    a stream of their own so that the pinned instances keep their draws."""
+    rng = np.random.default_rng((seed, 1))
+    pool = [named_system(name) for name in ("pauli-span", "diag:3", "toeplitz:3")]
+    for _ in range(4):
+        fresh = [random_system(rng, d=d, generators=1) for d in (2, 3)]
+        for s in pool + fresh:
+            for n in (2, 3):
+                yield from _choi_grids(s, n, rng)
+
+
+def _dykstra_verdict_holds(problem, verdict) -> bool:
+    """Re-check a definite Dykstra verdict against the problem's own data:
+    a witness meets every constraint and has lambda_min >= -gap (to
+    rounding); a Farkas certificate Z is PSD and a combination sum c_k A_k
+    of the constraints (least squares) with sum c_k b_k < -10 tol ||Z||_F."""
+    if verdict.status == "feasible":
+        w = verdict.witness
+        residual = max(abs(np.vdot(a, w).real - b) for a, b in problem.constraints)
+        return residual <= 1e-9 and la.lambda_min(w) >= -verdict.gap - 1e-12
+    z = verdict.certificate
+    norm = la.frobenius(z)
+    a = np.stack([m.reshape(-1).view(float) for m, _ in problem.constraints], axis=1)
+    b = np.array([v for _, v in problem.constraints])
+    target = np.ascontiguousarray(z).reshape(-1).view(float)
+    c = np.linalg.lstsq(a, target, rcond=None)[0]
+    return (la.frobenius(a @ c - target) <= 1e-10 * norm
+            and la.lambda_min(z) >= -1e-12 * norm
+            and c @ b < -10 * problem.tol * norm)
+
+
+def _dykstra_cross_check(seed: int) -> Check:
+    """Dykstra on the exported Choi problem against cp_verdict, the kernel
+    verdict, on proper-subsystem grids: the two must agree wherever both are
+    definite, and each definite Dykstra verdict must re-check."""
+    grids = iterating = undecided = disagreements = unverified = 0
+    for mf, _ in _cross_check_grids(seed):
+        problem = cp_choi_problem(mf)
+        verdict = dykstra_solve(problem)
+        kernel = cp_verdict(mf)
+        grids += 1
+        iterating += verdict.iterations > 1
+        if "undecided" in (verdict.status, kernel.status):
+            undecided += 1
+        else:
+            disagreements += verdict.status != kernel.status
+        if verdict.status != "undecided":
+            unverified += not _dykstra_verdict_holds(problem, verdict)
+    return Check(
+        name="feasibility-oracle/kernel-cross-check",
+        op="feasibility.dykstra_solve",
+        status=_status(disagreements == 0 and unverified == 0),
+        detail=f"{grids} proper-subsystem Choi problems, Dykstra against "
+               f"cp_verdict, {iterating} past iteration 1",
+        evidence={"grids": grids, "iterating": iterating, "undecided": undecided,
+                  "disagreements": disagreements, "unverified": unverified},
+    )
 
 
 # ----------------------------------------------------------------------------

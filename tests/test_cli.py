@@ -412,6 +412,24 @@ def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, case):
     assert "usage error" in captured.err and argv[-2] in captured.err
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["tower", "build", "--spec", "matrix-doubling:2", "--seed", "1"], "opsys tower build"),
+    (["suite", "mou-unit", "--depth", "3"], "opsys suite"),
+    (["tower", "verify-duality", "--spec", "corner:3", "--depth", "3"],
+     "opsys tower verify-duality"),
+    (["dual", "check-cp", "--system", "full:2"], "opsys dual check-cp"),
+    (["tower"], "opsys tower"),
+    (["frobnicate"], "opsys"),
+], ids=["unrecognized", "suite-flag", "exclusive", "missing", "no-subcommand", "top-level"])
+def test_usage_error_prints_the_failed_commands_usage(capsys, argv, usage):
+    # every usage error used to print the top-level usage line
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"usage: {usage} [-h]" in err
+    if usage != "opsys":
+        assert "usage: opsys [-h]" not in err
+
+
 def test_report_deterministic_modulo_elapsed(capsys):
     argv = ["suite", "mou-unit", "--seed", "5", "--json"]
     _, first = run_json(capsys, argv)

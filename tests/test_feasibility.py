@@ -13,6 +13,7 @@ from opsys.feasibility import (
     project_affine,
 )
 from opsys.dual import MatrixFunctional, cp_choi_problem
+from opsys.suites import _choi_grids, _cross_check_grids
 from opsys.systems import (
     named_system,
     random_hermitian_element,
@@ -277,3 +278,92 @@ def test_problem_json_roundtrip():
     for c, (m, b) in zip(obj["constraints"], problem.constraints):
         assert np.array_equal(la.decode_matrix(c["a"]), m)
         assert c["b"] == b
+
+
+# -- orthonormal constraints as the basis ---------------------------------------
+
+def reference_span(problem):
+    """The span every constraint set got before orthonormal ones were taken
+    as given: Gram-Schmidt, then least squares for the right-hand sides."""
+    flat = np.stack([a.reshape(-1) for a, _ in problem.constraints])
+    b = np.array([v for _, v in problem.constraints])
+    basis = la.orthonormalize(flat, 1e-12)
+    coef = np.real(flat @ basis.conj().T)
+    rhs = np.linalg.lstsq(coef, b, rcond=None)[0]
+    span = _AffineSpan(basis=basis.view(float), rhs=rhs, has_unit=False)
+    eye = np.eye(problem.dim, dtype=complex)
+    span.has_unit = la.frobenius(eye - span.linear_part(eye)) <= 1e-10 * np.sqrt(problem.dim)
+    return span
+
+
+def orthonormal_problems():
+    rng = np.random.default_rng(24)
+    problems = []
+    for d in range(2, 9):
+        full = named_system(f"full:{d}")
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for target in (g @ g.conj().T / d, random_hermitian_element(full, rng)):
+            problems.append(FeasibilityProblem(d, pin_constraints(d, target)))
+    for name in ("pauli-span", "toeplitz:3"):
+        for n in (1, 2, 3):
+            for grid, _ in _choi_grids(named_system(name), n, rng):
+                problems.append(cp_choi_problem(grid))
+    return problems
+
+
+def test_orthonormal_constraints_match_the_gram_schmidt_span(monkeypatch):
+    problems = orthonormal_problems()
+    for problem in problems:
+        flat = np.stack([a.reshape(-1).view(float) for a, _ in problem.constraints])
+        # the constraints are the basis as given
+        assert np.array_equal(_AffineSpan.build(problem).basis, flat)
+    fast = [dykstra_solve(problem) for problem in problems]
+    monkeypatch.setattr(_AffineSpan, "build", classmethod(lambda cls, p: reference_span(p)))
+    iterating = 0
+    for problem, verdict in zip(problems, fast):
+        reference = dykstra_solve(problem)
+        assert (verdict.status, verdict.iterations) == (reference.status, reference.iterations)
+        assert verdict.status != "undecided"
+        if verdict.status == "feasible":
+            assert np.abs(verdict.witness - reference.witness).max() <= 1e-10
+        iterating += verdict.iterations > 1
+    assert iterating >= 3  # the corrections run, not only the first step
+
+
+def test_nearly_orthonormal_constraints_take_gram_schmidt():
+    # one constraint scaled by 1 + 1e-9 puts the Gram matrix 2e-9 off I
+    cons = pin_constraints(3, np.diag([1.0, 0.5, -0.25]).astype(complex))
+    a, b = cons[4]
+    cons[4] = ((1 + 1e-9) * a, (1 + 1e-9) * b)
+    problem = FeasibilityProblem(3, cons)
+    flat = np.stack([m.reshape(-1) for m, _ in problem.constraints])
+    basis = _AffineSpan.build(problem).basis
+    assert np.array_equal(basis, la.orthonormalize(flat, 1e-12).view(float))
+    assert not np.array_equal(basis, flat.view(float))
+
+
+def test_repeated_orthonormal_constraint_pruned_or_inconsistent():
+    cons = pin_constraints(3, np.diag([1.0, 0.5, 0.25]).astype(complex))
+    a, b = cons[2]
+    consistent = FeasibilityProblem(3, cons + [(a, b)])
+    span = _AffineSpan.build(consistent)
+    assert len(span.basis) == len(cons)
+    w = project_affine(consistent, np.zeros((3, 3)))
+    for m, v in consistent.constraints:
+        assert np.trace(m @ w).real == pytest.approx(v, abs=1e-12)
+    with pytest.raises(InfeasibleAffineError):
+        _AffineSpan.build(FeasibilityProblem(3, cons + [(a, b + 0.5)]))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 12])
+def test_suite_cross_check_infeasible_instances_carry_certificates(seed):
+    infeasible = 0
+    for grid, cp in _cross_check_grids(seed):
+        if cp:
+            continue
+        problem = cp_choi_problem(grid)
+        verdict = dykstra_solve(problem)
+        assert verdict.status == "infeasible"
+        assert_certificate_verifies(problem, verdict.certificate)
+        infeasible += 1
+    assert infeasible == 40
