@@ -4,7 +4,7 @@ Systems S inside M_d with their matrix cones, the order norms (Hermitian,
 minimal, maximal-with-certified-sandwich), the matrix-ordered dual with
 positivity and complete-positivity certification through one interior-point
 solve per matrix level, a Dykstra PSD/affine feasibility solver for
-explicit problems, faithful states and dual order-unit verification, and
+explicit problems, faithful states and dual order-unit radii, and
 finite-depth towers of systems with the inductive/projective duality
 pairing.
 """
@@ -56,7 +56,6 @@ from .dual import (
     is_positive_functional,
     paulsen_system,
     series_state,
-    verify_dual_unit_equivalences,
 )
 from .towers import (
     ElementThread,

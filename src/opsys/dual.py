@@ -34,7 +34,10 @@ Dual order-unit radii, the smallest r with r (I_n (x) delta) - g CP, take
 the same solve at every level n (Charnes-Cooper: r = max <G, X> over X in
 M_n(S)+ with <I_n (x) delta, X> = 1), or a generalized eigenvalue on the
 full algebra; a bisection over certified lower bounds is only the fallback
-when that evidence does not re-check.
+when that evidence does not re-check.  Either way the radius closes to
+one module precision, 1e-6.  The sweeps that check the trace state to be
+an Archimedean matrix order unit of S' with these radii and verdicts live
+in :mod:`opsys.suites`.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ __all__ = [
     "faithful_state",
     "series_state",
     "dual_order_unit_radius",
-    "verify_dual_unit_equivalences",
     "paulsen_system",
     "random_functional",
     "random_hermitian_functional",
@@ -605,18 +607,21 @@ def series_state(states) -> Functional:
 
 
 # ----------------------------------------------------------------------------
-# Dual order units (Choi-Effros style verification)
+# Dual order-unit radii
 # ----------------------------------------------------------------------------
 
-def _radius(
-    system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float, precision: float
-) -> float | None:
+#: Precision of a dual order-unit radius: the kernel's bracket must close to
+#: it, and a bisection stops at it.
+_DUAL_RADIUS_PRECISION = 1e-6
+
+
+def _radius(system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float) -> float | None:
     """Smallest r >= 0 with r D - G positive on M_n(S)+ (D = I_n (x) Re
     delta, G the Choi matrix of g) over a proper subsystem, or ``None`` when
     its evidence does not re-check: one kernel solve with C = -G and N = D;
     r = -t stands only when r D - G - K certifies r D - G >= -tol and the
     lifted primal point x lies in M_n(S)+ with <G, x>/<D, x> >= r -
-    precision."""
+    ``_DUAL_RADIUS_PRECISION``."""
     solve = _section_sdp(system, -gm, dm)
     r = max(0.0, -solve.t)
     x = _lift(system, solve.x)
@@ -625,7 +630,8 @@ def _radius(
     if not (_lower_bound(system, c, c - solve.k) >= -tol
             and cone_member(system, x, tol) and dx > 0):
         return None
-    return r if max(0.0, np.vdot(gm, x).real / dx) >= r - precision else None
+    closes = max(0.0, np.vdot(gm, x).real / dx) >= r - _DUAL_RADIUS_PRECISION
+    return r if closes else None
 
 
 def dual_order_unit_radius(
@@ -633,7 +639,6 @@ def dual_order_unit_radius(
     g,
     level: int | None = None,
     *,
-    precision: float = 1e-6,
     r_max: float = 1e6,
 ) -> float | None:
     """Smallest r >= 0 such that r * (I_n (x) delta) - g is positive, at
@@ -651,9 +656,10 @@ def dual_order_unit_radius(
     which passes only on a witness that re-checks, so a breakdown costs
     tightness, never soundness.  For a non-Hermitian delta, r delta - g is
     not Hermitian at any r > 0, so one such check at r = 0 decides.
-    Returns ``None`` when no r <= r_max works.
+    Radii are exact or bisected to ``_DUAL_RADIUS_PRECISION``.  Returns
+    ``None`` when no r <= r_max works.
     """
-    check_search_bounds(r_max, precision)
+    check_search_bounds(r_max, _DUAL_RADIUS_PRECISION)
     if not g.is_hermitian(1e-8):
         raise ValidationError("g must be a Hermitian functional or matrix functional")
     system, tol = delta.system, DEFAULT_TOL
@@ -674,116 +680,13 @@ def dual_order_unit_radius(
     if not delta.is_hermitian(1e-8):
         return 0.0 if dominated(0.0) else None
     if system.is_full:
-        return _domination_radius(dm, gm, tol, r_max, precision)
-    r = _radius(system, dm, gm, tol, precision)
+        return _domination_radius(dm, gm, tol, r_max, _DUAL_RADIUS_PRECISION)
+    r = _radius(system, dm, gm, tol)
     if r is not None:
         return r if r <= r_max else None
     _SDP_COUNTS["bisection_fallbacks"] += 1
     r_start = max(1.0, la.trace_norm(delta.riesz))
-    return smallest_passing(dominated, r_max, precision, r_start=r_start)
-
-
-#: Positivity tolerance of the Archimedean check in
-#: :func:`verify_dual_unit_equivalences`.
-_ARCH_TOL = 1e-6
-
-
-def verify_dual_unit_equivalences(
-    system: OperatorSystem,
-    delta: Functional,
-    max_level: int = 3,
-    samples: int = 20,
-    *,
-    rng: np.random.Generator,
-) -> dict:
-    """Executable form of the dual order-unit equivalences.
-
-    Checks, with sampled Hermitian functionals:
-
-    * faithfulness of delta (a necessary condition for being an order unit);
-    * order unit at level 1: every sample is dominated by a finite radius;
-    * matrix order unit: the level-1 radius certifies CP positivity of the
-      diagonally lifted difference at levels 2..max_level;
-    * Archimedean behavior: f passing positivity of r*delta + f along the
-      geometric schedule r = 2^-1 .. 2^-20 passes positivity itself at
-      ``_ARCH_TOL``.
-
-    When delta is not faithful, an explicit non-dominated witness g built
-    from the vanishing direction is reported and the order-unit check fails.
-    ``report["kernel"]`` holds the :func:`kernel_counts` of the sweep.
-    """
-    report: dict = {"passed": True, "counterexamples": []}
-    counts = kernel_counts()
-
-    min_delta, x0 = positivity_minimum(delta)
-    faithful = min_delta >= 1e-6
-    report["faithful"] = {"min_on_section": min_delta, "ok": faithful}
-    if not faithful:
-        witness = Functional(system, la.hermitian_part(x0))
-        r = dual_order_unit_radius(delta, witness, 1)
-        report["order_unit"] = {"ok": r is not None, "witness_radius": r}
-        report["passed"] = False
-        report["counterexamples"].append(
-            {"check": "order_unit", "detail": "delta vanishes on a positive direction"}
-        )
-        report["kernel"] = kernel_counts(since=counts)
-        return report
-
-    radii = []
-    level_ok = True
-    for _ in range(samples):
-        g = random_hermitian_functional(system, rng)
-        r = dual_order_unit_radius(delta, g, 1)
-        radii.append(r)
-        if r is None:
-            level_ok = False
-            report["counterexamples"].append(
-                {"check": "order_unit", "detail": "sample not dominated"}
-            )
-            continue
-        # at the exact radius the Choi problem has no interior point and a
-        # witness is PSD only up to the solver's accuracy; a 1e-2 margin
-        # keeps the certification strictly inside while staying within 1%
-        # of r
-        margin = 1e-2 * max(1.0, r)
-        for n in range(2, max_level + 1):
-            verdict = is_cp(MatrixFunctional.diag((r + margin) * delta - g, n))
-            if verdict is not True:
-                level_ok = False
-                report["counterexamples"].append(
-                    {
-                        "check": "matrix_order_unit",
-                        "level": n,
-                        "detail": f"CP verdict {verdict} at certified radius",
-                    }
-                )
-    report["order_unit"] = {"ok": level_ok, "radii": radii}
-
-    schedule = [2.0 ** -k for k in range(1, 21)]
-    arch_checked = 0
-    arch_ok = True
-    for idx in range(samples):
-        if idx % 2 == 0:
-            f = random_hermitian_functional(system, rng)
-        else:
-            # boundary construction: shift a positive functional to the edge
-            p = random_positive_functional(system, rng)
-            val, _ = positivity_minimum(p)
-            shift = val / max(delta.pair(system.unit).real / system.d, 1e-12)
-            f = p - float(shift) * delta
-        premise = all(is_positive_functional(r * delta + f) for r in schedule)
-        if not premise:
-            continue
-        arch_checked += 1
-        if not is_positive_functional(f, tol=_ARCH_TOL):
-            arch_ok = False
-            report["counterexamples"].append(
-                {"check": "archimedean", "detail": "schedule passed but f not positive"}
-            )
-    report["archimedean"] = {"ok": arch_ok, "checked": arch_checked}
-    report["passed"] = bool(level_ok and arch_ok)
-    report["kernel"] = kernel_counts(since=counts)
-    return report
+    return smallest_passing(dominated, r_max, _DUAL_RADIUS_PRECISION, r_start=r_start)
 
 
 # ----------------------------------------------------------------------------

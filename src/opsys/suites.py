@@ -8,6 +8,11 @@ and returns a flat list of named checks.  The CLI wraps these into reports;
 the acceptance tests run the same sweeps directly.  A suite's options are
 named after the ``opsys suite`` flags (``samples``, ``levels``,
 ``depth``), and the CLI passes on each flag that the suite takes.
+
+choi-effros and dual-equivalences are loops over one per-system check each
+(the trace state dominates sampled functionals at every level; the
+Archimedean radius schedule), and ``opsys dual choi-effros`` runs the same
+two checks on the one system it is given.
 """
 
 from __future__ import annotations
@@ -209,56 +214,104 @@ def suite_mou_unit(seed: int, *, samples: int = 32) -> list[Check]:
 
 
 # ----------------------------------------------------------------------------
-# choi-effros: faithful trace state is an Archimedean matrix order unit
+# choi-effros and dual-equivalences: the faithful trace state is an
+# Archimedean matrix order unit of S'
 # ----------------------------------------------------------------------------
+
+#: Radii of the Archimedean premise: f passes when r delta + f is positive
+#: for every r in 2^-1 .. 2^-20.
+_ARCHIMEDEAN_SCHEDULE = [2.0 ** -k for k in range(1, 21)]
+
+
+def _order_unit_check(s, name: str, samples: int, levels: int, rng) -> Check:
+    """The trace state delta of s dominates ``samples`` Hermitian
+    functionals g: each radius of g and of -g exists (and matches d
+    lambda_max on a full algebra), and the common radius, plus a margin, is
+    CP-certified on the diagonal lifts of r delta -+ g at levels 2..levels."""
+    delta = faithful_state(s)
+    radii = []
+    ok = True
+    oracle_gap = 0.0
+    counts = kernel_counts()
+    for _ in range(samples):
+        g = random_hermitian_functional(s, rng)
+        r = dual_order_unit_radius(delta, g, 1)
+        if r is None:
+            ok = False
+            break
+        radii.append(r)
+        if s.is_full:
+            oracle = max(0.0, s.d * la.lambda_max(g.riesz))
+            oracle_gap = max(oracle_gap, abs(r - oracle))
+            if abs(r - oracle) > 1e-5:
+                ok = False
+        r_neg = dual_order_unit_radius(delta, -1.0 * g, 1)
+        if r_neg is None:
+            ok = False
+            continue
+        r_pm = max(r, r_neg)
+        # strict interior margin: at the exact radius the CP problem has no
+        # Slater point, so a witness could be PSD only up to the solver's
+        # accuracy; a margin of 1e-2 max(1, r) keeps every grid strictly
+        # inside while staying within 1% of r
+        margin = 1e-2 * max(1.0, r_pm)
+        for n in range(2, levels + 1):
+            for sign in (1.0, -1.0):
+                lifted = MatrixFunctional.diag((r_pm + margin) * delta - sign * g, n)
+                if is_cp(lifted) is not True:
+                    ok = False
+    return Check(
+        name=name,
+        op="dual.dual_order_unit_radius",
+        status=_status(ok),
+        detail=("full algebra, radius matches d*lambda_max" if s.is_full
+                else "proper subsystem, CP-certified at all levels"),
+        evidence={"d": s.d, "dim": s.dim,
+                  "max_radius": _round(max(radii)) if radii else None,
+                  "oracle_gap": _round(oracle_gap),
+                  "kernel": kernel_counts(since=counts)},
+    )
+
+
+def _archimedean_check(s, name: str, count: int, rng) -> Check:
+    """Every functional f with r delta + f positive along the Archimedean
+    schedule (delta the trace state of s) is positive itself at 1e-6; it
+    passes once ``count`` such f are checked, within 20 count draws (two in
+    three shifted onto the boundary of the positive cone)."""
+    delta = faithful_state(s)
+    checked = 0
+    violations = 0
+    attempts = 0
+    counts = kernel_counts()
+    while checked < count and attempts < 20 * count:
+        attempts += 1
+        if attempts % 3 == 0:
+            f = random_hermitian_functional(s, rng)
+        else:
+            p = random_positive_functional(s, rng)
+            val, _ = positivity_minimum(p)
+            f = p - float(s.d * val) * delta  # boundary shift
+        if not all(is_positive_functional(r * delta + f) for r in _ARCHIMEDEAN_SCHEDULE):
+            continue
+        checked += 1
+        if not is_positive_functional(f, tol=1e-6):
+            violations += 1
+    return Check(
+        name=name,
+        op="dual.is_positive_functional",
+        status=_status(violations == 0 and checked >= count),
+        detail=f"{checked} schedule-passing functionals, {violations} "
+               f"positivity violations at 1e-6",
+        evidence={"checked": checked, "violations": violations,
+                  "kernel": kernel_counts(since=counts)},
+    )
+
 
 def suite_choi_effros(seed: int, *, samples: int = 20, levels: int = 3) -> list[Check]:
     rng = np.random.default_rng(seed)
     systems = _sample_systems(rng, 20, 4)
-    checks = []
-    for i, s in enumerate(systems):
-        delta = faithful_state(s)
-        radii = []
-        ok = True
-        oracle_gap = 0.0
-        counts = kernel_counts()
-        for _ in range(samples):
-            g = random_hermitian_functional(s, rng)
-            r = dual_order_unit_radius(delta, g, 1)
-            if r is None:
-                ok = False
-                break
-            radii.append(r)
-            if s.is_full:
-                oracle = max(0.0, s.d * la.lambda_max(g.riesz))
-                oracle_gap = max(oracle_gap, abs(r - oracle))
-                if abs(r - oracle) > 1e-5:
-                    ok = False
-            r_neg = dual_order_unit_radius(delta, -1.0 * g, 1)
-            if r_neg is None:
-                ok = False
-                continue
-            r_pm = max(r, r_neg)
-            # strict interior margin: at the exact radius the CP problem
-            # has no Slater point, so a witness could be PSD only up to the
-            # solver's accuracy; the margin keeps every grid strictly inside
-            margin = 1e-2 * max(1.0, r_pm)
-            for n in range(2, levels + 1):
-                for sign in (1.0, -1.0):
-                    lifted = MatrixFunctional.diag((r_pm + margin) * delta - sign * g, n)
-                    if is_cp(lifted) is not True:
-                        ok = False
-        checks.append(Check(
-            name=f"choi-effros/system-{i:02d}",
-            op="dual.dual_order_unit_radius",
-            status=_status(ok),
-            detail=("full algebra, radius matches d*lambda_max" if s.is_full
-                    else "proper subsystem, CP-certified at all levels"),
-            evidence={"d": s.d, "dim": s.dim,
-                      "max_radius": _round(max(radii)) if radii else None,
-                      "oracle_gap": _round(oracle_gap),
-                      "kernel": kernel_counts(since=counts)},
-        ))
+    checks = [_order_unit_check(s, f"choi-effros/system-{i:02d}", samples, levels, rng)
+              for i, s in enumerate(systems)]
     diag2 = named_system("diag:2")
     nonfaithful = Functional(diag2, np.diag([1.0, 0.0]).astype(complex))
     complement = Functional(diag2, np.diag([0.0, 1.0]).astype(complex))
@@ -273,10 +326,6 @@ def suite_choi_effros(seed: int, *, samples: int = 20, levels: int = 3) -> list[
     return checks
 
 
-# ----------------------------------------------------------------------------
-# dual-equivalences: the Archimedean radius schedule
-# ----------------------------------------------------------------------------
-
 def suite_dual_equivalences(seed: int, *, samples: int = 50) -> list[Check]:
     rng = np.random.default_rng(seed)
     systems = [
@@ -285,38 +334,9 @@ def suite_dual_equivalences(seed: int, *, samples: int = 50) -> list[Check]:
         named_system("full:3"),
         random_system(rng, d=3, generators=1),
     ]
-    schedule = [2.0 ** -k for k in range(1, 21)]
-    checks = []
     per = max(1, -(-samples // len(systems)))
-    for i, s in enumerate(systems):
-        delta = faithful_state(s)
-        checked = 0
-        violations = 0
-        attempts = 0
-        counts = kernel_counts()
-        while checked < per and attempts < 20 * per:
-            attempts += 1
-            if attempts % 3 == 0:
-                f = random_hermitian_functional(s, rng)
-            else:
-                p = random_positive_functional(s, rng)
-                val, _ = positivity_minimum(p)
-                f = p - float(s.d * val) * delta  # boundary shift
-            if not all(is_positive_functional(r * delta + f) for r in schedule):
-                continue
-            checked += 1
-            if not is_positive_functional(f, tol=1e-6):
-                violations += 1
-        checks.append(Check(
-            name=f"dual-equivalences/system-{i:02d}",
-            op="dual.is_positive_functional",
-            status=_status(violations == 0 and checked >= per),
-            detail=f"{checked} schedule-passing functionals, {violations} "
-                   f"positivity violations at 1e-6",
-            evidence={"checked": checked, "violations": violations,
-                      "kernel": kernel_counts(since=counts)},
-        ))
-    return checks
+    return [_archimedean_check(s, f"dual-equivalences/system-{i:02d}", per, rng)
+            for i, s in enumerate(systems)]
 
 
 # ----------------------------------------------------------------------------

@@ -51,6 +51,9 @@ _GS_RANK_TOL = 1e-9
 #: Bisection precision of an order-unit radius over a singular unit.
 _RADIUS_PRECISION = 1e-8
 
+#: Largest order-unit radius searched for; above it x is not dominated.
+_RADIUS_MAX = 1e6
+
 #: Fixed seed for the deterministic Hermitian sampling in
 #: :func:`is_matrix_order_unit` when the caller does not inject a generator.
 _MOU_SAMPLE_SEED = 20240917
@@ -488,14 +491,12 @@ def _checked_unit(system: OperatorSystem, e, tol: float) -> np.ndarray:
     return em
 
 
-def order_unit_radius_level(
-    system: OperatorSystem, e, x, *, r_max: float = 1e6
-) -> float | None:
+def order_unit_radius_level(system: OperatorSystem, e, x) -> float | None:
     """Smallest r >= 0 with ``r*(I_n (x) e) - x`` in M_n(S)+, or ``None``.
 
     :func:`_domination_radius` on (I_n (x) e, x) at tolerance
     ``DEFAULT_TOL``, exact for a positive definite e; ``None`` means no
-    r <= r_max dominates x.
+    r <= ``_RADIUS_MAX`` dominates x.
     """
     tol = DEFAULT_TOL
     em = _checked_unit(system, e, tol)
@@ -506,7 +507,8 @@ def order_unit_radius_level(
     if not subspace_member(system, xm, tol):
         return None
     lifted = np.kron(np.eye(n), em)
-    return _domination_radius(lifted, la.hermitian_part(xm), tol, r_max, _RADIUS_PRECISION)
+    return _domination_radius(lifted, la.hermitian_part(xm), tol, _RADIUS_MAX,
+                              _RADIUS_PRECISION)
 
 
 @dataclass
@@ -537,6 +539,14 @@ def _kernel_counterexample(system: OperatorSystem, em: np.ndarray):
     return la.hermitian_part(system.project_level(np.outer(psi, psi.conj())))
 
 
+def _check_counts(**counts: int) -> None:
+    """Reject a sweep count below 1: a sweep over no samples or no levels
+    checks nothing, and would pass vacuously."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValidationError(f"{name} must be at least 1, got {value}")
+
+
 def is_matrix_order_unit(
     system: OperatorSystem,
     e,
@@ -547,13 +557,15 @@ def is_matrix_order_unit(
 ) -> MatrixOrderUnitReport:
     """Check whether e dominates sampled Hermitian elements at levels 1..max_level.
 
-    e must lie in S+ (ValidationError otherwise).  A level-1 order unit must
+    e must lie in S+, and ``max_level`` and ``samples_per_level`` must be
+    at least 1 (ValidationError otherwise).  A level-1 order unit must
     pass at every level, so a single failed radius (none up to 1e6, at
     tolerance ``DEFAULT_TOL``) refutes matrix-order-unit-hood.  Sampling is
     deterministic by default (fixed internal seed) for reproducible runs;
     pass ``rng`` to override.  A deterministic counterexample search along
     near-kernel directions of e supplements the random sampling at level 1.
     """
+    _check_counts(max_level=max_level, samples_per_level=samples_per_level)
     if rng is None:
         rng = np.random.default_rng(_MOU_SAMPLE_SEED)
     tol = DEFAULT_TOL
@@ -574,7 +586,7 @@ def is_matrix_order_unit(
         for _ in range(samples_per_level):
             # drawn in M_n(S)_h, so x needs neither check of order_unit_radius_level
             x = random_hermitian_element(system, rng, level=n)
-            r = _domination_radius(lifted, x, tol, 1e6, _RADIUS_PRECISION)
+            r = _domination_radius(lifted, x, tol, _RADIUS_MAX, _RADIUS_PRECISION)
             level_radii.append(r)
             if r is None:
                 ok = False

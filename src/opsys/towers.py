@@ -56,6 +56,7 @@ from .errors import (
 from .norms import _spectral_radius, numerical_radius
 from .systems import (
     OperatorSystem,
+    _check_counts,
     cone_member,
     from_blocks,
     level_of,
@@ -581,8 +582,10 @@ def verify_dual_cones(
     non-positive element thread gets a positive functional thread built from
     the most-negative eigendirection at the deepest stage, with pairing < 0;
     (c) every sampled non-positive functional thread gets a positive element
-    thread with negative pairing from the positivity minimizer.
+    thread with negative pairing from the positivity minimizer.  ``samples``
+    below 1 raises ValidationError.
     """
+    _check_counts(samples=samples)
     report: dict = {"passed": True}
 
     violations = 0
@@ -646,7 +649,10 @@ def verify_gamma(
       stage-wise trace states form a matrix order unit with a uniform
       finite radius over the truncation.  Uniform means over the K stages
       of this tower only; it says nothing of the radii as K grows.
+
+    ``samples`` or ``max_level`` below 1 raises ValidationError.
     """
+    _check_counts(samples=samples, max_level=max_level)
     top = t.stage(t.depth)
     report: dict = {"passed": True}
     failures: list[str] = []

@@ -266,6 +266,22 @@ def test_choi_effros_reports_kernel_counts(capsys):
     assert run_json(capsys, argv)[1]["checks"] == report["checks"]
 
 
+def test_choi_effros_runs_the_suite_checks_on_a_full_algebra(capsys):
+    # the closed-form radius against the d lambda_max oracle, and one
+    # schedule-passing functional per --samples
+    code, report = run_json(
+        capsys,
+        ["dual", "choi-effros", "--system", "full:2", "--seed", "3",
+         "--levels", "2", "--samples", "4", "--json"],
+    )
+    assert code == EXIT_OK
+    checks = {c["name"]: c for c in report["checks"]}
+    assert set(checks) == {"dual/choi-effros/faithful", "dual/choi-effros/order-unit",
+                           "dual/choi-effros/archimedean"}
+    assert checks["dual/choi-effros/order-unit"]["evidence"]["oracle_gap"] <= 1e-5
+    assert checks["dual/choi-effros/archimedean"]["evidence"]["checked"] == 4
+
+
 # -- tower commands -----------------------------------------------------------------------
 
 def test_tower_build(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opsys import linalg as la
+from opsys._search import check_search_bounds
 from opsys.dual import (
     Functional,
     MatrixFunctional,
@@ -17,10 +18,10 @@ from opsys.dual import (
     random_hermitian_functional,
     random_positive_functional,
     series_state,
-    verify_dual_unit_equivalences,
 )
 from opsys.errors import DimensionError, MembershipError, ValidationError
 from opsys.feasibility import FeasibilityProblem, dykstra_solve
+from opsys.suites import _archimedean_check, _order_unit_check
 from opsys.systems import (
     cone_member,
     make_operator_system,
@@ -821,7 +822,7 @@ def test_kernel_breakdown_never_raises(monkeypatch, fault_after):
         assert counts["breakdowns"] == counts["solves"] == 1
         calls.clear()
         before = dual_module.kernel_counts()
-        r = dual_order_unit_radius(delta, f, 1, precision=1e-3)
+        r = dual_order_unit_radius(delta, f, 1)
         counts = dual_module.kernel_counts(since=before)
         assert counts["breakdowns"] >= 1
         # a broken solve cannot close the bracket, so the bisection decides;
@@ -1004,13 +1005,29 @@ def test_full_algebra_radius_of_a_singular_delta():
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_radius_rejects_bad_precision_and_r_max(bad):
+    # the precision is a module constant; the shared bound check that
+    # dual_order_unit_radius runs rejects a bad one as it does a bad r_max
     s = named_system("toeplitz:3")
     delta = faithful_state(s)
     g = random_hermitian_functional(s, np.random.default_rng(26))
     with pytest.raises(ValidationError):
-        dual_order_unit_radius(delta, g, 1, precision=bad)
-    with pytest.raises(ValidationError):
-        dual_order_unit_radius(delta, g, 2, r_max=bad)
+        check_search_bounds(1e6, bad)
+    for level in (1, 2):
+        with pytest.raises(ValidationError):
+            dual_order_unit_radius(delta, g, level, r_max=bad)
+
+
+def test_radius_above_r_max_is_none_when_the_first_probe_passes():
+    # delta = diag(1, 0) has no Cholesky factor, so the radius bisects from
+    # r_start = 1; that first probe passes for g = diag(0.7, 0), and the
+    # search used to return 0.7 for an r_max of 0.5
+    s = named_system("full:2")
+    delta = Functional(s, np.diag([1.0, 0.0]).astype(complex))
+    g = Functional(s, np.diag([0.7, 0.0]).astype(complex))
+    assert dual_order_unit_radius(delta, g, 1, r_max=0.5) is None
+    r = dual_order_unit_radius(delta, g, 1, r_max=0.8)
+    assert r == pytest.approx(0.7, abs=1e-6) and r <= 0.8
+    assert dual_order_unit_radius(delta, g, 1) == dual_order_unit_radius(delta, g, 1, r_max=2.0)
 
 
 def test_radius_level_2_agrees_with_level_1():
@@ -1144,7 +1161,7 @@ def test_wittstock_decomposition():
         grid[1][0] = off.adjoint()
         h = MatrixFunctional.from_grid(grid)
         assert h.is_hermitian()
-        r = dual_order_unit_radius(delta, h, precision=0.05)
+        r = dual_order_unit_radius(delta, h)
         lifted = MatrixFunctional.diag(delta, 2)
         q = (r + 0.05) * lifted
         p = h + q
@@ -1152,52 +1169,39 @@ def test_wittstock_decomposition():
         assert is_cp(q) is True
 
 
-# -- the dual-unit equivalence sweep ---------------------------------------------------
+# -- the dual order-unit checks ------------------------------------------------------
 
 def test_equivalences_full_m2():
     s = named_system("full:2")
-    report = verify_dual_unit_equivalences(
-        s, faithful_state(s), max_level=3, samples=6,
-        rng=np.random.default_rng(13),
-    )
-    assert report["faithful"]["ok"]
-    assert report["order_unit"]["ok"]
-    assert report["archimedean"]["ok"]
-    assert report["passed"]
+    rng = np.random.default_rng(13)
+    unit = _order_unit_check(s, "unit", 6, 3, rng)
+    arch = _archimedean_check(s, "arch", 6, rng)
+    assert unit.status == "pass" and unit.evidence["oracle_gap"] <= 1e-5
+    assert arch.status == "pass"
+    assert arch.evidence["checked"] == 6 and arch.evidence["violations"] == 0
 
 
 def test_equivalences_report_kernel_counts():
-    # the sweep counts its section-kernel work; counts are deterministic
+    # each check counts its section-kernel work; counts are deterministic
     s = named_system("pauli-span")
-    reports = [
-        verify_dual_unit_equivalences(
-            s, faithful_state(s), max_level=2, samples=3, rng=np.random.default_rng(27)
-        )
-        for _ in range(2)
-    ]
-    assert reports[0]["kernel"] == reports[1]["kernel"]
-    counts = reports[0]["kernel"]
+
+    def checks(system):
+        rng = np.random.default_rng(27)
+        return (_order_unit_check(system, "unit", 3, 2, rng),
+                _archimedean_check(system, "arch", 3, rng))
+
+    first, second = checks(s), checks(s)
+    for a, b in zip(first, second):
+        assert a.status == "pass" and a.to_json() == b.to_json()
+    counts = first[0].evidence["kernel"]
     assert set(counts) == {"solves", "iterations", "certified", "breakdowns",
                            "cap_hits", "bisection_fallbacks"}
-    # the faithfulness minimum plus one solve per sampled radius
-    assert counts["solves"] >= 4
+    # one solve per radius, of g and of -g, for each sampled functional
+    assert counts["solves"] >= 6
     assert counts["iterations"] >= counts["solves"]
-    full = named_system("full:2")
-    report = verify_dual_unit_equivalences(
-        full, faithful_state(full), max_level=2, samples=3, rng=np.random.default_rng(27)
-    )
-    assert report["kernel"]["solves"] == 0
-
-
-def test_equivalences_non_faithful_fails_with_witness():
-    s = named_system("diag:2")
-    vec_state = Functional(s, np.diag([1.0, 0.0]).astype(complex))
-    report = verify_dual_unit_equivalences(
-        s, vec_state, samples=4, rng=np.random.default_rng(14)
-    )
-    assert not report["faithful"]["ok"]
-    assert not report["passed"]
-    assert not report["order_unit"]["ok"]
+    # on the full algebra radii and verdicts are eigenvalue closed forms
+    for check in checks(named_system("full:2")):
+        assert check.evidence["kernel"]["solves"] == 0
 
 
 # -- the block system -------------------------------------------------------------------
@@ -1221,11 +1225,15 @@ def test_paulsen_e12_dimensions():
 
 
 def test_paulsen_trace_unit_is_archimedean_matrix_order_unit():
+    # the checks run on the trace state, a positive multiple of trace_unit,
+    # so both are Archimedean matrix order units together
     s, tr = paulsen_system([E12])
-    report = verify_dual_unit_equivalences(
-        s, tr, max_level=2, samples=4, rng=np.random.default_rng(15)
-    )
-    assert report["passed"], report
+    assert np.allclose(tr.riesz, 2.0 * faithful_state(s).riesz, atol=1e-12)
+    rng = np.random.default_rng(15)
+    unit = _order_unit_check(s, "unit", 4, 2, rng)
+    arch = _archimedean_check(s, "arch", 4, rng)
+    assert unit.status == "pass", unit
+    assert arch.status == "pass", arch
 
 
 # -- density transfer ---------------------------------------------------------------------

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from opsys import linalg as la
+from opsys._search import smallest_passing
 from opsys.errors import DimensionError, HermitianError, ValidationError
 from opsys.norms import max_order_norm
 from opsys.systems import (
+    _domination_radius,
     OperatorSystem,
     cone_member,
     from_blocks,
@@ -352,12 +354,38 @@ def test_radius_requires_hermitian():
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_radius_rejects_bad_precision_and_r_max(bad):
-    # a NaN bound used to return 1.0 instead of 0.7
+    # a NaN bound used to return 1.0 instead of 0.7; both bounds are module
+    # constants of order_unit_radius_level, checked by the shared routine
     s = named_system("full:2")
-    x = np.diag([0.3, 0.7])
-    with pytest.raises(ValidationError):
-        order_unit_radius_level(s, np.eye(2), x, r_max=bad)
+    x = np.diag([0.3, 0.7]).astype(complex)
+    for r_max, precision in ((bad, 1e-8), (1e6, bad)):
+        with pytest.raises(ValidationError):
+            _domination_radius(np.eye(2), x, 1e-8, r_max, precision)
     assert order_unit_radius_level(s, np.eye(2), x) == pytest.approx(0.7, abs=1e-8)
+
+
+def test_radius_above_r_max_is_none_when_the_first_probe_passes():
+    # a singular unit bisects from r = 1, which already dominates
+    # diag(0.7, 0); the search used to return 0.7 for an r_max of 0.5
+    e = np.diag([1.0, 0.0]).astype(complex)
+    x = np.diag([0.7, 0.0]).astype(complex)
+    assert _domination_radius(e, x, 1e-8, 0.5, 1e-8) is None
+    assert _domination_radius(e, x, 1e-8, 0.8, 1e-8) == pytest.approx(0.7, abs=1e-8)
+    assert smallest_passing(lambda r: r >= 0.7, 0.5, 1e-8, r_start=2.0) is None
+    r = smallest_passing(lambda r: r >= 0.7, 0.8, 1e-8, r_start=2.0)
+    assert 0.7 <= r <= 0.7 + 1e-8
+    # from an r_start <= r_max the probes, and so the result, are unchanged
+    assert smallest_passing(lambda r: r >= 0.7, 1e6, 1e-8) == smallest_passing(
+        lambda r: r >= 0.7, 8.0, 1e-8)
+
+
+@pytest.mark.parametrize("max_level, samples", [(0, 4), (2, 0), (-1, 4)])
+def test_matrix_order_unit_sweep_rejects_empty_counts(max_level, samples):
+    # a sweep over no level or no sample used to pass with no radius checked
+    s = named_system("full:2")
+    with pytest.raises(ValidationError):
+        is_matrix_order_unit(s, np.eye(2), max_level, samples_per_level=samples,
+                             rng=np.random.default_rng(0))
 
 
 def test_radius_level2_matches_eigen_oracle():

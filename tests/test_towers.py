@@ -694,6 +694,18 @@ def test_verify_dual_cones_reports_a_positive_nonpositive_sample(doubling3, monk
     assert report["separating_states"]["failures"] >= 1
 
 
+@pytest.mark.parametrize("sweep, counts", [
+    ("dual-cones", {"samples": 0}),
+    ("gamma", {"samples": 0, "max_level": 2}),
+    ("gamma", {"samples": 3, "max_level": 0}),
+])
+def test_verify_sweeps_reject_empty_counts(doubling3, sweep, counts):
+    # a sweep over no sample or no level used to pass with nothing checked
+    verify = verify_dual_cones if sweep == "dual-cones" else verify_gamma
+    with pytest.raises(ValidationError):
+        verify(doubling3, **counts, rng=np.random.default_rng(0))
+
+
 def test_verify_gamma(doubling3):
     report = verify_gamma(doubling3, samples=10, max_level=2,
                           rng=np.random.default_rng(11))
