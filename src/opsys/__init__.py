@@ -22,7 +22,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    adjoint,
     decode_matrix,
     encode_matrix,
     hermitian_part,
@@ -44,7 +43,6 @@ from .feasibility import (
     FeasibilityProblem,
     FeasibilityVerdict,
     dykstra_solve,
-    project_affine,
 )
 from .dual import (
     Functional,
@@ -54,7 +52,6 @@ from .dual import (
     faithful_state,
     is_cp,
     is_positive_functional,
-    paulsen_system,
     series_state,
 )
 from .towers import (
@@ -66,7 +63,6 @@ from .towers import (
     make_tower,
     pairing,
     pullback_thread,
-    thread_norm_sequence,
     verify_dual_cones,
     verify_gamma,
 )

@@ -25,20 +25,18 @@ def smallest_passing(
     """Smallest ``r >= 0`` with ``predicate(r)`` true, assuming monotonicity.
 
     Exponential search for an upper bracket starting at ``r_start`` (or at
-    ``r_max``, when that is smaller), then bisection down to ``precision``.
-    Returns ``None`` when no ``r <= r_max`` passes; see
-    :func:`check_search_bounds`.
+    ``r_max``, when that is smaller), its last probe clamped to ``r_max``,
+    then bisection down to ``precision``.  Returns ``None`` when no
+    ``r <= r_max`` passes; see :func:`check_search_bounds`.
     """
     check_search_bounds(r_max, precision)
     if predicate(0.0):
         return 0.0
-    start = min(max(r_start, precision), r_max)
-    hi = start
+    lo, hi = 0.0, min(max(r_start, precision), r_max)
     while not predicate(hi):
-        hi *= 2.0
-        if hi > r_max:
+        if hi >= r_max:
             return None
-    lo = 0.0 if hi == start else hi / 2.0
+        lo, hi = hi, min(2.0 * hi, r_max)
     while hi - lo > precision:
         mid = 0.5 * (lo + hi)
         if predicate(mid):

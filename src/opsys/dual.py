@@ -58,7 +58,6 @@ from .systems import (
     cone_member,
     from_blocks,
     level_of,
-    make_operator_system,
     to_blocks,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "faithful_state",
     "series_state",
     "dual_order_unit_radius",
-    "paulsen_system",
     "random_functional",
     "random_hermitian_functional",
     "random_positive_functional",
@@ -687,40 +685,6 @@ def dual_order_unit_radius(
     _SDP_COUNTS["bisection_fallbacks"] += 1
     r_start = max(1.0, la.trace_norm(delta.riesz))
     return smallest_passing(dominated, r_max, _DUAL_RADIUS_PRECISION, r_start=r_start)
-
-
-# ----------------------------------------------------------------------------
-# The 2x2-block system over an operator space
-# ----------------------------------------------------------------------------
-
-def paulsen_system(v_basis, d: int | None = None):
-    """The block system {[[a I, X], [Y*, b I]] : X, Y in span(v_basis)}
-    inside M_{2d}, together with the functional a + b on it.
-
-    Returns ``(system, trace_unit)``; the functional's Riesz matrix is
-    I_{2d}/d, and it is faithful on the block system.
-    """
-    mats = [la.as_matrix(v) for v in v_basis]
-    if d is None:
-        if not mats:
-            raise DimensionError("ambient dimension required for an empty basis")
-        d = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise DimensionError(f"operator space element of shape {m.shape}, d={d}")
-    gens = []
-    top = np.zeros((2 * d, 2 * d), dtype=complex)
-    top[:d, :d] = np.eye(d)
-    bot = np.zeros((2 * d, 2 * d), dtype=complex)
-    bot[d:, d:] = np.eye(d)
-    gens.extend([top, bot])
-    for m in mats:
-        g = np.zeros((2 * d, 2 * d), dtype=complex)
-        g[:d, d:] = m
-        gens.append(g)
-    system = make_operator_system(gens, 2 * d, name="paulsen")
-    trace_unit = Functional(system, np.eye(2 * d, dtype=complex) / d, _canonical=True)
-    return system, trace_unit
 
 
 # ----------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .errors import DimensionError, InfeasibleAffineError, ValidationError
 __all__ = [
     "FeasibilityProblem",
     "FeasibilityVerdict",
-    "project_affine",
     "dykstra_solve",
 ]
 
@@ -166,12 +165,6 @@ class _AffineSpan:
         """Orthogonal projection onto span{A_k} itself."""
         vals = self.basis @ np.ascontiguousarray(w).reshape(-1).view(float)
         return (vals @ self.basis).view(complex).reshape(w.shape)
-
-
-def project_affine(problem: FeasibilityProblem, w) -> np.ndarray:
-    """Frobenius-nearest Hermitian W' satisfying every constraint exactly."""
-    span = _AffineSpan.build(problem)
-    return la.hermitian_part(span.project(la.hermitian_part(w)))
 
 
 def _farkas_certificate(span: _AffineSpan, y, x, tol: float):

@@ -19,7 +19,6 @@ from .errors import DimensionError, NumericalError, ParseError
 
 __all__ = [
     "as_matrix",
-    "adjoint",
     "hermitian_part",
     "antihermitian_part",
     "is_hermitian",
@@ -52,11 +51,6 @@ def _require_square(a: np.ndarray, what: str) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what} requires a square matrix, got {m.shape}")
     return m
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
 
 
 def hermitian_part(a) -> np.ndarray:

@@ -27,7 +27,6 @@ __all__ = [
     "make_operator_system",
     "named_system",
     "system_from_json",
-    "system_to_json",
     "level_of",
     "to_blocks",
     "from_blocks",
@@ -390,13 +389,6 @@ def system_from_json(obj) -> OperatorSystem:
         if g.shape != (d, d):
             raise ParseError(f"generator of shape {g.shape} in ambient M_{d}")
     return make_operator_system(gens, d)
-
-
-def system_to_json(system: OperatorSystem) -> dict:
-    return {
-        "d": system.d,
-        "generators": [la.encode_matrix(b) for b in system.basis],
-    }
 
 
 # ----------------------------------------------------------------------------

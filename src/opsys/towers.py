@@ -10,7 +10,7 @@ threads (a representative at a base stage plus its images up the tower),
 dual projective elements become compatible tuples of dual elements at one
 level, and the duality pairing is the stage evaluation, which is constant
 along a valid thread.  Convergence content of the untruncated limits shows
-up here as monotone norm sequences and per-stage cone membership.
+up here as per-stage cone membership.
 
 The built-in towers hold their embeddings as Kraus operators V_r, with
 phi(x) = sum_r V_r x V_r^*: such a map is CP by Choi's theorem, and a
@@ -53,7 +53,6 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .norms import _spectral_radius, numerical_radius
 from .systems import (
     OperatorSystem,
     _check_counts,
@@ -76,8 +75,6 @@ __all__ = [
     "FunctionalThread",
     "trace_state_thread",
     "pullback_thread",
-    "functional_thread",
-    "thread_norm_sequence",
     "inductive_positive",
     "pairing",
     "verify_dual_cones",
@@ -460,45 +457,9 @@ def pullback_thread(t: Tower, f_top: MatrixFunctional) -> FunctionalThread:
     return FunctionalThread(t, tuple(entries))
 
 
-def functional_thread(t: Tower, entries) -> FunctionalThread:
-    """Validated thread from explicit per-stage functionals."""
-    entries = tuple(entries)
-    if len(entries) != t.depth:
-        raise ValidationError(f"need {t.depth} entries, got {len(entries)}")
-    thread = FunctionalThread(t, entries)
-    thread.check_compatibility()
-    return thread
-
-
 # ----------------------------------------------------------------------------
 # Thread-level operations
 # ----------------------------------------------------------------------------
-
-def thread_norm_sequence(t: Tower, e: ElementThread, kind: str = "h"):
-    """Per-stage norms of the images for m = base..K.
-
-    Unital positive maps are contractive for the minimal order norm (and
-    the Hermitian order norm coincides with it), so the sequence is
-    non-increasing; its value at depth K is the limit estimate, and values
-    below 1e-8 flag the null-space of the truncated inductive limit.
-
-    Returns ``(values, limit_estimate, null_flag)``.
-    """
-    if e.tower is not t:
-        raise ValidationError("thread belongs to a different tower")
-    values = []
-    for img in e.images:
-        if kind == "h":
-            if not la.is_hermitian(img, 1e-8):
-                raise HermitianError("kind='h' needs a Hermitian thread")
-            values.append(_spectral_radius(img))
-        elif kind == "min":
-            values.append(numerical_radius(img))
-        else:
-            raise ValueError(f"unknown norm kind {kind!r}")
-    limit = values[-1]
-    return values, limit, bool(limit < 1e-8)
-
 
 def inductive_positive(t: Tower, e: ElementThread) -> bool:
     """Truncated-depth positivity: r-smeared cone membership of the deepest

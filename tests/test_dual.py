@@ -13,7 +13,6 @@ from opsys.dual import (
     is_cp,
     is_positive_functional,
     level_hermitian_basis,
-    paulsen_system,
     positivity_minimum,
     random_hermitian_functional,
     random_positive_functional,
@@ -1030,6 +1029,18 @@ def test_radius_above_r_max_is_none_when_the_first_probe_passes():
     assert dual_order_unit_radius(delta, g, 1) == dual_order_unit_radius(delta, g, 1, r_max=2.0)
 
 
+def test_radius_bracket_search_reaches_r_max():
+    # delta = diag(1, 0) bisects from r_start = 1, which fails for
+    # g = diag(1.2, 0); the doubled probe 2 lies past r_max = 1.5, and the
+    # search used to return None there without probing r_max itself
+    s = named_system("full:2")
+    delta = Functional(s, np.diag([1.0, 0.0]).astype(complex))
+    g = Functional(s, np.diag([1.2, 0.0]).astype(complex))
+    r = dual_order_unit_radius(delta, g, 1, r_max=1.5)
+    assert r == pytest.approx(1.2, abs=1e-6) and r <= 1.5
+    assert dual_order_unit_radius(delta, g, 1, r_max=1.1) is None
+
+
 def test_radius_level_2_agrees_with_level_1():
     # the diagonal lift of a level-1 dominated difference stays CP, so the
     # level-2 and level-3 radii land on the level-1 one
@@ -1206,29 +1217,15 @@ def test_equivalences_report_kernel_counts():
 
 # -- the block system -------------------------------------------------------------------
 
-def test_paulsen_trivial_space():
-    s, tr = paulsen_system([], d=1)
-    assert s.d == 2 and s.dim == 2
-    lam_mu = np.diag([2.0, 3.0]).astype(complex)
-    assert tr(lam_mu) == pytest.approx(5.0)
-
-
-def test_paulsen_e12_dimensions():
-    s, tr = paulsen_system([E12])
-    assert s.d == 4 and s.dim == 4
-    block = np.zeros((4, 4), dtype=complex)
-    block[:2, :2] = 1.5 * np.eye(2)
-    block[2:, 2:] = 0.5 * np.eye(2)
-    block[0, 3] = 2.0  # X = 2 E12 in the top-right slot
-    assert subspace_member(s, block, 1e-9)
-    assert tr(block) == pytest.approx(2.0)
-
-
 def test_paulsen_trace_unit_is_archimedean_matrix_order_unit():
-    # the checks run on the trace state, a positive multiple of trace_unit,
-    # so both are Archimedean matrix order units together
-    s, tr = paulsen_system([E12])
-    assert np.allclose(tr.riesz, 2.0 * faithful_state(s).riesz, atol=1e-12)
+    # the 2x2-block system {[[a I, X], [Y*, b I]] : X, Y in span{E12}} in
+    # M_4: its trace state passes the suites' per-system checks
+    top, bottom, corner = np.zeros((3, 4, 4), dtype=complex)
+    top[:2, :2] = np.eye(2)
+    bottom[2:, 2:] = np.eye(2)
+    corner[:2, 2:] = E12
+    s = make_operator_system([top, bottom, corner], 4)
+    assert s.dim == 4
     rng = np.random.default_rng(15)
     unit = _order_unit_check(s, "unit", 4, 2, rng)
     arch = _archimedean_check(s, "arch", 4, rng)

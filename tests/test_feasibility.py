@@ -10,7 +10,6 @@ from opsys.feasibility import (
     _AffineSpan,
     _farkas_certificate,
     dykstra_solve,
-    project_affine,
 )
 from opsys.dual import MatrixFunctional, cp_choi_problem
 from opsys.suites import _choi_grids, _cross_check_grids
@@ -62,42 +61,45 @@ def test_non_finite_constraint_rejected(a, b):
 
 
 # -- affine projection ----------------------------------------------------------
+# _AffineSpan.project is Dykstra's affine step: the Frobenius-nearest point
+# of the affine set, for a complex Hermitian argument
 
 def test_project_affine_fixed_point():
     rng = np.random.default_rng(0)
     w0 = random_hermitian_element(named_system("full:3"), rng)
     problem = FeasibilityProblem(3, [(np.eye(3), float(np.trace(w0).real))])
-    assert np.linalg.norm(project_affine(problem, w0) - w0) <= 1e-12
+    assert np.linalg.norm(_AffineSpan.build(problem).project(w0) - w0) <= 1e-12
 
 
 def test_project_affine_scalar():
     problem = FeasibilityProblem(1, [(np.eye(1), 3.0)])
-    assert project_affine(problem, np.zeros((1, 1))) == pytest.approx(3.0)
+    w = _AffineSpan.build(problem).project(np.zeros((1, 1), dtype=complex))
+    assert w == pytest.approx(3.0)
 
 
 def test_project_affine_uniform_correction():
     problem = FeasibilityProblem(2, [(np.eye(2), 1.0)])
-    assert np.allclose(project_affine(problem, np.zeros((2, 2))), np.eye(2) / 2)
+    w = _AffineSpan.build(problem).project(np.zeros((2, 2), dtype=complex))
+    assert np.allclose(w, np.eye(2) / 2)
 
 
 def test_project_affine_is_nearest():
     # oracle: the projection must beat any other feasible point in Frobenius
     rng = np.random.default_rng(1)
     a = random_hermitian_element(named_system("full:3"), rng)
-    problem = FeasibilityProblem(3, [(a, 0.7)])
+    span = _AffineSpan.build(FeasibilityProblem(3, [(a, 0.7)]))
     w = random_hermitian_element(named_system("full:3"), rng)
-    proj = project_affine(problem, w)
+    proj = span.project(w)
     assert np.trace(a @ proj).real == pytest.approx(0.7, abs=1e-10)
     for _ in range(20):
-        other = project_affine(problem, random_hermitian_element(
-            named_system("full:3"), rng))
+        other = span.project(random_hermitian_element(named_system("full:3"), rng))
         assert np.linalg.norm(w - proj) <= np.linalg.norm(w - other) + 1e-10
 
 
 def test_dependent_consistent_constraints_pruned():
     a = np.diag([1.0, -1.0])
     problem = FeasibilityProblem(2, [(a, 0.5), (2 * a, 1.0)])
-    w = project_affine(problem, np.zeros((2, 2)))
+    w = _AffineSpan.build(problem).project(np.zeros((2, 2), dtype=complex))
     assert np.trace(a @ w).real == pytest.approx(0.5)
 
 
@@ -105,7 +107,7 @@ def test_inconsistent_constraints_raise():
     a = np.diag([1.0, -1.0])
     problem = FeasibilityProblem(2, [(a, 0.5), (2 * a, 2.0)])
     with pytest.raises(InfeasibleAffineError):
-        project_affine(problem, np.zeros((2, 2)))
+        _AffineSpan.build(problem)
 
 
 # -- Dykstra --------------------------------------------------------------------
@@ -348,7 +350,7 @@ def test_repeated_orthonormal_constraint_pruned_or_inconsistent():
     consistent = FeasibilityProblem(3, cons + [(a, b)])
     span = _AffineSpan.build(consistent)
     assert len(span.basis) == len(cons)
-    w = project_affine(consistent, np.zeros((3, 3)))
+    w = span.project(np.zeros((3, 3), dtype=complex))
     for m, v in consistent.constraints:
         assert np.trace(m @ w).real == pytest.approx(v, abs=1e-12)
     with pytest.raises(InfeasibleAffineError):

@@ -94,12 +94,6 @@ def test_op_norm_matches_extreme_eigenvalue():
         assert abs(la.op_norm(h) - np.abs(np.linalg.eigvalsh(h)).max()) <= 1e-10
 
 
-def test_adjoint_involution_exact():
-    rng = np.random.default_rng(10)
-    a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    assert np.array_equal(la.adjoint(la.adjoint(a)), a)
-
-
 def test_hermitian_part_symmetrizes():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -1,0 +1,65 @@
+"""Every public name has a caller outside the tests.
+
+The public names are each module's ``__all__`` and the names the package
+imports into ``opsys``.  A name counts as used when the program (the
+package and ``perfbench/``) reads it somewhere: a name or attribute load
+in the syntax tree, which leaves out its own ``def``/``class`` line, its
+``__all__`` entry (a string) and import lines.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "opsys"
+PROGRAM = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exports(path):
+    for node in _tree(path).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [e.value for e in node.value.elts]
+    return []
+
+
+def _public_names():
+    names = {(p.stem, name) for p in sorted(PACKAGE.glob("*.py")) for name in _exports(p)}
+    for node in _tree(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom):
+            names.update(("__init__", a.asname or a.name) for a in node.names)
+    return sorted(names)
+
+
+def _reads(tree):
+    """Names and attributes that a syntax tree loads."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_the_program_reads_every_public_name():
+    read = set().union(*(_reads(_tree(p)) for p in PROGRAM))
+    unread = [f"{module}.{name}" for module, name in _public_names() if name not in read]
+    assert not unread, f"public names with no caller outside the tests: {unread}"
+
+
+@pytest.mark.parametrize("source, name", [
+    ("def dead():\n    pass\n__all__ = ['dead']\n", "dead"),
+    ("from x import dead\n", "dead"),
+])
+def test_definitions_imports_and_exports_are_not_reads(source, name):
+    # the guard must not count the lines that only declare a name
+    assert name not in _reads(ast.parse(source))
+    assert name in _reads(ast.parse(source + f"{name}()\n"))

@@ -20,7 +20,6 @@ from opsys.systems import (
     random_system,
     subspace_member,
     system_from_json,
-    system_to_json,
     to_blocks,
 )
 
@@ -226,8 +225,9 @@ def test_full_coordinates_match_the_basis_products(d):
 
 
 def test_json_roundtrip():
+    # the {"d", "generators"} format that the CLI and tower specs read
     s = named_system("toeplitz:3")
-    s2 = system_from_json(system_to_json(s))
+    s2 = system_from_json({"d": s.d, "generators": [la.encode_matrix(b) for b in s.basis]})
     assert s2.d == s.d and s2.dim == s.dim
     for b in s.basis:
         assert subspace_member(s2, b)
@@ -377,6 +377,21 @@ def test_radius_above_r_max_is_none_when_the_first_probe_passes():
     # from an r_start <= r_max the probes, and so the result, are unchanged
     assert smallest_passing(lambda r: r >= 0.7, 1e6, 1e-8) == smallest_passing(
         lambda r: r >= 0.7, 8.0, 1e-8)
+
+
+def test_bracket_search_probes_r_max_once_before_giving_up():
+    probes = []
+
+    def passes(r):
+        probes.append(r)
+        return r >= 1.2
+
+    # the doubled probe 2 overshoots r_max = 1.5 and is clamped to it
+    r = smallest_passing(passes, 1.5, 1e-8)
+    assert probes[:3] == [0.0, 1.0, 1.5] and 1.2 <= r <= 1.2 + 1e-8
+    probes.clear()
+    assert smallest_passing(passes, 1.1, 1e-8) is None
+    assert probes == [0.0, 1.0, 1.1]
 
 
 @pytest.mark.parametrize("max_level, samples", [(0, 4), (2, 0), (-1, 4)])

@@ -10,7 +10,7 @@ from opsys.errors import (
     ParseError,
     ValidationError,
 )
-from opsys.norms import max_order_norm, min_order_norm
+from opsys.norms import _spectral_radius, max_order_norm, min_order_norm, numerical_radius
 from opsys.systems import (
     from_blocks,
     make_operator_system,
@@ -23,12 +23,10 @@ from opsys.towers import (
     Embedding,
     FunctionalThread,
     Tower,
-    functional_thread,
     inductive_positive,
     make_tower,
     pairing,
     pullback_thread,
-    thread_norm_sequence,
     trace_state_thread,
     verify_dual_cones,
     verify_gamma,
@@ -394,13 +392,13 @@ def test_broken_level_two_thread_detected(doubling3):
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     thread = pullback_thread(doubling3, MatrixFunctional.from_choi(doubling3.stage(3), g))
     assert [f.n for f in thread.entries] == [2, 2, 2]
-    functional_thread(doubling3, thread.entries)
+    FunctionalThread(doubling3, thread.entries).check_compatibility()
     entries = list(thread.entries)
     bumped = entries[1].riesz.copy()
     bumped[0, 0] += 1e-6
     entries[1] = MatrixFunctional(doubling3.stage(2), bumped)
     with pytest.raises(InconsistentThreadError):
-        functional_thread(doubling3, entries)
+        FunctionalThread(doubling3, tuple(entries)).check_compatibility()
 
 
 def test_broken_thread_detected(doubling3):
@@ -410,7 +408,7 @@ def test_broken_thread_detected(doubling3):
     entries = list(thread.entries)
     entries[0] = entries[0] + Functional(doubling3.stage(1), np.diag([1.0, -1.0]))
     with pytest.raises(InconsistentThreadError):
-        functional_thread(doubling3, entries)
+        FunctionalThread(doubling3, tuple(entries)).check_compatibility()
 
 
 def test_thread_norm_sup_of_a_directly_built_thread(doubling3):
@@ -507,31 +505,19 @@ def test_pullback_rejects_functional_off_the_target(doubling3):
 def test_thread_constructors_reject_the_wrong_stage_or_length(doubling3):
     with pytest.raises(ValidationError, match="deepest stage"):
         pullback_thread(doubling3, faithful_state(doubling3.stage(2)))
-    short = [faithful_state(s) for s in doubling3.systems[:2]]
-    with pytest.raises(ValidationError, match="need 3 entries, got 2"):
-        functional_thread(doubling3, short)
 
 
 # -- thread norms ----------------------------------------------------------------
 
-def test_norm_sequence_zero_thread(doubling3):
-    e = doubling3.thread(1, np.zeros((2, 2)))
-    values, limit, null = thread_norm_sequence(doubling3, e, "h")
-    assert values == [0.0, 0.0, 0.0]
-    assert null
-
-
 def test_norm_sequence_doubling_constant(doubling3):
     # oracle: x -> x (x) I preserves both the spectrum and the numerical
-    # radius, so the sequences are constant
+    # radius, so the per-stage norms of a thread are constant
     rng = np.random.default_rng(4)
     h = random_hermitian_element(doubling3.stage(1), rng)
-    e = doubling3.thread(1, h)
-    values, limit, null = thread_norm_sequence(doubling3, e, "h")
+    values = [_spectral_radius(img) for img in doubling3.thread(1, h).images]
     assert np.allclose(values, values[0], atol=1e-10)
-    assert not null
     x = random_element(doubling3.stage(1), rng)
-    values, _, _ = thread_norm_sequence(doubling3, doubling3.thread(1, x), "min")
+    values = [numerical_radius(img) for img in doubling3.thread(1, x).images]
     assert np.allclose(values, values[0], atol=1e-8)
 
 
@@ -539,8 +525,9 @@ def test_norm_sequence_non_increasing(corner4):
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = random_element(corner4.stage(2), rng)
-        e = corner4.thread(2, x)
-        values, _, _ = thread_norm_sequence(corner4, e, "min")
+        # unital positive maps contract the minimal order norm, the
+        # numerical radius of each image
+        values = [numerical_radius(img) for img in corner4.thread(2, x).images]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-9
 
@@ -559,15 +546,6 @@ def test_thread_norm_sandwich(corner4):
         sup_min, sup_max = max(mins), max(maxs)
         assert sup_min <= sup_max + 1e-9
         assert sup_max <= 2 * sup_min + 1e-6
-
-
-def test_norm_sequence_rejects_unknown_kind_and_non_hermitian_h(doubling3):
-    e = doubling3.unit_thread()
-    with pytest.raises(ValueError, match="unknown norm kind 'max'"):
-        thread_norm_sequence(doubling3, e, "max")
-    e12 = doubling3.thread(1, np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(HermitianError):
-        thread_norm_sequence(doubling3, e12, "h")
 
 
 # -- inductive positivity -----------------------------------------------------------
@@ -663,7 +641,7 @@ def test_stagewise_conjugation_commutes(doubling3):
         Functional(doubling3.stage(k + 1), us[k] @ thread.entries[k].riesz @ us[k].conj().T)
         for k in range(3)
     ]
-    functional_thread(doubling3, mapped).check_compatibility()
+    FunctionalThread(doubling3, tuple(mapped)).check_compatibility()
 
 
 # -- verification sweeps ----------------------------------------------------------------
