@@ -125,11 +125,16 @@ def project_psd(h) -> np.ndarray:
 
 def op_norm(a) -> float:
     """Operator norm of a square matrix: sqrt of the larger of lambda_max(A*A)
-    and lambda_max(AA*), in one eigensolve, so op_norm(A*) = op_norm(A) exactly."""
+    and lambda_max(AA*), in one eigensolve, so op_norm(A*) = op_norm(A) exactly.
+    A is first scaled by the power of two 2^-e that brings its largest entry
+    into [1/2, 1), which is exact, so that A*A neither underflows (1e-170 A)
+    nor overflows; the result is scaled back by 2^e."""
     m = _require_square(a, "op_norm")
+    e = int(np.frexp(np.abs(m).max(initial=0.0))[1])
+    m = m * np.ldexp(1.0, -e)
     grams = np.stack([hermitian_part(m.conj().T @ m), hermitian_part(m @ m.conj().T)])
     top = np.linalg.eigvalsh(grams)[:, -1].max()
-    return float(np.sqrt(max(top, 0.0)))
+    return float(np.ldexp(np.sqrt(max(top, 0.0)), e))
 
 
 def trace_norm(a) -> float:

@@ -14,22 +14,28 @@ Three quantities are computed for an element v of S:
   decomposition found by a phase-grid gauge program from above.
 
 Both norms are read off one phase curve c(theta) = lambda_max(Re(e^{i theta}
-v)): the numerical radius is its maximum, and the canonical splits
+v)), one batched eigensolve per pair of opposite phases, since
+c(theta + pi) = -lambda_min(Re(e^{i theta} v)): the numerical radius is its
+maximum, refined by Newton steps on c'(theta) = 0, and the canonical splits
 v = e^{-ia}(Re(e^{ia} v) + i Im(e^{ia} v)) cost max(c(a), c(a + pi)) +
 max(c(a - pi/2), c(a + pi/2)).  The gauge program restricts phases to a
 uniform grid on [0, pi) and takes the best split, optionally improved by
 projected subgradient descent.  Any feasible decomposition certifies an
-upper bound, so solver quality affects tightness, never validity.
+upper bound, so solver quality affects tightness, never validity.  The curve
+of v* is the curve of v read backwards, bit for bit, because the phase table
+is exactly symmetric and eigvalsh(-A) = -reverse(eigvalsh(A)); the exact
+star-symmetry test checks the latter on this platform's LAPACK.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import linalg as la
-from .errors import HermitianError
+from .errors import HermitianError, ValidationError
 from .systems import DEFAULT_TOL, OperatorSystem, _require_member
 
 __all__ = [
@@ -41,14 +47,19 @@ __all__ = [
     "norm_report",
 ]
 
-#: Phase curves c(pi k / K), k = -K..K: the numerical radius scans K = 128
-#: and refines ``_REFINE_LEVELS`` times by a factor ``_REFINE_POINTS``; the
-#: gauge program's phases are the K = 64 angles on [0, pi) (even, so that
-#: the slot pi/2 - a of a canonical split is on the grid), whose curve is
-#: the even entries of the K = 128 one, the same doubles.
+#: Phase curves c(pi k / K), k = 0..2K-1, each from one eigensolve of the K
+#: phases on [0, pi): the numerical radius scans K = 128 and refines its
+#: best angle by at most ``_NEWTON_STEPS`` Newton steps; the gauge
+#: program's phases are the K = 64 angles on [0, pi) (even, so that the slot
+#: pi/2 - a of a canonical split is on the grid), whose curve is the even
+#: entries of the K = 128 one, the same doubles, since the phase table of
+#: K = 64 is every other entry of that of K = 128.  The curve of v* is that
+#: of v read backwards because eigvalsh(-A) = -reverse(eigvalsh(A)).
 _RADIUS_HALF = 128
-_REFINE_POINTS = 8
-_REFINE_LEVELS = 14
+_NEWTON_STEPS = 8
+#: eigenvalues within this gap of lambda_max, relative to the spectral
+#: scale, are copies of it and do not enter c''(theta)
+_COPY_GAP = 1e-12
 _GAUGE_PHASES = 64
 
 
@@ -90,40 +101,64 @@ def _spectral_radius(m: np.ndarray) -> float:
     return float(max(w[0], -w[-1], 0.0))
 
 
-def _lambda_max_rotated(m: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """lambda_max(Re(p m)) for every phase p, in one eigensolve batch."""
-    rotated = phases[:, None, None] * m[None, :, :]
-    herm = (rotated + rotated.conj().transpose(0, 2, 1)) / 2.0
-    return np.linalg.eigvalsh(herm)[:, -1]
+@cache
+def _phase_table(half: int) -> np.ndarray:
+    """e^{i pi k / K} for k = 0..K-1, K = ``half`` (even), made exactly
+    symmetric: entry K - k is minus the conjugate of entry k, and entry K/2
+    is 1j.  The table for K is every other entry of the table for 2K.
+    Read-only, since it is cached."""
+    phases = np.exp(1j * np.pi * np.arange(half) / half)
+    phases[half // 2] = 1j
+    phases[half // 2 + 1:] = -phases[half // 2 - 1:0:-1].conj()
+    phases.flags.writeable = False
+    return phases
 
 
 def _phase_curve(m: np.ndarray, half: int) -> np.ndarray:
-    """c(pi k / K) = lambda_max(Re(e^{i pi k / K} m)) for k = -K..K, K =
-    ``half``, at index k mod 2K.  The phases at negative angles are the exact
-    conjugates of those at positive ones, so the curve of m* is this curve
-    read backwards, bit for bit; pi and -pi are one angle, which keeps the
-    larger of its two values."""
-    half_turn = np.exp(1j * np.pi * np.arange(half + 1) / half)
-    curve = _lambda_max_rotated(m, np.concatenate([half_turn, half_turn[:0:-1].conj()]))
-    curve[half] = max(curve[half], curve[half + 1])
-    return np.delete(curve, half + 1)
+    """c(pi k / K) = lambda_max(Re(e^{i pi k / K} m)) for k = 0..2K-1, K =
+    ``half``, from one batched eigensolve of the K phases on [0, pi): the
+    other half is c(theta + pi) = -lambda_min(Re(e^{i theta} m)).  Re of the
+    phase K - k times m is minus Re of phase k times m*, bit for bit, so the
+    curve of m* is this curve read backwards as long as
+    eigvalsh(-A) = -reverse(eigvalsh(A)), which the exact star-symmetry test
+    checks."""
+    rotated = _phase_table(half)[:, None, None] * m[None, :, :]
+    w = np.linalg.eigvalsh((rotated + rotated.conj().transpose(0, 2, 1)) / 2.0)
+    return np.concatenate([w[:, -1], -w[:, 0]])
 
 
 def _curve_maximum(m: np.ndarray, curve: np.ndarray) -> float:
     """max of c(theta) = lambda_max(Re(e^{i theta} m)) from its phase curve,
-    refined around the best grid angle by nested grids: the grid step h
-    shrinks by ``_REFINE_POINTS`` per level, and each level scans
-    ``_REFINE_POINTS`` new steps on either side of the best angle so far."""
+    refined from the best grid angle by safeguarded Newton steps on
+    c'(theta) = 0, one eigh per step.  With H = Re(e^{i theta} m), top
+    eigenpair (lambda_max, u) and H' = Re(i e^{i theta} m):
+    c' = u* H' u and c'' = -lambda_max + 2 sum_j |u_j* H' u|^2 /
+    (lambda_max - lambda_j), where eigenvalues within ``_COPY_GAP`` (relative
+    to the spectral scale) of lambda_max are copies of it (as in x (x) I)
+    and left out.  A step is clipped to one grid step; the loop stops at a
+    step of at most 1e-9, at c'' >= 0 or after ``_NEWTON_STEPS`` steps.
+    Every lambda_max evaluated is attained by a state, so the largest one is
+    returned, never below the grid maximum."""
     half = len(curve) // 2
     best = int(np.argmax(curve))
-    result, theta, h = float(curve[best]), np.pi * best / half, np.pi / half
-    for _ in range(_REFINE_LEVELS):
-        h /= _REFINE_POINTS
-        thetas = theta + h * np.arange(-_REFINE_POINTS, _REFINE_POINTS + 1)
-        vals = _lambda_max_rotated(m, np.exp(1j * thetas))
-        i = int(np.argmax(vals))
-        if vals[i] > result:
-            result, theta = float(vals[i]), thetas[i]
+    result, bound = float(curve[best]), np.pi / half
+    phase = _phase_table(half)[best % half] * (1.0 if best < half else -1.0)
+    theta = 0.0  # offset from the grid angle
+    for _ in range(_NEWTON_STEPS):
+        rotated = phase * np.exp(1j * theta) * m
+        w, u = np.linalg.eigh((rotated + rotated.conj().T) / 2.0)
+        result = max(result, float(w[-1]))
+        turned = 1j * rotated
+        couplings = u.conj().T @ (((turned + turned.conj().T) / 2.0) @ u[:, -1])
+        gaps = w[-1] - w[:-1]
+        far = gaps > _COPY_GAP * max(w[-1], -w[0])
+        curvature = -w[-1] + 2.0 * float(np.sum(np.abs(couplings[:-1][far]) ** 2 / gaps[far]))
+        if curvature >= 0.0:
+            break
+        step = min(max(-couplings[-1].real / curvature, -bound), bound)
+        theta += step
+        if abs(step) <= 1e-9:
+            break
     return result
 
 
@@ -132,11 +167,14 @@ def numerical_radius(a) -> float:
     lambda_max(Re(e^{i theta} a)).
 
     The phase curve's maximum undershoots by at most w (1 - cos(pi / 256));
-    nested grids around its best angle remove that gap, which matters when
-    downstream bounds carry 1e-6 slack.
+    Newton steps from its best angle remove that gap, which matters when
+    downstream bounds carry 1e-6 slack.  Raises ``DimensionError`` for a
+    non-square input and ``ValidationError`` for a non-finite entry.
     """
-    m = la.as_matrix(a)
-    if la.frobenius(m) == 0.0:
+    m = la._require_square(a, "numerical_radius")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix with a non-finite entry")
+    if not m.any():
         return 0.0
     return _curve_maximum(m, _phase_curve(m, _RADIUS_HALF))
 
@@ -189,8 +227,9 @@ def max_order_norm(
     read off the phase curve of v: a feasible decomposition, so the bound
     is exactly monotone under unital compressions and stable under scaling,
     which the downstream contractivity checks rely on at 1e-7 slack.  The
-    curve of v* is that of v read backwards, so the bound is exactly
-    *-symmetric.  ``subgrad_iters > 0`` additionally runs projected
+    curve of v* is that of v read backwards (as long as eigvalsh(-A) =
+    -reverse(eigvalsh(A)), see :func:`_phase_curve`), so the bound is
+    exactly *-symmetric.  ``subgrad_iters > 0`` additionally runs projected
     subgradient descent from the best split of v and from that of v*
     (their decompositions mirror at equal cost); any iterate is feasible,
     so the refinement only ever tightens the bound, but its path (not its
@@ -199,7 +238,7 @@ def max_order_norm(
     """
     m = _require_member(system, v)
     lower = la.op_norm(m)
-    if la.frobenius(m) == 0.0:
+    if not m.any():
         return 0.0, 0.0
     return lower, _gauge_upper(system, m, _phase_curve(m, _GAUGE_PHASES), subgrad_iters, lower)
 
@@ -263,7 +302,7 @@ def norm_report(
     Both order norms come from one phase curve: its even entries are the
     curve of :func:`max_order_norm` bit for bit."""
     m = _require_member(system, v, tol)
-    if la.frobenius(m) == 0.0:
+    if not m.any():
         return NormReport(h=0.0, min=0.0, max_lower=0.0, max_upper=0.0, op=0.0)
     hval = _spectral_radius(m) if la.is_hermitian(m, 1e-8) else None
     curve = _phase_curve(m, _RADIUS_HALF)

@@ -87,6 +87,14 @@ def test_op_norm_examples():
     assert la.op_norm(np.diag([1.0, -3.0])) == pytest.approx(3.0, abs=1e-12)
 
 
+def test_op_norm_neither_underflows_nor_overflows():
+    # A*A of these matrices is 1e-340 (below the smallest double) and 1e400
+    e12 = np.zeros((2, 2)); e12[0, 1] = 1
+    assert la.op_norm(1e-170 * e12) == pytest.approx(1e-170, rel=1e-12, abs=0.0)
+    assert la.op_norm(1e200 * np.diag([1.0, -3.0])) == pytest.approx(3e200, rel=1e-12)
+    assert la.op_norm(np.zeros((3, 3))) == 0.0
+
+
 def test_op_norm_matches_extreme_eigenvalue():
     rng = np.random.default_rng(9)
     for _ in range(20):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from opsys import linalg as la
-from opsys.errors import HermitianError, MembershipError
+from opsys.errors import DimensionError, HermitianError, MembershipError, ValidationError
 from opsys.norms import (
+    _NEWTON_STEPS,
     max_order_norm,
     min_order_norm,
     norm_report,
@@ -105,6 +106,65 @@ def test_numerical_radius_refinement_only_helps():
     assert abs(refined - dense) <= 1e-6
 
 
+def test_numerical_radius_closed_forms_off_the_grid():
+    # w([[a, b], [0, a]]) = |a| + |b| / 2, here at the phase -0.3, which is
+    # no grid angle; the kron with I_2 and I_3 has the same numerical radius
+    # and a top eigenvalue of multiplicity 2 and 3 at every angle
+    a = np.exp(0.3j) * np.array([[1, 2], [0, 1]], dtype=complex)
+    for k in (1, 2, 3):
+        assert numerical_radius(np.kron(a, np.eye(k))) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_numerical_radius_flat_and_on_grid_curves():
+    # E_12 has the flat curve c = 1/2; a Hermitian h peaks at the grid
+    # angle 0 or pi; a 1 x 1 matrix z has c(theta) = Re(e^{i theta} z)
+    assert numerical_radius(E12) == pytest.approx(0.5, abs=1e-15)
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = (g + g.conj().T) / 2
+        w = np.linalg.eigvalsh(h)
+        assert numerical_radius(h) == pytest.approx(max(w[-1], -w[0]), rel=1e-14)
+    assert numerical_radius([[2.0 - 1.5j]]) == pytest.approx(2.5, rel=1e-15)
+
+
+def test_newton_refinement_never_reaches_its_step_cap(monkeypatch):
+    # one eigh per Newton step: random, Hermitian and normal matrices in
+    # M_2..M_8 all converge (or stop on c'' >= 0) before _NEWTON_STEPS
+    calls = []
+    original = np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rng = np.random.default_rng(20)
+    most = 0
+    for i in range(300):
+        d = int(rng.integers(2, 9))
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if i % 3 == 1:
+            a = (a + a.conj().T) / 2
+        elif i % 3 == 2:
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            a = (q * (rng.standard_normal(d) + 1j * rng.standard_normal(d))) @ q.conj().T
+        calls.clear()
+        numerical_radius(a)
+        most = max(most, len(calls))
+    assert 0 < most < _NEWTON_STEPS
+
+
+@pytest.mark.parametrize("a, error", [
+    ([[np.nan, 1.0], [0.0, 1.0]], ValidationError),
+    (np.diag([np.inf, 1.0]), ValidationError),
+    (np.ones((2, 3)), DimensionError),
+], ids=["nan", "inf", "non-square"])
+def test_numerical_radius_rejects_malformed_input(a, error):
+    with pytest.raises(error):
+        numerical_radius(a)
+
+
 # -- maximal order norm ----------------------------------------------------
 
 def test_max_norm_hermitian_collapses():
@@ -129,6 +189,15 @@ def test_zero_element_short_circuit():
     s = named_system("full:2")
     rep = norm_report(s, np.zeros((2, 2)))
     assert rep.h == rep.min == rep.max_lower == rep.max_upper == rep.op == 0.0
+
+
+def test_tiny_element_is_not_zero():
+    # a Frobenius norm of 1e-170 * X underflows to 0.0; the element is not zero
+    s = named_system("full:2")
+    rep = norm_report(s, 1e-170 * PAULI_X)
+    for value in (rep.h, rep.min, rep.max_lower, rep.max_upper, rep.op):
+        assert value == pytest.approx(1e-170, rel=1e-12, abs=0.0)
+    assert min_order_norm(s, 1e-170 * E12) == pytest.approx(5e-171, rel=1e-12, abs=0.0)
 
 
 def test_norm_chain_random():
@@ -188,7 +257,7 @@ def test_norm_report_matches_standalone_calls_exactly():
 
 def test_norm_report_eigensolve_count(monkeypatch):
     # one phase curve serves both order norms: a non-Hermitian element of
-    # M_4 costs one curve, the refinement levels and the operator norm
+    # M_4 costs one curve, the Newton steps and the operator norm
     calls = []
     for name in ("eigvalsh", "eigh"):
         original = getattr(np.linalg, name)
@@ -202,7 +271,7 @@ def test_norm_report_eigensolve_count(monkeypatch):
     rng = np.random.default_rng(18)
     v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     norm_report(s, v)
-    assert 0 < len(calls) <= 20
+    assert 0 < len(calls) <= 2 + _NEWTON_STEPS
 
 
 def test_triangle_and_homogeneity_min():
