@@ -53,7 +53,7 @@ from .feasibility import FeasibilityProblem, FeasibilityVerdict, _check_tol
 from .systems import (
     DEFAULT_TOL,
     OperatorSystem,
-    _domination_radius,
+    _domination_radii,
     _require_member,
     cone_member,
     from_blocks,
@@ -153,10 +153,6 @@ class MatrixFunctional:
     def _like(self, riesz: np.ndarray):
         return type(self)(self.system, riesz, _canonical=True)
 
-    def adjoint(self):
-        """[f_ji*] with f*(v) = conj(f(v*)); its Riesz matrix is F*."""
-        return self._like(self.riesz.conj().T)
-
     def is_hermitian(self, tol: float = 1e-8) -> bool:
         return la.is_hermitian(self.riesz, tol)
 
@@ -180,10 +176,6 @@ class MatrixFunctional:
         if other.system is not self.system or other.n != self.n:
             raise ValidationError("dual elements over different systems or levels")
 
-    def isclose(self, other: "MatrixFunctional", tol: float = 1e-10) -> bool:
-        self._compatible(other)
-        return la.frobenius(self.riesz - other.riesz) <= tol
-
 
 class Functional(MatrixFunctional):
     """An element of S': the level-1 case, with f(x) = trace(F x)."""
@@ -195,17 +187,6 @@ class Functional(MatrixFunctional):
                 f"riesz matrix of shape {m.shape} for a system in M_{system.d}"
             )
         super().__init__(system, m, _canonical=_canonical)
-
-    @classmethod
-    def from_values(cls, system: OperatorSystem, values) -> "Functional":
-        """Functional with prescribed values on the orthonormal basis: the
-        level-1 case of :meth:`OperatorSystem.riesz_of_values`."""
-        vals = np.asarray(values, dtype=complex)
-        if vals.shape != (system.dim,):
-            raise DimensionError(
-                f"expected {system.dim} basis values, got shape {vals.shape}"
-            )
-        return cls(system, system.riesz_of_values(vals[None]), _canonical=True)
 
     @classmethod
     def zero(cls, system: OperatorSystem) -> "Functional":
@@ -678,7 +659,7 @@ def dual_order_unit_radius(
     if not delta.is_hermitian(1e-8):
         return 0.0 if dominated(0.0) else None
     if system.is_full:
-        return _domination_radius(dm, gm, tol, r_max, _DUAL_RADIUS_PRECISION)
+        return _domination_radii(dm, tol, r_max, _DUAL_RADIUS_PRECISION)(gm)
     r = _radius(system, dm, gm, tol)
     if r is not None:
         return r if r <= r_max else None

@@ -20,11 +20,14 @@ maximum, refined by Newton steps on c'(theta) = 0, and the canonical splits
 v = e^{-ia}(Re(e^{ia} v) + i Im(e^{ia} v)) cost max(c(a), c(a + pi)) +
 max(c(a - pi/2), c(a + pi/2)).  The gauge program restricts phases to a
 uniform grid on [0, pi) and takes the best split, optionally improved by
-projected subgradient descent.  Any feasible decomposition certifies an
-upper bound, so solver quality affects tightness, never validity.  The curve
-of v* is the curve of v read backwards, bit for bit, because the phase table
-is exactly symmetric and eigvalsh(-A) = -reverse(eigvalsh(A)); the exact
-star-symmetry test checks the latter on this platform's LAPACK.
+one run of projected subgradient descent, which eigensolves each iterate
+once.  Any feasible decomposition certifies an upper bound, so solver
+quality affects tightness, never validity.  The curve of v* is the curve of
+v read backwards, bit for bit, because the phase table is exactly symmetric
+and eigvalsh(-A) = -reverse(eigvalsh(A)); the exact star-symmetry test
+checks the latter on this platform's LAPACK.  The descent runs on a
+canonical one of v and v*, the same matrix for either, so its bound is
+exactly *-symmetric by construction.
 """
 
 from __future__ import annotations
@@ -90,9 +93,16 @@ class NormReport:
 def order_norm_h(system: OperatorSystem, v) -> float:
     """Order seminorm of a Hermitian element: max |eigenvalue|."""
     m = _require_member(system, v)
-    if not la.is_hermitian(m, 1e-8):
+    if not _is_hermitian(m):
         raise HermitianError("order_norm_h is defined on Hermitian elements only")
     return _spectral_radius(m)
+
+
+def _is_hermitian(m: np.ndarray) -> bool:
+    """||m - m*|| <= 1e-8 ||m|| in the largest-entry norm: relative at every
+    scale (``la.is_hermitian`` is absolute below norm 1), and with no sum
+    of squares to underflow (1e-170 E12)."""
+    return bool(np.abs(m - m.conj().T).max() <= 1e-8 * np.abs(m).max())
 
 
 def _spectral_radius(m: np.ndarray) -> float:
@@ -185,27 +195,6 @@ def min_order_norm(system: OperatorSystem, v) -> float:
     return numerical_radius(m)
 
 
-def _gauge_cost(coeffs: np.ndarray, hbasis: np.ndarray) -> float:
-    # h_j = sum_a c_{ja} H_a for every phase slot j
-    d = hbasis.shape[-1]
-    w = np.linalg.eigvalsh((coeffs @ hbasis.reshape(len(hbasis), -1)).reshape(-1, d, d))
-    return float(np.abs(w).max(axis=1).sum())
-
-
-def _gauge_subgradient(coeffs: np.ndarray, hbasis: np.ndarray) -> np.ndarray:
-    dim, d = hbasis.shape[:2]
-    w, u = np.linalg.eigh((coeffs @ hbasis.reshape(dim, -1)).reshape(-1, d, d))
-    top, bot = w[:, -1], w[:, 0]
-    use_top = top >= -bot
-    signs = np.where(use_top, 1.0, -1.0)
-    psis = np.where(use_top[:, None], u[:, :, -1], u[:, :, 0])
-    # <psi_j, H_a psi_j>: every H_a psi_j by one product, then weighted by psi_j*
-    hpsi = (hbasis.reshape(-1, d) @ psis.T).reshape(dim, d, -1)
-    grads = signs[:, None] * np.real((psis.T.conj()[None] * hpsi).sum(axis=1)).T
-    active = np.maximum.reduce([top, -bot, np.zeros_like(top)]) > 0.0
-    return grads * active[:, None]
-
-
 def _project_gauge_constraints(coeffs, cosv, sinv, target_re, target_im):
     half = len(cosv) / 2.0
     c = coeffs + np.outer(cosv, (target_re - cosv @ coeffs) / half)
@@ -229,12 +218,13 @@ def max_order_norm(
     which the downstream contractivity checks rely on at 1e-7 slack.  The
     curve of v* is that of v read backwards (as long as eigvalsh(-A) =
     -reverse(eigvalsh(A)), see :func:`_phase_curve`), so the bound is
-    exactly *-symmetric.  ``subgrad_iters > 0`` additionally runs projected
-    subgradient descent from the best split of v and from that of v*
-    (their decompositions mirror at equal cost); any iterate is feasible,
-    so the refinement only ever tightens the bound, but its path (not its
-    validity) is sensitive to last-bit input changes, which is why it is
-    opt-in.
+    exactly *-symmetric.  ``subgrad_iters > 0`` additionally runs one
+    descent of ``subgrad_iters`` projected subgradient steps, one batched
+    eigensolve of the phase slots per iterate, from the best split of a
+    canonical one of v and v* (the same matrix for either), so the bound
+    stays exactly *-symmetric.  Any iterate is feasible, so the refinement
+    only ever tightens the bound, but its path (not its validity) is
+    sensitive to last-bit input changes, which is why it is opt-in.
     """
     m = _require_member(system, v)
     lower = la.op_norm(m)
@@ -245,49 +235,71 @@ def max_order_norm(
 
 def _gauge_upper(system: OperatorSystem, m: np.ndarray, curve: np.ndarray,
                  subgrad_iters: int, lower: float) -> float:
-    """The best canonical split on the phase curve of m, refined by the
-    subgradient runs; clamped at ``lower``, which the true max norm
-    dominates, so rounding below it costs no validity."""
+    """The best canonical split on the phase curve of m, refined by one
+    subgradient run on the one of m and m* whose bytes come first, from its
+    own best split (the scan of m* is that of m mirrored): the same run for
+    v and v*, so upper(v) = upper(v*) by construction.  Clamped at
+    ``lower``, which the true max norm dominates, so rounding below it
+    costs no validity."""
     half = len(curve) // 2
     norms = np.maximum(curve[:half], curve[half:])  # ||Re(e^{i pi j / K} m)||
     scan = norms + np.roll(norms, half // 2)  # + ||Im(e^{ia} m)|| = ||Re(e^{i(a - pi/2)} m)||
     upper = float(scan.min())
     if subgrad_iters > 0:
+        m_star = m.conj().T
+        if m_star.tobytes() < m.tobytes():
+            m, scan = m_star, scan[-np.arange(half) % half]  # the scan of m*
         upper = min(upper, _gauge_descent(system, m, int(np.argmin(scan)), subgrad_iters))
-        if not la.is_hermitian(m, 1e-12):
-            mirrored = scan[-np.arange(half) % half]  # the scan of m*
-            upper = min(upper, _gauge_descent(system, m.conj().T, int(np.argmin(mirrored)),
-                                              subgrad_iters))
     return float(max(upper, lower))
 
 
 def _gauge_descent(system: OperatorSystem, m: np.ndarray, a_idx: int, iters: int) -> float:
+    """Least cost sum_j ||h_j|| seen over ``iters`` projected subgradient
+    steps on the decompositions m = sum_j e^{i pi j / K} h_j, from the
+    canonical split at angle pi a_idx / K.  One batched eigh of the K phase
+    slots per iterate gives both its cost and its subgradient."""
     phases = _GAUGE_PHASES
     hbasis = system.hermitian_basis
+    dim, d = hbasis.shape[:2]
+    hflat = hbasis.reshape(dim, -1)
     thetas = np.pi * np.arange(phases) / phases
     cosv, sinv = np.cos(thetas), np.sin(thetas)
     target_re = system.hermitian_coords(la.hermitian_part(m))
     target_im = system.hermitian_coords(la.antihermitian_part(m))
     # Start from the rotated canonical split at angle a: phase slots -a and
     # pi/2 - a (mod pi, signs folded into the Hermitian pieces).
-    coeffs = np.zeros((phases, system.dim))
+    coeffs = np.zeros((phases, dim))
     rotated = np.exp(1j * np.pi * a_idx / phases) * m
     for part, slot in ((la.hermitian_part(rotated), -a_idx),
                        (la.antihermitian_part(rotated), phases // 2 - a_idx)):
         coeffs[slot % phases] += (-1.0) ** (slot // phases) * system.hermitian_coords(part)
     coeffs = _project_gauge_constraints(coeffs, cosv, sinv, target_re, target_im)
-    upper = cost0 = _gauge_cost(coeffs, hbasis)
-    # diminishing normalized steps: the path depends only on the input
-    # bits, which keeps upper(v*) = upper(v) exact via the mirrored run
-    scale = 0.15 * max(cost0, 1e-30)
-    for k in range(iters):
-        g = _gauge_subgradient(coeffs, hbasis)
+    upper = np.inf
+    for k in range(iters + 1):
+        # h_j = sum_a c_{ja} H_a for every phase slot j; ||h_j|| = max(top, -bot)
+        w, u = np.linalg.eigh((coeffs @ hflat).reshape(-1, d, d))
+        top, bot = w[:, -1], w[:, 0]
+        slot_norms = np.maximum(top, -bot)
+        cost = float(slot_norms.sum())
+        upper = min(upper, cost)
+        if k == iters:
+            break
+        if k == 0:
+            # diminishing normalized steps: the path depends only on the
+            # input bits and the start cost
+            scale = 0.15 * max(cost, 1e-30)
+        use_top = top >= -bot
+        psis = np.where(use_top[:, None], u[:, :, -1], u[:, :, 0])
+        # <psi_j, H_a psi_j>: every H_a psi_j by one product, then weighted by psi_j*
+        hpsi = (hbasis.reshape(-1, d) @ psis.T).reshape(dim, d, -1)
+        grads = np.where(use_top, 1.0, -1.0)[:, None] * np.real(
+            (psis.T.conj()[None] * hpsi).sum(axis=1)).T
+        g = grads * (slot_norms > 0.0)[:, None]
         gnorm = float(np.linalg.norm(g))
         if gnorm <= 1e-30:
             break
         step = scale / (gnorm * np.sqrt(k + 1.0))
         coeffs = _project_gauge_constraints(coeffs - step * g, cosv, sinv, target_re, target_im)
-        upper = min(upper, _gauge_cost(coeffs, hbasis))
     return upper
 
 
@@ -304,7 +316,7 @@ def norm_report(
     m = _require_member(system, v, tol)
     if not m.any():
         return NormReport(h=0.0, min=0.0, max_lower=0.0, max_upper=0.0, op=0.0)
-    hval = _spectral_radius(m) if la.is_hermitian(m, 1e-8) else None
+    hval = _spectral_radius(m) if _is_hermitian(m) else None
     curve = _phase_curve(m, _RADIUS_HALF)
     op = la.op_norm(m)
     upper = _gauge_upper(system, m, curve[::2], subgrad_iters, op)

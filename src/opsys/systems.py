@@ -226,23 +226,6 @@ class OperatorSystem:
         m = la.as_matrix(x)
         return np.real(self.hermitian_basis.reshape(self.dim, -1) @ m.reshape(-1).conj())
 
-    # -- validation ----------------------------------------------------------
-
-    def validate(self) -> None:
-        """Check the structural invariants to 1e-10; raises ValidationError on
-        failure."""
-        tol = 1e-10
-        gram = np.einsum("aij,bij->ab", self.basis.conj(), self.basis)
-        if not np.allclose(gram, np.eye(self.dim), atol=tol):
-            raise ValidationError("basis Gram matrix is not the identity")
-        if self.residual(self.unit) > tol:
-            raise ValidationError("identity is not in the span (system not unital)")
-        bad = np.flatnonzero(self.residuals(self.basis.conj().swapaxes(1, 2)) > tol)
-        if bad.size:
-            raise ValidationError(
-                f"span is not adjoint-closed (basis element {bad[0]})"
-            )
-
 
 def make_operator_system(generators, d: int, *, name: str | None = None) -> OperatorSystem:
     """Smallest operator system containing the generators.
@@ -460,17 +443,23 @@ def cone_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> bool:
     return la.lambda_min(m) >= -tol
 
 
-def _domination_radius(d, x, tol: float, r_max: float, precision: float) -> float | None:
-    """Smallest r >= 0 with r D - X PSD (D PSD, X Hermitian), or ``None``
-    above r_max: exact as max(0, lambda_max(L^-1 X L^-*)), L = chol(D), and
-    bisected to ``precision`` on lambda_min(r D - X) >= -tol for a singular D."""
+def _domination_radii(d, tol: float, r_max: float, precision: float):
+    """The map X -> smallest r >= 0 with r D - X PSD (D PSD, X Hermitian), or
+    ``None`` above r_max, with D factored once for all X: exact as
+    max(0, lambda_max(L^-1 X L^-*)), L = chol(D), and bisected to
+    ``precision`` on lambda_min(r D - X) >= -tol for a singular D."""
     check_search_bounds(r_max, precision)
     try:
         li = np.linalg.inv(np.linalg.cholesky(d))
     except np.linalg.LinAlgError:
-        return smallest_passing(lambda r: la.lambda_min(r * d - x) >= -tol, r_max, precision)
-    r = max(0.0, la.lambda_max(li @ x @ li.conj().T))
-    return r if r <= r_max else None
+        return lambda x: smallest_passing(lambda r: la.lambda_min(r * d - x) >= -tol,
+                                          r_max, precision)
+
+    def radius(x) -> float | None:
+        r = max(0.0, la.lambda_max(li @ x @ li.conj().T))
+        return r if r <= r_max else None
+
+    return radius
 
 
 def _checked_unit(system: OperatorSystem, e, tol: float) -> np.ndarray:
@@ -486,7 +475,7 @@ def _checked_unit(system: OperatorSystem, e, tol: float) -> np.ndarray:
 def order_unit_radius_level(system: OperatorSystem, e, x) -> float | None:
     """Smallest r >= 0 with ``r*(I_n (x) e) - x`` in M_n(S)+, or ``None``.
 
-    :func:`_domination_radius` on (I_n (x) e, x) at tolerance
+    :func:`_domination_radii` of I_n (x) e, at x, at tolerance
     ``DEFAULT_TOL``, exact for a positive definite e; ``None`` means no
     r <= ``_RADIUS_MAX`` dominates x.
     """
@@ -499,8 +488,7 @@ def order_unit_radius_level(system: OperatorSystem, e, x) -> float | None:
     if not subspace_member(system, xm, tol):
         return None
     lifted = np.kron(np.eye(n), em)
-    return _domination_radius(lifted, la.hermitian_part(xm), tol, _RADIUS_MAX,
-                              _RADIUS_PRECISION)
+    return _domination_radii(lifted, tol, _RADIUS_MAX, _RADIUS_PRECISION)(la.hermitian_part(xm))
 
 
 @dataclass
@@ -573,12 +561,11 @@ def is_matrix_order_unit(
     radii: dict[int, list] = {}
     ok = True
     for n in range(1, max_level + 1):
-        lifted = np.kron(np.eye(n), em)
+        radius = _domination_radii(np.kron(np.eye(n), em), tol, _RADIUS_MAX, _RADIUS_PRECISION)
         level_radii = []
         for _ in range(samples_per_level):
             # drawn in M_n(S)_h, so x needs neither check of order_unit_radius_level
-            x = random_hermitian_element(system, rng, level=n)
-            r = _domination_radius(lifted, x, tol, _RADIUS_MAX, _RADIUS_PRECISION)
+            r = radius(random_hermitian_element(system, rng, level=n))
             level_radii.append(r)
             if r is None:
                 ok = False

@@ -252,10 +252,6 @@ class Tower:
             images.append(self.embeddings[s].apply_level(images[-1]))
         return ElementThread(tower=self, base=k, level=n, images=tuple(images))
 
-    def unit_thread(self) -> "ElementThread":
-        """The thread of the unit of the first stage."""
-        return self.thread(1, self.stage(1).unit)
-
     # -- validation -----------------------------------------------------------
 
     def _validate(self) -> None:

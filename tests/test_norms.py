@@ -274,6 +274,74 @@ def test_norm_report_eigensolve_count(monkeypatch):
     assert 0 < len(calls) <= 2 + _NEWTON_STEPS
 
 
+@pytest.mark.parametrize("iters", [1, 5, 20])
+def test_gauge_descent_eigensolves_each_iterate_once(monkeypatch, iters):
+    # one descent, one batched eigh of the 64 phase slots per iterate (the
+    # start and each step), and no eigvalsh of them: the only batched
+    # eigvalsh of 64 matrices is the phase curve's
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def spy(a, *args, _name=name, _original=original, **kwargs):
+            if np.ndim(a) == 3 and len(a) == 64:
+                calls[_name] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    rng = np.random.default_rng(19)
+    s = random_system(rng, d=3)
+    v = random_element(s, rng)
+    assert not la.is_hermitian(v, 1e-8)
+    max_order_norm(s, v, subgrad_iters=iters)
+    assert calls == {"eigh": iters + 1, "eigvalsh": 1}
+
+
+def test_v_and_v_star_run_one_descent_on_the_same_matrix(monkeypatch):
+    import opsys.norms as norms_module
+
+    runs = []
+    original = norms_module._gauge_descent
+
+    def spy(system, m, a_idx, iters):
+        runs.append((m.tobytes(), a_idx))
+        return original(system, m, a_idx, iters)
+
+    monkeypatch.setattr(norms_module, "_gauge_descent", spy)
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        s = random_system(rng)
+        v = random_element(s, rng)
+        runs.clear()
+        max_order_norm(s, v, subgrad_iters=3)
+        norm_report(s, v.conj().T, subgrad_iters=3)
+        assert len(runs) == 2 and runs[0] == runs[1]
+
+
+def test_star_symmetry_is_exact_near_hermitian():
+    # 1e-14 v is within 1e-13 of Hermitian but not bitwise Hermitian; the
+    # descent still runs on the same canonical one of v and v*
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        s = random_system(rng)
+        v = 1e-14 * random_element(s, rng)
+        assert la.is_hermitian(v, 1e-13) and not np.array_equal(v, v.conj().T)
+        _, up_v = max_order_norm(s, v, subgrad_iters=20)
+        _, up_a = max_order_norm(s, v.conj().T, subgrad_iters=20)
+        assert up_v == up_a
+
+
+def test_hermitian_test_is_relative_below_norm_one():
+    # ||m - m*|| <= 1e-8 ||m|| at every scale: 1e-9 E12 is not Hermitian,
+    # and an exactly Hermitian 1e-9 X keeps its h
+    s = named_system("full:2")
+    assert norm_report(s, 1e-9 * E12).h is None
+    with pytest.raises(HermitianError):
+        order_norm_h(s, 1e-9 * E12)
+    assert norm_report(s, 1e-9 * PAULI_X).h == pytest.approx(1e-9, rel=1e-12, abs=0.0)
+    assert order_norm_h(s, 1e-9 * PAULI_X) == pytest.approx(1e-9, rel=1e-12, abs=0.0)
+
+
 def test_triangle_and_homogeneity_min():
     rng = np.random.default_rng(7)
     s = random_system(rng, d=3)

@@ -1,7 +1,8 @@
 """Every public name has a caller outside the tests.
 
-The public names are each module's ``__all__`` and the names the package
-imports into ``opsys``.  A name counts as used when the program (the
+The public names are each module's ``__all__``, the names the package
+imports into ``opsys`` and the public methods (and properties) of the
+classes in an ``__all__``.  A name counts as used when the program (the
 package and ``perfbench/``) reads it somewhere: a name or attribute load
 in the syntax tree, which leaves out its own ``def``/``class`` line, its
 ``__all__`` entry (a string) and import lines.
@@ -38,6 +39,18 @@ def _public_names():
     return sorted(names)
 
 
+def _public_methods():
+    """(module, class, method) for each function defined in the body of a
+    class in its module's ``__all__`` whose name has no leading underscore."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        exported = set(_exports(path))
+        for node in _tree(path).body:
+            if isinstance(node, ast.ClassDef) and node.name in exported:
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield path.stem, node.name, item.name
+
+
 def _reads(tree):
     """Names and attributes that a syntax tree loads."""
     read = set()
@@ -55,9 +68,19 @@ def test_the_program_reads_every_public_name():
     assert not unread, f"public names with no caller outside the tests: {unread}"
 
 
+def test_the_program_reads_every_public_method():
+    read = set().union(*(_reads(_tree(p)) for p in PROGRAM))
+    methods = list(_public_methods())
+    # properties and classmethods count, so the guard is not vacuous
+    assert {("towers", "Tower", "depth"), ("dual", "MatrixFunctional", "from_grid")} <= set(methods)
+    unread = [f"{m}.{c}.{name}" for m, c, name in methods if name not in read]
+    assert not unread, f"public methods with no caller outside the tests: {unread}"
+
+
 @pytest.mark.parametrize("source, name", [
     ("def dead():\n    pass\n__all__ = ['dead']\n", "dead"),
     ("from x import dead\n", "dead"),
+    ("class C:\n    def dead(self):\n        pass\n", "dead"),
 ])
 def test_definitions_imports_and_exports_are_not_reads(source, name):
     # the guard must not count the lines that only declare a name

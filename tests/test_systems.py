@@ -6,7 +6,7 @@ from opsys._search import smallest_passing
 from opsys.errors import DimensionError, HermitianError, ValidationError
 from opsys.norms import max_order_norm
 from opsys.systems import (
-    _domination_radius,
+    _domination_radii,
     OperatorSystem,
     cone_member,
     from_blocks,
@@ -53,11 +53,19 @@ def test_generator_dimension_mismatch():
         make_operator_system([np.eye(3)], 2)
 
 
+def _assert_structural_invariants(s):
+    # an orthonormal basis of a unital, adjoint-closed span, to 1e-10
+    gram = np.einsum("aij,bij->ab", s.basis.conj(), s.basis)
+    assert np.abs(gram - np.eye(s.dim)).max() <= 1e-10
+    assert s.residual(s.unit) <= 1e-10
+    assert s.residuals(s.basis.conj().swapaxes(1, 2)).max() <= 1e-10
+
+
 def test_structural_invariants_random():
     rng = np.random.default_rng(0)
     for _ in range(10):
         s = random_system(rng)
-        s.validate()
+        _assert_structural_invariants(s)
         # Hermitian basis spans S_h with real orthonormality
         hb = s.hermitian_basis
         gram = np.einsum("aij,bji->ab", hb, hb).real
@@ -193,7 +201,7 @@ def test_full_basis_is_the_gram_schmidt_basis(d):
     assert s.basis.shape == gs.basis.shape == (d * d, d, d)
     assert np.abs(s.basis - gs.basis).max() <= 1e-14
     assert not s.basis.flags.writeable
-    s.validate()
+    _assert_structural_invariants(s)
     if d == 1:
         assert np.array_equal(s.basis, np.ones((1, 1, 1)))
 
@@ -360,7 +368,7 @@ def test_radius_rejects_bad_precision_and_r_max(bad):
     x = np.diag([0.3, 0.7]).astype(complex)
     for r_max, precision in ((bad, 1e-8), (1e6, bad)):
         with pytest.raises(ValidationError):
-            _domination_radius(np.eye(2), x, 1e-8, r_max, precision)
+            _domination_radii(np.eye(2), 1e-8, r_max, precision)(x)
     assert order_unit_radius_level(s, np.eye(2), x) == pytest.approx(0.7, abs=1e-8)
 
 
@@ -369,8 +377,8 @@ def test_radius_above_r_max_is_none_when_the_first_probe_passes():
     # diag(0.7, 0); the search used to return 0.7 for an r_max of 0.5
     e = np.diag([1.0, 0.0]).astype(complex)
     x = np.diag([0.7, 0.0]).astype(complex)
-    assert _domination_radius(e, x, 1e-8, 0.5, 1e-8) is None
-    assert _domination_radius(e, x, 1e-8, 0.8, 1e-8) == pytest.approx(0.7, abs=1e-8)
+    assert _domination_radii(e, 1e-8, 0.5, 1e-8)(x) is None
+    assert _domination_radii(e, 1e-8, 0.8, 1e-8)(x) == pytest.approx(0.7, abs=1e-8)
     assert smallest_passing(lambda r: r >= 0.7, 0.5, 1e-8, r_start=2.0) is None
     r = smallest_passing(lambda r: r >= 0.7, 0.8, 1e-8, r_start=2.0)
     assert 0.7 <= r <= 0.7 + 1e-8
@@ -453,6 +461,29 @@ def test_identity_is_matrix_order_unit():
     for s in (named_system("full:2"), named_system("pauli-span"), named_system("diag:3")):
         report = is_matrix_order_unit(s, s.unit, 3, samples_per_level=8)
         assert report.ok
+
+
+def test_matrix_order_unit_sweep_factors_the_unit_once_per_level(monkeypatch):
+    # I_n (x) e is the same matrix for every sample of level n: one Cholesky
+    # factor serves them all, and each radius is the closed form at it
+    calls = []
+    original = np.linalg.cholesky
+
+    def spy(a, *args, **kwargs):
+        calls.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    s = named_system("toeplitz:3")
+    e = s.unit + 0.3 * la.hermitian_part(s.basis[1])
+    report = is_matrix_order_unit(s, e, 3, samples_per_level=8, rng=np.random.default_rng(5))
+    assert report.ok and calls == [3, 6, 9]
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        li = np.linalg.inv(original(np.kron(np.eye(n), e)))
+        for r in report.radii[n]:
+            x = random_hermitian_element(s, rng, level=n)
+            assert r == max(0.0, la.lambda_max(li @ x @ li.conj().T))
 
 
 def test_diag_unit_counterexample():
