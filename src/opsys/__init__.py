@@ -13,7 +13,6 @@ from .errors import (
     DimensionError,
     HermitianError,
     InconsistentThreadError,
-    InfeasibleAffineError,
     MembershipError,
     NumericalError,
     OpsysError,

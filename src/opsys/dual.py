@@ -58,7 +58,6 @@ from .systems import (
     cone_member,
     from_blocks,
     level_of,
-    to_blocks,
 )
 
 __all__ = [
@@ -119,15 +118,6 @@ class MatrixFunctional:
     def diag(cls, f: "MatrixFunctional", n: int) -> "MatrixFunctional":
         """The diagonal element diag(f, ..., f) at n times the level of f."""
         return MatrixFunctional(f.system, np.kron(np.eye(n), f.riesz), _canonical=True)
-
-    @property
-    def grid(self) -> tuple:
-        """The entries f_ij as functionals, read off the blocks of F."""
-        # row i of the grid holds f_ij, which is block (j, i)
-        return tuple(
-            tuple(Functional(self.system, b, _canonical=True) for b in row)
-            for row in to_blocks(self.riesz, self.system.d).swapaxes(0, 1)
-        )
 
     @classmethod
     def of_map(cls, system: OperatorSystem, images) -> "MatrixFunctional":
@@ -192,11 +182,9 @@ class Functional(MatrixFunctional):
     def zero(cls, system: OperatorSystem) -> "Functional":
         return cls(system, np.zeros((system.d, system.d)), _canonical=True)
 
-    def eval(self, x) -> complex:
+    def __call__(self, x) -> complex:
         """trace(F x) for x in S; raises MembershipError otherwise."""
         return self.pair(_require_member(self.system, x))
-
-    __call__ = eval
 
     @property
     def norm(self) -> float:

@@ -28,11 +28,6 @@ class ValidationError(OpsysError, ValueError):
     structural invariants.  The message names the failed check."""
 
 
-class InfeasibleAffineError(OpsysError, ValueError):
-    """Affine constraints are mutually inconsistent (a dependent constraint
-    has a nonzero residual)."""
-
-
 class InconsistentThreadError(OpsysError, ValueError):
     """A functional/element thread violates stage compatibility, e.g. the
     pairing value is not constant along the tower."""

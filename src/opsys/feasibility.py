@@ -6,9 +6,10 @@ plain alternating projections because the affine set is not a cone through
 the origin: with the corrections, the iterates converge to a point of the
 intersection whenever one exists, and the gap between the cone-side and
 affine-side iterates converges to the distance between the sets otherwise.
-The affine projection runs over an orthonormal basis of span{A_k}:
-orthonormal constraints are used as given, and any others are
-orthonormalized.
+The constraints must be real-orthonormal, Re trace(A_j A_k) = delta_jk,
+and the constructor refuses any other set: they are then the basis of
+span{A_k} that the affine projection runs over, with the b_k as their
+coordinates, and no Gram-Schmidt or least squares is needed.
 
 The solver serves explicit problems: the Choi problems of
 :func:`opsys.dual.cp_choi_problem`, which ``opsys dual check-cp
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .errors import DimensionError, InfeasibleAffineError, ValidationError
+from .errors import DimensionError, ValidationError
 
 __all__ = [
     "FeasibilityProblem",
@@ -50,8 +51,11 @@ __all__ = [
 #: The identity counts as in span{A_k} when its residual off the span is
 #: below this, relative to ||I||_F.
 _UNIT_RTOL = 1e-10
-#: Constraints whose real Gram matrix is within this of I entrywise are
-#: taken as the orthonormal basis; it is also Gram-Schmidt's rank tolerance.
+#: The real Gram matrix Re trace(A_j A_k) of the constraints must be within
+#: this of I entrywise.  Every problem the program builds is a Choi problem
+#: over a real-orthonormal basis of M_n(S)_h, or pins every coordinate of
+#: the Hermitian basis of M_d, and meets it with room to spare (its Gram
+#: matrix is I to about 1e-15).
 _ORTHONORMAL_ATOL = 1e-12
 
 
@@ -63,7 +67,8 @@ def _check_tol(tol: float) -> None:
 
 @dataclass
 class FeasibilityProblem:
-    """trace(A_k W) = b_k for Hermitian A_k, real b_k, with W >= 0 sought."""
+    """trace(A_k W) = b_k for real-orthonormal Hermitian A_k, real b_k,
+    with W >= 0 sought."""
 
     dim: int
     constraints: list  # of (Hermitian ndarray, float)
@@ -90,6 +95,12 @@ class FeasibilityProblem:
                 raise ValidationError("constraint with a non-finite entry")
             checked.append((la.hermitian_part(m), b))
         self.constraints = checked
+        real = np.stack([a.reshape(-1) for a, _ in checked]).view(float)
+        off = float(np.abs(real @ real.T - np.eye(len(checked))).max())
+        if not off <= _ORTHONORMAL_ATOL:
+            raise ValidationError(
+                f"constraints are not real-orthonormal: max |Gram - I| = {off:.1e}"
+            )
 
     def to_json(self) -> dict:
         return {
@@ -114,16 +125,15 @@ class FeasibilityVerdict:
     certificate: np.ndarray | None = None
 
     def __bool__(self) -> bool:
-        return self.status == "feasible"
+        # "undecided" is neither True nor False
+        raise TypeError("a verdict has no truth value; read its .status")
 
 
 @dataclass
 class _AffineSpan:
-    """Orthonormal constraint system.  Constraints whose real Gram matrix
-    is I within ``_ORTHONORMAL_ATOL`` entrywise are the basis as given, with
-    their own right-hand sides; any other set is orthonormalized by
-    Gram-Schmidt, and dependent constraints are pruned after a consistency
-    check on their right-hand sides."""
+    """The affine set of a problem: its real-orthonormal constraints are
+    the basis of span{A_k} as given, and their right-hand sides the
+    coordinates of the set's point nearest the origin."""
 
     basis: np.ndarray  # (m, 2 dim^2): orthonormal matrices as flat (re, im) views
     rhs: np.ndarray  # (m,)
@@ -131,25 +141,8 @@ class _AffineSpan:
 
     @classmethod
     def build(cls, problem: FeasibilityProblem) -> "_AffineSpan":
-        flat = np.stack([a.reshape(-1) for a, _ in problem.constraints])
-        b = np.array([b for _, b in problem.constraints])
-        # constraint k is sum_j coef[k, j] <B_j, W> = b_k over the basis B.
-        # Orthonormal constraints (every Choi problem) are their own basis,
-        # coef is their Gram matrix and b the right-hand sides; any other set
-        # (duplicated, scaled, nearly orthonormal) is Gram-Schmidted, and the
-        # right-hand sides over the kept basis solve coef in least squares
-        real = flat.view(float)
-        gram = real @ real.T
-        if np.abs(gram - np.eye(len(b))).max() <= _ORTHONORMAL_ATOL:
-            basis, coef, rhs = real, gram, b
-        else:
-            basis = la.orthonormalize(flat, _ORTHONORMAL_ATOL)
-            coef = np.real(flat @ basis.conj().T)
-            rhs = np.linalg.lstsq(coef, b, rcond=None)[0]
-            basis = basis.view(float)
-        residual = float(np.abs(coef @ rhs - b).max())
-        if residual > problem.tol:
-            raise InfeasibleAffineError(f"dependent constraint residual {residual:.3e}")
+        basis = np.stack([a.reshape(-1) for a, _ in problem.constraints]).view(float)
+        rhs = np.array([b for _, b in problem.constraints])
         span = cls(basis=basis, rhs=rhs, has_unit=False)
         eye = np.eye(problem.dim, dtype=complex)
         off = la.frobenius(eye - span.linear_part(eye))

@@ -202,35 +202,25 @@ def _project_gauge_constraints(coeffs, cosv, sinv, target_re, target_im):
     return c
 
 
-def max_order_norm(
-    system: OperatorSystem, v, *, subgrad_iters: int = 0
-) -> tuple[float, float]:
+def max_order_norm(system: OperatorSystem, v) -> tuple[float, float]:
     """Sandwich bounds (lower, upper) for the maximal order norm.
 
-    lower: operator norm of v.  upper: best decomposition cost over the
-    gauge program on a grid of ``_GAUGE_PHASES`` phases.  The canonical
-    two-term splits at every grid angle already give
-    upper <= ||Re w|| + ||Im w|| <= 2 * min_order_norm.
-
-    By default the reported upper is the best of those canonical splits,
-    read off the phase curve of v: a feasible decomposition, so the bound
-    is exactly monotone under unital compressions and stable under scaling,
-    which the downstream contractivity checks rely on at 1e-7 slack.  The
-    curve of v* is that of v read backwards (as long as eigvalsh(-A) =
-    -reverse(eigvalsh(A)), see :func:`_phase_curve`), so the bound is
-    exactly *-symmetric.  ``subgrad_iters > 0`` additionally runs one
-    descent of ``subgrad_iters`` projected subgradient steps, one batched
-    eigensolve of the phase slots per iterate, from the best split of a
-    canonical one of v and v* (the same matrix for either), so the bound
-    stays exactly *-symmetric.  Any iterate is feasible, so the refinement
-    only ever tightens the bound, but its path (not its validity) is
-    sensitive to last-bit input changes, which is why it is opt-in.
+    lower: operator norm of v.  upper: the best canonical two-term split
+    over a grid of ``_GAUGE_PHASES`` phases, read off the phase curve of v,
+    so upper <= ||Re w|| + ||Im w|| <= 2 * min_order_norm.  It is a
+    feasible decomposition, so the bound is exactly monotone under unital
+    compressions and stable under scaling, which the downstream
+    contractivity checks rely on at 1e-7 slack.  The curve of v* is that of
+    v read backwards (as long as eigvalsh(-A) = -reverse(eigvalsh(A)), see
+    :func:`_phase_curve`), so the bound is exactly *-symmetric.  The opt-in
+    subgradient descent that may tighten it is
+    ``norm_report(subgrad_iters=...)``.
     """
     m = _require_member(system, v)
     lower = la.op_norm(m)
     if not m.any():
         return 0.0, 0.0
-    return lower, _gauge_upper(system, m, _phase_curve(m, _GAUGE_PHASES), subgrad_iters, lower)
+    return lower, _gauge_upper(system, m, _phase_curve(m, _GAUGE_PHASES), 0, lower)
 
 
 def _gauge_upper(system: OperatorSystem, m: np.ndarray, curve: np.ndarray,
@@ -312,7 +302,15 @@ def norm_report(
 ) -> NormReport:
     """All norm quantities for one element; ``h`` only when v is Hermitian.
     Both order norms come from one phase curve: its even entries are the
-    curve of :func:`max_order_norm` bit for bit."""
+    curve of :func:`max_order_norm` bit for bit.
+
+    ``subgrad_iters > 0`` additionally runs one descent of
+    ``subgrad_iters`` projected subgradient steps, one batched eigensolve
+    of the phase slots per iterate, from the best split of a canonical one
+    of v and v* (the same matrix for either), so ``max_upper`` stays exactly
+    *-symmetric.  Any iterate is feasible, so the refinement only ever
+    tightens the bound, but its path (not its validity) is sensitive to
+    last-bit input changes, which is why it is opt-in."""
     m = _require_member(system, v, tol)
     if not m.any():
         return NormReport(h=0.0, min=0.0, max_lower=0.0, max_upper=0.0, op=0.0)

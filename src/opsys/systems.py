@@ -113,10 +113,6 @@ class OperatorSystem:
 
     # -- coordinates ---------------------------------------------------------
 
-    def coords(self, x) -> np.ndarray:
-        """Complex coordinates <B_i, x> with respect to the orthonormal basis."""
-        return self.stack_coords(la.as_matrix(x)[None])[0]
-
     def from_coords(self, c) -> np.ndarray:
         return self._combine(np.asarray(c, dtype=complex)[None])[0]
 

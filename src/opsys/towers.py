@@ -389,16 +389,6 @@ class ElementThread:
     def deepest(self) -> np.ndarray:
         return self.images[-1]
 
-    def check_compatibility(self) -> None:
-        """Each image is the embedding of the one before, to ``_COMPAT_TOL``."""
-        for s, (cur, nxt) in enumerate(zip(self.images, self.images[1:])):
-            emb = self.tower.embeddings[self.base - 1 + s]
-            if la.frobenius(emb.apply_level(cur) - nxt) > _COMPAT_TOL:
-                raise InconsistentThreadError(
-                    f"image recursion broken between stages {self.base + s}"
-                    f" and {self.base + s + 1}"
-                )
-
 
 @dataclass
 class FunctionalThread:

@@ -4,7 +4,10 @@ import pytest
 from opsys import linalg as la
 from opsys.errors import DimensionError, HermitianError, MembershipError, ValidationError
 from opsys.norms import (
+    _GAUGE_PHASES,
     _NEWTON_STEPS,
+    _gauge_upper,
+    _phase_curve,
     max_order_norm,
     min_order_norm,
     norm_report,
@@ -226,33 +229,37 @@ def test_star_symmetry():
 
 
 def test_max_norm_star_symmetry_is_exact():
-    # the phase curve of v* is that of v read backwards, and the subgradient
-    # runs start from v and from v* on either side: the upper bound is the
-    # same double for v and v*; so is the lower, the operator norm, which
-    # takes the larger of lambda_max(v*v) and lambda_max(vv*)
+    # the phase curve of v* is that of v read backwards, and the one
+    # subgradient run goes on the canonical one of v and v*, the same matrix
+    # for either: the upper bound is the same double for v and v*; so is the
+    # lower, the operator norm, which takes the larger of lambda_max(v*v)
+    # and lambda_max(vv*)
     rng = np.random.default_rng(16)
     for _ in range(50):
         s = random_system(rng)
         v = random_element(s, rng)
         assert not la.is_hermitian(v, 1e-12)
-        for iters in (0, 20):
-            lo_v, up_v = max_order_norm(s, v, subgrad_iters=iters)
-            lo_a, up_a = max_order_norm(s, v.conj().T, subgrad_iters=iters)
-            assert up_v == up_a
-            assert lo_v == lo_a
+        assert max_order_norm(s, v) == max_order_norm(s, v.conj().T)
+        rep_v = norm_report(s, v, subgrad_iters=20)
+        rep_a = norm_report(s, v.conj().T, subgrad_iters=20)
+        assert rep_v.max_upper == rep_a.max_upper
+        assert rep_v.max_lower == rep_a.max_lower
 
 
 def test_norm_report_matches_standalone_calls_exactly():
     # norm_report reads both order norms off one phase curve; its fields are
-    # the standalone values bit for bit
+    # the standalone values bit for bit, and its descent starts from the
+    # same K = 64 curve as max_order_norm's scan
     rng = np.random.default_rng(17)
     for i in range(20):
         s = random_system(rng)
         v = random_element(s, rng) if i % 3 else random_hermitian_element(s, rng)
-        for iters in (0, 20):
-            rep = norm_report(s, v, subgrad_iters=iters)
-            assert rep.min == min_order_norm(s, v)
-            assert (rep.max_lower, rep.max_upper) == max_order_norm(s, v, subgrad_iters=iters)
+        rep = norm_report(s, v)
+        assert rep.min == min_order_norm(s, v)
+        assert (rep.max_lower, rep.max_upper) == max_order_norm(s, v)
+        curve = _phase_curve(v, _GAUGE_PHASES)
+        refined = norm_report(s, v, subgrad_iters=20).max_upper
+        assert refined == _gauge_upper(s, v, curve, 20, rep.max_lower)
 
 
 def test_norm_report_eigensolve_count(monkeypatch):
@@ -278,14 +285,15 @@ def test_norm_report_eigensolve_count(monkeypatch):
 def test_gauge_descent_eigensolves_each_iterate_once(monkeypatch, iters):
     # one descent, one batched eigh of the 64 phase slots per iterate (the
     # start and each step), and no eigvalsh of them: the only batched
-    # eigvalsh of 64 matrices is the phase curve's
-    calls = {"eigh": 0, "eigvalsh": 0}
+    # eigvalsh of 64 matrices or more is the phase curve's, of the 128
+    # phases of norm_report
+    calls = {"eigh": [], "eigvalsh": []}
     for name in calls:
         original = getattr(np.linalg, name)
 
         def spy(a, *args, _name=name, _original=original, **kwargs):
-            if np.ndim(a) == 3 and len(a) == 64:
-                calls[_name] += 1
+            if np.ndim(a) == 3 and len(a) >= 64:
+                calls[_name].append(len(a))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
@@ -293,8 +301,8 @@ def test_gauge_descent_eigensolves_each_iterate_once(monkeypatch, iters):
     s = random_system(rng, d=3)
     v = random_element(s, rng)
     assert not la.is_hermitian(v, 1e-8)
-    max_order_norm(s, v, subgrad_iters=iters)
-    assert calls == {"eigh": iters + 1, "eigvalsh": 1}
+    norm_report(s, v, subgrad_iters=iters)
+    assert calls == {"eigh": [64] * (iters + 1), "eigvalsh": [128]}
 
 
 def test_v_and_v_star_run_one_descent_on_the_same_matrix(monkeypatch):
@@ -313,7 +321,7 @@ def test_v_and_v_star_run_one_descent_on_the_same_matrix(monkeypatch):
         s = random_system(rng)
         v = random_element(s, rng)
         runs.clear()
-        max_order_norm(s, v, subgrad_iters=3)
+        norm_report(s, v, subgrad_iters=3)
         norm_report(s, v.conj().T, subgrad_iters=3)
         assert len(runs) == 2 and runs[0] == runs[1]
 
@@ -326,8 +334,8 @@ def test_star_symmetry_is_exact_near_hermitian():
         s = random_system(rng)
         v = 1e-14 * random_element(s, rng)
         assert la.is_hermitian(v, 1e-13) and not np.array_equal(v, v.conj().T)
-        _, up_v = max_order_norm(s, v, subgrad_iters=20)
-        _, up_a = max_order_norm(s, v.conj().T, subgrad_iters=20)
+        up_v = norm_report(s, v, subgrad_iters=20).max_upper
+        up_a = norm_report(s, v.conj().T, subgrad_iters=20).max_upper
         assert up_v == up_a
 
 
@@ -398,8 +406,8 @@ def test_subgradient_refinement_valid_and_no_worse():
     for _ in range(8):
         s = random_system(rng, d=3)
         v = random_element(s, rng)
-        lo, scan_only = max_order_norm(s, v, subgrad_iters=0)
-        _, refined = max_order_norm(s, v, subgrad_iters=150)
+        lo, scan_only = max_order_norm(s, v)
+        refined = norm_report(s, v, subgrad_iters=150).max_upper
         assert refined <= scan_only + 1e-12
         assert refined >= lo - 1e-9
 
@@ -408,6 +416,6 @@ def test_subgradient_refinement_finds_richer_decomposition():
     # three-phase element: canonical two-term splits are strictly beatable
     s = named_system("full:2")
     v = (np.diag([1.0, -1.0]) + np.exp(1j * np.pi / 3) * PAULI_X).astype(complex)
-    _, scan_only = max_order_norm(s, v, subgrad_iters=0)
-    _, refined = max_order_norm(s, v, subgrad_iters=400)
+    _, scan_only = max_order_norm(s, v)
+    refined = norm_report(s, v, subgrad_iters=400).max_upper
     assert refined <= scan_only + 1e-12

@@ -5,7 +5,9 @@ imports into ``opsys`` and the public methods (and properties) of the
 classes in an ``__all__``.  A name counts as used when the program (the
 package and ``perfbench/``) reads it somewhere: a name or attribute load
 in the syntax tree, which leaves out its own ``def``/``class`` line, its
-``__all__`` entry (a string) and import lines.
+``__all__`` entry (a string) and import lines.  A method is read only
+through an attribute load (``obj.name``), so a parameter, a local or a
+class-body alias of the same name does not stand in for it.
 """
 
 import ast
@@ -51,15 +53,17 @@ def _public_methods():
                         yield path.stem, node.name, item.name
 
 
+def _attribute_reads(tree):
+    """Attributes that a syntax tree loads: ``name`` of each ``obj.name``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def _reads(tree):
     """Names and attributes that a syntax tree loads."""
-    read = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-    return read
+    return _attribute_reads(tree) | {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def test_the_program_reads_every_public_name():
@@ -69,7 +73,7 @@ def test_the_program_reads_every_public_name():
 
 
 def test_the_program_reads_every_public_method():
-    read = set().union(*(_reads(_tree(p)) for p in PROGRAM))
+    read = set().union(*(_attribute_reads(_tree(p)) for p in PROGRAM))
     methods = list(_public_methods())
     # properties and classmethods count, so the guard is not vacuous
     assert {("towers", "Tower", "depth"), ("dual", "MatrixFunctional", "from_grid")} <= set(methods)
@@ -86,3 +90,13 @@ def test_definitions_imports_and_exports_are_not_reads(source, name):
     # the guard must not count the lines that only declare a name
     assert name not in _reads(ast.parse(source))
     assert name in _reads(ast.parse(source + f"{name}()\n"))
+
+
+def test_a_method_is_read_only_as_an_attribute():
+    # a parameter, a local or an alias in the class body that shares the
+    # method's name reads a name, not the method
+    source = ("class C:\n    def grid(self):\n        pass\n    alias = grid\n"
+              "def f(grid):\n    coords = grid\n    return coords\n")
+    assert "grid" in _reads(ast.parse(source))
+    assert "grid" not in _attribute_reads(ast.parse(source))
+    assert "grid" in _attribute_reads(ast.parse(source + "C().grid()\n"))

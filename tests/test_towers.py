@@ -90,8 +90,8 @@ def test_apply_level_matches_blockwise_apply(name, request):
         for n in (1, 2, 3):
             x = random_element(emb.source, rng, level=n)
             blocks = to_blocks(x, emb.source.d)
-            want = from_blocks([[np.einsum("k,kij->ij", emb.source.coords(b), images)
-                                 for b in row] for row in blocks])
+            want = from_blocks([[np.einsum("k,kij->ij", c, images)
+                                 for c in emb.source.stack_coords(row)] for row in blocks])
             assert np.abs(emb.apply_level(x) - want).max() <= 1e-13
             dt = emb.target.d
             assert np.abs(emb.apply(blocks[0, 0]) - want[:dt, :dt]).max() <= 1e-13
@@ -335,7 +335,7 @@ def test_tower_from_json_spec():
     s1 = named_system("full:2")
     s2 = named_system("full:4")
     images = [np.kron(b, np.eye(2)) for b in s1.basis]
-    coeffs = np.stack([s2.coords(im) for im in images], axis=1)
+    coeffs = s2.stack_coords(images).T
     spec = {
         "systems": [{"d": 2, "generators": [la.encode_matrix(b) for b in s1.basis]},
                     {"d": 4, "generators": [la.encode_matrix(b) for b in s2.basis]}],
@@ -361,7 +361,9 @@ def test_element_thread_compatibility(doubling3):
     rng = np.random.default_rng(0)
     x = random_element(doubling3.stage(1), rng)
     e = doubling3.thread(1, x)
-    e.check_compatibility()
+    # each image is the embedding of the one before
+    for emb, cur, nxt in zip(doubling3.embeddings, e.images, e.images[1:]):
+        assert la.frobenius(emb.apply_level(cur) - nxt) <= 1e-9
     assert e.image_at(3).shape == (8, 8)
     # oracle: the deepest image is x (x) I_4 directly
     assert np.allclose(e.image_at(3), np.kron(x, np.eye(4)), atol=1e-12)
@@ -488,8 +490,10 @@ def test_level_pullback_matches_entrywise_oracle(name, request):
             side = n * emb.target.d
             g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
             mf = MatrixFunctional.from_choi(emb.target, g)
-            want = MatrixFunctional.from_grid([[emb.pullback(f) for f in row]
-                                               for row in mf.grid])
+            # f_ij is block (j, i) of the Riesz matrix
+            grid = to_blocks(mf.riesz, emb.target.d).swapaxes(0, 1)
+            want = MatrixFunctional.from_grid([[emb.pullback(Functional(emb.target, b))
+                                                for b in row] for row in grid])
             got = emb.pullback(mf)
             assert got.system is emb.source and got.n == n
             assert np.abs(got.riesz - want.riesz).max() <= 1e-13
