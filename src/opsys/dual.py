@@ -33,11 +33,12 @@ full algebra the Choi matrix decides directly.
 Dual order-unit radii, the smallest r with r (I_n (x) delta) - g CP, take
 the same solve at every level n (Charnes-Cooper: r = max <G, X> over X in
 M_n(S)+ with <I_n (x) delta, X> = 1), or a generalized eigenvalue on the
-full algebra; a bisection over certified lower bounds is only the fallback
-when that evidence does not re-check.  Either way the radius closes to
-one module precision, 1e-6.  The sweeps that check the trace state to be
-an Archimedean matrix order unit of S' with these radii and verdicts live
-in :mod:`opsys.suites`.
+full algebra.  Like a CP verdict, the solve stops at its first iterate
+whose evidence re-checks, here a radius certified within one module
+precision, 1e-6; a bisection over certified lower bounds to the same
+precision is only the fallback when no iterate's evidence does.  The
+sweeps that check the trace state to be an Archimedean matrix order unit
+of S' with these radii and verdicts live in :mod:`opsys.suites`.
 """
 
 from __future__ import annotations
@@ -282,12 +283,12 @@ def _section_sdp(
     (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996), with
     sigma raised to 1 - min(step lengths) so a predictor blocked at the
     boundary re-centers.
-    ``certify(x, k)``, when given, sees the start point and then the
+    ``certify(x, k, t)``, when given, sees the start point and then the
     iterate after every Newton step; the first result that is not ``None``
     ends the solve as "certified" and is returned as ``evidence``.  The
-    start point is X = I / <N, I> with K = 0, so the first witness tried is
-    C itself, and a solve it decides takes 0 steps and builds no
-    constraints.
+    start point is X = I / <N, I> with K = 0 and t = 0, so the first
+    witness tried is C itself, and a solve it decides takes 0 steps and
+    builds no constraints.
     The optimum is often rank-deficient: a failed factorization ends the
     solve as "breakdown" with the last iterate, ``_SDP_ITERS`` steps as
     "cap"; neither raises, and callers re-check every point they use."""
@@ -296,7 +297,7 @@ def _section_sdp(
     x = np.eye(d, dtype=complex) / max(np.trace(n).real, 1e-6)
     if certify is not None:
         k0 = np.zeros((d, d), dtype=complex)
-        evidence = certify(x, k0)
+        evidence = certify(x, k0, 0.0)
         if evidence is not None:
             return _tally(_SectionSolve(x, k0, 0.0, 0, "certified", evidence))
     a = np.concatenate([_level_basis(system.complement_basis, d // system.d), n[None]])
@@ -318,7 +319,7 @@ def _section_sdp(
     try:
         for it in range(_SDP_ITERS + 1):
             if it and certify is not None:
-                evidence = certify(x, combine(np.append(y[:-1], 0.0)))
+                evidence = certify(x, combine(np.append(y[:-1], 0.0)), float(y[-1]))
                 if evidence is not None:
                     stop = "certified"
                     break
@@ -332,9 +333,10 @@ def _section_sdp(
             if it == _SDP_ITERS:
                 break
             # x and z stay fixed through the predictor and the corrector:
-            # one factorization of each serves both step lengths
+            # one factorization of each serves both step lengths, and
+            # Z^-1 = L^-* L^-1 for Z = L L^*
             li = np.linalg.inv(np.linalg.cholesky(np.stack([x, z])))
-            zi = np.linalg.inv(z)
+            zi = li[1].conj().T @ li[1]
             mu = np.vdot(x, z).real / d
             ax, azi = a @ x, a @ zi
             # schur[i, j] = Re tr(A_i X A_j Z^-1)
@@ -342,21 +344,23 @@ def _section_sdp(
             xrz = x @ rd @ zi
 
             def direction(g):
-                # dZ = R_d - A*(dy); dX = G - X + X A*(dy) Z^-1 with A(dX) = r_p
+                # dZ = R_d - A*(dy); dX = G - X + X A*(dy) Z^-1 with A(dX) = r_p,
+                # stacked as (dX, dZ) for the step lengths
                 dy = np.linalg.solve(schur, b - pairings(g))
-                dz = rd - combine(dy)
-                dx = la.hermitian_part(g - x + x @ combine(dy) @ zi)
-                if not (np.isfinite(dx).all() and np.isfinite(dz).all()):
+                ady = combine(dy)
+                dxz = np.stack([la.hermitian_part(g - x + x @ ady @ zi), rd - ady])
+                if not np.isfinite(dxz).all():
                     raise np.linalg.LinAlgError("non-finite Newton direction")
-                return dx, dy, dz
+                return dxz, dy
 
-            dx, dy, dz = direction(-xrz)
-            ap, ad = _step(li, np.stack([dx, dz]))
+            dxz, dy = direction(-xrz)
+            ap, ad = _step(li, dxz)
+            dx, dz = dxz
             sigma = (np.vdot(x + ap * dx, z + ad * dz).real / d / mu) ** 3
             sigma = max(sigma, 1.0 - min(ap, ad))
-            dx, dy, dz = direction(sigma * mu * zi - xrz - dx @ dz @ zi)
-            ap, ad = _step(li, np.stack([dx, dz]))
-            x, y, z = x + ap * dx, y + ad * dy, z + ad * dz
+            dxz, dy = direction(sigma * mu * zi - xrz - dx @ dz @ zi)
+            ap, ad = _step(li, dxz)
+            x, y, z = x + ap * dxz[0], y + ad * dy, z + ad * dxz[1]
     except np.linalg.LinAlgError:
         stop = "breakdown"
     return _tally(
@@ -487,7 +491,7 @@ def _choi_verdict(
     its cap with neither is "undecided".  ``gap`` is max(0, -lower bound)
     at the last dual point and ``iterations`` counts Newton steps."""
 
-    def certify(x, k):
+    def certify(x, k, t):
         w = choi - k
         lower = _lower_bound(system, choi, w)
         if lower >= -tol:
@@ -585,20 +589,33 @@ _DUAL_RADIUS_PRECISION = 1e-6
 def _radius(system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float) -> float | None:
     """Smallest r >= 0 with r D - G positive on M_n(S)+ (D = I_n (x) Re
     delta, G the Choi matrix of g) over a proper subsystem, or ``None`` when
-    its evidence does not re-check: one kernel solve with C = -G and N = D;
-    r = -t stands only when r D - G - K certifies r D - G >= -tol and the
-    lifted primal point x lies in M_n(S)+ with <G, x>/<D, x> >= r -
-    ``_DUAL_RADIUS_PRECISION``."""
-    solve = _section_sdp(system, -gm, dm)
-    r = max(0.0, -solve.t)
-    x = _lift(system, solve.x)
-    dx = np.vdot(dm, x).real
-    c = r * dm - gm
-    if not (_lower_bound(system, c, c - solve.k) >= -tol
-            and cone_member(system, x, tol) and dx > 0):
-        return None
-    closes = max(0.0, np.vdot(gm, x).real / dx) >= r - _DUAL_RADIUS_PRECISION
-    return r if closes else None
+    its evidence does not re-check: one kernel solve with C = -G and N = D,
+    stopped at the first iterate whose r = max(0, -t) is certified within
+    ``_DUAL_RADIUS_PRECISION``.  r stands only when r D - G - K certifies
+    r D - G >= -tol and the lifted primal point x lies in M_n(S)+ with
+    <G, x>/<D, x> >= r - ``_DUAL_RADIUS_PRECISION``.  Inside the solve an
+    iterate whose raw primal point does not close the bracket yet is passed
+    over without those eigensolves; the last iterate (converged, capped or
+    broken down) is checked in full."""
+
+    def closes(x, r):
+        dx = np.vdot(dm, x).real
+        return dx > 0 and max(0.0, np.vdot(gm, x).real / dx) >= r - _DUAL_RADIUS_PRECISION
+
+    def certify(x, k, t, gate=True):
+        r = max(0.0, -t)
+        if gate and not closes(x, r):
+            return None
+        c = r * dm - gm
+        if not _lower_bound(system, c, c - k) >= -tol:  # a NaN bound fails too
+            return None
+        x = _lift(system, x)
+        return r if closes(x, r) and cone_member(system, x, tol) else None
+
+    solve = _section_sdp(system, -gm, dm, certify=certify)
+    if solve.stop == "certified":
+        return solve.evidence
+    return certify(solve.x, solve.k, solve.t, gate=False)
 
 
 def dual_order_unit_radius(
@@ -615,16 +632,18 @@ def dual_order_unit_radius(
     ``level`` defaults to the level of g; a level-1 g (a functional) is
     lifted diagonally to any requested level, and a g of level n > 1 takes
     no level but n.  Another level, or one below 1, raises ValidationError.
-    For a Hermitian delta,
-    D = I_n (x) Re delta and the Riesz matrix G of g go to the primal radius
-    routine on the full algebra and to one kernel solve (:func:`_radius`) on
-    M_n(S).  Kernel evidence that fails (a non-faithful delta, a breakdown)
-    bisects: each probe is the :func:`cp_verdict` of r (I_n (x) delta) - g,
-    which passes only on a witness that re-checks, so a breakdown costs
-    tightness, never soundness.  For a non-Hermitian delta, r delta - g is
-    not Hermitian at any r > 0, so one such check at r = 0 decides.
-    Radii are exact or bisected to ``_DUAL_RADIUS_PRECISION``.  Returns
-    ``None`` when no r <= r_max works.
+    For a Hermitian delta, D = I_n (x) Re delta and the Riesz matrix G of g
+    go to the primal radius routine on the full algebra and to one kernel
+    solve (:func:`_radius`) on M_n(S); a level-1 radius builds no Kronecker
+    product.  Kernel evidence that fails (a non-faithful delta, a
+    breakdown) bisects: each probe is the :func:`cp_verdict` of
+    r (I_n (x) delta) - g, which passes only on a witness that re-checks, so
+    a breakdown costs tightness, never soundness.  For a non-Hermitian
+    delta, r delta - g is not Hermitian at any r > 0, so one such check at
+    r = 0 decides.  Radii are closed forms on the full algebra and, on a
+    proper subsystem, certified within ``_DUAL_RADIUS_PRECISION`` (1e-6) at
+    the first closing iterate, or bisected to it.  Returns ``None`` when no
+    r <= r_max works.
     """
     check_search_bounds(r_max, _DUAL_RADIUS_PRECISION)
     if not g.is_hermitian(1e-8):
@@ -635,10 +654,12 @@ def dual_order_unit_radius(
     n = g.n if level is None else level
     if n < 1 or g.n not in (1, n):
         raise ValidationError(f"level {level} for a g of level {g.n}")
-    if g.n == 1:
+    if g.n == 1 and n > 1:
         g = MatrixFunctional.diag(g, n)
     gm = la.hermitian_part(g.riesz)
-    dm = np.kron(np.eye(g.n), la.hermitian_part(delta.riesz))
+    dm = la.hermitian_part(delta.riesz)
+    if n > 1:
+        dm = np.kron(np.eye(n), dm)
 
     def dominated(r: float) -> bool:
         g_r = MatrixFunctional(system, r * dm - gm, _canonical=True)

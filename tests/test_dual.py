@@ -647,11 +647,14 @@ def _trace_and_series_states(s, rng):
 
 @pytest.mark.parametrize("name", ["pauli-span", "toeplitz:3", "random"])
 def test_kernel_radius_evidence_rechecks_by_hand(name):
-    # the Charnes-Cooper solve behind each radius at levels 1-3, re-checked
-    # by hand: W = r D - G - K (D = I_n (x) delta, G = I_n (x) g) is PSD and
-    # pairs like r D - G with M_n(S), and the lifted primal point lies in
-    # M_n(S)+ and closes the bracket to precision.  The levels run inside
-    # one test so the test ids stay those of the level-1 version.
+    # the Charnes-Cooper solve behind each radius at levels 1-3, run to
+    # convergence and re-checked by hand: W = r D - G - K (D = I_n (x)
+    # delta, G = I_n (x) g) is PSD and pairs like r D - G with M_n(S), and
+    # the lifted primal point lies in M_n(S)+ and closes the bracket to
+    # precision.  The radius itself stops at the first iterate that
+    # certifies, so it lies within the precision above the converged r.
+    # The levels run inside one test so the test ids stay those of the
+    # level-1 version.
     import opsys.dual as dual_module
 
     tol, precision = 1e-8, 1e-6
@@ -685,7 +688,7 @@ def test_kernel_radius_evidence_rechecks_by_hand(name):
                 ratio = np.trace(gm @ x).real / np.trace(dm @ x).real
                 assert max(0.0, ratio) >= r - precision
                 radius = dual_order_unit_radius(delta, g, level)
-                assert radius == pytest.approx(r, abs=1e-12)
+                assert r <= radius <= r + dual_module._DUAL_RADIUS_PRECISION
 
 
 def test_radius_fallback_probes_stop_at_certificates():
@@ -711,6 +714,44 @@ def test_radius_fallback_probes_stop_at_certificates():
     assert counts["bisection_fallbacks"] == 1
     assert r == pytest.approx(11.758309364318848, abs=1e-9)
     assert counts["certified"] >= 25
+
+
+def test_radius_sweep_stops_at_its_first_certificate():
+    # 64 radii (pauli-span, toeplitz:3/4, diag:3, seeds 31-34, trace and
+    # series states, levels 2-3), each one solve stopped at its first
+    # iterate that certifies r within the precision: no cap, no breakdown
+    # and no bisection, each radius within [r_conv, r_conv + precision] of
+    # its solve run to convergence, and fewer Newton steps than those
+    # converged solves take.  Run to convergence with Z^-1 from a separate
+    # inverse, 3 of these solves used to break down.
+    import opsys.dual as dual_module
+
+    precision = dual_module._DUAL_RADIUS_PRECISION
+    totals = dict.fromkeys(dual_module.kernel_counts(), 0)
+    converged_steps, radii = 0, 0
+    for name in ("pauli-span", "toeplitz:3", "toeplitz:4", "diag:3"):
+        s = named_system(name)
+        for seed in (31, 32, 33, 34):
+            rng = np.random.default_rng(seed)
+            for delta in _trace_and_series_states(s, rng):
+                for n in (2, 3):
+                    raw = la.hermitian_part(rng.standard_normal((n * s.d, n * s.d)))
+                    g = MatrixFunctional(s, raw)
+                    gm = la.hermitian_part(g.riesz)
+                    dm = np.kron(np.eye(n), la.hermitian_part(delta.riesz))
+                    solve = dual_module._section_sdp(s, -gm, dm)
+                    assert solve.stop == "converged"
+                    converged_steps += solve.iterations
+                    r_conv = max(0.0, -solve.t)
+                    before = dual_module.kernel_counts()
+                    r = dual_order_unit_radius(delta, g)
+                    for key, value in dual_module.kernel_counts(since=before).items():
+                        totals[key] += value
+                    assert r_conv <= r <= r_conv + precision
+                    radii += 1
+    assert radii == totals["solves"] == totals["certified"] == 64
+    assert totals["cap_hits"] == totals["breakdowns"] == totals["bisection_fallbacks"] == 0
+    assert totals["iterations"] < converged_steps
 
 
 def test_kernel_converges_within_twenty_steps():
@@ -929,7 +970,8 @@ def test_kernel_radius_needs_its_evidence(monkeypatch, fault):
     # a kernel answer is returned only when it re-checks: a dual value moved
     # past the radius fails the certificate, a primal point off the
     # optimum leaves the bracket open, and either way the certified
-    # bisection decides
+    # bisection decides.  The fault reaches every iterate that the
+    # radius's certificate check sees, the last one included.
     import opsys.dual as dual_module
 
     rng = np.random.default_rng(28)
@@ -939,11 +981,15 @@ def test_kernel_radius_needs_its_evidence(monkeypatch, fault):
     radius = dual_order_unit_radius(delta, g, 1)
     real_sdp = dual_module._section_sdp
 
-    def skewed(system, c, n, **kw):
-        solve = real_sdp(system, c, n, **kw)
+    def skew(x, k, t):
         if fault == "dual":
-            return solve._replace(t=solve.t + 1e-3)
-        return solve._replace(x=np.eye(system.d) / system.d)
+            return x, k, t + 1e-3
+        return np.eye(len(x)) / len(x), k, t
+
+    def skewed(system, c, n, *, certify):
+        solve = real_sdp(system, c, n, certify=lambda *point: certify(*skew(*point)))
+        x, k, t = skew(solve.x, solve.k, solve.t)
+        return solve._replace(x=x, k=k, t=t)
 
     monkeypatch.setattr(dual_module, "_section_sdp", skewed)
     before = dual_module.kernel_counts()
@@ -1131,7 +1177,7 @@ def test_radius_reads_the_level_off_a_grid():
     f = random_hermitian_functional(s, np.random.default_rng(1))
     g = MatrixFunctional.diag(f, 2)
     r = dual_order_unit_radius(delta, g)
-    assert r == pytest.approx(0.8815560183118218, abs=1e-12)
+    assert r == pytest.approx(0.881556274689186, abs=1e-12)
     assert dual_order_unit_radius(delta, g, 2) == r
     assert dual_order_unit_radius(delta, f) == dual_order_unit_radius(delta, f, 1)
     for level in (0, 1, 3):
