@@ -594,9 +594,10 @@ def _radius(system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float) 
     ``_DUAL_RADIUS_PRECISION``.  r stands only when r D - G - K certifies
     r D - G >= -tol and the lifted primal point x lies in M_n(S)+ with
     <G, x>/<D, x> >= r - ``_DUAL_RADIUS_PRECISION``.  Inside the solve an
-    iterate whose raw primal point does not close the bracket yet is passed
-    over without those eigensolves; the last iterate (converged, capped or
-    broken down) is checked in full."""
+    iterate is passed over without those eigensolves when its raw primal
+    point does not close the bracket yet, or when <W, x> < -tol tr x for
+    W = r D - G - K, which forces lambda_min(W) < -tol since x is PSD; the
+    last iterate (converged, capped or broken down) is checked in full."""
 
     def closes(x, r):
         dx = np.vdot(dm, x).real
@@ -607,7 +608,11 @@ def _radius(system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float) 
         if gate and not closes(x, r):
             return None
         c = r * dm - gm
-        if not _lower_bound(system, c, c - k) >= -tol:  # a NaN bound fails too
+        w = c - k
+        # lambda_min(W) <= <W, x> / tr x for a PSD x, so the lower bound fails too
+        if gate and np.vdot(w, x).real < -tol * np.trace(x).real:
+            return None
+        if not _lower_bound(system, c, w) >= -tol:  # a NaN bound fails too
             return None
         x = _lift(system, x)
         return r if closes(x, r) and cone_member(system, x, tol) else None
@@ -632,13 +637,14 @@ def dual_order_unit_radius(
     ``level`` defaults to the level of g; a level-1 g (a functional) is
     lifted diagonally to any requested level, and a g of level n > 1 takes
     no level but n.  Another level, or one below 1, raises ValidationError.
-    For a Hermitian delta, D = I_n (x) Re delta and the Riesz matrix G of g
-    go to the primal radius routine on the full algebra and to one kernel
-    solve (:func:`_radius`) on M_n(S); a level-1 radius builds no Kronecker
-    product.  Kernel evidence that fails (a non-faithful delta, a
-    breakdown) bisects: each probe is the :func:`cp_verdict` of
-    r (I_n (x) delta) - g, which passes only on a witness that re-checks, so
-    a breakdown costs tightness, never soundness.  For a non-Hermitian
+    For a Hermitian delta, the Riesz matrix G of g goes to the primal
+    radius routine on the full algebra, which factors Re delta once and
+    builds no Kronecker product at any level, and with D = I_n (x) Re delta
+    to one kernel solve (:func:`_radius`) on M_n(S).  Kernel evidence that
+    fails (a non-faithful delta, a breakdown) bisects: each probe is the
+    :func:`cp_verdict` of r (I_n (x) delta) - g, which passes only on a
+    witness that re-checks, so a breakdown costs tightness, never
+    soundness.  For a non-Hermitian
     delta, r delta - g is not Hermitian at any r > 0, so one such check at
     r = 0 decides.  Radii are closed forms on the full algebra and, on a
     proper subsystem, certified within ``_DUAL_RADIUS_PRECISION`` (1e-6) at
@@ -657,18 +663,18 @@ def dual_order_unit_radius(
     if g.n == 1 and n > 1:
         g = MatrixFunctional.diag(g, n)
     gm = la.hermitian_part(g.riesz)
-    dm = la.hermitian_part(delta.riesz)
-    if n > 1:
-        dm = np.kron(np.eye(n), dm)
+    unit = la.hermitian_part(delta.riesz)
+    hermitian = delta.is_hermitian(1e-8)
+    if hermitian and system.is_full:
+        return _domination_radii(unit, tol, r_max, _DUAL_RADIUS_PRECISION)(gm)
+    dm = np.kron(np.eye(n), unit) if n > 1 else unit
 
     def dominated(r: float) -> bool:
         g_r = MatrixFunctional(system, r * dm - gm, _canonical=True)
         return cp_verdict(g_r, tol).status == "feasible"
 
-    if not delta.is_hermitian(1e-8):
+    if not hermitian:
         return 0.0 if dominated(0.0) else None
-    if system.is_full:
-        return _domination_radii(dm, tol, r_max, _DUAL_RADIUS_PRECISION)(gm)
     r = _radius(system, dm, gm, tol)
     if r is not None:
         return r if r <= r_max else None

@@ -13,6 +13,13 @@ Three quantities are computed for an element v of S:
   norm from below (the operator norm is itself an order norm) and the best
   decomposition found by a phase-grid gauge program from above.
 
+An exactly Hermitian v (v == v* entry for entry) has the numerical range
+[lambda_min, lambda_max], and both order norms equal its order seminorm
+(Paulsen & Tomforde 2009): one eigensolve gives w(v) = max(lambda_max,
+-lambda_min), the same double as the order seminorm, and the max-norm
+sandwich (||v||, max(w(v), ||v||)), with no phase curve or descent.  Every
+other v, near-Hermitian input included, takes the phase curve.
+
 Both norms are read off one phase curve c(theta) = lambda_max(Re(e^{i theta}
 v)), one batched eigensolve per pair of opposite phases, since
 c(theta + pi) = -lambda_min(Re(e^{i theta} v)): the numerical radius is its
@@ -105,6 +112,12 @@ def _is_hermitian(m: np.ndarray) -> bool:
     return bool(np.abs(m - m.conj().T).max() <= 1e-8 * np.abs(m).max())
 
 
+def _exactly_hermitian(m: np.ndarray) -> bool:
+    """m == m* entry for entry: the numerical range is then [lambda_min,
+    lambda_max], and every order norm is :func:`_spectral_radius`."""
+    return bool(np.array_equal(m, m.conj().T))
+
+
 def _spectral_radius(m: np.ndarray) -> float:
     """max |eigenvalue| of a checked Hermitian element."""
     w = la.eigenvalues_desc(m)
@@ -176,16 +189,21 @@ def numerical_radius(a) -> float:
     """max over density matrices of |trace(rho a)| = max over theta of
     lambda_max(Re(e^{i theta} a)).
 
-    The phase curve's maximum undershoots by at most w (1 - cos(pi / 256));
-    Newton steps from its best angle remove that gap, which matters when
-    downstream bounds carry 1e-6 slack.  Raises ``DimensionError`` for a
-    non-square input and ``ValidationError`` for a non-finite entry.
+    An exactly Hermitian a takes one eigensolve: its numerical range is
+    [lambda_min, lambda_max], so w(a) = max(lambda_max, -lambda_min).  Any
+    other a takes the phase curve, whose maximum undershoots by at most
+    w (1 - cos(pi / 256)); Newton steps from its best angle remove that
+    gap, which matters when downstream bounds carry 1e-6 slack.  Raises
+    ``DimensionError`` for a non-square input and ``ValidationError`` for a
+    non-finite entry.
     """
     m = la._require_square(a, "numerical_radius")
     if not np.isfinite(m).all():
         raise ValidationError("matrix with a non-finite entry")
     if not m.any():
         return 0.0
+    if _exactly_hermitian(m):
+        return _spectral_radius(m)
     return _curve_maximum(m, _phase_curve(m, _RADIUS_HALF))
 
 
@@ -205,7 +223,9 @@ def _project_gauge_constraints(coeffs, cosv, sinv, target_re, target_im):
 def max_order_norm(system: OperatorSystem, v) -> tuple[float, float]:
     """Sandwich bounds (lower, upper) for the maximal order norm.
 
-    lower: operator norm of v.  upper: the best canonical two-term split
+    lower: operator norm of v.  For an exactly Hermitian v the max norm is
+    the order seminorm, so upper is max(w(v), lower) from one eigensolve.
+    Otherwise upper is the best canonical two-term split
     over a grid of ``_GAUGE_PHASES`` phases, read off the phase curve of v,
     so upper <= ||Re w|| + ||Im w|| <= 2 * min_order_norm.  It is a
     feasible decomposition, so the bound is exactly monotone under unital
@@ -220,6 +240,8 @@ def max_order_norm(system: OperatorSystem, v) -> tuple[float, float]:
     lower = la.op_norm(m)
     if not m.any():
         return 0.0, 0.0
+    if _exactly_hermitian(m):
+        return lower, max(_spectral_radius(m), lower)
     return lower, _gauge_upper(system, m, _phase_curve(m, _GAUGE_PHASES), 0, lower)
 
 
@@ -301,8 +323,10 @@ def norm_report(
     tol: float = DEFAULT_TOL,
 ) -> NormReport:
     """All norm quantities for one element; ``h`` only when v is Hermitian.
-    Both order norms come from one phase curve: its even entries are the
-    curve of :func:`max_order_norm` bit for bit.
+    An exactly Hermitian v takes one eigensolve for h, min and max_upper =
+    max(h, op), whatever ``subgrad_iters`` says.  Otherwise both order
+    norms come from one phase curve: its even entries are the curve of
+    :func:`max_order_norm` bit for bit.
 
     ``subgrad_iters > 0`` additionally runs one descent of
     ``subgrad_iters`` projected subgradient steps, one batched eigensolve
@@ -315,7 +339,9 @@ def norm_report(
     if not m.any():
         return NormReport(h=0.0, min=0.0, max_lower=0.0, max_upper=0.0, op=0.0)
     hval = _spectral_radius(m) if _is_hermitian(m) else None
-    curve = _phase_curve(m, _RADIUS_HALF)
     op = la.op_norm(m)
+    if _exactly_hermitian(m):
+        return NormReport(h=hval, min=hval, max_lower=op, max_upper=max(hval, op), op=op)
+    curve = _phase_curve(m, _RADIUS_HALF)
     upper = _gauge_upper(system, m, curve[::2], subgrad_iters, op)
     return NormReport(h=hval, min=_curve_maximum(m, curve), max_lower=op, max_upper=upper, op=op)

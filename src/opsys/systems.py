@@ -439,21 +439,36 @@ def cone_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> bool:
     return la.lambda_min(m) >= -tol
 
 
-def _domination_radii(d, tol: float, r_max: float, precision: float):
-    """The map X -> smallest r >= 0 with r D - X PSD (D PSD, X Hermitian), or
-    ``None`` above r_max, with D factored once for all X: exact as
-    max(0, lambda_max(L^-1 X L^-*)), L = chol(D), and bisected to
-    ``precision`` on lambda_min(r D - X) >= -tol for a singular D."""
+def _domination_radii(e, tol: float, r_max: float, precision: float):
+    """The map X -> smallest r >= 0 with r (I_n (x) E) - X PSD (E a PSD
+    level-1 unit, X Hermitian at any level n), or ``None`` above r_max; a
+    (k, n d, n d) stack of X maps to the list of their k radii.  E is
+    factored once for every X and level: for a positive definite E the
+    radius is max(0, lambda_max(Y)) with the blocks Y_ij = L^-1 X_ij L^-*,
+    L = chol(E), one batched eigensolve per stack, and no I_n (x) E is
+    built; a singular E bisects to ``precision`` on
+    lambda_min(r (I_n (x) E) - X) >= -tol."""
     check_search_bounds(r_max, precision)
+    d = len(e)
     try:
-        li = np.linalg.inv(np.linalg.cholesky(d))
+        li = np.linalg.inv(np.linalg.cholesky(e))
     except np.linalg.LinAlgError:
-        return lambda x: smallest_passing(lambda r: la.lambda_min(r * d - x) >= -tol,
-                                          r_max, precision)
+        li = None
 
-    def radius(x) -> float | None:
-        r = max(0.0, la.lambda_max(li @ x @ li.conj().T))
-        return r if r <= r_max else None
+    def radii(xs: np.ndarray) -> list:
+        n = xs.shape[-1] // d
+        if li is None:
+            lifted = np.kron(np.eye(n), e)
+            return [smallest_passing(lambda r, x=x: la.lambda_min(r * lifted - x) >= -tol,
+                                     r_max, precision) for x in xs]
+        blocks = xs.reshape(-1, n, d, n, d).transpose(0, 1, 3, 2, 4)
+        y = (li @ blocks @ li.conj().T).transpose(0, 1, 3, 2, 4).reshape(-1, n * d, n * d)
+        top = np.linalg.eigvalsh((y + y.conj().swapaxes(1, 2)) / 2.0)[:, -1]
+        return [r if r <= r_max else None for r in (max(0.0, t) for t in top.tolist())]
+
+    def radius(x):
+        x = np.asarray(x)
+        return radii(x[None])[0] if x.ndim == 2 else radii(x)
 
     return radius
 
@@ -471,20 +486,20 @@ def _checked_unit(system: OperatorSystem, e, tol: float) -> np.ndarray:
 def order_unit_radius_level(system: OperatorSystem, e, x) -> float | None:
     """Smallest r >= 0 with ``r*(I_n (x) e) - x`` in M_n(S)+, or ``None``.
 
-    :func:`_domination_radii` of I_n (x) e, at x, at tolerance
-    ``DEFAULT_TOL``, exact for a positive definite e; ``None`` means no
-    r <= ``_RADIUS_MAX`` dominates x.
+    :func:`_domination_radii` of e, at x, at tolerance ``DEFAULT_TOL``:
+    exact for a positive definite e, from its Cholesky factor applied block
+    by block, with no I_n (x) e built; ``None`` means no r <= ``_RADIUS_MAX``
+    dominates x.
     """
     tol = DEFAULT_TOL
     em = _checked_unit(system, e, tol)
     xm = la.as_matrix(x)
-    n = level_of(system, xm)
+    level_of(system, xm)  # DimensionError unless x lies at some level
     if not la.is_hermitian(xm, 1e-8):
         raise HermitianError("order_unit_radius_level requires Hermitian x")
     if not subspace_member(system, xm, tol):
         return None
-    lifted = np.kron(np.eye(n), em)
-    return _domination_radii(lifted, tol, _RADIUS_MAX, _RADIUS_PRECISION)(la.hermitian_part(xm))
+    return _domination_radii(em, tol, _RADIUS_MAX, _RADIUS_PRECISION)(la.hermitian_part(xm))
 
 
 @dataclass
@@ -538,8 +553,12 @@ def is_matrix_order_unit(
     pass at every level, so a single failed radius (none up to 1e6, at
     tolerance ``DEFAULT_TOL``) refutes matrix-order-unit-hood.  Sampling is
     deterministic by default (fixed internal seed) for reproducible runs;
-    pass ``rng`` to override.  A deterministic counterexample search along
-    near-kernel directions of e supplements the random sampling at level 1.
+    pass ``rng`` to override.  Each level's samples come from one draw,
+    which uses up ``rng`` as that many :func:`random_hermitian_element`
+    calls do, and their radii from e's one Cholesky factor and one batched
+    eigensolve (:func:`_domination_radii`).  A deterministic counterexample
+    search along near-kernel directions of e supplements the random
+    sampling at level 1.
     """
     _check_counts(max_level=max_level, samples_per_level=samples_per_level)
     if rng is None:
@@ -554,19 +573,13 @@ def is_matrix_order_unit(
             counterexample=ce,
             counterexample_level=1,
         )
+    radius = _domination_radii(em, tol, _RADIUS_MAX, _RADIUS_PRECISION)
     radii: dict[int, list] = {}
-    ok = True
     for n in range(1, max_level + 1):
-        radius = _domination_radii(np.kron(np.eye(n), em), tol, _RADIUS_MAX, _RADIUS_PRECISION)
-        level_radii = []
-        for _ in range(samples_per_level):
-            # drawn in M_n(S)_h, so x needs neither check of order_unit_radius_level
-            r = radius(random_hermitian_element(system, rng, level=n))
-            level_radii.append(r)
-            if r is None:
-                ok = False
-        radii[n] = level_radii
-        if not ok:
+        # drawn in M_n(S)_h, so no sample needs the checks of order_unit_radius_level
+        xs = _random_elements(system, rng, samples_per_level, level=n)
+        radii[n] = radius((xs + xs.conj().swapaxes(1, 2)) / 2.0)
+        if None in radii[n]:
             return MatrixOrderUnitReport(ok=False, radii=radii)
     return MatrixOrderUnitReport(ok=True, radii=radii)
 
@@ -575,16 +588,26 @@ def is_matrix_order_unit(
 # Random sampling helpers (tests, suites, verification sweeps)
 # ----------------------------------------------------------------------------
 
+def _random_elements(
+    system: OperatorSystem, rng: np.random.Generator, count: int, *, level: int = 1,
+    scale: float = 1.0
+) -> np.ndarray:
+    """``count`` random elements of M_n(S), shape (count, n d, n d), with
+    independent complex Gaussian coordinates, from one draw that uses up
+    rng as ``count`` calls of :func:`random_element` do."""
+    n, d, dim = level, system.d, system.dim
+    # element by element and block by block, the real then the imaginary parts
+    z = rng.standard_normal((count * n * n, 2, dim))
+    c = z[:, 0] + 1j * z[:, 1]
+    blocks = system._combine(scale * c / np.sqrt(2 * dim)).reshape(count, n, n, d, d)
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(count, n * d, n * d)
+
+
 def random_element(
     system: OperatorSystem, rng: np.random.Generator, *, level: int = 1, scale: float = 1.0
 ) -> np.ndarray:
     """Random element of M_n(S) with independent complex Gaussian coordinates."""
-    n, d, dim = level, system.d, system.dim
-    # block by block, the real then the imaginary parts: one draw of them all
-    z = rng.standard_normal((n * n, 2, dim))
-    c = z[:, 0] + 1j * z[:, 1]
-    blocks = system._combine(scale * c / np.sqrt(2 * dim)).reshape(n, n, d, d)
-    return from_blocks(blocks) if n > 1 else blocks[0, 0]
+    return _random_elements(system, rng, 1, level=level, scale=scale)[0]
 
 
 def random_hermitian_element(

@@ -247,9 +247,11 @@ def test_max_norm_star_symmetry_is_exact():
 
 
 def test_norm_report_matches_standalone_calls_exactly():
-    # norm_report reads both order norms off one phase curve; its fields are
-    # the standalone values bit for bit, and its descent starts from the
-    # same K = 64 curve as max_order_norm's scan
+    # norm_report's fields are the standalone values bit for bit.  A
+    # non-Hermitian v reads both order norms off one phase curve, and its
+    # descent starts from the same K = 64 curve as max_order_norm's scan; an
+    # exactly Hermitian v takes the closed form max(rho, op) with or without
+    # the descent
     rng = np.random.default_rng(17)
     for i in range(20):
         s = random_system(rng)
@@ -257,9 +259,12 @@ def test_norm_report_matches_standalone_calls_exactly():
         rep = norm_report(s, v)
         assert rep.min == min_order_norm(s, v)
         assert (rep.max_lower, rep.max_upper) == max_order_norm(s, v)
-        curve = _phase_curve(v, _GAUGE_PHASES)
         refined = norm_report(s, v, subgrad_iters=20).max_upper
-        assert refined == _gauge_upper(s, v, curve, 20, rep.max_lower)
+        if i % 3:
+            curve = _phase_curve(v, _GAUGE_PHASES)
+            assert refined == _gauge_upper(s, v, curve, 20, rep.max_lower)
+        else:
+            assert refined == max(order_norm_h(s, v), la.op_norm(v))
 
 
 def test_norm_report_eigensolve_count(monkeypatch):
@@ -279,6 +284,66 @@ def test_norm_report_eigensolve_count(monkeypatch):
     v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     norm_report(s, v)
     assert 0 < len(calls) <= 2 + _NEWTON_STEPS
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_exactly_hermitian_element_takes_one_eigensolve(monkeypatch, d):
+    # v == v* entry for entry has the numerical range [lambda_min,
+    # lambda_max]: each norm call makes one eigvalsh beyond op_norm's, no
+    # eigh and no phase curve, and min is order_norm_h bit for bit
+    rng = np.random.default_rng(30 + d)
+    s = random_system(rng, d=d)
+    v = random_hermitian_element(s, rng)
+    assert np.array_equal(v, v.conj().T)
+    h, op = order_norm_h(s, v), la.op_norm(v)
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+
+    def one_call(f, *args, **kwargs):
+        calls.clear()
+        out = f(*args, **kwargs)
+        return out, list(calls)
+
+    assert one_call(min_order_norm, s, v) == (h, ["eigvalsh"])
+    assert one_call(numerical_radius, v) == (h, ["eigvalsh"])
+    # the operator norm's eigvalsh and the spectrum's
+    assert one_call(max_order_norm, s, v) == ((op, max(h, op)), ["eigvalsh"] * 2)
+    for iters in (0, 20):
+        rep, used = one_call(norm_report, s, v, subgrad_iters=iters)
+        assert used == ["eigvalsh"] * 2
+        assert (rep.h, rep.min, rep.max_lower, rep.max_upper, rep.op) == (
+            h, min_order_norm(s, v), *max_order_norm(s, v), op)
+
+
+def test_nearly_hermitian_element_keeps_the_phase_curve(monkeypatch):
+    # one off-diagonal entry moved by 1e-13: no longer Hermitian entry for
+    # entry, so the 128-phase curve still runs, and it agrees with the
+    # spectrum within 1e-9
+    import opsys.norms as norms_module
+
+    rng = np.random.default_rng(35)
+    s = named_system("full:4")
+    v = random_hermitian_element(s, rng)
+    v[0, 1] += 1e-13
+    halves = []
+    original = norms_module._phase_curve
+
+    def spy(m, half):
+        halves.append(half)
+        return original(m, half)
+
+    monkeypatch.setattr(norms_module, "_phase_curve", spy)
+    w = np.linalg.eigvalsh(la.hermitian_part(v))
+    assert numerical_radius(v) == pytest.approx(max(w[-1], -w[0]), abs=1e-9)
+    assert norm_report(s, v).min == pytest.approx(max(w[-1], -w[0]), abs=1e-9)
+    assert halves == [128, 128]
 
 
 @pytest.mark.parametrize("iters", [1, 5, 20])

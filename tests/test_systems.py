@@ -7,6 +7,7 @@ from opsys.errors import DimensionError, HermitianError, ValidationError
 from opsys.norms import max_order_norm
 from opsys.systems import (
     _domination_radii,
+    _random_elements,
     OperatorSystem,
     cone_member,
     from_blocks,
@@ -464,8 +465,10 @@ def test_identity_is_matrix_order_unit():
 
 
 def test_matrix_order_unit_sweep_factors_the_unit_once_per_level(monkeypatch):
-    # I_n (x) e is the same matrix for every sample of level n: one Cholesky
-    # factor serves them all, and each radius is the closed form at it
+    # e is factored once for every level, and each radius is the closed
+    # form max(0, lambda_max(Y)) for the blocks Y_ij = L^-1 X_ij L^-* of its
+    # sample, L = chol(e), bit for bit; it meets the Kronecker form
+    # chol(I_n (x) e) to 1e-12 relative
     calls = []
     original = np.linalg.cholesky
 
@@ -477,13 +480,30 @@ def test_matrix_order_unit_sweep_factors_the_unit_once_per_level(monkeypatch):
     s = named_system("toeplitz:3")
     e = s.unit + 0.3 * la.hermitian_part(s.basis[1])
     report = is_matrix_order_unit(s, e, 3, samples_per_level=8, rng=np.random.default_rng(5))
-    assert report.ok and calls == [3, 6, 9]
+    assert report.ok and calls == [3]
     rng = np.random.default_rng(5)
+    li = np.linalg.inv(original(e))
     for n in (1, 2, 3):
-        li = np.linalg.inv(original(np.kron(np.eye(n), e)))
-        for r in report.radii[n]:
-            x = random_hermitian_element(s, rng, level=n)
-            assert r == max(0.0, la.lambda_max(li @ x @ li.conj().T))
+        lifted = np.linalg.inv(original(np.kron(np.eye(n), e)))
+        xs = _random_elements(s, rng, 8, level=n)  # the sweep's one draw per level
+        assert len(report.radii[n]) == 8
+        for r, x in zip(report.radii[n], xs):
+            x = la.hermitian_part(x)
+            y = from_blocks(li @ to_blocks(x, 3) @ li.conj().T)
+            assert r == max(0.0, la.lambda_max(y))
+            kron_form = max(0.0, la.lambda_max(lifted @ x @ lifted.conj().T))
+            assert r == pytest.approx(kron_form, rel=1e-12, abs=0.0)
+
+
+def test_matrix_order_unit_sweep_uses_up_the_generator_as_sequential_draws():
+    # one draw per level takes as many normals as the samples drawn one by one
+    s = named_system("toeplitz:3")
+    swept, sequential = np.random.default_rng(8), np.random.default_rng(8)
+    assert is_matrix_order_unit(s, s.unit, 3, samples_per_level=8, rng=swept).ok
+    for n in (1, 2, 3):
+        for _ in range(8):
+            random_hermitian_element(s, sequential, level=n)
+    assert swept.standard_normal() == sequential.standard_normal()
 
 
 def test_diag_unit_counterexample():
