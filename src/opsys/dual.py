@@ -132,13 +132,6 @@ class MatrixFunctional:
         """trace(F x) without a membership check (internal fast path)."""
         return complex(np.einsum("ij,ji->", self.riesz, la.as_matrix(x)))
 
-    def values(self, xs) -> np.ndarray:
-        """trace(F_ij x), the values of f_ji, for every block F_ij of F (row
-        i n + j) and every x of a (k, d, d) stack, by one product."""
-        n, d = self.n, self.system.d
-        blocks = self.riesz.reshape(n, d, n, d).transpose(0, 2, 3, 1).reshape(n * n, d * d)
-        return blocks @ np.asarray(xs).reshape(len(xs), -1).T
-
     # -- involution and arithmetic --------------------------------------------
 
     def _like(self, riesz: np.ndarray):
@@ -652,7 +645,7 @@ def dual_order_unit_radius(
     r <= r_max works.
     """
     check_search_bounds(r_max, _DUAL_RADIUS_PRECISION)
-    if not g.is_hermitian(1e-8):
+    if not la._is_hermitian(g.riesz):
         raise ValidationError("g must be a Hermitian functional or matrix functional")
     system, tol = delta.system, DEFAULT_TOL
     if g.system is not system:
@@ -664,7 +657,7 @@ def dual_order_unit_radius(
         g = MatrixFunctional.diag(g, n)
     gm = la.hermitian_part(g.riesz)
     unit = la.hermitian_part(delta.riesz)
-    hermitian = delta.is_hermitian(1e-8)
+    hermitian = la._is_hermitian(delta.riesz)
     if hermitian and system.is_full:
         return _domination_radii(unit, tol, r_max, _DUAL_RADIUS_PRECISION)(gm)
     dm = np.kron(np.eye(n), unit) if n > 1 else unit

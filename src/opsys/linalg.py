@@ -73,6 +73,13 @@ def is_hermitian(a, tol: float = 1e-10) -> bool:
     return float(np.linalg.norm(m - m.conj().T)) <= tol * scale
 
 
+def _is_hermitian(m: np.ndarray) -> bool:
+    """||m - m*|| <= 1e-8 ||m|| in the largest-entry norm: relative at every
+    scale (:func:`is_hermitian` is absolute below norm 1), and with no sum
+    of squares to underflow (1e-170 E12)."""
+    return bool(np.abs(m - m.conj().T).max() <= 1e-8 * np.abs(m).max())
+
+
 def spectral_decompose(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 

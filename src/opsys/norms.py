@@ -100,16 +100,9 @@ class NormReport:
 def order_norm_h(system: OperatorSystem, v) -> float:
     """Order seminorm of a Hermitian element: max |eigenvalue|."""
     m = _require_member(system, v)
-    if not _is_hermitian(m):
+    if not la._is_hermitian(m):
         raise HermitianError("order_norm_h is defined on Hermitian elements only")
     return _spectral_radius(m)
-
-
-def _is_hermitian(m: np.ndarray) -> bool:
-    """||m - m*|| <= 1e-8 ||m|| in the largest-entry norm: relative at every
-    scale (``la.is_hermitian`` is absolute below norm 1), and with no sum
-    of squares to underflow (1e-170 E12)."""
-    return bool(np.abs(m - m.conj().T).max() <= 1e-8 * np.abs(m).max())
 
 
 def _exactly_hermitian(m: np.ndarray) -> bool:
@@ -338,7 +331,7 @@ def norm_report(
     m = _require_member(system, v, tol)
     if not m.any():
         return NormReport(h=0.0, min=0.0, max_lower=0.0, max_upper=0.0, op=0.0)
-    hval = _spectral_radius(m) if _is_hermitian(m) else None
+    hval = _spectral_radius(m) if la._is_hermitian(m) else None
     op = la.op_norm(m)
     if _exactly_hermitian(m):
         return NormReport(h=hval, min=hval, max_lower=op, max_upper=max(hval, op), op=op)

@@ -155,27 +155,34 @@ class OperatorSystem:
         return self.stack_coords(to_blocks(x, self.d).reshape(-1, self.d, self.d))
 
     def project_level(self, x) -> np.ndarray:
-        """The blockwise orthogonal projection of an (n d) x (n d) matrix onto
-        M_n(S) (n is read off the size of x): x itself on a full algebra."""
+        """The blockwise orthogonal projection of an (n d) x (n d) matrix, or
+        of each matrix of an (s, n d, n d) stack, onto M_n(S) (n is read off
+        the size of x): x itself on a full algebra."""
         if self.is_full:
             return x
-        d, n = self.d, len(x) // self.d
-        return from_blocks(self._combine(self.level_coords(x)).reshape(n, n, d, d))
+        blocks = to_blocks(x, self.d)
+        flat = self._combine(self.stack_coords(blocks.reshape(-1, self.d, self.d)))
+        return from_blocks(flat.reshape(blocks.shape))
 
     def riesz_of_values(self, values) -> np.ndarray:
         """The adjoint of the coordinate map: R in M_n(S) with trace(R_ij B_k) =
-        ``values[i n + j, k]``, blockwise sum_k values[i n + j, k] B_k^*."""
-        n, d = math.isqrt(len(values)), self.d
+        ``values[i n + j, k]``, blockwise sum_k values[i n + j, k] B_k^*; an
+        (s, n^2, dim) stack of values maps to an (s, n d, n d) stack."""
+        values = np.asarray(values)
+        lead, n, d = values.shape[:-2], math.isqrt(values.shape[-2]), self.d
         # sum_k v_k conj(B_k) is the conjugate of sum_k conj(v_k) B_k, so the
         # basis is not copied; entry (p, q) of B_k^* is conj(B_k)[q, p]
-        flat = self._combine(np.conj(values)).conj()
-        return flat.reshape(n, n, d, d).transpose(0, 3, 1, 2).reshape(n * d, n * d)
+        flat = self._combine(np.conj(values).reshape(-1, self.dim)).conj()
+        return np.moveaxis(flat.reshape(lead + (n, n, d, d)), -1, -3).reshape(
+            lead + (n * d, n * d))
 
     def level_values(self, x) -> np.ndarray:
         """trace(x_ij B_k), the conjugate coordinates of x_ij^*, for every block
-        x_ij (row i n + j); :meth:`riesz_of_values` inverts them on M_n(S)."""
-        blocks = to_blocks(x, self.d).reshape(-1, self.d, self.d)
-        return self.stack_coords(blocks.conj().swapaxes(1, 2)).conj()
+        x_ij (row i n + j), shape (n^2, dim), or (s, n^2, dim) for each
+        matrix of a stack; :meth:`riesz_of_values` inverts them on M_n(S)."""
+        blocks = to_blocks(x, self.d)
+        flat = blocks.reshape(-1, self.d, self.d).conj().swapaxes(1, 2)
+        return self.stack_coords(flat).conj().reshape(blocks.shape[:-4] + (-1, self.dim))
 
     @property
     def hermitian_basis(self) -> np.ndarray:
@@ -388,21 +395,24 @@ def level_of(system: OperatorSystem, x) -> int:
 
 
 def to_blocks(x, d: int) -> np.ndarray:
-    """Grid view of a flattened level element, shape (n, n, d, d)."""
-    m = la.as_matrix(x)
-    n, rem = divmod(m.shape[0], d)
-    if rem or m.shape[0] != m.shape[1]:
+    """Grid view of a flattened level element, shape (n, n, d, d), or of
+    each element of an (s, n d, n d) stack, shape (s, n, n, d, d)."""
+    m = np.asarray(x, dtype=complex)
+    if m.ndim not in (2, 3):
+        raise DimensionError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    n, rem = divmod(m.shape[-1], d)
+    if rem or m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"cannot split shape {m.shape} into {d}-blocks")
-    return m.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+    return m.reshape(m.shape[:-2] + (n, d, n, d)).swapaxes(-3, -2)
 
 
 def from_blocks(blocks) -> np.ndarray:
     """Inverse of :func:`to_blocks`; the flattening is a linear bijection."""
     b = np.asarray(blocks, dtype=complex)
-    if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
+    if b.ndim not in (4, 5) or b.shape[-4] != b.shape[-3] or b.shape[-2] != b.shape[-1]:
         raise DimensionError(f"expected grid of shape (n, n, d, d), got {b.shape}")
-    n, d = b.shape[0], b.shape[2]
-    return b.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    side = b.shape[-4] * b.shape[-1]
+    return b.swapaxes(-3, -2).reshape(b.shape[:-4] + (side, side))
 
 
 def _require_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -495,7 +505,7 @@ def order_unit_radius_level(system: OperatorSystem, e, x) -> float | None:
     em = _checked_unit(system, e, tol)
     xm = la.as_matrix(x)
     level_of(system, xm)  # DimensionError unless x lies at some level
-    if not la.is_hermitian(xm, 1e-8):
+    if not la._is_hermitian(xm):
         raise HermitianError("order_unit_radius_level requires Hermitian x")
     if not subspace_member(system, xm, tol):
         return None

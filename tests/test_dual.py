@@ -131,7 +131,8 @@ def test_riesz_of_values_reproduces_its_basis_values(level):
         assert np.abs(s.project_level(riesz) - riesz).max() <= 1e-12
         mf = MatrixFunctional(s, riesz)
         assert mf.n == level
-        assert np.abs(mf.values(s.basis) - vals).max() <= 1e-12
+        blocks = to_blocks(mf.riesz, s.d).reshape(-1, s.d, s.d)
+        assert np.abs(np.einsum("apq,kqp->ak", blocks, s.basis) - vals).max() <= 1e-12
         assert np.abs(s.level_values(mf.riesz) - vals).max() <= 1e-12
 
 
@@ -602,6 +603,18 @@ def test_radius_matches_eigen_oracle_on_full():
         r = dual_order_unit_radius(delta, g, 1)
         oracle = max(0.0, d * la.lambda_max(g.riesz))
         assert r == pytest.approx(oracle, abs=1e-5)
+
+
+def test_radius_hermitian_test_is_relative():
+    # g is tested for Hermitian symmetry relative to its own scale: at norm
+    # 1e-9 a non-Hermitian g is refused and an exactly Hermitian one keeps
+    # its radius, d lambda_max(g) against the trace state
+    s = named_system("full:2")
+    delta = faithful_state(s)
+    with pytest.raises(ValidationError, match="Hermitian"):
+        dual_order_unit_radius(delta, Functional(s, 1e-9 * E12), 1)
+    r = dual_order_unit_radius(delta, Functional(s, 1e-9 * PAULI_X), 1)
+    assert r == pytest.approx(2e-9, rel=1e-12)
 
 
 def test_radius_boundary_case_delta_itself():

@@ -250,6 +250,24 @@ def test_block_roundtrip_bijection():
     assert np.array_equal(from_blocks(to_blocks(x, 3)), x)
 
 
+@pytest.mark.parametrize("name", ["toeplitz:3", "pauli-span", "full:3"])
+def test_level_maps_take_a_stack(name):
+    # an (s, n d, n d) stack maps row by row as each of its matrices does
+    rng = np.random.default_rng(2)
+    s = named_system(name)
+    xs = rng.standard_normal((4, 2 * s.d, 2 * s.d)) + 1j * rng.standard_normal((4, 2 * s.d, 2 * s.d))
+    assert np.array_equal(from_blocks(to_blocks(xs, s.d)), xs)
+    values = s.level_values(xs)
+    assert values.shape == (4, 4, s.dim)
+    riesz = s.riesz_of_values(values)
+    for x, p, v, r in zip(xs, s.project_level(xs), values, riesz):
+        assert np.abs(p - s.project_level(x)).max() <= 1e-14
+        assert np.abs(v - s.level_values(x)).max() <= 1e-14
+        assert np.abs(r - s.riesz_of_values(v)).max() <= 1e-14
+    with pytest.raises(DimensionError):
+        to_blocks(xs[None], s.d)
+
+
 def test_residuals_match_per_matrix_projection():
     rng = np.random.default_rng(6)
     for s in (named_system("toeplitz:4"), named_system("full:3"), random_system(rng)):
@@ -359,6 +377,15 @@ def test_radius_requires_hermitian():
     s = named_system("full:2")
     with pytest.raises(HermitianError):
         order_unit_radius_level(s, np.eye(2), E12)
+
+
+def test_radius_hermitian_test_is_relative():
+    # the test scales with x: at norm 1e-9 a non-Hermitian x is refused and
+    # an exactly Hermitian one keeps its radius
+    s = named_system("full:2")
+    with pytest.raises(HermitianError):
+        order_unit_radius_level(s, np.eye(2), 1e-9 * E12)
+    assert order_unit_radius_level(s, np.eye(2), 1e-9 * PAULI_X) == pytest.approx(1e-9, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])

@@ -19,6 +19,7 @@ from opsys.systems import (
     random_hermitian_element,
     to_blocks,
 )
+import opsys.towers as towers_module
 from opsys.towers import (
     Embedding,
     FunctionalThread,
@@ -414,17 +415,21 @@ def test_broken_thread_detected(doubling3):
 
 
 def test_thread_norm_sup_of_a_directly_built_thread(doubling3):
-    # the sup of the stage norms is read off the entries, however the
-    # thread was built
-    entries = trace_state_thread(doubling3).entries
-    thread = FunctionalThread(doubling3, entries)
-    assert thread.norm_sup == max(f.norm for f in entries)
-    assert thread.norm_sup == pytest.approx(1.0, abs=1e-12)
+    # the sup of the stage norms, one batched SVD per stage over a stack of
+    # threads, is each thread's max of its entries' trace norms, bit for bit
+    rng = np.random.default_rng(20)
+    threads = [trace_state_thread(doubling3).entries]
+    threads += [pullback_thread(doubling3, Functional(doubling3.stage(3), random_element(
+        doubling3.stage(3), rng))).entries for _ in range(3)]
+    stages = [np.stack([entries[k].riesz for entries in threads]) for k in range(3)]
+    sups = towers_module._norm_sups(stages)
+    assert sups.tolist() == [max(f.norm for f in entries) for entries in threads]
+    assert sups[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_functional_thread(doubling3):
     thread = pullback_thread(doubling3, Functional.zero(doubling3.stage(3)))
-    assert thread.norm_sup == 0.0
+    assert max(f.norm for f in thread.entries) == 0.0
     e = doubling3.thread(1, doubling3.stage(1).unit)
     assert pairing(e, thread) == 0
 
@@ -574,6 +579,16 @@ def test_inductive_positive_needs_a_hermitian_thread(doubling3):
         inductive_positive(doubling3, e12)
 
 
+def test_inductive_positive_hermitian_test_is_relative():
+    # the Hermitian test scales with the thread: at norm 1e-9 a non-Hermitian
+    # thread is refused and an exactly Hermitian one keeps its verdict
+    tower = make_tower("matrix-doubling:2")
+    with pytest.raises(HermitianError):
+        inductive_positive(tower, tower.thread(1, 1e-9 * np.array([[0, 1], [0, 0]])))
+    assert inductive_positive(tower, tower.thread(1, 1e-9 * np.array([[0, 1], [1, 0]])))
+    assert not inductive_positive(tower, tower.thread(1, np.diag([1.0, -1e-3])))
+
+
 # -- pairing ------------------------------------------------------------------------
 
 def test_pairing_unit_state(doubling3):
@@ -694,20 +709,34 @@ def test_verify_gamma(doubling3):
     assert report["passed"], report
 
 
+def _drifted_pulls(monkeypatch):
+    # the sweeps' stacked pullbacks, every stage below the deepest off by
+    # 1e-6 in every entry; the adjoint itself stays exact
+    exact = towers_module._pull_stack
+
+    def drifted(t, top):
+        stages = exact(t, top)
+        return [f + 1e-6 for f in stages[:-1]] + stages[-1:]
+
+    monkeypatch.setattr(towers_module, "_pull_stack", drifted)
+
+
 def test_verify_gamma_detects_pairing_drift(monkeypatch):
-    # a pullback off by 1e-6 breaks every pulled-back thread; the
-    # compatibility check of verify_gamma must see the drift, as pairing does
-    tower = make_tower("matrix-doubling:3")
-    exact = Embedding.pullback
-
-    def perturbed(self, f):
-        g = exact(self, f)
-        return Functional(g.system, g.riesz + 1e-6 * np.ones_like(g.riesz))
-
-    monkeypatch.setattr(Embedding, "pullback", perturbed)
+    # pulled-back stacks off by 1e-6 break every thread; the compatibility
+    # check of verify_gamma must see the drift, as pairing does
+    _drifted_pulls(monkeypatch)
     # the compatibility check fires first, before any per-thread pairing
     with pytest.raises(InconsistentThreadError, match="adjoint compatibility"):
-        verify_gamma(tower, samples=2, max_level=2, rng=np.random.default_rng(11))
+        verify_gamma(make_tower("matrix-doubling:3"), samples=2, max_level=2,
+                     rng=np.random.default_rng(11))
+
+
+def test_verify_dual_cones_detects_pairing_drift(monkeypatch):
+    # the positive pairs check no compatibility; their pairing constancy
+    # must see a drifted pull
+    _drifted_pulls(monkeypatch)
+    with pytest.raises(InconsistentThreadError, match="pairing drifts"):
+        verify_dual_cones(make_tower("matrix-doubling:3"), 10, rng=np.random.default_rng(11))
 
 
 def test_verify_gamma_on_a_proper_top_stage():
@@ -764,6 +793,51 @@ def test_verify_gamma_redraws_non_psd_data_found_cp(monkeypatch):
     assert len(top_calls) == 3  # two non-PSD samples, the first one redrawn
 
 
+def _pauli_json_tower():
+    # pauli-span included in full:2, given as JSON coefficients
+    p, full = named_system("pauli-span"), named_system("full:2")
+    coeffs = full.stack_coords(p.basis).T
+    return make_tower({"systems": ["pauli-span", "full:2"],
+                       "embeddings": [{"matrix_on_basis": la.encode_matrix(coeffs)}]})
+
+
+@pytest.mark.parametrize("spec, next_random, unit_radius", [
+    ("matrix-doubling:4", 0.6232548428564991, 4.829804400474221),
+    ("corner:5", 0.8356691935787134, 2.8243471783034075),
+    ("pauli-json", 0.3984275899638341, 1.1868396006357238),
+])
+def test_sweeps_use_the_generator_as_drawn_one_by_one(spec, next_random, unit_radius):
+    # stacking changes no draw: on one generator the two sweeps leave it
+    # where one-by-one draws did, with the same reports (golden values
+    # recorded before the sweeps stacked their samples)
+    tower = _pauli_json_tower() if spec == "pauli-json" else make_tower(spec)
+    rng = np.random.default_rng(5)
+    cones = verify_dual_cones(tower, 10, rng=rng)
+    gamma = verify_gamma(tower, 5, 2, rng=rng)
+    assert rng.random() == next_random
+    assert cones == {"passed": True, "positive_pairs": {"count": 10, "violations": 0},
+                     "separating_states": {"failures": 0},
+                     "negative_witnesses": {"failures": 0}}
+    assert gamma["passed"] is True and gamma["failures"] == []
+    assert gamma["unit_radii"] == [pytest.approx(unit_radius, rel=1e-9)]
+
+
+@pytest.mark.parametrize("name", ["doubling3", "pauli_chain"])
+def test_sweep_reports_do_not_depend_on_the_stack_size(name, request, monkeypatch):
+    # stacks of one sample each (a budget below one matrix) give the same
+    # reports and leave the generator in the same state
+    tower = _pauli_chain() if name == "pauli_chain" else request.getfixturevalue(name)
+
+    def sweeps():
+        rng = np.random.default_rng(23)
+        reports = (verify_dual_cones(tower, 12, rng=rng), verify_gamma(tower, 7, 2, rng=rng))
+        return reports, rng.random()
+
+    stacked = sweeps()
+    monkeypatch.setattr(towers_module, "_STACK_BYTES", 1)
+    assert sweeps() == stacked
+
+
 def test_gamma_on_corner_tower(corner4):
     report = verify_gamma(corner4, samples=6, max_level=2,
                           rng=np.random.default_rng(12))
@@ -785,7 +859,7 @@ def test_stage1_pairings_do_not_separate(doubling3):
     thread = pullback_thread(doubling3, f_top)
     e1 = [doubling3.thread(1, b) for b in doubling3.stage(1).basis]
     assert max(abs(pairing(e, thread)) for e in e1) <= 1e-12
-    assert thread.norm_sup > 0.5  # nonzero thread
+    assert max(f.norm for f in thread.entries) > 0.5  # nonzero thread
     # while the stage-3 basis threads do separate it
     e3 = [doubling3.thread(3, b) for b in top.basis]
     assert max(abs(pairing(e, thread)) for e in e3) > 0.5
