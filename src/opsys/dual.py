@@ -33,10 +33,14 @@ full algebra the Choi matrix decides directly.
 Dual order-unit radii, the smallest r with r (I_n (x) delta) - g CP, take
 the same solve at every level n (Charnes-Cooper: r = max <G, X> over X in
 M_n(S)+ with <I_n (x) delta, X> = 1), or a generalized eigenvalue on the
-full algebra.  Like a CP verdict, the solve stops at its first iterate
-whose evidence re-checks, here a radius certified within one module
-precision, 1e-6; a bisection over certified lower bounds to the same
-precision is only the fallback when no iterate's evidence does.  The
+full algebra.  That ambient eigenvalue, from one Cholesky factor of delta
+applied block by block, bounds the radius on M_n(S) from above and is the
+radius when its top eigenprojector lies in M_n(S); the solve's start point
+tries it, so such a radius takes no Newton step.  Like a CP verdict, the
+solve stops at its first point whose evidence re-checks, here a radius
+certified within one module precision, 1e-6; a bisection over certified
+lower bounds to the same precision is only the fallback when no point's
+evidence does.  The
 sweeps that check the trace state to be an Archimedean matrix order unit
 of S' with these radii and verdicts live in :mod:`opsys.suites`.
 """
@@ -56,6 +60,7 @@ from .systems import (
     OperatorSystem,
     _domination_radii,
     _require_member,
+    _unit_congruence,
     cone_member,
     from_blocks,
     level_of,
@@ -579,16 +584,26 @@ def series_state(states) -> Functional:
 _DUAL_RADIUS_PRECISION = 1e-6
 
 
-def _radius(system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float) -> float | None:
+def _radius(
+    system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float, congruence
+) -> float | None:
     """Smallest r >= 0 with r D - G positive on M_n(S)+ (D = I_n (x) Re
     delta, G the Choi matrix of g) over a proper subsystem, or ``None`` when
     its evidence does not re-check: one kernel solve with C = -G and N = D,
-    stopped at the first iterate whose r = max(0, -t) is certified within
+    stopped at the first point whose r is certified within
     ``_DUAL_RADIUS_PRECISION``.  r stands only when r D - G - K certifies
     r D - G >= -tol and the lifted primal point x lies in M_n(S)+ with
-    <G, x>/<D, x> >= r - ``_DUAL_RADIUS_PRECISION``.  Inside the solve an
-    iterate is passed over without those eigensolves when its raw primal
-    point does not close the bracket yet, or when <W, x> < -tol tr x for
+    <G, x>/<D, x> >= r - ``_DUAL_RADIUS_PRECISION``.
+
+    The start point tries two candidates before any Newton step: r = 0, and
+    the ambient radius r0 = lambda_max(L^-1 G L^-*) for D = L L^* (the
+    :func:`_unit_congruence` of delta, ``None`` for a singular delta) with
+    K = 0 and x the top generalized eigenprojector.  r0 bounds the radius on
+    M_n(S) from above and equals it when that projector lies in M_n(S);
+    otherwise its lifted point leaves the bracket open, which is checked
+    before the eigensolve of the lower bound.  Each iterate r = max(0, -t)
+    is passed over without those eigensolves when its raw primal point does
+    not close the bracket yet, or when <W, x> < -tol tr x for
     W = r D - G - K, which forces lambda_min(W) < -tol since x is PSD; the
     last iterate (converged, capped or broken down) is checked in full."""
 
@@ -610,7 +625,29 @@ def _radius(system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float) 
         x = _lift(system, x)
         return r if closes(x, r) and cone_member(system, x, tol) else None
 
-    solve = _section_sdp(system, -gm, dm, certify=certify)
+    def ambient():
+        if congruence is None:
+            return None
+        w, u = la.spectral_decompose(congruence(gm))
+        r = max(0.0, float(w[0]))
+        x = _lift(system, congruence(np.outer(u[:, 0], u[:, 0].conj()), adjoint=True))
+        if not (closes(x, r) and cone_member(system, x, tol)):
+            return None
+        c = r * dm - gm
+        return r if _lower_bound(system, c, c) >= -tol else None
+
+    at_start = True
+
+    def first_certified(x, k, t):
+        # the kernel's first call is its start point
+        nonlocal at_start
+        r = certify(x, k, t)
+        if r is None and at_start:
+            r = ambient()
+        at_start = False
+        return r
+
+    solve = _section_sdp(system, -gm, dm, certify=first_certified)
     if solve.stop == "certified":
         return solve.evidence
     return certify(solve.x, solve.k, solve.t, gate=False)
@@ -633,7 +670,10 @@ def dual_order_unit_radius(
     For a Hermitian delta, the Riesz matrix G of g goes to the primal
     radius routine on the full algebra, which factors Re delta once and
     builds no Kronecker product at any level, and with D = I_n (x) Re delta
-    to one kernel solve (:func:`_radius`) on M_n(S).  Kernel evidence that
+    to one kernel solve (:func:`_radius`) on M_n(S), whose start point
+    tries the same factor's ambient radius; a radius whose top generalized
+    eigenprojector lies in M_n(S) is certified there, at 0 Newton steps,
+    and a singular Re delta skips that candidate.  Kernel evidence that
     fails (a non-faithful delta, a breakdown) bisects: each probe is the
     :func:`cp_verdict` of r (I_n (x) delta) - g, which passes only on a
     witness that re-checks, so a breakdown costs tightness, never
@@ -668,7 +708,7 @@ def dual_order_unit_radius(
 
     if not hermitian:
         return 0.0 if dominated(0.0) else None
-    r = _radius(system, dm, gm, tol)
+    r = _radius(system, dm, gm, tol, _unit_congruence(unit))
     if r is not None:
         return r if r <= r_max else None
     _SDP_COUNTS["bisection_fallbacks"] += 1

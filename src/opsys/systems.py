@@ -449,31 +449,46 @@ def cone_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> bool:
     return la.lambda_min(m) >= -tol
 
 
-def _domination_radii(e, tol: float, r_max: float, precision: float):
-    """The map X -> smallest r >= 0 with r (I_n (x) E) - X PSD (E a PSD
-    level-1 unit, X Hermitian at any level n), or ``None`` above r_max; a
-    (k, n d, n d) stack of X maps to the list of their k radii.  E is
-    factored once for every X and level: for a positive definite E the
-    radius is max(0, lambda_max(Y)) with the blocks Y_ij = L^-1 X_ij L^-*,
-    L = chol(E), one batched eigensolve per stack, and no I_n (x) E is
-    built; a singular E bisects to ``precision`` on
-    lambda_min(r (I_n (x) E) - X) >= -tol."""
-    check_search_bounds(r_max, precision)
+def _unit_congruence(e):
+    """The congruence by the inverse Cholesky factor of a level-1 unit
+    E = L L^*, at every level n: a (..., n d, n d) stack of Hermitian X maps
+    to (I_n (x) L^-1) X (I_n (x) L^-*), or with ``adjoint=True`` to
+    (I_n (x) L^-*) X (I_n (x) L^-1), block by block with no I_n (x) E built
+    (Hermitian parts).  E is factored once for every X and level; ``None``
+    when E is not positive definite."""
     d = len(e)
     try:
         li = np.linalg.inv(np.linalg.cholesky(e))
     except np.linalg.LinAlgError:
-        li = None
+        return None
+
+    def congruence(xs: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        a = li.conj().T if adjoint else li
+        n = xs.shape[-1] // d
+        blocks = xs.reshape(-1, n, d, n, d).transpose(0, 1, 3, 2, 4)
+        y = (a @ blocks @ a.conj().T).transpose(0, 1, 3, 2, 4).reshape(xs.shape)
+        return (y + y.conj().swapaxes(-1, -2)) / 2.0
+
+    return congruence
+
+
+def _domination_radii(e, tol: float, r_max: float, precision: float):
+    """The map X -> smallest r >= 0 with r (I_n (x) E) - X PSD (E a PSD
+    level-1 unit, X Hermitian at any level n), or ``None`` above r_max; a
+    (k, n d, n d) stack of X maps to the list of their k radii.  For a
+    positive definite E the radius is max(0, lambda_max(Y)) with Y the
+    :func:`_unit_congruence` of X, one batched eigensolve per stack; a
+    singular E bisects to ``precision`` on
+    lambda_min(r (I_n (x) E) - X) >= -tol."""
+    check_search_bounds(r_max, precision)
+    congruence = _unit_congruence(e)
 
     def radii(xs: np.ndarray) -> list:
-        n = xs.shape[-1] // d
-        if li is None:
-            lifted = np.kron(np.eye(n), e)
+        if congruence is None:
+            lifted = np.kron(np.eye(xs.shape[-1] // len(e)), e)
             return [smallest_passing(lambda r, x=x: la.lambda_min(r * lifted - x) >= -tol,
                                      r_max, precision) for x in xs]
-        blocks = xs.reshape(-1, n, d, n, d).transpose(0, 1, 3, 2, 4)
-        y = (li @ blocks @ li.conj().T).transpose(0, 1, 3, 2, 4).reshape(-1, n * d, n * d)
-        top = np.linalg.eigvalsh((y + y.conj().swapaxes(1, 2)) / 2.0)[:, -1]
+        top = np.linalg.eigvalsh(congruence(xs))[:, -1]
         return [r if r <= r_max else None for r in (max(0.0, t) for t in top.tolist())]
 
     def radius(x):

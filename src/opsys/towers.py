@@ -470,22 +470,26 @@ def _pull_stack(t: Tower, top: np.ndarray) -> list:
     return stages[::-1]
 
 
-def _check_compatible(t: Tower, stages: list) -> None:
+def _check_compatible(t: Tower, stages: list) -> list:
     """f_{k+1} o phi_k = f_k entrywise on the basis of each stage k < K, for
     every thread of the stage stacks [F_1, ..., F_K], relative to
     ``_COMPAT_TOL``; InconsistentThreadError names the first broken stage of
     the first broken thread.  The adjoint is recomputed here, not taken from
     the threads' own pullbacks, so a stored entry that drifted from it is
-    seen."""
+    seen.  Returns the basis values f_k(b) of stages 1..K-1 that it
+    compared."""
     broken = np.zeros((len(stages[0]), len(t.embeddings)), dtype=bool)
+    values = []
     for k, emb in enumerate(t.embeddings):
         lhs = emb.source.level_values(emb._pulled_riesz(stages[k + 1]))
         rhs = emb.source.level_values(stages[k])
+        values.append(rhs)
         broken[:, k] = np.any(np.abs(lhs - rhs) > _COMPAT_TOL * np.maximum(1.0, np.abs(rhs)),
                               axis=(1, 2))
     if broken.any():
         stage = np.argwhere(broken)[0, 1] + 1
         raise InconsistentThreadError(f"adjoint compatibility broken at stage {stage}")
+    return values
 
 
 def _norm_sups(stages: list) -> np.ndarray:
@@ -731,9 +735,8 @@ def verify_gamma(
     basis_pairings, norms = [], []
     for chunk in _chunked(hermitian_tops(), top.d):
         stages = _pull_stack(t, top.project_level(np.stack(chunk)))
-        _check_compatible(t, stages)
-        basis_pairings.append(np.max([np.abs(s.level_values(f)).max(axis=(1, 2))
-                                      for s, f in zip(t.systems, stages)], axis=0))
+        values = _check_compatible(t, stages) + [top.level_values(stages[-1])]
+        basis_pairings.append(np.max([np.abs(v).max(axis=(1, 2)) for v in values], axis=0))
         norms.append(_norm_sups(stages))
     pi, sup = np.concatenate(basis_pairings), np.concatenate(norms)
     if pi[0] > 1e-12 or sup[0] > 1e-12:

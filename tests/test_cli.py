@@ -254,16 +254,22 @@ def test_choi_effros_command(capsys):
 
 
 def test_choi_effros_reports_kernel_counts(capsys):
-    argv = ["dual", "choi-effros", "--system", "pauli-span", "--seed", "3",
-            "--levels", "2", "--samples", "2", "--json"]
-    code, report = run_json(capsys, argv)
-    assert code == EXIT_OK
-    unit = next(c for c in report["checks"] if c["name"] == "dual/choi-effros/order-unit")
-    counts = unit["evidence"]["kernel"]
-    assert counts["solves"] >= 3 and counts["iterations"] >= counts["solves"]
-    assert counts["bisection_fallbacks"] == 0
-    # counts, never times: the evidence is byte-stable
-    assert run_json(capsys, argv)[1]["checks"] == report["checks"]
+    for system in ("pauli-span", "toeplitz:3"):
+        argv = ["dual", "choi-effros", "--system", system, "--seed", "3",
+                "--levels", "2", "--samples", "2", "--json"]
+        code, report = run_json(capsys, argv)
+        assert code == EXIT_OK
+        unit = next(c for c in report["checks"] if c["name"] == "dual/choi-effros/order-unit")
+        counts = unit["evidence"]["kernel"]
+        assert counts["solves"] >= 3
+        if system == "pauli-span":
+            # every radius is the ambient one, certified at the start point
+            assert counts["iterations"] == 0 and counts["certified"] == counts["solves"]
+        else:
+            assert counts["iterations"] >= counts["solves"]
+        assert counts["bisection_fallbacks"] == 0
+        # counts, never times: the evidence is byte-stable
+        assert run_json(capsys, argv)[1]["checks"] == report["checks"]
 
 
 def test_choi_effros_runs_the_suite_checks_on_a_full_algebra(capsys):

@@ -664,8 +664,10 @@ def test_kernel_radius_evidence_rechecks_by_hand(name):
     # convergence and re-checked by hand: W = r D - G - K (D = I_n (x)
     # delta, G = I_n (x) g) is PSD and pairs like r D - G with M_n(S), and
     # the lifted primal point lies in M_n(S)+ and closes the bracket to
-    # precision.  The radius itself stops at the first iterate that
-    # certifies, so it lies within the precision above the converged r.
+    # precision.  The radius itself stops at the first point that
+    # certifies, so it lies within the precision above the converged r, and
+    # no further below it than that solve's own duality gap: the ambient
+    # radius that the start point tries is exact where it certifies.
     # The levels run inside one test so the test ids stay those of the
     # level-1 version.
     import opsys.dual as dual_module
@@ -701,7 +703,7 @@ def test_kernel_radius_evidence_rechecks_by_hand(name):
                 ratio = np.trace(gm @ x).real / np.trace(dm @ x).real
                 assert max(0.0, ratio) >= r - precision
                 radius = dual_order_unit_radius(delta, g, level)
-                assert r <= radius <= r + dual_module._DUAL_RADIUS_PRECISION
+                assert r - abs(upper - lower) <= radius <= r + precision
 
 
 def test_radius_fallback_probes_stop_at_certificates():
@@ -732,10 +734,11 @@ def test_radius_fallback_probes_stop_at_certificates():
 def test_radius_sweep_stops_at_its_first_certificate():
     # 64 radii (pauli-span, toeplitz:3/4, diag:3, seeds 31-34, trace and
     # series states, levels 2-3), each one solve stopped at its first
-    # iterate that certifies r within the precision: no cap, no breakdown
-    # and no bisection, each radius within [r_conv, r_conv + precision] of
-    # its solve run to convergence, and fewer Newton steps than those
-    # converged solves take.  Run to convergence with Z^-1 from a separate
+    # point that certifies r within the precision: no cap, no breakdown
+    # and no bisection, each radius within [r_conv - gap, r_conv +
+    # precision] of its solve run to convergence (gap that solve's own
+    # duality gap), and fewer Newton steps than those converged solves
+    # take.  Run to convergence with Z^-1 from a separate
     # inverse, 3 of these solves used to break down.
     import opsys.dual as dual_module
 
@@ -756,15 +759,130 @@ def test_radius_sweep_stops_at_its_first_certificate():
                     assert solve.stop == "converged"
                     converged_steps += solve.iterations
                     r_conv = max(0.0, -solve.t)
+                    gap = abs(np.vdot(-gm, solve.x).real - solve.t)
+                    assert gap <= 1e-8 * max(1.0, r_conv)
                     before = dual_module.kernel_counts()
                     r = dual_order_unit_radius(delta, g)
                     for key, value in dual_module.kernel_counts(since=before).items():
                         totals[key] += value
-                    assert r_conv <= r <= r_conv + precision
+                    assert r_conv - gap <= r <= r_conv + precision
                     radii += 1
     assert radii == totals["solves"] == totals["certified"] == 64
     assert totals["cap_hits"] == totals["breakdowns"] == totals["bisection_fallbacks"] == 0
     assert totals["iterations"] < converged_steps
+
+
+def _ambient_radius(dm, gm):
+    """max(0, lambda_max of D^-1 G): the radius on the full algebra, read off
+    the eigenvalues of D^-1 G instead of a Cholesky congruence."""
+    return max(0.0, float(np.linalg.eigvals(np.linalg.solve(dm, gm)).real.max()))
+
+
+def _radius_cases(s, seed, levels):
+    """(delta, g, D, G) for trace and series states and random Hermitian g
+    at each level, two per state and level."""
+    rng = np.random.default_rng(seed)
+    for delta in _trace_and_series_states(s, rng):
+        for n in levels:
+            for _ in range(2):
+                g = MatrixFunctional(s, la.hermitian_part(rng.standard_normal((n * s.d,) * 2)))
+                dm = np.kron(np.eye(n), la.hermitian_part(delta.riesz))
+                yield delta, g, dm, la.hermitian_part(g.riesz)
+
+
+@pytest.mark.parametrize("name", ["diag:3", "pauli-span"])
+def test_ambient_radius_is_certified_at_the_start(name):
+    # the top generalized eigenprojector of (G, D) lies in M_n(S) here (at
+    # every level on diag:3, at level 1 on pauli-span), so the ambient
+    # radius is the radius: the start point certifies it with no Newton
+    # step, and it is the exact ambient value
+    import opsys.dual as dual_module
+
+    s = named_system(name)
+    for delta, g, dm, gm in _radius_cases(s, 41, (1, 2, 3) if name == "diag:3" else (1,)):
+        before = dual_module.kernel_counts()
+        r = dual_order_unit_radius(delta, g)
+        counts = dual_module.kernel_counts(since=before)
+        assert counts["solves"] == counts["certified"] == 1
+        assert counts["iterations"] == 0
+        assert r == pytest.approx(_ambient_radius(dm, gm), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["toeplitz:3", "toeplitz:4", "random"])
+def test_radius_falls_through_to_the_solve(name):
+    # here the ambient eigenprojector leaves M_n(S): the ambient radius lies
+    # above the radius, its lifted point does not close the bracket, and
+    # each radius iterates to a point that certifies, inside the bracket of
+    # its solve run to convergence
+    import opsys.dual as dual_module
+
+    precision = dual_module._DUAL_RADIUS_PRECISION
+    rng = np.random.default_rng(42)
+    s = random_system(rng, d=4, generators=2) if name == "random" else named_system(name)
+    for delta, g, dm, gm in _radius_cases(s, 43, (1, 2)):
+        solve = dual_module._section_sdp(s, -gm, dm)
+        assert solve.stop == "converged"
+        r_conv = max(0.0, -solve.t)
+        gap = abs(np.vdot(-gm, solve.x).real - solve.t)
+        if r_conv == 0.0:  # G <= 0: the start point's r = 0 decides
+            continue
+        assert _ambient_radius(dm, gm) > r_conv + precision
+        before = dual_module.kernel_counts()
+        r = dual_order_unit_radius(delta, g)
+        counts = dual_module.kernel_counts(since=before)
+        assert counts["solves"] == counts["certified"] == 1
+        assert counts["iterations"] > 0
+        assert r_conv - gap <= r <= r_conv + precision
+
+
+def test_understated_ambient_radius_is_never_accepted(monkeypatch):
+    # an ambient radius scaled by 1 - 1e-5 still closes the bracket at its
+    # own eigenprojector, but r D - G is then not PSD: the lower bound
+    # refuses it, the solve iterates, and the radius stays the exact one
+    import opsys.dual as dual_module
+
+    real = dual_module._unit_congruence
+
+    def understated(e):
+        congruence = real(e)
+
+        def scaled(xs, adjoint=False):
+            return congruence(xs, adjoint) * (1.0 if adjoint else 1.0 - 1e-5)
+
+        return scaled
+
+    monkeypatch.setattr(dual_module, "_unit_congruence", understated)
+    for name, levels in (("diag:3", (1, 2, 3)), ("pauli-span", (1,))):
+        s = named_system(name)
+        for delta, g, dm, gm in _radius_cases(s, 41, levels):
+            exact = _ambient_radius(dm, gm)
+            if exact < 0.5:  # 1e-5 of it must exceed the precision
+                continue
+            before = dual_module.kernel_counts()
+            r = dual_order_unit_radius(delta, g)
+            counts = dual_module.kernel_counts(since=before)
+            assert counts["iterations"] > 0
+            assert exact - 1e-8 <= r <= exact + dual_module._DUAL_RADIUS_PRECISION
+
+
+def test_singular_delta_skips_the_ambient_radius_and_bisects():
+    # (I + X)/2 on span{I, X} has no Cholesky factor, so the start point has
+    # no ambient candidate; diag(1, 0) on diag:2 projects to diag(1, 2e-16),
+    # whose ambient radius of about 5e15 fails its lower bound.  Either way
+    # the radius bisects as before, and none exists for the complementary
+    # state
+    import opsys.dual as dual_module
+    from opsys.systems import _unit_congruence
+
+    span = make_operator_system([PAULI_X], 2)
+    diag = named_system("diag:2")
+    cases = [(Functional(span, (np.eye(2) + PAULI_X) / 2), Functional(span, (np.eye(2) - PAULI_X) / 2)),
+             (Functional(diag, np.diag([1.0, 0.0])), Functional(diag, np.diag([0.0, 1.0])))]
+    assert _unit_congruence(la.hermitian_part(cases[0][0].riesz)) is None
+    for delta, g in cases:
+        before = dual_module.kernel_counts()
+        assert dual_order_unit_radius(delta, g, r_max=1e4) is None
+        assert dual_module.kernel_counts(since=before)["bisection_fallbacks"] == 1
 
 
 def test_kernel_converges_within_twenty_steps():
@@ -1262,22 +1380,27 @@ def test_equivalences_full_m2():
 
 def test_equivalences_report_kernel_counts():
     # each check counts its section-kernel work; counts are deterministic
-    s = named_system("pauli-span")
-
     def checks(system):
         rng = np.random.default_rng(27)
         return (_order_unit_check(system, "unit", 3, 2, rng),
                 _archimedean_check(system, "arch", 3, rng))
 
-    first, second = checks(s), checks(s)
-    for a, b in zip(first, second):
-        assert a.status == "pass" and a.to_json() == b.to_json()
-    counts = first[0].evidence["kernel"]
-    assert set(counts) == {"solves", "iterations", "certified", "breakdowns",
-                           "cap_hits", "bisection_fallbacks"}
-    # one solve per radius, of g and of -g, for each sampled functional
-    assert counts["solves"] >= 6
-    assert counts["iterations"] >= counts["solves"]
+    for name in ("pauli-span", "toeplitz:3"):
+        s = named_system(name)
+        first, second = checks(s), checks(s)
+        for a, b in zip(first, second):
+            assert a.status == "pass" and a.to_json() == b.to_json()
+        counts = first[0].evidence["kernel"]
+        assert set(counts) == {"solves", "iterations", "certified", "breakdowns",
+                               "cap_hits", "bisection_fallbacks"}
+        # one solve per radius, of g and of -g, for each sampled functional
+        assert counts["solves"] >= 6
+        if name == "pauli-span":
+            # every level-1 radius is the ambient one, certified at the start
+            assert counts["iterations"] == 0
+            assert counts["certified"] == counts["solves"]
+        else:
+            assert counts["iterations"] >= counts["solves"]
     # on the full algebra radii and verdicts are eigenvalue closed forms
     for check in checks(named_system("full:2")):
         assert check.evidence["kernel"]["solves"] == 0
