@@ -1,42 +1,34 @@
-"""Shared one-dimensional search helpers (threshold bisection)."""
+"""Shared one-dimensional search helpers (threshold bisection).
+
+The bracket belongs to the numerics, not to the caller: every search starts
+at r = 1 and gives up at ``_RADIUS_MAX``, the one cap that the primal and
+dual order-unit radii share, closed-form radii included.
+"""
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .errors import ValidationError
+#: Largest order-unit radius searched for, primal and dual; above it nothing
+#: is dominated.  Far below 2^52 times either radius precision, so the
+#: bisection's bracket can always close to its precision.
+_RADIUS_MAX = 1e6
 
 
-def check_search_bounds(r_max: float, precision: float) -> None:
-    """Reject an r_max or precision that is not positive and finite: a zero
-    precision bisects forever, and NaN or infinity break the comparisons."""
-    if not (0.0 < r_max < float("inf") and 0.0 < precision < float("inf")):
-        raise ValidationError(
-            f"r_max {r_max} and precision {precision} must be positive and finite"
-        )
-
-
-def smallest_passing(
-    predicate: Callable[[float], bool],
-    r_max: float,
-    precision: float,
-    r_start: float = 1.0,
-) -> float | None:
+def smallest_passing(predicate: Callable[[float], bool], precision: float) -> float | None:
     """Smallest ``r >= 0`` with ``predicate(r)`` true, assuming monotonicity.
 
-    Exponential search for an upper bracket starting at ``r_start`` (or at
-    ``r_max``, when that is smaller), its last probe clamped to ``r_max``,
-    then bisection down to ``precision``.  Returns ``None`` when no
-    ``r <= r_max`` passes; see :func:`check_search_bounds`.
+    Exponential search for an upper bracket from r = 1, its last probe
+    clamped to ``_RADIUS_MAX``, then bisection down to ``precision``.
+    Returns ``None`` when no ``r <= _RADIUS_MAX`` passes.
     """
-    check_search_bounds(r_max, precision)
     if predicate(0.0):
         return 0.0
-    lo, hi = 0.0, min(max(r_start, precision), r_max)
+    lo, hi = 0.0, min(1.0, _RADIUS_MAX)
     while not predicate(hi):
-        if hi >= r_max:
+        if hi >= _RADIUS_MAX:
             return None
-        lo, hi = hi, min(2.0 * hi, r_max)
+        lo, hi = hi, min(2.0 * hi, _RADIUS_MAX)
     while hi - lo > precision:
         mid = 0.5 * (lo + hi)
         if predicate(mid):

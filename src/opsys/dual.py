@@ -52,7 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg as la
-from ._search import check_search_bounds, smallest_passing
+from . import _search
+from ._search import smallest_passing
 from .errors import DimensionError, ValidationError
 from .feasibility import FeasibilityProblem, FeasibilityVerdict, _check_tol
 from .systems import (
@@ -142,9 +143,6 @@ class MatrixFunctional:
     def _like(self, riesz: np.ndarray):
         return type(self)(self.system, riesz, _canonical=True)
 
-    def is_hermitian(self, tol: float = 1e-8) -> bool:
-        return la.is_hermitian(self.riesz, tol)
-
     def __add__(self, other: "MatrixFunctional"):
         self._compatible(other)
         return self._like(self.riesz + other.riesz)
@@ -184,12 +182,6 @@ class Functional(MatrixFunctional):
     def __call__(self, x) -> complex:
         """trace(F x) for x in S; raises MembershipError otherwise."""
         return self.pair(_require_member(self.system, x))
-
-    @property
-    def norm(self) -> float:
-        """Trace norm of the canonical matrix: an upper bound for the dual
-        norm, exact on the full algebra."""
-        return la.trace_norm(self.riesz)
 
 
 # ----------------------------------------------------------------------------
@@ -423,7 +415,7 @@ def is_positive_functional(f: Functional, tol: float = DEFAULT_TOL) -> bool | No
     finite raises ValidationError.
     """
     _check_tol(tol)
-    if not f.is_hermitian(max(tol, 1e-9)):
+    if not la.is_hermitian(f.riesz, max(tol, 1e-9)):
         return False
     system = f.system
     if system.is_full:
@@ -657,8 +649,6 @@ def dual_order_unit_radius(
     delta: Functional,
     g,
     level: int | None = None,
-    *,
-    r_max: float = 1e6,
 ) -> float | None:
     """Smallest r >= 0 such that r * (I_n (x) delta) - g is positive, at
     positivity tolerance ``DEFAULT_TOL``.
@@ -682,9 +672,9 @@ def dual_order_unit_radius(
     r = 0 decides.  Radii are closed forms on the full algebra and, on a
     proper subsystem, certified within ``_DUAL_RADIUS_PRECISION`` (1e-6) at
     the first closing iterate, or bisected to it.  Returns ``None`` when no
-    r <= r_max works.
+    r up to the search cap (``_search._RADIUS_MAX``, 1e6) works, whichever
+    way the radius is found; the bisection brackets it from r = 1.
     """
-    check_search_bounds(r_max, _DUAL_RADIUS_PRECISION)
     if not la._is_hermitian(g.riesz):
         raise ValidationError("g must be a Hermitian functional or matrix functional")
     system, tol = delta.system, DEFAULT_TOL
@@ -699,7 +689,7 @@ def dual_order_unit_radius(
     unit = la.hermitian_part(delta.riesz)
     hermitian = la._is_hermitian(delta.riesz)
     if hermitian and system.is_full:
-        return _domination_radii(unit, tol, r_max, _DUAL_RADIUS_PRECISION)(gm)
+        return _domination_radii(unit, tol, _DUAL_RADIUS_PRECISION)(gm)
     dm = np.kron(np.eye(n), unit) if n > 1 else unit
 
     def dominated(r: float) -> bool:
@@ -710,10 +700,9 @@ def dual_order_unit_radius(
         return 0.0 if dominated(0.0) else None
     r = _radius(system, dm, gm, tol, _unit_congruence(unit))
     if r is not None:
-        return r if r <= r_max else None
+        return r if r <= _search._RADIUS_MAX else None
     _SDP_COUNTS["bisection_fallbacks"] += 1
-    r_start = max(1.0, la.trace_norm(delta.riesz))
-    return smallest_passing(dominated, r_max, _DUAL_RADIUS_PRECISION, r_start=r_start)
+    return smallest_passing(dominated, _DUAL_RADIUS_PRECISION)
 
 
 # ----------------------------------------------------------------------------

@@ -28,7 +28,6 @@ __all__ = [
     "lambda_max",
     "project_psd",
     "op_norm",
-    "trace_norm",
     "frobenius",
     "orthonormalize",
     "identity",
@@ -142,12 +141,6 @@ def op_norm(a) -> float:
     grams = np.stack([hermitian_part(m.conj().T @ m), hermitian_part(m @ m.conj().T)])
     top = np.linalg.eigvalsh(grams)[:, -1].max()
     return float(np.ldexp(np.sqrt(max(top, 0.0)), e))
-
-
-def trace_norm(a) -> float:
-    """Nuclear norm (sum of singular values); the dual of the operator norm."""
-    m = as_matrix(a)
-    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def frobenius(a) -> float:

@@ -318,7 +318,7 @@ def suite_choi_effros(seed: int, *, samples: int = 20, levels: int = 3) -> list[
     diag2 = named_system("diag:2")
     nonfaithful = Functional(diag2, np.diag([1.0, 0.0]).astype(complex))
     complement = Functional(diag2, np.diag([0.0, 1.0]).astype(complex))
-    r = dual_order_unit_radius(nonfaithful, complement, 1, r_max=1e4)
+    r = dual_order_unit_radius(nonfaithful, complement, 1)
     checks.append(Check(
         name="choi-effros/non-faithful-counterexample",
         op="dual.dual_order_unit_radius",

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from ._search import check_search_bounds, smallest_passing
+from . import _search
+from ._search import smallest_passing
 from .errors import DimensionError, HermitianError, MembershipError, ParseError, ValidationError
 
 __all__ = [
@@ -49,9 +50,6 @@ _GS_RANK_TOL = 1e-9
 
 #: Bisection precision of an order-unit radius over a singular unit.
 _RADIUS_PRECISION = 1e-8
-
-#: Largest order-unit radius searched for; above it x is not dominated.
-_RADIUS_MAX = 1e6
 
 #: Fixed seed for the deterministic Hermitian sampling in
 #: :func:`is_matrix_order_unit` when the caller does not inject a generator.
@@ -449,13 +447,29 @@ def cone_member(system: OperatorSystem, x, tol: float = DEFAULT_TOL) -> bool:
     return la.lambda_min(m) >= -tol
 
 
+def _kraus_sum(left: np.ndarray, right: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """sum_r (I_n (x) left_r) x_t (I_n (x) right_r) for every x_t of a stack
+    x of shape (s, n q, n q), left of shape (r, p, q) and right of shape
+    (r, q, p), shape (s, n p, n p): every block row of every x_t times every
+    left_r by one batched product, then every result times its own right_r
+    by another.  The Kraus index is a batch axis of both products, so no
+    cross term left_r x right_u is ever formed.  A tower's maps, their
+    amplifications, adjoints and basis images, and the congruence of
+    :func:`_unit_congruence` (one Kraus operator) all run through here; one
+    element is a stack of one."""
+    r, p, q = left.shape
+    rows = left[:, None] @ x.reshape(1, -1, q, n * q)
+    return (rows.reshape(r, -1, q) @ right).sum(0).reshape(-1, n * p, n * p)
+
+
 def _unit_congruence(e):
     """The congruence by the inverse Cholesky factor of a level-1 unit
     E = L L^*, at every level n: a (..., n d, n d) stack of Hermitian X maps
     to (I_n (x) L^-1) X (I_n (x) L^-*), or with ``adjoint=True`` to
-    (I_n (x) L^-*) X (I_n (x) L^-1), block by block with no I_n (x) E built
-    (Hermitian parts).  E is factored once for every X and level; ``None``
-    when E is not positive definite."""
+    (I_n (x) L^-*) X (I_n (x) L^-1), by :func:`_kraus_sum` with the one
+    Kraus operator L^-1 (or L^-*), so no I_n (x) E is built (Hermitian
+    parts).  E is factored once for every X and level; ``None`` when E is
+    not positive definite."""
     d = len(e)
     try:
         li = np.linalg.inv(np.linalg.cholesky(e))
@@ -464,32 +478,31 @@ def _unit_congruence(e):
 
     def congruence(xs: np.ndarray, adjoint: bool = False) -> np.ndarray:
         a = li.conj().T if adjoint else li
-        n = xs.shape[-1] // d
-        blocks = xs.reshape(-1, n, d, n, d).transpose(0, 1, 3, 2, 4)
-        y = (a @ blocks @ a.conj().T).transpose(0, 1, 3, 2, 4).reshape(xs.shape)
+        y = _kraus_sum(a[None], a.conj().T[None], xs, xs.shape[-1] // d).reshape(xs.shape)
         return (y + y.conj().swapaxes(-1, -2)) / 2.0
 
     return congruence
 
 
-def _domination_radii(e, tol: float, r_max: float, precision: float):
+def _domination_radii(e, tol: float, precision: float):
     """The map X -> smallest r >= 0 with r (I_n (x) E) - X PSD (E a PSD
-    level-1 unit, X Hermitian at any level n), or ``None`` above r_max; a
+    level-1 unit, X Hermitian at any level n), or ``None`` above the search
+    cap ``_search._RADIUS_MAX``, closed form or bisected alike; a
     (k, n d, n d) stack of X maps to the list of their k radii.  For a
     positive definite E the radius is max(0, lambda_max(Y)) with Y the
     :func:`_unit_congruence` of X, one batched eigensolve per stack; a
     singular E bisects to ``precision`` on
     lambda_min(r (I_n (x) E) - X) >= -tol."""
-    check_search_bounds(r_max, precision)
     congruence = _unit_congruence(e)
 
     def radii(xs: np.ndarray) -> list:
         if congruence is None:
             lifted = np.kron(np.eye(xs.shape[-1] // len(e)), e)
             return [smallest_passing(lambda r, x=x: la.lambda_min(r * lifted - x) >= -tol,
-                                     r_max, precision) for x in xs]
+                                     precision) for x in xs]
         top = np.linalg.eigvalsh(congruence(xs))[:, -1]
-        return [r if r <= r_max else None for r in (max(0.0, t) for t in top.tolist())]
+        cap = _search._RADIUS_MAX
+        return [r if r <= cap else None for r in (max(0.0, t) for t in top.tolist())]
 
     def radius(x):
         x = np.asarray(x)
@@ -513,8 +526,8 @@ def order_unit_radius_level(system: OperatorSystem, e, x) -> float | None:
 
     :func:`_domination_radii` of e, at x, at tolerance ``DEFAULT_TOL``:
     exact for a positive definite e, from its Cholesky factor applied block
-    by block, with no I_n (x) e built; ``None`` means no r <= ``_RADIUS_MAX``
-    dominates x.
+    by block, with no I_n (x) e built; ``None`` means no r up to the search
+    cap (``_search._RADIUS_MAX``, 1e6) dominates x.
     """
     tol = DEFAULT_TOL
     em = _checked_unit(system, e, tol)
@@ -524,7 +537,7 @@ def order_unit_radius_level(system: OperatorSystem, e, x) -> float | None:
         raise HermitianError("order_unit_radius_level requires Hermitian x")
     if not subspace_member(system, xm, tol):
         return None
-    return _domination_radii(em, tol, _RADIUS_MAX, _RADIUS_PRECISION)(la.hermitian_part(xm))
+    return _domination_radii(em, tol, _RADIUS_PRECISION)(la.hermitian_part(xm))
 
 
 @dataclass
@@ -598,7 +611,7 @@ def is_matrix_order_unit(
             counterexample=ce,
             counterexample_level=1,
         )
-    radius = _domination_radii(em, tol, _RADIUS_MAX, _RADIUS_PRECISION)
+    radius = _domination_radii(em, tol, _RADIUS_PRECISION)
     radii: dict[int, list] = {}
     for n in range(1, max_level + 1):
         # drawn in M_n(S)_h, so no sample needs the checks of order_unit_radius_level

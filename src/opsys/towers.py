@@ -25,7 +25,8 @@ is certified CP by its Choi matrix, and order reflecting by the Choi
 matrix of its inverse on the span of the images.
 
 Every map of the tower acts on a stack of elements, one Kraus kernel
-(:func:`_kraus_sum`) for every embedding held by Kraus operators.  A
+(:func:`opsys.systems._kraus_sum`, which also applies an order unit's
+Cholesky congruence) for every embedding held by Kraus operators.  A
 single thread is a stack of one; the verification sweeps pull back, push
 up, check compatibility and pair their sampled threads as one stack per
 stage, at most ``_STACK_BYTES`` of deepest-stage matrices at a time, and
@@ -64,6 +65,7 @@ from .errors import (
 from .systems import (
     OperatorSystem,
     _check_counts,
+    _kraus_sum,
     cone_member,
     from_blocks,
     level_of,
@@ -95,20 +97,6 @@ _SMEAR = 1e-6
 #: Bytes of deepest-stage matrices that the sweeps stack at once; a deeper
 #: tower takes more, smaller stacks, not more memory.
 _STACK_BYTES = 1 << 20
-
-
-def _kraus_sum(left: np.ndarray, right: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """sum_r (I_n (x) left_r) x_t (I_n (x) right_r) for every x_t of a stack
-    x of shape (s, n q, n q), left of shape (r, p, q) and right of shape
-    (r, q, p), shape (s, n p, n p): every block row of every x_t times every
-    left_r by one batched product, then every result times its own right_r
-    by another.  The Kraus index is a batch axis of both products, so no
-    cross term left_r x right_u is ever formed.  The map, its amplifications,
-    its adjoint and the basis images all run through here; one element is a
-    stack of one."""
-    r, p, q = left.shape
-    rows = left[:, None] @ x.reshape(1, -1, q, n * q)
-    return (rows.reshape(r, -1, q) @ right).sum(0).reshape(-1, n * p, n * p)
 
 
 class Embedding:

@@ -214,7 +214,8 @@ def test_criterion_7_duality_tower():
     for f_top in samples_d:
         f = pullback_thread(tower, f_top)
         pi = max(abs(pairing(e, f)) for e in basis_threads)
-        norm = max(g.norm for g in f.entries)  # the thread norm sup_k ||f_k||
+        # the thread norm sup_k ||f_k||, trace norms of the Riesz matrices
+        norm = max(np.linalg.norm(g.riesz, "nuc") for g in f.entries)
         if pi <= 1e-9:
             ok_d &= norm <= 1e-8
         else:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opsys import linalg as la
-from opsys._search import check_search_bounds
+from opsys import _search
 from opsys.dual import (
     Functional,
     MatrixFunctional,
@@ -628,7 +628,7 @@ def test_radius_none_for_non_faithful():
     s = named_system("diag:2")
     vec_state = Functional(s, np.diag([1.0, 0.0]).astype(complex))
     complement = Functional(s, np.diag([0.0, 1.0]).astype(complex))
-    r = dual_order_unit_radius(vec_state, complement, 1, r_max=1e4)
+    r = dual_order_unit_radius(vec_state, complement, 1)
     assert r is None
 
 
@@ -881,7 +881,7 @@ def test_singular_delta_skips_the_ambient_radius_and_bisects():
     assert _unit_congruence(la.hermitian_part(cases[0][0].riesz)) is None
     for delta, g in cases:
         before = dual_module.kernel_counts()
-        assert dual_order_unit_radius(delta, g, r_max=1e4) is None
+        assert dual_order_unit_radius(delta, g) is None
         assert dual_module.kernel_counts(since=before)["bisection_fallbacks"] == 1
 
 
@@ -1132,18 +1132,20 @@ def test_kernel_radius_needs_its_evidence(monkeypatch, fault):
 def test_radius_none_for_non_faithful_proper_subsystem():
     # delta = (I + X)/2 on span{I, X} vanishes on (I - X)/2 in S+, which g
     # sees: no radius exists, the kernel cannot certify one, and the
-    # bisection runs out at r_max
+    # bisection runs out at the search cap
     import opsys.dual as dual_module
 
     s = make_operator_system([PAULI_X], 2)
     delta = Functional(s, (np.eye(2) + PAULI_X) / 2)
     g = Functional(s, (np.eye(2) - PAULI_X) / 2)
     before = dual_module.kernel_counts()
-    assert dual_order_unit_radius(delta, g, 1, r_max=1e3) is None
+    assert dual_order_unit_radius(delta, g, 1) is None
     assert dual_module.kernel_counts(since=before)["bisection_fallbacks"] == 1
 
 
-def test_radius_beyond_r_max_is_none():
+def test_radius_beyond_r_max_is_none(monkeypatch):
+    # the closed form (full:3) and the kernel radius (toeplitz:3) answer
+    # None above the one search cap
     rng = np.random.default_rng(24)
     for name in ("full:3", "toeplitz:3"):
         s = named_system(name)
@@ -1151,8 +1153,11 @@ def test_radius_beyond_r_max_is_none():
         g = random_positive_functional(s, rng)
         r = dual_order_unit_radius(delta, g, 1)
         assert r > 0.5
-        assert dual_order_unit_radius(delta, g, 1, r_max=0.5 * r) is None
-        assert dual_order_unit_radius(delta, g, 1, r_max=2 * r) == r
+        monkeypatch.setattr(_search, "_RADIUS_MAX", 0.5 * r)
+        assert dual_order_unit_radius(delta, g, 1) is None
+        monkeypatch.setattr(_search, "_RADIUS_MAX", 2 * r)
+        assert dual_order_unit_radius(delta, g, 1) == r
+        monkeypatch.undo()
 
 
 def test_full_algebra_radii_skip_the_kernel(monkeypatch):
@@ -1188,43 +1193,34 @@ def test_full_algebra_radius_of_a_singular_delta():
     assert dual_order_unit_radius(delta, complement, 1) is None
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-def test_radius_rejects_bad_precision_and_r_max(bad):
-    # the precision is a module constant; the shared bound check that
-    # dual_order_unit_radius runs rejects a bad one as it does a bad r_max
-    s = named_system("toeplitz:3")
-    delta = faithful_state(s)
-    g = random_hermitian_functional(s, np.random.default_rng(26))
-    with pytest.raises(ValidationError):
-        check_search_bounds(1e6, bad)
-    for level in (1, 2):
-        with pytest.raises(ValidationError):
-            dual_order_unit_radius(delta, g, level, r_max=bad)
-
-
-def test_radius_above_r_max_is_none_when_the_first_probe_passes():
+def test_radius_above_r_max_is_none_when_the_first_probe_passes(monkeypatch):
     # delta = diag(1, 0) has no Cholesky factor, so the radius bisects from
-    # r_start = 1; that first probe passes for g = diag(0.7, 0), and the
-    # search used to return 0.7 for an r_max of 0.5
+    # r = 1; that first probe passes for g = diag(0.7, 0), and the search
+    # used to return 0.7 under a cap of 0.5
     s = named_system("full:2")
     delta = Functional(s, np.diag([1.0, 0.0]).astype(complex))
     g = Functional(s, np.diag([0.7, 0.0]).astype(complex))
-    assert dual_order_unit_radius(delta, g, 1, r_max=0.5) is None
-    r = dual_order_unit_radius(delta, g, 1, r_max=0.8)
-    assert r == pytest.approx(0.7, abs=1e-6) and r <= 0.8
-    assert dual_order_unit_radius(delta, g, 1) == dual_order_unit_radius(delta, g, 1, r_max=2.0)
+    r = dual_order_unit_radius(delta, g, 1)
+    monkeypatch.setattr(_search, "_RADIUS_MAX", 0.5)
+    assert dual_order_unit_radius(delta, g, 1) is None
+    monkeypatch.setattr(_search, "_RADIUS_MAX", 0.8)
+    assert dual_order_unit_radius(delta, g, 1) == pytest.approx(0.7, abs=1e-6)
+    monkeypatch.setattr(_search, "_RADIUS_MAX", 2.0)
+    assert dual_order_unit_radius(delta, g, 1) == r <= 2.0
 
 
-def test_radius_bracket_search_reaches_r_max():
-    # delta = diag(1, 0) bisects from r_start = 1, which fails for
-    # g = diag(1.2, 0); the doubled probe 2 lies past r_max = 1.5, and the
-    # search used to return None there without probing r_max itself
+def test_radius_bracket_search_reaches_r_max(monkeypatch):
+    # delta = diag(1, 0) bisects from r = 1, which fails for g = diag(1.2, 0);
+    # the doubled probe 2 lies past a cap of 1.5, and the search used to
+    # return None there without probing the cap itself
     s = named_system("full:2")
     delta = Functional(s, np.diag([1.0, 0.0]).astype(complex))
     g = Functional(s, np.diag([1.2, 0.0]).astype(complex))
-    r = dual_order_unit_radius(delta, g, 1, r_max=1.5)
+    monkeypatch.setattr(_search, "_RADIUS_MAX", 1.5)
+    r = dual_order_unit_radius(delta, g, 1)
     assert r == pytest.approx(1.2, abs=1e-6) and r <= 1.5
-    assert dual_order_unit_radius(delta, g, 1, r_max=1.1) is None
+    monkeypatch.setattr(_search, "_RADIUS_MAX", 1.1)
+    assert dual_order_unit_radius(delta, g, 1) is None
 
 
 def test_radius_level_2_agrees_with_level_1():
@@ -1275,11 +1271,11 @@ def test_radius_of_non_hermitian_delta(level):
 
     s = named_system("pauli-span")
     delta = Functional(s, np.eye(2) + 1j * PAULI_X)
-    assert not delta.is_hermitian()
+    assert not la.is_hermitian(delta.riesz, 1e-8)
     negative = Functional(s, -(np.eye(2) + 0.5 * PAULI_X))
     for g, radius in ((negative, 0.0), (-1.0 * negative, None)):
         before = dual_module.kernel_counts()
-        assert dual_order_unit_radius(delta, g, level, r_max=1e3) == radius
+        assert dual_order_unit_radius(delta, g, level) == radius
         counts = dual_module.kernel_counts(since=before)
         assert counts["solves"] == 1 and counts["bisection_fallbacks"] == 0
 
@@ -1357,7 +1353,7 @@ def test_wittstock_decomposition():
         grid[0][1] = off
         grid[1][0] = Functional(s, off.riesz.conj().T)
         h = MatrixFunctional.from_grid(grid)
-        assert h.is_hermitian()
+        assert la.is_hermitian(h.riesz, 1e-8)
         r = dual_order_unit_radius(delta, h)
         lifted = MatrixFunctional.diag(delta, 2)
         q = (r + 0.05) * lifted

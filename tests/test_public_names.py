@@ -7,9 +7,12 @@ package and ``perfbench/``) reads it somewhere: a name or attribute load
 in the syntax tree, which leaves out its own ``def``/``class`` line, its
 ``__all__`` entry (a string) and import lines.  A method is read only
 through an attribute load (``obj.name``), so a parameter, a local or a
-class-body alias of the same name does not stand in for it.  That read
-names no class, so a method name that more than one public class defines
-is pinned with its classes in ``SHARED_METHODS``.
+class-body alias of the same name does not stand in for it, and neither
+does an attribute of numpy (``np.linalg.norm`` reads no ``norm``).  That
+read names no class, so a method name that more than one public class
+defines is pinned with its classes in ``SHARED_METHODS``.  The optional
+parameters of the public functions and methods are counted and pinned in
+``OPTIONAL_PARAMETERS``.
 """
 
 import ast
@@ -43,22 +46,41 @@ def _public_names():
     return sorted(names)
 
 
-def _public_methods():
-    """(module, class, method) for each function defined in the body of a
+def _public_functions():
+    """(module, class, def node) for each function in its module's
+    ``__all__`` (class ``None``) and each function defined in the body of a
     class in its module's ``__all__`` whose name has no leading underscore."""
     for path in sorted(PACKAGE.glob("*.py")):
         exported = set(_exports(path))
         for node in _tree(path).body:
-            if isinstance(node, ast.ClassDef) and node.name in exported:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                yield path.stem, None, node
+            elif isinstance(node, ast.ClassDef) and node.name in exported:
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield path.stem, node.name, item.name
+                        yield path.stem, node.name, item
+
+
+def _public_methods():
+    """(module, class, method) for each public method of a public class."""
+    for module, cls, fn in _public_functions():
+        if cls is not None:
+            yield module, cls, fn.name
+
+
+def _chain_root(node):
+    """The object that an attribute chain ``a.b.c`` starts at: ``a``."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
 
 
 def _attribute_reads(tree):
-    """Attributes that a syntax tree loads: ``name`` of each ``obj.name``."""
+    """Attributes that a syntax tree loads: ``name`` of each ``obj.name``
+    whose chain does not start at numpy."""
     return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and getattr(_chain_root(node), "id", None) not in ("np", "numpy")}
 
 
 def _reads(tree):
@@ -105,9 +127,11 @@ def test_shared_method_names_are_pinned():
     ("def dead():\n    pass\n__all__ = ['dead']\n", "dead"),
     ("from x import dead\n", "dead"),
     ("class C:\n    def dead(self):\n        pass\n", "dead"),
+    ("x = np.linalg.dead(1)\n", "dead"),
 ])
 def test_definitions_imports_and_exports_are_not_reads(source, name):
-    # the guard must not count the lines that only declare a name
+    # the guard must not count the lines that only declare a name, nor an
+    # attribute of numpy (np.linalg.norm is no read of a method named norm)
     assert name not in _reads(ast.parse(source))
     assert name in _reads(ast.parse(source + f"{name}()\n"))
 
@@ -120,3 +144,26 @@ def test_a_method_is_read_only_as_an_attribute():
     assert "grid" in _reads(ast.parse(source))
     assert "grid" not in _attribute_reads(ast.parse(source))
     assert "grid" in _attribute_reads(ast.parse(source + "C().grid()\n"))
+
+
+#: Optional parameters (those with a default, positional or keyword-only)
+#: of every function in a module's ``__all__`` and every public method of a
+#: class in an ``__all__``, leaving out parameters with a leading
+#: underscore; constructors and record fields are not counted.  An option
+#: added or removed changes it, and this pin with it.
+OPTIONAL_PARAMETERS = 24
+
+
+def _optional_parameters(fn):
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_optional_parameters_are_pinned():
+    # the rule sees both kinds of default, and skips private parameters
+    assert _optional_parameters(ast.parse("def f(a, b=1, *, c, d=2, _e=3): pass").body[0]) == ["b", "d"]
+    count = sum(len(_optional_parameters(fn)) for _, _, fn in _public_functions())
+    assert count == OPTIONAL_PARAMETERS

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opsys import linalg as la
+from opsys import _search
 from opsys._search import smallest_passing
 from opsys.errors import DimensionError, HermitianError, ValidationError
 from opsys.norms import max_order_norm
@@ -388,45 +389,38 @@ def test_radius_hermitian_test_is_relative():
     assert order_unit_radius_level(s, np.eye(2), 1e-9 * PAULI_X) == pytest.approx(1e-9, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-def test_radius_rejects_bad_precision_and_r_max(bad):
-    # a NaN bound used to return 1.0 instead of 0.7; both bounds are module
-    # constants of order_unit_radius_level, checked by the shared routine
-    s = named_system("full:2")
-    x = np.diag([0.3, 0.7]).astype(complex)
-    for r_max, precision in ((bad, 1e-8), (1e6, bad)):
-        with pytest.raises(ValidationError):
-            _domination_radii(np.eye(2), 1e-8, r_max, precision)(x)
-    assert order_unit_radius_level(s, np.eye(2), x) == pytest.approx(0.7, abs=1e-8)
-
-
-def test_radius_above_r_max_is_none_when_the_first_probe_passes():
+def test_radius_above_r_max_is_none_when_the_first_probe_passes(monkeypatch):
     # a singular unit bisects from r = 1, which already dominates
-    # diag(0.7, 0); the search used to return 0.7 for an r_max of 0.5
+    # diag(0.7, 0); the search used to return 0.7 under a cap of 0.5
     e = np.diag([1.0, 0.0]).astype(complex)
     x = np.diag([0.7, 0.0]).astype(complex)
-    assert _domination_radii(e, 1e-8, 0.5, 1e-8)(x) is None
-    assert _domination_radii(e, 1e-8, 0.8, 1e-8)(x) == pytest.approx(0.7, abs=1e-8)
-    assert smallest_passing(lambda r: r >= 0.7, 0.5, 1e-8, r_start=2.0) is None
-    r = smallest_passing(lambda r: r >= 0.7, 0.8, 1e-8, r_start=2.0)
+    r = smallest_passing(lambda r: r >= 0.7, 1e-8)
     assert 0.7 <= r <= 0.7 + 1e-8
-    # from an r_start <= r_max the probes, and so the result, are unchanged
-    assert smallest_passing(lambda r: r >= 0.7, 1e6, 1e-8) == smallest_passing(
-        lambda r: r >= 0.7, 8.0, 1e-8)
+    monkeypatch.setattr(_search, "_RADIUS_MAX", 0.5)
+    assert _domination_radii(e, 1e-8, 1e-8)(x) is None
+    assert smallest_passing(lambda r: r >= 0.7, 1e-8) is None
+    monkeypatch.setattr(_search, "_RADIUS_MAX", 0.8)
+    assert _domination_radii(e, 1e-8, 1e-8)(x) == pytest.approx(0.7, abs=1e-8)
+    # a cap that no probe reaches leaves the probes, and so the result,
+    # unchanged
+    monkeypatch.setattr(_search, "_RADIUS_MAX", 8.0)
+    assert smallest_passing(lambda r: r >= 0.7, 1e-8) == r
 
 
-def test_bracket_search_probes_r_max_once_before_giving_up():
+def test_bracket_search_probes_r_max_once_before_giving_up(monkeypatch):
     probes = []
 
     def passes(r):
         probes.append(r)
         return r >= 1.2
 
-    # the doubled probe 2 overshoots r_max = 1.5 and is clamped to it
-    r = smallest_passing(passes, 1.5, 1e-8)
+    # the doubled probe 2 overshoots a cap of 1.5 and is clamped to it
+    monkeypatch.setattr(_search, "_RADIUS_MAX", 1.5)
+    r = smallest_passing(passes, 1e-8)
     assert probes[:3] == [0.0, 1.0, 1.5] and 1.2 <= r <= 1.2 + 1e-8
     probes.clear()
-    assert smallest_passing(passes, 1.1, 1e-8) is None
+    monkeypatch.setattr(_search, "_RADIUS_MAX", 1.1)
+    assert smallest_passing(passes, 1e-8) is None
     assert probes == [0.0, 1.0, 1.1]
 
 

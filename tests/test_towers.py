@@ -423,13 +423,14 @@ def test_thread_norm_sup_of_a_directly_built_thread(doubling3):
         doubling3.stage(3), rng))).entries for _ in range(3)]
     stages = [np.stack([entries[k].riesz for entries in threads]) for k in range(3)]
     sups = towers_module._norm_sups(stages)
-    assert sups.tolist() == [max(f.norm for f in entries) for entries in threads]
+    assert sups.tolist() == [max(np.linalg.norm(f.riesz, "nuc") for f in entries)
+                             for entries in threads]
     assert sups[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_functional_thread(doubling3):
     thread = pullback_thread(doubling3, Functional.zero(doubling3.stage(3)))
-    assert max(f.norm for f in thread.entries) == 0.0
+    assert max(np.linalg.norm(f.riesz, "nuc") for f in thread.entries) == 0.0
     e = doubling3.thread(1, doubling3.stage(1).unit)
     assert pairing(e, thread) == 0
 
@@ -859,7 +860,7 @@ def test_stage1_pairings_do_not_separate(doubling3):
     thread = pullback_thread(doubling3, f_top)
     e1 = [doubling3.thread(1, b) for b in doubling3.stage(1).basis]
     assert max(abs(pairing(e, thread)) for e in e1) <= 1e-12
-    assert max(f.norm for f in thread.entries) > 0.5  # nonzero thread
+    assert max(np.linalg.norm(f.riesz, "nuc") for f in thread.entries) > 0.5  # nonzero thread
     # while the stage-3 basis threads do separate it
     e3 = [doubling3.thread(3, b) for b in top.basis]
     assert max(abs(pairing(e, thread)) for e in e3) > 0.5
