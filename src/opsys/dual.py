@@ -17,8 +17,10 @@ with F modulo the orthogonal complement of S, which is the level-1 case of
 the CP test below.  Section minima take one interior-point solve of
 min <C, X> over X in S+ with <N, X> = 1, whose dual point certifies a lower
 bound through one eigenvalue and whose primal point, lifted into S+,
-attains an upper bound.  On the full algebra they have eigenvalue closed
-forms, which double as test oracles.
+attains an upper bound.  Its Newton steps start dual feasible, from
+Z = C - t0 N with t0 below the least generalized eigenvalue of (C, N).
+On the full algebra section minima have eigenvalue closed forms, which
+double as test oracles.
 
 A matrix functional [f_ij] is positive at level n exactly when the induced
 map x -> [f_ij(x)] into M_n is completely positive.  CP-extendability to
@@ -27,7 +29,8 @@ C^n (x) C^d whose pairing with M_n(S) reproduces F, that is, to
 min <C, X> >= 0 over X in M_n(S)+ with trace X = 1 for C = Re F.
 Since M_n(S) = M_n (x) S, the same interior-point kernel answers it at
 every level, with the complement of M_n(S)_h built blockwise; the solve
-stops at the first witness or Farkas certificate that re-checks.  On the
+stops at the first witness or Farkas certificate that re-checks, and lifts
+a primal point into M_n(S)+ only when that point could refute.  On the
 full algebra the Choi matrix decides directly.
 
 Dual order-unit radii, the smallest r with r (I_n (x) delta) - g CP, take
@@ -94,7 +97,7 @@ class MatrixFunctional:
     def __init__(self, system: OperatorSystem, riesz, *, _canonical: bool = False):
         self.system = system
         m = la.as_matrix(riesz)
-        self.n = level_of(system, m)
+        self.n = self._level_of(m)
         if not _canonical:
             if not np.isfinite(m).all():
                 raise ValidationError("Riesz matrix with a non-finite entry")
@@ -134,6 +137,9 @@ class MatrixFunctional:
         values = np.asarray(images).T.reshape(-1, system.dim)
         return cls(system, system.riesz_of_values(values), _canonical=True)
 
+    def _level_of(self, m: np.ndarray) -> int:
+        return level_of(self.system, m)
+
     def pair(self, x) -> complex:
         """trace(F x) without a membership check (internal fast path)."""
         return complex(np.einsum("ij,ji->", self.riesz, la.as_matrix(x)))
@@ -167,13 +173,12 @@ class MatrixFunctional:
 class Functional(MatrixFunctional):
     """An element of S': the level-1 case, with f(x) = trace(F x)."""
 
-    def __init__(self, system: OperatorSystem, riesz, *, _canonical: bool = False):
-        m = la.as_matrix(riesz)
-        if m.shape != (system.d, system.d):
+    def _level_of(self, m: np.ndarray) -> int:
+        if m.shape != (self.system.d, self.system.d):
             raise DimensionError(
-                f"riesz matrix of shape {m.shape} for a system in M_{system.d}"
+                f"riesz matrix of shape {m.shape} for a system in M_{self.system.d}"
             )
-        super().__init__(system, m, _canonical=_canonical)
+        return 1
 
     @classmethod
     def zero(cls, system: OperatorSystem) -> "Functional":
@@ -191,6 +196,10 @@ class Functional(MatrixFunctional):
 #: Newton-step cap, relative stopping tolerance (duality gap and residuals)
 #: and fraction of the step to the PSD boundary of the section kernel.
 _SDP_ITERS, _SDP_TOL, _SDP_STEP = 50, 1e-10, 0.98
+
+#: How far below the least generalized eigenvalue of (C, N) the dual start
+#: t0 lies, in units of their spread.
+_START_MARGIN = 0.3
 
 #: Running totals of the section kernel: counts only, so reports stay stable.
 _SDP_COUNTS = dict.fromkeys(
@@ -253,6 +262,18 @@ def _step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
     return _SDP_STEP / np.maximum(-lam, _SDP_STEP)
 
 
+def _dual_start(c: np.ndarray, n: np.ndarray, scale: float) -> float:
+    """t0 below lambda_min(L^-1 C L^-*) for N = L L^* by ``_START_MARGIN``
+    times the spread of those eigenvalues (at least 1e-3 ``scale``), so that
+    Z = C - t0 N is positive definite; NaN when N has no Cholesky factor."""
+    try:
+        li = np.linalg.inv(np.linalg.cholesky(n))
+        lam = np.linalg.eigvalsh(li @ c @ li.conj().T)
+    except np.linalg.LinAlgError:
+        return np.nan
+    return lam[0] - _START_MARGIN * max(lam[-1] - lam[0], 1e-3 * scale)
+
+
 def _tally(solve: _SectionSolve) -> _SectionSolve:
     """Add one solve to the running totals of :func:`kernel_counts`."""
     _SDP_COUNTS["solves"] += 1
@@ -278,7 +299,12 @@ def _section_sdp(
     ends the solve as "certified" and is returned as ``evidence``.  The
     start point is X = I / <N, I> with K = 0 and t = 0, so the first
     witness tried is C itself, and a solve it decides takes 0 steps and
-    builds no constraints.
+    builds no constraints.  The Newton steps then start dual feasible,
+    from t = t0 and Z = C - t0 N (:func:`_dual_start`), and keep
+    C - K - t N = Z to rounding; a unit N with no Cholesky factor (a
+    non-faithful delta) or a t0 that is not finite takes y = 0 and
+    Z = ||C||_F I instead.  The constraints are one real matrix, so the
+    pairings, A*(y) and the Schur matrix are real products.
     The optimum is often rank-deficient: a failed factorization ends the
     solve as "breakdown" with the last iterate, ``_SDP_ITERS`` steps as
     "cap"; neither raises, and callers re-check every point they use."""
@@ -290,21 +316,30 @@ def _section_sdp(
         evidence = certify(x, k0, 0.0)
         if evidence is not None:
             return _tally(_SectionSolve(x, k0, 0.0, 0, "certified", evidence))
-    a = np.concatenate([_level_basis(system.complement_basis, d // system.d), n[None]])
+    a = np.concatenate([_level_basis(system.complement_basis, d // system.d), n[None]],
+                       dtype=complex)
     k = len(a)
-    flat = a.reshape(k, -1)
+    # the constraints as one real matrix: Re <A_i, X> is a real dot product
+    # of the (re, im) views, and one product over the rows of a_rows applies
+    # every A_i to a matrix
+    flat, a_rows = a.reshape(k, -1).view(float), a.reshape(k * d, d)
     b = np.zeros(k)
     b[-1] = 1.0
 
     def pairings(x):
-        return (flat.conj() @ x.reshape(-1)).real
+        return flat @ x.reshape(-1).view(float)
 
     def combine(y):
-        return (y @ flat).reshape(d, d)
+        return (y @ flat).view(complex).reshape(d, d)
 
     scale = max(1.0, la.frobenius(c))
-    z = scale * np.eye(d, dtype=complex)
     y = np.zeros(k)
+    t0 = _dual_start(c, n, scale)
+    if np.isfinite(t0):
+        # dual feasible from the start: Z = C - A*(y) for y = (0, ..., 0, t0)
+        y[-1], z = t0, la.hermitian_part(c - t0 * n)
+    else:
+        z = scale * np.eye(d, dtype=complex)
     stop, it, evidence = "cap", 0, None
     try:
         for it in range(_SDP_ITERS + 1):
@@ -328,9 +363,11 @@ def _section_sdp(
             li = np.linalg.inv(np.linalg.cholesky(np.stack([x, z])))
             zi = li[1].conj().T @ li[1]
             mu = np.vdot(x, z).real / d
-            ax, azi = a @ x, a @ zi
-            # schur[i, j] = Re tr(A_i X A_j Z^-1)
-            schur = (ax.reshape(k, -1) @ azi.swapaxes(1, 2).reshape(k, -1).T).real
+            # schur[i, j] = Re tr(A_i X A_j Z^-1) = Re <(A_j Z^-1)^*, A_i X>
+            ax = (a_rows @ x).reshape(k, -1).view(float)
+            azi = (a_rows @ zi).reshape(k, d, d)
+            ziah = np.conjugate(azi.swapaxes(1, 2), order="C")
+            schur = ax @ ziah.reshape(k, -1).view(float).T
             xrz = x @ rd @ zi
 
             def direction(g):
@@ -477,7 +514,9 @@ def _choi_verdict(
     At the start point the witness is C itself, so a Choi matrix with
     lambda_min(C) >= -tol is feasible with ``iterations`` 0, as on a full
     algebra, and one with trace C < -10 tol sqrt(nd) is refuted by
-    Z = I / nd at 0 steps.  A solve that converges, breaks down or reaches
+    Z = I / nd at 0 steps.  A point x with <C, x> >= 0 and trace C >= 0
+    is not lifted: C lies in M_n(S), so <C, Z> is a convex combination of
+    <C, x> / trace x and trace C / nd and cannot refute.  A solve that converges, breaks down or reaches
     its cap with neither is "undecided".  ``gap`` is max(0, -lower bound)
     at the last dual point and ``iterations`` counts Newton steps."""
 
@@ -486,6 +525,9 @@ def _choi_verdict(
         lower = _lower_bound(system, choi, w)
         if lower >= -tol:
             return FeasibilityVerdict("feasible", w, max(0.0, -lower))
+        # lift(x) cannot refute then (see above)
+        if np.vdot(x, choi).real >= 0 and np.trace(choi).real >= 0:
+            return None
         z = _lift(system, x)
         if np.vdot(z, choi).real < -10 * tol * la.frobenius(z):
             return FeasibilityVerdict("infeasible", None, -lower, certificate=z)

@@ -380,14 +380,16 @@ def system_from_json(obj) -> OperatorSystem:
 # ----------------------------------------------------------------------------
 
 def level_of(system: OperatorSystem, x) -> int:
-    """Matrix level n of a flattened element of M_n(S)."""
-    m = la.as_matrix(x)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"level element must be square, got {m.shape}")
-    n, rem = divmod(m.shape[0], system.d)
+    """Matrix level n of a flattened element of M_n(S), read off its shape."""
+    shape = np.shape(x)
+    if len(shape) != 2:
+        raise DimensionError(f"expected a matrix, got ndim={len(shape)}")
+    if shape[0] != shape[1]:
+        raise DimensionError(f"level element must be square, got {shape}")
+    n, rem = divmod(shape[0], system.d)
     if rem or n < 1:
         raise DimensionError(
-            f"size {m.shape[0]} is not a multiple of ambient dimension {system.d}"
+            f"size {shape[0]} is not a multiple of ambient dimension {system.d}"
         )
     return n
 

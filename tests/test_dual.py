@@ -706,13 +706,15 @@ def test_kernel_radius_evidence_rechecks_by_hand(name):
                 assert r - abs(upper - lower) <= radius <= r + precision
 
 
-def test_radius_fallback_probes_stop_at_certificates():
-    # the one radius of a 160-radius sweep (pauli-span, toeplitz:3/4,
-    # diag:3, seeds 31-40, trace and series states, levels 2-3) whose kernel
-    # evidence does not re-check, so it bisects.  Each probe is the CP
-    # verdict of r (I_n (x) delta) - g, which stops at the first witness or
-    # certificate that checks; it used to run every solve to convergence
-    # (453 Newton steps, 3 cap stops, no certificate stop).
+def test_radius_fallback_probes_stop_at_certificates(monkeypatch):
+    # the bisection fallback, forced on the series-state level-3 radius of
+    # toeplitz:4 at seed 37 (the one radius of a 160-radius sweep over
+    # pauli-span, toeplitz:3/4 and diag:3, seeds 31-40, whose kernel evidence
+    # did not re-check before the kernel started dual feasible; it now
+    # certifies within the precision of the bisected value).  Each probe is
+    # the CP verdict of r (I_n (x) delta) - g, which stops at the first
+    # witness or certificate that checks; it used to run every solve to
+    # convergence (453 Newton steps, 3 cap stops, no certificate stop).
     import opsys.dual as dual_module
 
     s = named_system("toeplitz:4")
@@ -724,11 +726,16 @@ def test_radius_fallback_probes_stop_at_certificates():
             cases.append((delta, MatrixFunctional(s, g)))
     delta, g = cases[-1]  # the series state at level 3
     before = dual_module.kernel_counts()
+    kernel_r = dual_order_unit_radius(delta, g)
+    assert dual_module.kernel_counts(since=before)["bisection_fallbacks"] == 0
+    monkeypatch.setattr(dual_module, "_radius", lambda *args: None)
+    before = dual_module.kernel_counts()
     r = dual_order_unit_radius(delta, g)
     counts = dual_module.kernel_counts(since=before)
     assert counts["bisection_fallbacks"] == 1
     assert r == pytest.approx(11.758309364318848, abs=1e-9)
     assert counts["certified"] >= 25
+    assert abs(kernel_r - r) <= dual_module._DUAL_RADIUS_PRECISION
 
 
 def test_radius_sweep_stops_at_its_first_certificate():
@@ -901,6 +908,132 @@ def test_kernel_converges_within_twenty_steps():
                 g = random_hermitian_functional(s, rng)
                 solve = dual_module._section_sdp(s, -la.hermitian_part(g.riesz), dm)
                 assert solve.stop == "converged" and solve.iterations <= 20
+
+
+@pytest.mark.parametrize("name", ["toeplitz:3", "random"])
+def test_kernel_iterates_are_dual_feasible(name):
+    # the iteration starts from Z = C - t0 N, so every iterate that certify
+    # sees after the start point has C - K - t N PSD to rounding: radius
+    # solves (C = -G, N = I_n (x) delta for a series state) and CP solves
+    # (C the Choi matrix, N = I) at levels 1-3, run until they stop (on the
+    # random system a level-3 solve run past its certificates may end at a
+    # breakdown, as before)
+    import opsys.dual as dual_module
+
+    rng = np.random.default_rng(36)
+    s = random_system(rng, d=4, generators=2) if name == "random" else named_system(name)
+    delta = _trace_and_series_states(s, rng)[1]
+    for level in (1, 2, 3):
+        eye = np.eye(level)
+        g = la.hermitian_part(rng.standard_normal((level * s.d, level * s.d)))
+        gm = la.hermitian_part(MatrixFunctional(s, g).riesz)
+        problems = [(-gm, np.kron(eye, la.hermitian_part(delta.riesz))),
+                    (gm, np.eye(level * s.d))]
+        for c, n in problems:
+            points = []
+            solve = dual_module._section_sdp(
+                s, c, n, certify=lambda x, k, t: points.append((k, t)))
+            assert solve.iterations > 0 and len(points) == solve.iterations + 1
+            bound = 1e-10 * max(1.0, la.frobenius(c))
+            for k, t in points[1:]:
+                assert la.lambda_min(c - k - t * n) >= -bound
+
+
+def test_singular_unit_takes_the_fallback_start():
+    # a unit N with no Cholesky factor has no dual start t0, and the solve
+    # starts from y = 0, Z = ||C||_F I as before (the exactly singular
+    # (I + X)/2 on span{I, X} runs this way end to end in
+    # test_singular_delta_skips_the_ambient_radius_and_bisects).  diag(1, 0) and
+    # diag(1, 1e-12) on diag:2 project to diag(1, 2e-16) and diag(1, 1e-12),
+    # which factor, so their radius solves start from a t0 of order -1e12
+    # or below; either way no LinAlgError escapes, and the radii are those
+    # of the solver that always took the fallback start: none at level 1
+    # (g(e_22) > 0, so no r <= 1e6 works), after one bisection, and at
+    # level 2 a radius certified at the start point
+    import opsys.dual as dual_module
+
+    s = named_system("diag:2")
+    assert np.isnan(dual_module._dual_start(-np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), 1.0))
+    for eps in (0.0, 1e-12):
+        delta = Functional(s, np.diag([1.0, eps]))
+        rng = np.random.default_rng(5)
+        g1, g2 = (random_hermitian_functional(s, rng) for _ in range(2))
+        before = dual_module.kernel_counts()
+        assert dual_order_unit_radius(delta, g1, 1) is None
+        assert dual_module.kernel_counts(since=before)["bisection_fallbacks"] == 1
+        assert dual_order_unit_radius(delta, g2, 2) == pytest.approx(0.37437288536729546, abs=1e-12)
+
+
+def _count_lifts(monkeypatch):
+    import opsys.dual as dual_module
+
+    calls = []
+    real_lift = dual_module._lift
+
+    def lift(system, x):
+        calls.append(x)
+        return real_lift(system, x)
+
+    monkeypatch.setattr(dual_module, "_lift", lift)
+    return calls
+
+
+def test_cp_solve_lifts_only_when_it_can_refute(monkeypatch):
+    # a CP grid whose Choi matrix C is not PSD iterates, and each iterate x
+    # (PSD, in M_n(S) to rounding) has <C, x> >= 0, as has tr C: lift(x)
+    # then pairs with C as a convex combination of the two, so no iterate
+    # can refute, and none is lifted
+    import opsys.dual as dual_module
+
+    lifts = _count_lifts(monkeypatch)
+    real_sdp = dual_module._section_sdp
+    seen = []
+
+    def recording(system, c, n, *, certify):
+        return real_sdp(system, c, n,
+                        certify=lambda x, k, t: seen.append(np.vdot(x, c).real) or certify(x, k, t))
+
+    monkeypatch.setattr(dual_module, "_section_sdp", recording)
+    rng = np.random.default_rng(35)
+    stepped = 0
+    for name in ("pauli-span", "diag:3", "toeplitz:3"):
+        s = named_system(name)
+        for n in (2, 3):
+            side = n * s.d
+            a = rng.standard_normal((side, side // 2)) + 1j * rng.standard_normal((side, side // 2))
+            grid = MatrixFunctional.from_choi(s, a @ a.conj().T)
+            seen.clear()
+            verdict = cp_verdict(grid)
+            assert verdict.status == "feasible"
+            assert np.trace(grid.riesz).real >= 0 and min(seen) >= 0
+            stepped += verdict.iterations > 0
+    assert stepped == 3
+    assert lifts == []
+
+
+def test_refuted_grids_carry_certificates_that_recheck(monkeypatch):
+    # a grid pushed below zero at an explicit x in M_n(S)+ is refuted, and
+    # its certificate Z, the lifted primal point, re-checks: PSD, in M_n(S),
+    # <C, Z> < -10 tol ||Z||_F
+    tol = 1e-7
+    lifts = _count_lifts(monkeypatch)
+    rng = np.random.default_rng(38)
+    for name in ("pauli-span", "diag:3", "toeplitz:3"):
+        s = named_system(name)
+        for n in (2, 3):
+            side = n * s.d
+            a = rng.standard_normal((side, side // 2)) + 1j * rng.standard_normal((side, side // 2))
+            w = a @ a.conj().T + 0.02 * np.eye(side)
+            x = random_positive_element(s, rng, level=n)
+            t = (np.trace(x @ w).real + 2.0 * la.frobenius(x)) / np.trace(x @ x).real
+            grid = MatrixFunctional.from_choi(s, w - t * x)
+            choi = la.hermitian_part(grid.riesz)
+            verdict = cp_verdict(grid, tol)
+            assert verdict.status == "infeasible" and verdict.witness is None
+            z = verdict.certificate
+            assert subspace_member(s, z, 1e-10) and la.lambda_min(z) >= -1e-12
+            assert np.vdot(z, choi).real < -10 * tol * la.frobenius(z)
+    assert lifts
 
 
 def _barrier_section_minimum(f):
@@ -1304,7 +1437,7 @@ def test_radius_reads_the_level_off_a_grid():
     f = random_hermitian_functional(s, np.random.default_rng(1))
     g = MatrixFunctional.diag(f, 2)
     r = dual_order_unit_radius(delta, g)
-    assert r == pytest.approx(0.881556274689186, abs=1e-12)
+    assert r == pytest.approx(0.8815560345116684, abs=1e-12)
     assert dual_order_unit_radius(delta, g, 2) == r
     assert dual_order_unit_radius(delta, f) == dual_order_unit_radius(delta, f, 1)
     for level in (0, 1, 3):
