@@ -226,33 +226,6 @@ def kernel_counts(since: dict | None = None) -> dict:
     return {key: value - since[key] for key, value in _SDP_COUNTS.items()}
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron over the last two axes, broadcast over the leading ones."""
-    n, d = a.shape[-1], b.shape[-1]
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (n * d, n * d))
-
-
-def _level_basis(hb: np.ndarray, n: int) -> np.ndarray:
-    """kron(E, h) for E in the real-orthonormal basis of (M_n)_h and h in the
-    real-orthonormal Hermitian stack hb: a real-orthonormal basis of
-    (M_n)_h (x) span(hb), shape (n^2 len(hb), n d, n d).  Order: E_ii (x) h,
-    then for each i < j and each h, (E_ij + E_ji)/sqrt2 (x) h followed by
-    i (E_ij - E_ji)/sqrt2 (x) h.  At n = 1 that is hb itself."""
-    if n == 1:
-        return hb
-    eye = np.eye(n)
-    diag = _kron((eye[:, :, None] * eye[:, None, :])[:, None], hb[None])
-    i, j = np.triu_indices(n, 1)
-    e_ij = eye[i][:, :, None] * eye[j][:, None, :]
-    e_ji = e_ij.swapaxes(1, 2)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    pairs = np.stack([(e_ij + e_ji) * inv_sqrt2, (e_ij - e_ji) * 1j * inv_sqrt2], 1)
-    mixed = _kron(pairs[:, None], hb[None, :, None])
-    size = n * hb.shape[-1]
-    return np.concatenate([diag.reshape(-1, size, size), mixed.reshape(-1, size, size)])
-
-
 def _step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
     """``_SDP_STEP`` of each step from a positive definite m along dm to the
     boundary of the PSD cone, at most 1, over the leading axis, given
@@ -265,10 +238,15 @@ def _step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
 def _dual_start(c: np.ndarray, n: np.ndarray, scale: float) -> float:
     """t0 below lambda_min(L^-1 C L^-*) for N = L L^* by ``_START_MARGIN``
     times the spread of those eigenvalues (at least 1e-3 ``scale``), so that
-    Z = C - t0 N is positive definite; NaN when N has no Cholesky factor."""
+    Z = C - t0 N is positive definite; NaN when N has no Cholesky factor.
+    An identity N (every CP and positivity solve) is its own factor, so
+    those eigenvalues are C's, and it is neither factored nor inverted."""
     try:
-        li = np.linalg.inv(np.linalg.cholesky(n))
-        lam = np.linalg.eigvalsh(li @ c @ li.conj().T)
+        if np.array_equal(n, np.eye(len(n))):
+            lam = np.linalg.eigvalsh(c)
+        else:
+            li = np.linalg.inv(np.linalg.cholesky(n))
+            lam = np.linalg.eigvalsh(li @ c @ li.conj().T)
     except np.linalg.LinAlgError:
         return np.nan
     return lam[0] - _START_MARGIN * max(lam[-1] - lam[0], 1e-3 * scale)
@@ -299,7 +277,10 @@ def _section_sdp(
     ends the solve as "certified" and is returned as ``evidence``.  The
     start point is X = I / <N, I> with K = 0 and t = 0, so the first
     witness tried is C itself, and a solve it decides takes 0 steps and
-    builds no constraints.  The Newton steps then start dual feasible,
+    reads no constraints.  Any other solve reads the level-n complement
+    stack, which the system builds once per level and keeps
+    (:meth:`OperatorSystem._level_stack`; one over its byte budget is built
+    for the solve).  The Newton steps then start dual feasible,
     from t = t0 and Z = C - t0 N (:func:`_dual_start`), and keep
     C - K - t N = Z to rounding; a unit N with no Cholesky factor (a
     non-faithful delta) or a t0 that is not finite takes y = 0 and
@@ -316,7 +297,7 @@ def _section_sdp(
         evidence = certify(x, k0, 0.0)
         if evidence is not None:
             return _tally(_SectionSolve(x, k0, 0.0, 0, "certified", evidence))
-    a = np.concatenate([_level_basis(system.complement_basis, d // system.d), n[None]],
+    a = np.concatenate([system._level_stack("complement", d // system.d), n[None]],
                        dtype=complex)
     k = len(a)
     # the constraints as one real matrix: Re <A_i, X> is a real dot product
@@ -422,8 +403,12 @@ def _lower_bound(system: OperatorSystem, c: np.ndarray, w: np.ndarray) -> float:
     Hermitian W: lambda_min(W) minus the norm of P(W - C), with P the
     blockwise projection onto M_n(S).  For X in the section,
     <C, X> = <W, X> - <P(W - C), X> >= lambda_min(W) - ||P(W - C)|| ||X||_F,
-    and ||X||_F <= trace X = 1."""
-    return la.lambda_min(w) - float(np.linalg.norm(system.level_coords(w - c)))
+    and ||X||_F <= trace X = 1.  W = C (K = 0, as at every start point)
+    has nothing to project."""
+    off = w - c
+    if not off.any():
+        return la.lambda_min(w)
+    return la.lambda_min(w) - float(np.linalg.norm(system.level_coords(off)))
 
 
 def _refutes(f: Functional, z: np.ndarray, tol: float) -> bool:
@@ -471,9 +456,10 @@ def is_positive_functional(f: Functional, tol: float = DEFAULT_TOL) -> bool | No
 # ----------------------------------------------------------------------------
 
 def level_hermitian_basis(system: OperatorSystem, n: int) -> np.ndarray:
-    """Hermitian real-orthonormal basis of M_n(S)_h as flattened matrices,
-    shape (n^2 * dim, n*d, n*d)."""
-    return _level_basis(system.hermitian_basis, n)
+    """Hermitian real-orthonormal basis of M_n(S)_h, shape
+    (n^2 * dim, n*d, n*d): read-only, and kept on the system per level
+    unless it exceeds the system's byte budget."""
+    return system._level_stack("hermitian", n)
 
 
 def cp_choi_problem(mf: MatrixFunctional, tol: float = 1e-7) -> FeasibilityProblem:

@@ -9,7 +9,10 @@ affine-side iterates converges to the distance between the sets otherwise.
 The constraints must be real-orthonormal, Re trace(A_j A_k) = delta_jk,
 and the constructor refuses any other set: they are then the basis of
 span{A_k} that the affine projection runs over, with the b_k as their
-coordinates, and no Gram-Schmidt or least squares is needed.
+coordinates, and no Gram-Schmidt or least squares is needed.  The
+constructor stacks them as one real matrix for that check and keeps it,
+with whether I lies in their span, so a solve re-stacks nothing; a
+problem is immutable once checked, so neither can go stale.
 
 The solver serves explicit problems: the Choi problems of
 :func:`opsys.dual.cp_choi_problem`, which ``opsys dual check-cp
@@ -35,7 +38,7 @@ which callers surface rather than coerce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,15 +68,22 @@ def _check_tol(tol: float) -> None:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeasibilityProblem:
     """trace(A_k W) = b_k for real-orthonormal Hermitian A_k, real b_k,
-    with W >= 0 sought."""
+    with W >= 0 sought.  Immutable once checked: the constraints become a
+    tuple of read-only Hermitian matrices, and the real stack and the
+    identity test that Dykstra's affine step reads are derived from them
+    here, once."""
 
     dim: int
-    constraints: list  # of (Hermitian ndarray, float)
+    constraints: tuple  # of (Hermitian ndarray, float); any sequence is taken
     tol: float = 1e-7
     max_iter: int = 20000
+    # the checked constraints as one real (m, 2 dim^2) matrix of flat
+    # (re, im) views, and whether the identity lies in their span
+    _real: np.ndarray = field(init=False, repr=False, compare=False)
+    _has_unit: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -93,14 +103,21 @@ class FeasibilityProblem:
             b = float(b)
             if not (np.isfinite(m).all() and np.isfinite(b)):
                 raise ValidationError("constraint with a non-finite entry")
-            checked.append((la.hermitian_part(m), b))
-        self.constraints = checked
+            h = la.hermitian_part(m)
+            h.flags.writeable = False
+            checked.append((h, b))
         real = np.stack([a.reshape(-1) for a, _ in checked]).view(float)
         off = float(np.abs(real @ real.T - np.eye(len(checked))).max())
         if not off <= _ORTHONORMAL_ATOL:
             raise ValidationError(
                 f"constraints are not real-orthonormal: max |Gram - I| = {off:.1e}"
             )
+        real.flags.writeable = False
+        eye = np.eye(self.dim, dtype=complex)
+        off_span = la.frobenius(eye - _linear_part(real, eye))
+        object.__setattr__(self, "constraints", tuple(checked))
+        object.__setattr__(self, "_real", real)
+        object.__setattr__(self, "_has_unit", off_span <= _UNIT_RTOL * np.sqrt(self.dim))
 
     def to_json(self) -> dict:
         return {
@@ -141,13 +158,8 @@ class _AffineSpan:
 
     @classmethod
     def build(cls, problem: FeasibilityProblem) -> "_AffineSpan":
-        basis = np.stack([a.reshape(-1) for a, _ in problem.constraints]).view(float)
         rhs = np.array([b for _, b in problem.constraints])
-        span = cls(basis=basis, rhs=rhs, has_unit=False)
-        eye = np.eye(problem.dim, dtype=complex)
-        off = la.frobenius(eye - span.linear_part(eye))
-        span.has_unit = off <= _UNIT_RTOL * np.sqrt(problem.dim)
-        return span
+        return cls(basis=problem._real, rhs=rhs, has_unit=problem._has_unit)
 
     def project(self, w: np.ndarray) -> np.ndarray:
         # Re trace(B* W) is the real dot product of the (re, im) views
@@ -156,8 +168,14 @@ class _AffineSpan:
 
     def linear_part(self, w: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto span{A_k} itself."""
-        vals = self.basis @ np.ascontiguousarray(w).reshape(-1).view(float)
-        return (vals @ self.basis).view(complex).reshape(w.shape)
+        return _linear_part(self.basis, w)
+
+
+def _linear_part(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of w onto the span of the real-orthonormal rows
+    of ``basis``, flat (re, im) views of matrices of w's shape."""
+    vals = basis @ np.ascontiguousarray(w).reshape(-1).view(float)
+    return (vals @ basis).view(complex).reshape(w.shape)
 
 
 def _farkas_certificate(span: _AffineSpan, y, x, tol: float):

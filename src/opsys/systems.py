@@ -55,6 +55,13 @@ _RADIUS_PRECISION = 1e-8
 #: :func:`is_matrix_order_unit` when the caller does not inject a generator.
 _MOU_SAMPLE_SEED = 20240917
 
+#: A level stack (:meth:`OperatorSystem._level_stack`) of at most this many
+#: bytes is kept on its system; a larger one is built on every call.  Past
+#: 1 MiB a build is about 1% of a converged solve over it (0.3 of 28 ms on
+#: diag:3 at level 6), and since a stack grows as n^4 the stacks a system
+#: keeps stay within a few MiB.
+_LEVEL_STACK_BYTES = 1 << 20
+
 
 class OperatorSystem:
     """An adjoint-closed unital subspace of M_d with an orthonormal basis.
@@ -63,7 +70,9 @@ class OperatorSystem:
     passed in is kept, not copied, and made read-only (``full:d`` builds
     its basis only on demand, see :func:`named_system`).  Immutable after
     construction; all operations on it are pure functions, so instances are
-    safe to share across threads.
+    safe to share across threads.  The bases it derives (Hermitian,
+    complement, and their level stacks) are built on first use and kept
+    read-only.
     """
 
     def __init__(self, d: int, basis, name: str | None = None):
@@ -88,6 +97,7 @@ class OperatorSystem:
         self._basis: np.ndarray | None = basis
         self._hermitian_basis: np.ndarray | None = None
         self._complement_basis: np.ndarray | None = None
+        self._level_stacks: dict = {}
 
     # -- structure -----------------------------------------------------------
 
@@ -222,10 +232,53 @@ class OperatorSystem:
             self._complement_basis = cb
         return self._complement_basis
 
+    def _level_stack(self, kind: str, n: int) -> np.ndarray:
+        """:func:`_level_basis` of :attr:`hermitian_basis` (``kind``
+        "hermitian") or of :attr:`complement_basis` ("complement") at level
+        n, a real-orthonormal basis of M_n(S)_h or of its complement.  Built
+        once per level and kept read-only, like those bases, when it fits in
+        ``_LEVEL_STACK_BYTES``; a larger one is built on every call and not
+        kept."""
+        stack = self._level_stacks.get((kind, n))
+        if stack is None:
+            hb = self.hermitian_basis if kind == "hermitian" else self.complement_basis
+            stack = _level_basis(hb, n)
+            if stack.nbytes <= _LEVEL_STACK_BYTES:
+                stack.flags.writeable = False
+                self._level_stacks[kind, n] = stack
+        return stack
+
     def hermitian_coords(self, x) -> np.ndarray:
         """Real coordinates of a Hermitian element over the Hermitian basis."""
         m = la.as_matrix(x)
         return np.real(self.hermitian_basis.reshape(self.dim, -1) @ m.reshape(-1).conj())
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron over the last two axes, broadcast over the leading ones."""
+    n, d = a.shape[-1], b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (n * d, n * d))
+
+
+def _level_basis(hb: np.ndarray, n: int) -> np.ndarray:
+    """kron(E, h) for E in the real-orthonormal basis of (M_n)_h and h in the
+    real-orthonormal Hermitian stack hb: a real-orthonormal basis of
+    (M_n)_h (x) span(hb), shape (n^2 len(hb), n d, n d).  Order: E_ii (x) h,
+    then for each i < j and each h, (E_ij + E_ji)/sqrt2 (x) h followed by
+    i (E_ij - E_ji)/sqrt2 (x) h.  At n = 1 that is hb itself."""
+    if n == 1:
+        return hb
+    eye = np.eye(n)
+    diag = _kron((eye[:, :, None] * eye[:, None, :])[:, None], hb[None])
+    i, j = np.triu_indices(n, 1)
+    e_ij = eye[i][:, :, None] * eye[j][:, None, :]
+    e_ji = e_ij.swapaxes(1, 2)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    pairs = np.stack([(e_ij + e_ji) * inv_sqrt2, (e_ij - e_ji) * 1j * inv_sqrt2], 1)
+    mixed = _kron(pairs[:, None], hb[None, :, None])
+    size = n * hb.shape[-1]
+    return np.concatenate([diag.reshape(-1, size, size), mixed.reshape(-1, size, size)])
 
 
 def make_operator_system(generators, d: int, *, name: str | None = None) -> OperatorSystem:

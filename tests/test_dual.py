@@ -1574,3 +1574,146 @@ def test_dense_subsystem_functional_transfer():
     from opsys.systems import subspace_member
     x = random_element(s, rng, level=2)
     assert subspace_member(t, x, 1e-8)
+
+
+# -- setup built once: level stacks per system and level -----------------------------------
+
+def _setup_system(name):
+    if name == "random":
+        return random_system(np.random.default_rng(36), d=3, generators=1)
+    return named_system(name)
+
+
+def _verdict_bits(v):
+    return (v.status, v.iterations, np.float64(v.gap).tobytes(),
+            None if v.witness is None else v.witness.tobytes(),
+            None if v.certificate is None else v.certificate.tobytes())
+
+
+def _undecided_at_start(s, level, rng):
+    """A level grid with lambda_min(C) = -0.05 and trace C > 0: the start
+    point decides nothing, so its CP solve steps."""
+    side = level * s.d
+    c = s.project_level(la.hermitian_part(rng.standard_normal((side, side))
+                                          + 1j * rng.standard_normal((side, side))))
+    return MatrixFunctional.from_choi(s, c - (0.05 + la.lambda_min(c)) * np.eye(side))
+
+
+def _setup_answers(s, level):
+    """The CP verdicts of :func:`_choi_grids` and of a grid that the start
+    point leaves open, and two trace-state radii, at one level from draws
+    fixed by the level, as bytes."""
+    from opsys.suites import _choi_grids
+
+    rng = np.random.default_rng(level)
+    grids = [grid for grid, _ in _choi_grids(s, level, rng)] + [_undecided_at_start(s, level, rng)]
+    answers = [_verdict_bits(cp_verdict(grid)) for grid in grids]
+    delta = faithful_state(s)
+    for _ in range(2):
+        g = MatrixFunctional(s, la.hermitian_part(rng.standard_normal((level * s.d,) * 2)))
+        answers.append(np.float64(dual_order_unit_radius(delta, g)).tobytes())
+    return answers
+
+
+@pytest.mark.parametrize("name", ["pauli-span", "diag:3", "toeplitz:3", "random"])
+def test_cached_level_stacks_give_bit_identical_answers(name, monkeypatch):
+    # the same verdicts (status, steps, gap, witness or certificate) and
+    # radii, to the bit, on a fresh system, on it again with its stacks
+    # kept, on a second fresh copy, and with nothing kept at all
+    import opsys.systems as systems_module
+
+    s = _setup_system(name)
+    fresh = {level: _setup_answers(s, level) for level in (1, 2, 3)}
+    # the open grids step at levels 2 and 3, so their stacks are kept
+    assert {("complement", 2), ("complement", 3)} <= set(s._level_stacks)
+    copy = _setup_system(name)
+    for level in (1, 2, 3):
+        assert _setup_answers(s, level) == fresh[level]
+        assert _setup_answers(copy, level) == fresh[level]
+    monkeypatch.setattr(systems_module, "_LEVEL_STACK_BYTES", 0)
+    uncached = _setup_system(name)
+    for level in (1, 2, 3):
+        assert _setup_answers(uncached, level) == fresh[level]
+    assert uncached._level_stacks == {}
+
+
+@pytest.mark.parametrize("name", ["pauli-span", "diag:3", "toeplitz:3", "random"])
+def test_level_stacks_are_kept_read_only_and_reused(name):
+    from opsys.systems import _level_basis
+
+    s = _setup_system(name)
+    for kind, basis in (("hermitian", s.hermitian_basis), ("complement", s.complement_basis)):
+        assert s._level_stack(kind, 1) is basis
+        for n in (2, 3):
+            stack = s._level_stack(kind, n)
+            assert not stack.flags.writeable
+            assert s._level_stack(kind, n) is stack
+            assert np.array_equal(stack, _level_basis(basis, n))
+            assert _setup_system(name)._level_stack(kind, n) is not stack
+    assert level_hermitian_basis(s, 3) is s._level_stack("hermitian", 3)
+
+
+@pytest.mark.parametrize("name", ["pauli-span", "diag:3", "toeplitz:3", "random"])
+def test_identity_unit_start_equals_the_factored_start(name):
+    # an identity N is its own Cholesky factor, so the start eigenvalues are
+    # C's own, to the bit, for the real and the complex identity alike
+    import opsys.dual as dual_module
+    from opsys.suites import _choi_grids
+
+    def factored(c, n, scale):
+        li = np.linalg.inv(np.linalg.cholesky(n))
+        lam = np.linalg.eigvalsh(li @ c @ li.conj().T)
+        return lam[0] - dual_module._START_MARGIN * max(lam[-1] - lam[0], 1e-3 * scale)
+
+    s = _setup_system(name)
+    for level in (1, 2, 3):
+        for grid, _ in _choi_grids(s, level, np.random.default_rng(level)):
+            c = la.hermitian_part(grid.riesz)
+            scale = max(1.0, la.frobenius(c))
+            for eye in (np.eye(len(c)), la.identity(len(c))):
+                start = dual_module._dual_start(c, eye, scale)
+                assert np.float64(start).tobytes() == np.float64(factored(c, eye, scale)).tobytes()
+
+
+def test_a_level_stack_over_the_budget_is_built_per_solve(monkeypatch):
+    # the budget is 1 MiB, and a level stack of n^2 m matrices of side n d
+    # takes 16 n^4 d^2 m bytes; over the named systems the smallest that
+    # exceeds it is diag:3's complement (m = 6) at level 6, 1 119 744 bytes
+    import opsys.systems as systems_module
+
+    budget = systems_module._LEVEL_STACK_BYTES
+    assert budget == 1 << 20
+    sizes = {}
+    names = (["pauli-span"] + [f"{kind}:{d}" for kind in ("full", "diag", "toeplitz")
+                               for d in range(2, 9)])
+    for name in names:
+        t = named_system(name)
+        for kind, m in (("hermitian", t.dim), ("complement", t.d ** 2 - t.dim)):
+            for n in range(2, 16):
+                if 16 * n ** 4 * t.d ** 2 * m > budget:
+                    sizes[name, kind, n] = 16 * n ** 4 * t.d ** 2 * m
+                    break
+    assert min(sizes, key=sizes.get) == ("diag:3", "complement", 6)
+
+    builds = []
+    real_build = systems_module._level_basis
+
+    def counted(hb, n):
+        builds.append(n)
+        return real_build(hb, n)
+
+    monkeypatch.setattr(systems_module, "_level_basis", counted)
+    s = named_system("diag:3")
+    # the kernel steps from the start point to a refuting point
+    grid = _undecided_at_start(s, 6, np.random.default_rng(0))
+    first, second = cp_verdict(grid), cp_verdict(grid)
+    assert builds == [6, 6]
+    assert s._level_stacks == {}
+    assert s._level_stack("complement", 6).nbytes == 1_119_744
+    assert _verdict_bits(second) == _verdict_bits(first)
+    # the verdict of the solver that built its stack on every solve
+    assert (first.status, first.iterations) == ("infeasible", 5)
+    assert first.gap == pytest.approx(0.04999999999999916, abs=1e-12)
+    # one level down the stack fits, and it is kept
+    assert s._level_stack("complement", 5).nbytes <= budget
+    assert ("complement", 5) in s._level_stacks

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from opsys.systems import (
     named_system,
     random_hermitian_element,
     random_positive_element,
+    random_system,
 )
 
 
@@ -350,3 +352,42 @@ def test_suite_cross_check_infeasible_instances_carry_certificates(seed):
         assert_certificate_verifies(problem, verdict.certificate)
         infeasible += 1
     assert infeasible == 40
+
+
+# -- the affine set is derived once, from the checked constraints ---------------
+
+def _level_choi_problems():
+    rng = np.random.default_rng(36)
+    pool = [named_system(name) for name in ("pauli-span", "diag:3", "toeplitz:3")]
+    for s in pool + [random_system(np.random.default_rng(36), d=3, generators=1)]:
+        for n in (1, 2, 3):
+            for grid, _ in _choi_grids(s, n, rng):
+                yield cp_choi_problem(grid)
+
+
+def test_dykstra_span_is_the_restacked_constraints():
+    # the span Dykstra projects onto is the constructor's real stack, equal
+    # to the bit to the constraints stacked again, and so is its unit test
+    for problem in _level_choi_problems():
+        flat = np.stack([a.reshape(-1) for a, _ in problem.constraints]).view(float)
+        span = _AffineSpan.build(problem)
+        assert span.basis.shape == flat.shape and span.basis.tobytes() == flat.tobytes()
+        assert np.array_equal(span.rhs, [b for _, b in problem.constraints])
+        eye = np.eye(problem.dim, dtype=complex)
+        vals = flat @ eye.reshape(-1).view(float)
+        off = la.frobenius(eye - (vals @ flat).view(complex).reshape(eye.shape))
+        assert span.has_unit == (off <= 1e-10 * np.sqrt(problem.dim))
+        assert span.has_unit  # every Choi problem has I in its span
+
+
+@pytest.mark.parametrize("name, value", [
+    ("dim", 3), ("constraints", []), ("tol", 1e-3), ("max_iter", 5), ("_real", None),
+])
+def test_problem_is_immutable_once_checked(name, value):
+    problem = FeasibilityProblem(2, [(np.eye(2) / np.sqrt(2), 1 / np.sqrt(2))])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(problem, name, value)
+    a, _ = problem.constraints[0]
+    with pytest.raises(ValueError):
+        a[0, 0] = 2.0
+    assert isinstance(problem.constraints, tuple)
