@@ -1,8 +1,8 @@
-"""Shared one-dimensional search helpers (threshold bisection).
+"""The order-unit radius cap and the one threshold bisection left.
 
-The bracket belongs to the numerics, not to the caller: every search starts
-at r = 1 and gives up at ``_RADIUS_MAX``, the one cap that the primal and
-dual order-unit radii share, closed-form radii included.
+``_RADIUS_MAX`` is the one cap of the primal and dual order-unit radii.
+The bisection serves only the primal radius of a singular unit
+(``systems._domination_radii``): it starts at r = 1 and stops at the cap.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Every invocation emits a run report (JSON with --json, a readable table
 otherwise) listing named checks with pass/fail/undecided status and the
 module operation that produced each one.  Exit codes: 0 all checks pass,
-2 any failed, 3 only undecided, 64 usage error, 65 malformed input file.
+2 any failed, 3 only undecided or UndecidedError, 64 usage error, 65
+malformed input file.
 
 dual choi-effros checks that the trace state is faithful, then runs the
 choi-effros and dual-equivalences suites' per-system checks on the given
@@ -35,7 +36,7 @@ import numpy as np
 from . import linalg as la
 from .dual import (Functional, MatrixFunctional, cp_choi_problem, cp_verdict,
                    faithful_state, positivity_minimum)
-from .errors import HermitianError, OpsysError, ParseError
+from .errors import HermitianError, OpsysError, ParseError, UndecidedError
 from .norms import norm_report
 from .suites import SUITES, Check, _archimedean_check, _order_unit_check, run_suite
 from .systems import cone_member, named_system, system_from_json
@@ -390,6 +391,9 @@ def run(argv) -> int:
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except UndecidedError as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except OpsysError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

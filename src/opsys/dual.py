@@ -41,9 +41,9 @@ applied block by block, bounds the radius on M_n(S) from above and is the
 radius when its top eigenprojector lies in M_n(S); the solve's start point
 tries it, so such a radius takes no Newton step.  Like a CP verdict, the
 solve stops at its first point whose evidence re-checks, here a radius
-certified within one module precision, 1e-6; a bisection over certified
-lower bounds to the same precision is only the fallback when no point's
-evidence does.  The
+certified within one module precision, 1e-6; failing that, the lifted
+last iterate must witness that no radius up to the search cap exists, or
+the radius is undecided.  The
 sweeps that check the trace state to be an Archimedean matrix order unit
 of S' with these radii and verdicts live in :mod:`opsys.suites`.
 """
@@ -56,8 +56,7 @@ import numpy as np
 
 from . import linalg as la
 from . import _search
-from ._search import smallest_passing
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, UndecidedError, ValidationError
 from .feasibility import FeasibilityProblem, FeasibilityVerdict, _check_tol
 from .systems import (
     DEFAULT_TOL,
@@ -203,8 +202,7 @@ _START_MARGIN = 0.3
 
 #: Running totals of the section kernel: counts only, so reports stay stable.
 _SDP_COUNTS = dict.fromkeys(
-    ("solves", "iterations", "certified", "breakdowns", "cap_hits",
-     "bisection_fallbacks"), 0
+    ("solves", "iterations", "certified", "breakdowns", "cap_hits"), 0
 )
 
 
@@ -219,9 +217,9 @@ class _SectionSolve(NamedTuple):
 
 def kernel_counts(since: dict | None = None) -> dict:
     """Running totals of the section kernel (solves, Newton steps, solves
-    ended by a certificate, breakdowns, cap stops, radius bisection
-    fallbacks), or those added ``since``.  A solve that is neither
-    certified, broken down nor capped converged."""
+    ended by a certificate, breakdowns, cap stops), or those added
+    ``since``.  A solve that is neither certified, broken down nor capped
+    converged."""
     since = since or dict.fromkeys(_SDP_COUNTS, 0)
     return {key: value - since[key] for key, value in _SDP_COUNTS.items()}
 
@@ -600,20 +598,23 @@ def series_state(states) -> Functional:
 # ----------------------------------------------------------------------------
 
 #: Precision of a dual order-unit radius: the kernel's bracket must close to
-#: it, and a bisection stops at it.
+#: it before a radius is certified.
 _DUAL_RADIUS_PRECISION = 1e-6
 
 
 def _radius(
     system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float, congruence
-) -> float | None:
-    """Smallest r >= 0 with r D - G positive on M_n(S)+ (D = I_n (x) Re
-    delta, G the Choi matrix of g) over a proper subsystem, or ``None`` when
-    its evidence does not re-check: one kernel solve with C = -G and N = D,
-    stopped at the first point whose r is certified within
-    ``_DUAL_RADIUS_PRECISION``.  r stands only when r D - G - K certifies
-    r D - G >= -tol and the lifted primal point x lies in M_n(S)+ with
-    <G, x>/<D, x> >= r - ``_DUAL_RADIUS_PRECISION``.
+) -> tuple[float | None, np.ndarray | None]:
+    """The smallest r >= 0 with r D - G positive on M_n(S)+ (D = I_n (x) Re
+    delta, G the Choi matrix of g) over a proper subsystem, from one kernel
+    solve with C = -G and N = D: (r, None) for an r up to the search cap
+    (``_search._RADIUS_MAX``) at the first point where r D - G - K
+    certifies r D - G >= -tol and the lifted primal point x lies in M_n(S)+
+    with <G, x>/<D, x> >= r - ``_DUAL_RADIUS_PRECISION``.  Else (None, x)
+    for a witness x in M_n(S)+ (the lifted point of a radius above the cap,
+    or of the last iterate) with <D, x> >= 0 and cap <D, x> - <G, x> <
+    -tol tr x, so <r D - G, x> < -tol tr x at every r <= cap; else
+    UndecidedError.
 
     The start point tries two candidates before any Newton step: r = 0, and
     the ambient radius r0 = lambda_max(L^-1 G L^-*) for D = L L^* (the
@@ -643,7 +644,7 @@ def _radius(
         if not _lower_bound(system, c, w) >= -tol:  # a NaN bound fails too
             return None
         x = _lift(system, x)
-        return r if closes(x, r) and cone_member(system, x, tol) else None
+        return (r, x) if closes(x, r) and cone_member(system, x, tol) else None
 
     def ambient():
         if congruence is None:
@@ -654,23 +655,25 @@ def _radius(
         if not (closes(x, r) and cone_member(system, x, tol)):
             return None
         c = r * dm - gm
-        return r if _lower_bound(system, c, c) >= -tol else None
+        return (r, x) if _lower_bound(system, c, c) >= -tol else None
 
-    at_start = True
+    candidates = [ambient]  # tried once, at the kernel's first call: its start point
 
     def first_certified(x, k, t):
-        # the kernel's first call is its start point
-        nonlocal at_start
-        r = certify(x, k, t)
-        if r is None and at_start:
-            r = ambient()
-        at_start = False
-        return r
+        return certify(x, k, t) or (candidates.pop()() if candidates else None)
 
     solve = _section_sdp(system, -gm, dm, certify=first_certified)
-    if solve.stop == "certified":
-        return solve.evidence
-    return certify(solve.x, solve.k, solve.t, gate=False)
+    found = solve.evidence if solve.stop == "certified" else certify(
+        solve.x, solve.k, solve.t, gate=False)
+    r, x = found or (None, _lift(system, solve.x))
+    cap = _search._RADIUS_MAX
+    if r is not None and r <= cap:
+        return r, None
+    dx = np.vdot(dm, x).real
+    if (cone_member(system, x, tol) and dx >= 0
+            and cap * dx - np.vdot(gm, x).real < -tol * np.trace(x).real):
+        return None, x
+    raise UndecidedError(f"radius solve ended ({solve.stop}) with no certificate or witness")
 
 
 def dual_order_unit_radius(
@@ -691,17 +694,14 @@ def dual_order_unit_radius(
     to one kernel solve (:func:`_radius`) on M_n(S), whose start point
     tries the same factor's ambient radius; a radius whose top generalized
     eigenprojector lies in M_n(S) is certified there, at 0 Newton steps,
-    and a singular Re delta skips that candidate.  Kernel evidence that
-    fails (a non-faithful delta, a breakdown) bisects: each probe is the
-    :func:`cp_verdict` of r (I_n (x) delta) - g, which passes only on a
-    witness that re-checks, so a breakdown costs tightness, never
-    soundness.  For a non-Hermitian
-    delta, r delta - g is not Hermitian at any r > 0, so one such check at
-    r = 0 decides.  Radii are closed forms on the full algebra and, on a
-    proper subsystem, certified within ``_DUAL_RADIUS_PRECISION`` (1e-6) at
-    the first closing iterate, or bisected to it.  Returns ``None`` when no
-    r up to the search cap (``_search._RADIUS_MAX``, 1e6) works, whichever
-    way the radius is found; the bisection brackets it from r = 1.
+    and a singular Re delta skips that candidate.  Radii are closed forms
+    on the full algebra and, on a proper subsystem, certified within
+    ``_DUAL_RADIUS_PRECISION`` (1e-6) at the first closing iterate.
+    ``None`` means no r up to the search cap (``_search._RADIUS_MAX``, 1e6)
+    works, on a proper subsystem by a checked witness in M_n(S)+.  For a
+    non-Hermitian delta, r delta - g is not Hermitian at any r > 0, so the
+    :func:`cp_verdict` of -g decides: 0.0 or ``None``.  A solve or verdict
+    that decides neither (a breakdown, the step cap) raises UndecidedError.
     """
     if not la._is_hermitian(g.riesz):
         raise ValidationError("g must be a Hermitian functional or matrix functional")
@@ -714,23 +714,16 @@ def dual_order_unit_radius(
     if g.n == 1 and n > 1:
         g = MatrixFunctional.diag(g, n)
     gm = la.hermitian_part(g.riesz)
+    if not la._is_hermitian(delta.riesz):
+        status = cp_verdict(MatrixFunctional(system, -gm, _canonical=True), tol).status
+        if status == "undecided":
+            raise UndecidedError("the CP verdict of -g at r = 0 is undecided")
+        return 0.0 if status == "feasible" else None
     unit = la.hermitian_part(delta.riesz)
-    hermitian = la._is_hermitian(delta.riesz)
-    if hermitian and system.is_full:
+    if system.is_full:
         return _domination_radii(unit, tol, _DUAL_RADIUS_PRECISION)(gm)
     dm = np.kron(np.eye(n), unit) if n > 1 else unit
-
-    def dominated(r: float) -> bool:
-        g_r = MatrixFunctional(system, r * dm - gm, _canonical=True)
-        return cp_verdict(g_r, tol).status == "feasible"
-
-    if not hermitian:
-        return 0.0 if dominated(0.0) else None
-    r = _radius(system, dm, gm, tol, _unit_congruence(unit))
-    if r is not None:
-        return r if r <= _search._RADIUS_MAX else None
-    _SDP_COUNTS["bisection_fallbacks"] += 1
-    return smallest_passing(dominated, _DUAL_RADIUS_PRECISION)
+    return _radius(system, dm, gm, tol, _unit_congruence(unit))[0]
 
 
 # ----------------------------------------------------------------------------

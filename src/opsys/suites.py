@@ -318,13 +318,14 @@ def suite_choi_effros(seed: int, *, samples: int = 20, levels: int = 3) -> list[
     diag2 = named_system("diag:2")
     nonfaithful = Functional(diag2, np.diag([1.0, 0.0]).astype(complex))
     complement = Functional(diag2, np.diag([0.0, 1.0]).astype(complex))
+    counts = kernel_counts()
     r = dual_order_unit_radius(nonfaithful, complement, 1)
     checks.append(Check(
         name="choi-effros/non-faithful-counterexample",
         op="dual.dual_order_unit_radius",
         status=_status(r is None),
         detail="non-faithful state dominates nothing transverse to its support",
-        evidence={},
+        evidence={"kernel": kernel_counts(since=counts)},
     ))
     return checks
 

@@ -597,11 +597,11 @@ def order_unit_radius_level(system: OperatorSystem, e, x) -> float | None:
 
 @dataclass
 class MatrixOrderUnitReport:
-    """Outcome of the matrix-order-unit sweep: per-level radii for sampled
-    Hermitian elements, plus an explicit counterexample when one exists."""
+    """Outcome of the matrix-order-unit check: the verdict, per-level radii
+    of sampled Hermitian elements, and the counterexample of a failed unit."""
 
     ok: bool
-    radii: dict  # level -> list of radii (None where not dominated)
+    radii: dict  # level -> list of radii (None above the search cap)
     counterexample: np.ndarray | None = None
     counterexample_level: int | None = None
 
@@ -612,8 +612,8 @@ class MatrixOrderUnitReport:
 def _kernel_counterexample(system: OperatorSystem, em: np.ndarray):
     """Deterministic order-unit failure on a checked unit e: for a
     (near-)kernel unit vector psi of e, the projection P(psi psi*) onto S
-    has mass at psi, so no multiple of e dominates it; ``None`` when e is
-    positive definite."""
+    has mass 1/d or more at psi, so no r much below 1/(d lambda_min(e))
+    dominates it; ``None`` when lambda_min(e) exceeds 1e-7."""
     w, u = la.spectral_decompose(la.hermitian_part(em))
     if w[-1] > 1e-7:
         return None
@@ -639,19 +639,19 @@ def is_matrix_order_unit(
     samples_per_level: int = 32,
     rng: np.random.Generator | None = None,
 ) -> MatrixOrderUnitReport:
-    """Check whether e dominates sampled Hermitian elements at levels 1..max_level.
+    """Whether e is a matrix order unit of S, with sampled radii as evidence.
 
     e must lie in S+, and ``max_level`` and ``samples_per_level`` must be
-    at least 1 (ValidationError otherwise).  A level-1 order unit must
-    pass at every level, so a single failed radius (none up to 1e6, at
-    tolerance ``DEFAULT_TOL``) refutes matrix-order-unit-hood.  Sampling is
-    deterministic by default (fixed internal seed) for reproducible runs;
-    pass ``rng`` to override.  Each level's samples come from one draw,
-    which uses up ``rng`` as that many :func:`random_hermitian_element`
-    calls do, and their radii from e's one Cholesky factor and one batched
-    eigensolve (:func:`_domination_radii`).  A deterministic counterexample
-    search along near-kernel directions of e supplements the random
-    sampling at level 1.
+    at least 1 (ValidationError otherwise).  The verdict is e's spectrum,
+    not the samples': e with lambda_min(e) > 1e-7 dominates every Hermitian
+    X in M_n(S) at ||X|| / lambda_min(e), since I lies in S; else a
+    near-kernel counterexample at level 1 refutes it, and no sample is
+    drawn.  The radii (``DEFAULT_TOL``, ``None`` above the search cap) are
+    of samples at levels 1..max_level, drawn by a fixed internal seed
+    unless ``rng`` is given; each level's samples come from one draw, which
+    uses up ``rng`` as that many :func:`random_hermitian_element` calls do,
+    and their radii from e's one Cholesky factor and one batched eigensolve
+    (:func:`_domination_radii`).
     """
     _check_counts(max_level=max_level, samples_per_level=samples_per_level)
     if rng is None:
@@ -672,8 +672,6 @@ def is_matrix_order_unit(
         # drawn in M_n(S)_h, so no sample needs the checks of order_unit_radius_level
         xs = _random_elements(system, rng, samples_per_level, level=n)
         radii[n] = radius((xs + xs.conj().swapaxes(1, 2)) / 2.0)
-        if None in radii[n]:
-            return MatrixOrderUnitReport(ok=False, radii=radii)
     return MatrixOrderUnitReport(ok=True, radii=radii)
 
 

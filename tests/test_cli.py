@@ -267,9 +267,25 @@ def test_choi_effros_reports_kernel_counts(capsys):
             assert counts["iterations"] == 0 and counts["certified"] == counts["solves"]
         else:
             assert counts["iterations"] >= counts["solves"]
-        assert counts["bisection_fallbacks"] == 0
         # counts, never times: the evidence is byte-stable
         assert run_json(capsys, argv)[1]["checks"] == report["checks"]
+
+
+def test_undecided_radius_exits_undecided(capsys, monkeypatch):
+    # every Newton step breaks down: on toeplitz:3 no radius certifies at
+    # the start point, and the start point is no witness that none exists,
+    # so the first radius solve raises UndecidedError, which exits 3 with
+    # a message and no report rather than 2
+    def breakdown(*args):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(dual_module, "_step", breakdown)
+    code = run(["dual", "choi-effros", "--system", "toeplitz:3", "--seed", "3",
+                "--levels", "2", "--samples", "2", "--json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_UNDECIDED
+    assert captured.out == ""
+    assert captured.err.startswith("undecided: radius solve ended")
 
 
 def test_choi_effros_runs_the_suite_checks_on_a_full_algebra(capsys):

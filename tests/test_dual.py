@@ -18,7 +18,7 @@ from opsys.dual import (
     random_positive_functional,
     series_state,
 )
-from opsys.errors import DimensionError, MembershipError, ValidationError
+from opsys.errors import DimensionError, MembershipError, UndecidedError, ValidationError
 from opsys.feasibility import FeasibilityProblem, dykstra_solve
 from opsys.suites import _archimedean_check, _order_unit_check
 from opsys.systems import (
@@ -706,15 +706,12 @@ def test_kernel_radius_evidence_rechecks_by_hand(name):
                 assert r - abs(upper - lower) <= radius <= r + precision
 
 
-def test_radius_fallback_probes_stop_at_certificates(monkeypatch):
-    # the bisection fallback, forced on the series-state level-3 radius of
-    # toeplitz:4 at seed 37 (the one radius of a 160-radius sweep over
-    # pauli-span, toeplitz:3/4 and diag:3, seeds 31-40, whose kernel evidence
-    # did not re-check before the kernel started dual feasible; it now
-    # certifies within the precision of the bisected value).  Each probe is
-    # the CP verdict of r (I_n (x) delta) - g, which stops at the first
-    # witness or certificate that checks; it used to run every solve to
-    # convergence (453 Newton steps, 3 cap stops, no certificate stop).
+def test_series_radius_at_level_3_certifies_in_one_solve():
+    # the series-state level-3 radius of toeplitz:4 at seed 37 (the one
+    # radius of a 160-radius sweep over pauli-span, toeplitz:3/4 and diag:3,
+    # seeds 31-40, whose kernel evidence did not re-check before the kernel
+    # started dual feasible) is certified by its one solve, within the
+    # precision of the value that a CP-verdict bisection found for it
     import opsys.dual as dual_module
 
     s = named_system("toeplitz:4")
@@ -726,27 +723,21 @@ def test_radius_fallback_probes_stop_at_certificates(monkeypatch):
             cases.append((delta, MatrixFunctional(s, g)))
     delta, g = cases[-1]  # the series state at level 3
     before = dual_module.kernel_counts()
-    kernel_r = dual_order_unit_radius(delta, g)
-    assert dual_module.kernel_counts(since=before)["bisection_fallbacks"] == 0
-    monkeypatch.setattr(dual_module, "_radius", lambda *args: None)
-    before = dual_module.kernel_counts()
     r = dual_order_unit_radius(delta, g)
     counts = dual_module.kernel_counts(since=before)
-    assert counts["bisection_fallbacks"] == 1
-    assert r == pytest.approx(11.758309364318848, abs=1e-9)
-    assert counts["certified"] >= 25
-    assert abs(kernel_r - r) <= dual_module._DUAL_RADIUS_PRECISION
+    assert counts["solves"] == counts["certified"] == 1
+    assert abs(r - 11.758309364318848) <= dual_module._DUAL_RADIUS_PRECISION
 
 
 def test_radius_sweep_stops_at_its_first_certificate():
     # 64 radii (pauli-span, toeplitz:3/4, diag:3, seeds 31-34, trace and
     # series states, levels 2-3), each one solve stopped at its first
-    # point that certifies r within the precision: no cap, no breakdown
-    # and no bisection, each radius within [r_conv - gap, r_conv +
-    # precision] of its solve run to convergence (gap that solve's own
-    # duality gap), and fewer Newton steps than those converged solves
-    # take.  Run to convergence with Z^-1 from a separate
-    # inverse, 3 of these solves used to break down.
+    # point that certifies r within the precision: no cap and no
+    # breakdown, each radius within [r_conv - gap, r_conv + precision] of
+    # its solve run to convergence (gap that solve's own duality gap), and
+    # fewer Newton steps than those converged solves take.  Run to
+    # convergence with Z^-1 from a separate inverse, 3 of these solves used
+    # to break down.
     import opsys.dual as dual_module
 
     precision = dual_module._DUAL_RADIUS_PRECISION
@@ -775,7 +766,7 @@ def test_radius_sweep_stops_at_its_first_certificate():
                     assert r_conv - gap <= r <= r_conv + precision
                     radii += 1
     assert radii == totals["solves"] == totals["certified"] == 64
-    assert totals["cap_hits"] == totals["breakdowns"] == totals["bisection_fallbacks"] == 0
+    assert totals["cap_hits"] == totals["breakdowns"] == 0
     assert totals["iterations"] < converged_steps
 
 
@@ -872,12 +863,12 @@ def test_understated_ambient_radius_is_never_accepted(monkeypatch):
             assert exact - 1e-8 <= r <= exact + dual_module._DUAL_RADIUS_PRECISION
 
 
-def test_singular_delta_skips_the_ambient_radius_and_bisects():
+def test_singular_delta_skips_the_ambient_radius():
     # (I + X)/2 on span{I, X} has no Cholesky factor, so the start point has
     # no ambient candidate; diag(1, 0) on diag:2 projects to diag(1, 2e-16),
     # whose ambient radius of about 5e15 fails its lower bound.  Either way
-    # the radius bisects as before, and none exists for the complementary
-    # state
+    # none exists for the complementary state, and the one solve's last
+    # iterate is the witness of that
     import opsys.dual as dual_module
     from opsys.systems import _unit_congruence
 
@@ -889,7 +880,7 @@ def test_singular_delta_skips_the_ambient_radius_and_bisects():
     for delta, g in cases:
         before = dual_module.kernel_counts()
         assert dual_order_unit_radius(delta, g) is None
-        assert dual_module.kernel_counts(since=before)["bisection_fallbacks"] == 1
+        assert dual_module.kernel_counts(since=before)["solves"] == 1
 
 
 def test_kernel_converges_within_twenty_steps():
@@ -943,13 +934,13 @@ def test_singular_unit_takes_the_fallback_start():
     # a unit N with no Cholesky factor has no dual start t0, and the solve
     # starts from y = 0, Z = ||C||_F I as before (the exactly singular
     # (I + X)/2 on span{I, X} runs this way end to end in
-    # test_singular_delta_skips_the_ambient_radius_and_bisects).  diag(1, 0) and
+    # test_singular_delta_skips_the_ambient_radius).  diag(1, 0) and
     # diag(1, 1e-12) on diag:2 project to diag(1, 2e-16) and diag(1, 1e-12),
     # which factor, so their radius solves start from a t0 of order -1e12
     # or below; either way no LinAlgError escapes, and the radii are those
     # of the solver that always took the fallback start: none at level 1
-    # (g(e_22) > 0, so no r <= 1e6 works), after one bisection, and at
-    # level 2 a radius certified at the start point
+    # (g(e_22) > 0, so no r <= 1e6 works), from one solve, and at level 2
+    # a radius certified at the start point
     import opsys.dual as dual_module
 
     s = named_system("diag:2")
@@ -960,7 +951,7 @@ def test_singular_unit_takes_the_fallback_start():
         g1, g2 = (random_hermitian_functional(s, rng) for _ in range(2))
         before = dual_module.kernel_counts()
         assert dual_order_unit_radius(delta, g1, 1) is None
-        assert dual_module.kernel_counts(since=before)["bisection_fallbacks"] == 1
+        assert dual_module.kernel_counts(since=before)["solves"] == 1
         assert dual_order_unit_radius(delta, g2, 2) == pytest.approx(0.37437288536729546, abs=1e-12)
 
 
@@ -1126,7 +1117,7 @@ def test_kernel_breakdown_never_raises(monkeypatch, fault_after):
         return real_step(m, dm)
 
     monkeypatch.setattr(dual_module, "_step", failing_step)
-    for f, minimum, radius in cases:
+    for f, minimum, _ in cases:
         calls.clear()
         before = dual_module.kernel_counts()
         val, x = positivity_minimum(f)
@@ -1135,20 +1126,17 @@ def test_kernel_breakdown_never_raises(monkeypatch, fault_after):
         assert counts["breakdowns"] == counts["solves"] == 1
         calls.clear()
         before = dual_module.kernel_counts()
-        r = dual_order_unit_radius(delta, f, 1)
+        # a broken solve closes no bracket, and its last iterate is no
+        # witness that no radius exists: undecided, never a wrong radius
+        with pytest.raises(UndecidedError):
+            dual_order_unit_radius(delta, f, 1)
         counts = dual_module.kernel_counts(since=before)
-        assert counts["breakdowns"] >= 1
-        # a broken solve cannot close the bracket, so the bisection decides;
-        # its probes pass only on a certified lower bound, so the radius
-        # may come out loose (up to the ambient d lambda_max) but dominates
-        assert counts["bisection_fallbacks"] == 1
-        assert radius - 1e-6 <= r <= 3 * la.lambda_max(f.riesz) + 1e-3
-        assert _barrier_section_minimum(r * delta - f)[0] >= -1e-8
+        assert counts["breakdowns"] == counts["solves"] == 1
     monkeypatch.setattr(dual_module, "_step", real_step)
-    for f, _, _ in cases:
+    for f, _, radius in cases:
         before = dual_module.kernel_counts()
         positivity_minimum(f)
-        dual_order_unit_radius(delta, f, 1)
+        assert dual_order_unit_radius(delta, f, 1) == radius
         assert dual_module.kernel_counts(since=before)["solves"] == 2
 
 
@@ -1233,9 +1221,10 @@ def test_positive_functional_certified_at_the_start_point():
 def test_kernel_radius_needs_its_evidence(monkeypatch, fault):
     # a kernel answer is returned only when it re-checks: a dual value moved
     # past the radius fails the certificate, a primal point off the
-    # optimum leaves the bracket open, and either way the certified
-    # bisection decides.  The fault reaches every iterate that the
-    # radius's certificate check sees, the last one included.
+    # optimum leaves the bracket open and is no witness that no radius
+    # exists, and either way the radius is undecided.  The fault reaches
+    # every iterate that the radius's certificate check sees, the last one
+    # included.  Without it the radius is certified.
     import opsys.dual as dual_module
 
     rng = np.random.default_rng(28)
@@ -1257,15 +1246,19 @@ def test_kernel_radius_needs_its_evidence(monkeypatch, fault):
 
     monkeypatch.setattr(dual_module, "_section_sdp", skewed)
     before = dual_module.kernel_counts()
-    r = dual_order_unit_radius(delta, g, 1)
-    assert dual_module.kernel_counts(since=before)["bisection_fallbacks"] == 1
-    assert r == pytest.approx(radius, abs=2e-6)
+    with pytest.raises(UndecidedError):
+        dual_order_unit_radius(delta, g, 1)
+    assert dual_module.kernel_counts(since=before)["solves"] == 1
+    monkeypatch.undo()
+    before = dual_module.kernel_counts()
+    assert dual_order_unit_radius(delta, g, 1) == radius
+    assert dual_module.kernel_counts(since=before)["certified"] == 1
 
 
 def test_radius_none_for_non_faithful_proper_subsystem():
     # delta = (I + X)/2 on span{I, X} vanishes on (I - X)/2 in S+, which g
-    # sees: no radius exists, the kernel cannot certify one, and the
-    # bisection runs out at the search cap
+    # sees: no radius exists, the kernel cannot certify one, and its one
+    # solve's last iterate witnesses that none up to the search cap works
     import opsys.dual as dual_module
 
     s = make_operator_system([PAULI_X], 2)
@@ -1273,7 +1266,57 @@ def test_radius_none_for_non_faithful_proper_subsystem():
     g = Functional(s, (np.eye(2) - PAULI_X) / 2)
     before = dual_module.kernel_counts()
     assert dual_order_unit_radius(delta, g, 1) is None
-    assert dual_module.kernel_counts(since=before)["bisection_fallbacks"] == 1
+    assert dual_module.kernel_counts(since=before)["solves"] == 1
+
+
+def _witness_cases():
+    """(delta, g, level) with no radius up to the search cap: two
+    non-faithful states, a faithful one whose radius is about 2.1e11, and
+    the non-faithful one at level 2."""
+    diag = named_system("diag:2")
+    span = make_operator_system([PAULI_X], 2)
+    g1 = random_hermitian_functional(diag, np.random.default_rng(5))
+    return [
+        (Functional(diag, np.diag([1.0, 0.0])), Functional(diag, np.diag([0.0, 1.0])), 1),
+        (Functional(span, (np.eye(2) + PAULI_X) / 2), Functional(span, (np.eye(2) - PAULI_X) / 2), 1),
+        (Functional(diag, np.diag([1.0, 1e-12])), g1, 1),
+        (Functional(diag, np.diag([1.0, 0.0])), Functional(diag, np.diag([0.0, 1.0])), 2),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["diag", "span", "past-cap", "level-2"])
+def test_radius_none_carries_a_witness_that_rechecks(case):
+    # every None is one kernel solve and the point x that it returns beside
+    # it, re-checked here without the module's cone test: x is PSD, lies in
+    # M_n(S) (it is its own expansion in a Hermitian basis of M_n(S)),
+    # <D, x> >= 0, and <r D - G, x> < -tol tr x at r = cap, so at every
+    # r <= cap: no such r makes r delta - g positive
+    import opsys.dual as dual_module
+    from opsys.systems import DEFAULT_TOL, _unit_congruence
+
+    delta, g, level = _witness_cases()[case]
+    s, tol, cap = delta.system, DEFAULT_TOL, _search._RADIUS_MAX
+    if case == 2:
+        # faithful: the radius on diag:2 is max_i g_ii / delta_ii, past the cap
+        assert la.lambda_min(delta.riesz) > 0
+        assert g.riesz[1, 1].real / delta.riesz[1, 1].real == pytest.approx(2.1e11, rel=0.01)
+    before = dual_module.kernel_counts()
+    assert dual_order_unit_radius(delta, g, level) is None
+    assert dual_module.kernel_counts(since=before)["solves"] == 1
+    unit = la.hermitian_part(delta.riesz)
+    dm = np.kron(np.eye(level), unit)
+    gm = np.kron(np.eye(level), la.hermitian_part(g.riesz))
+    r, x = dual_module._radius(s, dm, gm, tol, _unit_congruence(unit))
+    assert r is None
+    assert np.allclose(x, x.conj().T, rtol=0, atol=1e-14)
+    assert np.linalg.eigvalsh(x)[0] >= -tol
+    hb = level_hermitian_basis(s, level)
+    coords = np.einsum("aij,ji->a", hb, x).real
+    assert np.abs(np.einsum("a,aij->ij", coords, hb) - x).max() <= 1e-12
+    dx, gx, trace = np.trace(dm @ x).real, np.trace(gm @ x).real, np.trace(x).real
+    assert trace > 0 and dx >= 0
+    for radius in (0.0, 1.0, cap / 2, cap):
+        assert radius * dx - gx < -tol * trace
 
 
 def test_radius_beyond_r_max_is_none(monkeypatch):
@@ -1371,11 +1414,9 @@ def test_radius_level_2_agrees_with_level_1():
 
 @pytest.mark.parametrize("name", ["pauli-span", "toeplitz:3", "diag:3"])
 def test_level_n_radius_is_one_kernel_solve(name):
-    # every level-n radius of a diagonal lift on a proper subsystem is one
-    # Charnes-Cooper solve whose evidence re-checks: no bisection fallback.
-    # A general Hermitian grid can still end the solve at the cap (here the
-    # series state at level 3 on toeplitz:3) and bisect; either way the
-    # radius dominates.
+    # every level-n radius of a diagonal lift or of a general Hermitian grid
+    # on a proper subsystem is one Charnes-Cooper solve whose evidence
+    # re-checks, and the radius dominates.
     import opsys.dual as dual_module
 
     rng = np.random.default_rng(31)
@@ -1388,10 +1429,13 @@ def test_level_n_radius_is_one_kernel_solve(name):
             before = dual_module.kernel_counts()
             r = dual_order_unit_radius(delta, g, n)
             counts = dual_module.kernel_counts(since=before)
-            assert counts["solves"] == 1 and counts["bisection_fallbacks"] == 0
+            assert counts["solves"] == counts["certified"] == 1
             lifted = MatrixFunctional.diag(delta, n)
             assert is_cp((r + 1e-2 * max(1.0, r)) * lifted - MatrixFunctional.diag(g, n)) is True
+            before = dual_module.kernel_counts()
             r = dual_order_unit_radius(delta, grid, n)
+            counts = dual_module.kernel_counts(since=before)
+            assert counts["solves"] == counts["certified"] == 1
             assert is_cp((r + 1e-2 * max(1.0, r)) * lifted - grid) is True
 
 
@@ -1410,7 +1454,7 @@ def test_radius_of_non_hermitian_delta(level):
         before = dual_module.kernel_counts()
         assert dual_order_unit_radius(delta, g, level) == radius
         counts = dual_module.kernel_counts(since=before)
-        assert counts["solves"] == 1 and counts["bisection_fallbacks"] == 0
+        assert counts["solves"] == 1
 
 
 def test_radius_rejects_g_on_another_system():
@@ -1521,7 +1565,7 @@ def test_equivalences_report_kernel_counts():
             assert a.status == "pass" and a.to_json() == b.to_json()
         counts = first[0].evidence["kernel"]
         assert set(counts) == {"solves", "iterations", "certified", "breakdowns",
-                               "cap_hits", "bisection_fallbacks"}
+                               "cap_hits"}
         # one solve per radius, of g and of -g, for each sampled functional
         assert counts["solves"] >= 6
         if name == "pauli-span":

@@ -579,6 +579,27 @@ def test_positive_definite_unit_dominates():
     assert all(r is not None for level in report.radii.values() for r in level)
 
 
+@pytest.mark.parametrize("eps", [1e-6, 2e-7, 3e-6])
+def test_matrix_order_unit_verdict_does_not_depend_on_the_draws(eps):
+    # diag(1, eps) is positive definite, so it dominates every Hermitian X
+    # in M_n(S) at ||X|| / eps: ok under every generator, while a sampled
+    # radius above the search cap still reads None.  The verdict used to be
+    # ok unless a sample's radius passed the cap: under 7, 0 and 20 of
+    # these 20 generators for eps = 1e-6, 2e-7 and 3e-6
+    s = named_system("full:2")
+    e = np.diag([1.0, eps])
+    verdicts, capped = set(), 0
+    for seed in range(20):
+        report = is_matrix_order_unit(s, e, 3, samples_per_level=8,
+                                      rng=np.random.default_rng(seed))
+        verdicts.add(report.ok)
+        assert report.counterexample is None
+        assert [len(report.radii[n]) for n in (1, 2, 3)] == [8, 8, 8]
+        capped += sum(r is None for level in report.radii.values() for r in level)
+    assert verdicts == {True}
+    assert (capped > 0) == (eps < 3e-6)
+
+
 # -- cone invariants ----------------------------------------------------------
 
 def test_cone_compatibility_under_scalar_compression():
