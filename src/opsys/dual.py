@@ -17,10 +17,13 @@ with F modulo the orthogonal complement of S, which is the level-1 case of
 the CP test below.  Section minima take one interior-point solve of
 min <C, X> over X in S+ with <N, X> = 1, whose dual point certifies a lower
 bound through one eigenvalue and whose primal point, lifted into S+,
-attains an upper bound.  Its Newton steps start dual feasible, from
-Z = C - t0 N with t0 below the least generalized eigenvalue of (C, N).
-On the full algebra section minima have eigenvalue closed forms, which
-double as test oracles.
+attains an upper bound.  Its start point is one generalized
+eigendecomposition of (C, N): K = 0 with t = lambda_min(C, N), tried at
+X = I / <N, I> and at the bottom generalized eigenprojector, and the same
+eigenvalues place the dual start, Z = C - t0 N with t0 below
+lambda_min(C, N), from which the Newton steps stay dual feasible.  On the
+full algebra section minima have eigenvalue closed forms, which double as
+test oracles.
 
 A matrix functional [f_ij] is positive at level n exactly when the induced
 map x -> [f_ij(x)] into M_n is completely positive.  CP-extendability to
@@ -31,21 +34,24 @@ Since M_n(S) = M_n (x) S, the same interior-point kernel answers it at
 every level, with the complement of M_n(S)_h built blockwise; the solve
 stops at the first witness or Farkas certificate that re-checks, and lifts
 a primal point into M_n(S)+ only when that point could refute.  On the
-full algebra the Choi matrix decides directly.
+full algebra the Choi matrix decides directly, and the certificate of a
+non-CP map is the bottom eigenprojector of C; on a proper subsystem the
+solve's second start point is that projector lifted into M_n(S)+, so a
+functional or grid it refutes takes no Newton step.
 
 Dual order-unit radii, the smallest r with r (I_n (x) delta) - g CP, take
 the same solve at every level n (Charnes-Cooper: r = max <G, X> over X in
 M_n(S)+ with <I_n (x) delta, X> = 1), or a generalized eigenvalue on the
 full algebra.  That ambient eigenvalue, from one Cholesky factor of delta
 applied block by block, bounds the radius on M_n(S) from above and is the
-radius when its top eigenprojector lies in M_n(S); the solve's start point
-tries it, so such a radius takes no Newton step.  Like a CP verdict, the
-solve stops at its first point whose evidence re-checks, here a radius
-certified within one module precision, 1e-6; failing that, the lifted
-last iterate must witness that no radius up to the search cap exists, or
-the radius is undecided.  The
-sweeps that check the trace state to be an Archimedean matrix order unit
-of S' with these radii and verdicts live in :mod:`opsys.suites`.
+radius when its top eigenprojector lies in M_n(S); it is the solve's own
+start point with C = -G (r = -t), so such a radius takes no Newton step.
+Like a CP verdict, the solve stops at its first point whose evidence
+re-checks, here a radius certified within one module precision, 1e-6;
+failing that, the lifted last iterate must witness that no radius up to
+the search cap exists, or the radius is undecided.  The sweeps that check
+the trace state to be an Archimedean matrix order unit of S' with these
+radii and verdicts live in :mod:`opsys.suites`.
 """
 
 from __future__ import annotations
@@ -233,21 +239,30 @@ def _step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
     return _SDP_STEP / np.maximum(-lam, _SDP_STEP)
 
 
-def _dual_start(c: np.ndarray, n: np.ndarray, scale: float) -> float:
-    """t0 below lambda_min(L^-1 C L^-*) for N = L L^* by ``_START_MARGIN``
-    times the spread of those eigenvalues (at least 1e-3 ``scale``), so that
-    Z = C - t0 N is positive definite; NaN when N has no Cholesky factor.
-    An identity N (every CP and positivity solve) is its own factor, so
-    those eigenvalues are C's, and it is neither factored nor inverted."""
+def _start_pencil(system: OperatorSystem, c: np.ndarray, n: np.ndarray | None):
+    """The one generalized eigendecomposition of (C, N) at the kernel's
+    start point: its eigenvalues, ascending, and a function that forms the
+    bottom generalized eigenprojector w w^* (C w = lambda_min N w,
+    w^* N w = 1) when it is needed; ``None`` when N has no Cholesky factor.
+    N = I (``n`` None: every CP and positivity solve) takes one eigh of C.
+    Any other N is I_m (x) N1 for its level-1 block N1 (a radius's
+    I_m (x) Re delta): N1 = L L^* is factored once by
+    :func:`_unit_congruence`, which applies L^-1 block by block, and one
+    eigh of L^-1 C L^-* gives the eigenvalues, whose bottom eigenvector v
+    maps back to w = L^-* v."""
+    if n is None:
+        lam, v = np.linalg.eigh(c)
+        return lam, lambda: np.outer(v[:, 0], v[:, 0].conj())
+    congruence = _unit_congruence(n[:system.d, :system.d])
+    if congruence is None:
+        return None
     try:
-        if np.array_equal(n, np.eye(len(n))):
-            lam = np.linalg.eigvalsh(c)
-        else:
-            li = np.linalg.inv(np.linalg.cholesky(n))
-            lam = np.linalg.eigvalsh(li @ c @ li.conj().T)
-    except np.linalg.LinAlgError:
-        return np.nan
-    return lam[0] - _START_MARGIN * max(lam[-1] - lam[0], 1e-3 * scale)
+        lam, v = np.linalg.eigh(congruence(c))
+    except np.linalg.LinAlgError:  # an overflowing congruence
+        return None
+    if not np.isfinite(lam).all():
+        return None
+    return lam, lambda: congruence(np.outer(v[:, 0], v[:, 0].conj()), adjoint=True)
 
 
 def _tally(solve: _SectionSolve) -> _SectionSolve:
@@ -261,40 +276,57 @@ def _tally(solve: _SectionSolve) -> _SectionSolve:
 
 
 def _section_sdp(
-    system: OperatorSystem, c: np.ndarray, n: np.ndarray, *, certify=None
+    system: OperatorSystem, c: np.ndarray, n: np.ndarray | None, *, certify=None
 ) -> _SectionSolve:
-    """min <C, X> over X in M_n(S)+ with <N, X> = 1 (Hermitian C, N of size
-    n d, n read off the size of C) and its Krein dual max t over
+    """min <C, X> over X in M_n(S)+ with <N, X> = 1 (Hermitian C of size
+    n d, n read off the size of C; N = I_m (x) N1 for a level-1 N1, or
+    ``None`` for the identity) and its Krein dual max t over
     C - K - t N >= 0, K in M_n(S)_h^perp = (M_n)_h (x) S_h^perp: infeasible
     primal-dual path following, HKM direction, Mehrotra predictor-corrector
     (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996), with
     sigma raised to 1 - min(step lengths) so a predictor blocked at the
     boundary re-centers.
-    ``certify(x, k, t)``, when given, sees the start point and then the
-    iterate after every Newton step; the first result that is not ``None``
-    ends the solve as "certified" and is returned as ``evidence``.  The
-    start point is X = I / <N, I> with K = 0 and t = 0, so the first
-    witness tried is C itself, and a solve it decides takes 0 steps and
+    The start point is one generalized eigendecomposition of (C, N)
+    (:func:`_start_pencil`).  ``certify(x, k, t)``, when given, sees its
+    two points, then the iterate after every Newton step; the first result
+    that is not ``None`` ends the solve as "certified" and is returned as
+    ``evidence``.  Both start points have K = 0, passed as ``k`` None, and
+    t = lambda_min(C, N), the exact dual value there (for N = I the least
+    eigenvalue of C): X = I / <N, I>, then the bottom generalized
+    eigenprojector, where <C, X> = t.  With no eigendecomposition (N
+    without a Cholesky factor) X = I / <N, I> alone is tried, with K = 0
+    as a zero matrix and t = 0.  A solve decided there takes 0 steps and
     reads no constraints.  Any other solve reads the level-n complement
     stack, which the system builds once per level and keeps
     (:meth:`OperatorSystem._level_stack`; one over its byte budget is built
-    for the solve).  The Newton steps then start dual feasible,
-    from t = t0 and Z = C - t0 N (:func:`_dual_start`), and keep
-    C - K - t N = Z to rounding; a unit N with no Cholesky factor (a
-    non-faithful delta) or a t0 that is not finite takes y = 0 and
-    Z = ||C||_F I instead.  The constraints are one real matrix, so the
-    pairings, A*(y) and the Schur matrix are real products.
+    for the solve).  The Newton steps then start dual feasible, from
+    t0 = lambda_min - ``_START_MARGIN`` times the spread of the same
+    eigenvalues (at least 1e-3 max(1, ||C||_F)) and Z = C - t0 N, and keep
+    C - K - t N = Z to rounding; with no eigendecomposition they start from
+    y = 0 and Z = ||C||_F I instead.  The constraints are one real matrix,
+    so the pairings, A*(y) and the Schur matrix are real products.
     The optimum is often rank-deficient: a failed factorization ends the
     solve as "breakdown" with the last iterate, ``_SDP_ITERS`` steps as
     "cap"; neither raises, and callers re-check every point they use."""
     d = len(c)
+    pencil = _start_pencil(system, c, n)
     # I lies in M_n(S), so X = I / <N, I> starts primal feasible when <N, I> > 0
-    x = np.eye(d, dtype=complex) / max(np.trace(n).real, 1e-6)
+    x = np.eye(d, dtype=complex) / (d if n is None else max(np.trace(n).real, 1e-6))
     if certify is not None:
-        k0 = np.zeros((d, d), dtype=complex)
-        evidence = certify(x, k0, 0.0)
-        if evidence is not None:
-            return _tally(_SectionSolve(x, k0, 0.0, 0, "certified", evidence))
+        # the start points, the eigenprojector formed only when X = I / <N, I>
+        # does not decide
+        if pencil is None:
+            points, k0, t0 = (lambda: x,), np.zeros((d, d), dtype=complex), 0.0
+        else:
+            points, k0, t0 = (lambda: x, pencil[1]), None, float(pencil[0][0])
+        for point in points:
+            point = point()
+            evidence = certify(point, k0, t0)
+            if evidence is not None:
+                return _tally(_SectionSolve(point, np.zeros((d, d), dtype=complex),
+                                            t0, 0, "certified", evidence))
+    if n is None:
+        n = la.identity(d)
     a = np.concatenate([system._level_stack("complement", d // system.d), n[None]],
                        dtype=complex)
     k = len(a)
@@ -313,17 +345,24 @@ def _section_sdp(
 
     scale = max(1.0, la.frobenius(c))
     y = np.zeros(k)
-    t0 = _dual_start(c, n, scale)
-    if np.isfinite(t0):
+    if pencil is not None:
         # dual feasible from the start: Z = C - A*(y) for y = (0, ..., 0, t0)
-        y[-1], z = t0, la.hermitian_part(c - t0 * n)
+        lam = pencil[0]
+        y[-1] = lam[0] - _START_MARGIN * max(lam[-1] - lam[0], 1e-3 * scale)
+        z = c - y[-1] * n
+        z = (z + z.conj().T) / 2.0
     else:
         z = scale * np.eye(d, dtype=complex)
+    # y without t, whose A*(yk) is K, and the (X, Z) and (dX, dZ) stacks of
+    # the step lengths, allocated once
+    yk = np.zeros(k)
+    xz, dxz = np.empty((2, 2, d, d), dtype=complex)
     stop, it, evidence = "cap", 0, None
     try:
         for it in range(_SDP_ITERS + 1):
             if it and certify is not None:
-                evidence = certify(x, combine(np.append(y[:-1], 0.0)), float(y[-1]))
+                yk[:-1] = y[:-1]
+                evidence = certify(x, combine(yk), float(y[-1]))
                 if evidence is not None:
                     stop = "certified"
                     break
@@ -331,7 +370,7 @@ def _section_sdp(
             primal = np.vdot(c, x).real
             if (abs(primal - y[-1]) <= _SDP_TOL * max(1.0, abs(primal))
                     and np.linalg.norm(rp) <= _SDP_TOL
-                    and la.frobenius(rd) <= _SDP_TOL * scale):
+                    and np.linalg.norm(rd) <= _SDP_TOL * scale):
                 stop = "converged"
                 break
             if it == _SDP_ITERS:
@@ -339,7 +378,8 @@ def _section_sdp(
             # x and z stay fixed through the predictor and the corrector:
             # one factorization of each serves both step lengths, and
             # Z^-1 = L^-* L^-1 for Z = L L^*
-            li = np.linalg.inv(np.linalg.cholesky(np.stack([x, z])))
+            xz[0], xz[1] = x, z
+            li = np.linalg.inv(np.linalg.cholesky(xz))
             zi = li[1].conj().T @ li[1]
             mu = np.vdot(x, z).real / d
             # schur[i, j] = Re tr(A_i X A_j Z^-1) = Re <(A_j Z^-1)^*, A_i X>
@@ -351,27 +391,41 @@ def _section_sdp(
 
             def direction(g):
                 # dZ = R_d - A*(dy); dX = G - X + X A*(dy) Z^-1 with A(dX) = r_p,
-                # stacked as (dX, dZ) for the step lengths
+                # written into the (dX, dZ) stack for the step lengths
                 dy = np.linalg.solve(schur, b - pairings(g))
                 ady = combine(dy)
-                dxz = np.stack([la.hermitian_part(g - x + x @ ady @ zi), rd - ady])
+                dx = g - x + x @ ady @ zi
+                np.add(dx, dx.conj().T, out=dxz[0])
+                dxz[0] /= 2.0
+                np.subtract(rd, ady, out=dxz[1])
                 if not np.isfinite(dxz).all():
                     raise np.linalg.LinAlgError("non-finite Newton direction")
-                return dxz, dy
+                return dy
 
-            dxz, dy = direction(-xrz)
+            dy = direction(-xrz)
             ap, ad = _step(li, dxz)
             dx, dz = dxz
             sigma = (np.vdot(x + ap * dx, z + ad * dz).real / d / mu) ** 3
             sigma = max(sigma, 1.0 - min(ap, ad))
-            dxz, dy = direction(sigma * mu * zi - xrz - dx @ dz @ zi)
+            dy = direction(sigma * mu * zi - xrz - dx @ dz @ zi)
             ap, ad = _step(li, dxz)
             x, y, z = x + ap * dxz[0], y + ad * dy, z + ad * dxz[1]
     except np.linalg.LinAlgError:
         stop = "breakdown"
-    return _tally(
-        _SectionSolve(x, combine(np.append(y[:-1], 0.0)), float(y[-1]), it, stop, evidence)
-    )
+    yk[:-1] = y[:-1]
+    return _tally(_SectionSolve(x, combine(yk), float(y[-1]), it, stop, evidence))
+
+
+def _shift_reaches(system: OperatorSystem, x: np.ndarray, s: float) -> bool:
+    """True iff :func:`_lift` shifts x by at least s > 0, that is, iff
+    P x + s I is not positive definite for the blockwise projection P onto
+    M_n(S): one projection and one Cholesky attempt, no eigensolve."""
+    px = system.project_level(x)
+    try:
+        np.linalg.cholesky(px + s * np.eye(len(px)))
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def _lift(system: OperatorSystem, x: np.ndarray) -> np.ndarray:
@@ -392,7 +446,7 @@ def positivity_minimum(f: Functional) -> tuple[float, np.ndarray]:
     if system.is_full:
         w, u = la.spectral_decompose(fr)
         return float(w[-1]), np.outer(u[:, -1], u[:, -1].conj())
-    x = _lift(system, _section_sdp(system, fr, system.unit).x)
+    x = _lift(system, _section_sdp(system, fr, None).x)
     return float(f.pair(x).real), x
 
 
@@ -401,8 +455,8 @@ def _lower_bound(system: OperatorSystem, c: np.ndarray, w: np.ndarray) -> float:
     Hermitian W: lambda_min(W) minus the norm of P(W - C), with P the
     blockwise projection onto M_n(S).  For X in the section,
     <C, X> = <W, X> - <P(W - C), X> >= lambda_min(W) - ||P(W - C)|| ||X||_F,
-    and ||X||_F <= trace X = 1.  W = C (K = 0, as at every start point)
-    has nothing to project."""
+    and ||X||_F <= trace X = 1.  W = C (K = 0, as at a radius's start
+    points) has nothing to project."""
     off = w - c
     if not off.any():
         return la.lambda_min(w)
@@ -425,14 +479,17 @@ def is_positive_functional(f: Functional, tol: float = DEFAULT_TOL) -> bool | No
     some PSD W on C^d pairs like F with S), and each answer is re-checked.
     True is the kernel's witness W, whose lower bound
     (:func:`_lower_bound`) the solve accepts only at -tol or above.  False
-    needs a point of
-    S+ where Re f < -tol: the Farkas certificate normalized, or else the
-    kernel's last primal point lifted into S+, which decides the gray band
-    that the certificate's 10 tol margin leaves open (a minimum between
-    -10 tol and -tol).  A solve that ends with neither (a breakdown or the
-    cap) is ``None``, never an uncertified True.  On the full algebra the
-    verdict is lambda_min(F) >= -tol.  A tolerance that is not positive and
-    finite raises ValidationError.
+    needs a point of S+ where Re f < -tol: the Farkas certificate
+    normalized, or else the kernel's last primal point lifted into S+,
+    which decides the gray band that the certificate's 10 tol margin
+    leaves open (a minimum between -10 tol and -tol).  Both come before
+    any Newton step when the solve's start points decide: F itself as the
+    witness (lambda_min(F) >= -tol), or as the certificate the unit
+    (trace F < 0) or the bottom eigenprojector of F lifted into S+, the
+    full-algebra certificate carried over.  A solve that ends with
+    neither (a breakdown or the cap) is ``None``, never an uncertified
+    True.  On the full algebra the verdict is lambda_min(F) >= -tol.  A
+    tolerance that is not positive and finite raises ValidationError.
     """
     _check_tol(tol)
     if not la.is_hermitian(f.riesz, max(tol, 1e-9)):
@@ -485,7 +542,7 @@ def _choi_verdict(
     """The CP verdict on the Hermitian Choi matrix C of a level-n grid over a
     proper subsystem, with the kernel solve of min <C, X> over X in
     M_n(S)+, trace X = 1, behind it.  The solve stops at the first point,
-    the start point X = I / nd, K = 0 included, that gives one of:
+    its two start points included, that gives one of:
 
     * feasible: W = C - K for the dual point K has :func:`_lower_bound`
       lambda_min(W) - ||P(W - C)|| >= -tol, with P the blockwise projection
@@ -495,29 +552,40 @@ def _choi_verdict(
       the Choi problem's constraints, so it is a Farkas certificate in the
       sense of :class:`FeasibilityVerdict`.
 
-    At the start point the witness is C itself, so a Choi matrix with
+    Both start points have K = 0, so the witness there is C itself and its
+    bound is lambda_min(C), the kernel's t: a Choi matrix with
     lambda_min(C) >= -tol is feasible with ``iterations`` 0, as on a full
-    algebra, and one with trace C < -10 tol sqrt(nd) is refuted by
-    Z = I / nd at 0 steps.  A point x with <C, x> >= 0 and trace C >= 0
-    is not lifted: C lies in M_n(S), so <C, Z> is a convex combination of
-    <C, x> / trace x and trace C / nd and cannot refute.  A solve that converges, breaks down or reaches
-    its cap with neither is "undecided".  ``gap`` is max(0, -lower bound)
-    at the last dual point and ``iterations`` counts Newton steps."""
+    algebra.  The first start point, X = I / nd, refutes one with
+    trace C < -10 tol sqrt(nd); the second, the bottom eigenprojector of C
+    lifted into M_n(S)+, is the proper-subsystem form of the full-algebra
+    certificate of :func:`cp_verdict`.  C lies in M_n(S), so a PSD point x
+    lifts to Z with <C, Z> a positive multiple of <C, x> + s trace C for
+    the shift s = max(0, -lambda_min(P x)) of :func:`_lift`.  With
+    trace C >= 0, Z cannot refute when <C, x> >= 0, nor when s reaches
+    -<C, x> / trace C (:func:`_shift_reaches`, one Cholesky attempt), and
+    x is then not lifted: no eigensolve is spent on the eigenprojector of
+    a CP grid, whose lift the shift swamps.  A solve that converges,
+    breaks down or reaches its cap with neither is "undecided".  ``gap``
+    is max(0, -lower bound) at the last dual point and ``iterations``
+    counts Newton steps."""
 
     def certify(x, k, t):
-        w = choi - k
-        lower = _lower_bound(system, choi, w)
+        if k is None:  # a start point: K = 0, and t = lambda_min(C) (N = I)
+            w, lower = choi, t
+        else:
+            w = choi - k
+            lower = _lower_bound(system, choi, w)
         if lower >= -tol:
             return FeasibilityVerdict("feasible", w, max(0.0, -lower))
-        # lift(x) cannot refute then (see above)
-        if np.vdot(x, choi).real >= 0 and np.trace(choi).real >= 0:
+        cx, trace = np.vdot(x, choi).real, np.trace(choi).real
+        if (trace >= 0 and cx >= 0) or (trace > 0 and _shift_reaches(system, x, -cx / trace)):
             return None
         z = _lift(system, x)
         if np.vdot(z, choi).real < -10 * tol * la.frobenius(z):
             return FeasibilityVerdict("infeasible", None, -lower, certificate=z)
         return None
 
-    solve = _section_sdp(system, choi, np.eye(len(choi)), certify=certify)
+    solve = _section_sdp(system, choi, None, certify=certify)
     verdict = solve.evidence
     if verdict is None:
         lower = _lower_bound(system, choi, choi - solve.k)
@@ -603,7 +671,7 @@ _DUAL_RADIUS_PRECISION = 1e-6
 
 
 def _radius(
-    system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float, congruence
+    system: OperatorSystem, dm: np.ndarray, gm: np.ndarray, tol: float
 ) -> tuple[float | None, np.ndarray | None]:
     """The smallest r >= 0 with r D - G positive on M_n(S)+ (D = I_n (x) Re
     delta, G the Choi matrix of g) over a proper subsystem, from one kernel
@@ -616,17 +684,18 @@ def _radius(
     -tol tr x, so <r D - G, x> < -tol tr x at every r <= cap; else
     UndecidedError.
 
-    The start point tries two candidates before any Newton step: r = 0, and
-    the ambient radius r0 = lambda_max(L^-1 G L^-*) for D = L L^* (the
-    :func:`_unit_congruence` of delta, ``None`` for a singular delta) with
-    K = 0 and x the top generalized eigenprojector.  r0 bounds the radius on
-    M_n(S) from above and equals it when that projector lies in M_n(S);
-    otherwise its lifted point leaves the bracket open, which is checked
-    before the eigensolve of the lower bound.  Each iterate r = max(0, -t)
-    is passed over without those eigensolves when its raw primal point does
-    not close the bracket yet, or when <W, x> < -tol tr x for
-    W = r D - G - K, which forces lambda_min(W) < -tol since x is PSD; the
-    last iterate (converged, capped or broken down) is checked in full."""
+    Each point tries r = max(0, -t).  At the kernel's start points t is
+    lambda_min(-G, D), so r is the ambient radius r0 = lambda_max(L^-1 G
+    L^-*) for D = L L^*, and the second start point is the top generalized
+    eigenprojector of (G, D) with K = 0: r0 bounds the radius on M_n(S)
+    from above and is certified there when that projector lies in M_n(S),
+    with no Newton step; otherwise its lifted point leaves the bracket
+    open.  A singular delta has no such eigendecomposition, and its one
+    start point tries r = 0.  A point is passed over without the
+    eigensolve of the lower bound when its raw primal point does not close
+    the bracket yet, or when <W, x> < -tol tr x for W = r D - G - K, which
+    forces lambda_min(W) < -tol since x is PSD; the last iterate
+    (converged, capped or broken down) is checked in full."""
 
     def closes(x, r):
         dx = np.vdot(dm, x).real
@@ -637,7 +706,7 @@ def _radius(
         if gate and not closes(x, r):
             return None
         c = r * dm - gm
-        w = c - k
+        w = c if k is None else c - k
         # lambda_min(W) <= <W, x> / tr x for a PSD x, so the lower bound fails too
         if gate and np.vdot(w, x).real < -tol * np.trace(x).real:
             return None
@@ -646,23 +715,7 @@ def _radius(
         x = _lift(system, x)
         return (r, x) if closes(x, r) and cone_member(system, x, tol) else None
 
-    def ambient():
-        if congruence is None:
-            return None
-        w, u = la.spectral_decompose(congruence(gm))
-        r = max(0.0, float(w[0]))
-        x = _lift(system, congruence(np.outer(u[:, 0], u[:, 0].conj()), adjoint=True))
-        if not (closes(x, r) and cone_member(system, x, tol)):
-            return None
-        c = r * dm - gm
-        return (r, x) if _lower_bound(system, c, c) >= -tol else None
-
-    candidates = [ambient]  # tried once, at the kernel's first call: its start point
-
-    def first_certified(x, k, t):
-        return certify(x, k, t) or (candidates.pop()() if candidates else None)
-
-    solve = _section_sdp(system, -gm, dm, certify=first_certified)
+    solve = _section_sdp(system, -gm, dm, certify=certify)
     found = solve.evidence if solve.stop == "certified" else certify(
         solve.x, solve.k, solve.t, gate=False)
     r, x = found or (None, _lift(system, solve.x))
@@ -691,10 +744,11 @@ def dual_order_unit_radius(
     For a Hermitian delta, the Riesz matrix G of g goes to the primal
     radius routine on the full algebra, which factors Re delta once and
     builds no Kronecker product at any level, and with D = I_n (x) Re delta
-    to one kernel solve (:func:`_radius`) on M_n(S), whose start point
-    tries the same factor's ambient radius; a radius whose top generalized
-    eigenprojector lies in M_n(S) is certified there, at 0 Newton steps,
-    and a singular Re delta skips that candidate.  Radii are closed forms
+    to one kernel solve (:func:`_radius`) on M_n(S), whose start point is
+    one generalized eigendecomposition of (-G, D) through the same level-1
+    factor: the ambient radius and its top generalized eigenprojector.  A
+    radius whose projector lies in M_n(S) is certified there, at 0 Newton
+    steps, and a singular Re delta has no such start and tries r = 0.  Radii are closed forms
     on the full algebra and, on a proper subsystem, certified within
     ``_DUAL_RADIUS_PRECISION`` (1e-6) at the first closing iterate.
     ``None`` means no r up to the search cap (``_search._RADIUS_MAX``, 1e6)
@@ -723,7 +777,7 @@ def dual_order_unit_radius(
     if system.is_full:
         return _domination_radii(unit, tol, _DUAL_RADIUS_PRECISION)(gm)
     dm = np.kron(np.eye(n), unit) if n > 1 else unit
-    return _radius(system, dm, gm, tol, _unit_congruence(unit))[0]
+    return _radius(system, dm, gm, tol)[0]
 
 
 # ----------------------------------------------------------------------------

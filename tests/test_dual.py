@@ -834,9 +834,12 @@ def test_radius_falls_through_to_the_solve(name):
 
 
 def test_understated_ambient_radius_is_never_accepted(monkeypatch):
-    # an ambient radius scaled by 1 - 1e-5 still closes the bracket at its
-    # own eigenprojector, but r D - G is then not PSD: the lower bound
-    # refuses it, the solve iterates, and the radius stays the exact one
+    # the kernel's start eigendecomposition reads L^-1 G L^-* through
+    # _unit_congruence, so scaling that congruence by 1 - 1e-5 understates
+    # the ambient radius r0 = -t that the start points carry.  It still
+    # closes the bracket at its own eigenprojector, but r D - G is then not
+    # PSD: the lower bound refuses it, the solve iterates from the dual
+    # start of the same eigenvalues, and the radius stays the exact one
     import opsys.dual as dual_module
 
     real = dual_module._unit_congruence
@@ -904,11 +907,12 @@ def test_kernel_converges_within_twenty_steps():
 @pytest.mark.parametrize("name", ["toeplitz:3", "random"])
 def test_kernel_iterates_are_dual_feasible(name):
     # the iteration starts from Z = C - t0 N, so every iterate that certify
-    # sees after the start point has C - K - t N PSD to rounding: radius
-    # solves (C = -G, N = I_n (x) delta for a series state) and CP solves
-    # (C the Choi matrix, N = I) at levels 1-3, run until they stop (on the
-    # random system a level-3 solve run past its certificates may end at a
-    # breakdown, as before)
+    # sees after the two start points has C - K - t N PSD to rounding:
+    # radius solves (C = -G, N = I_n (x) delta for a series state) and CP
+    # solves (C the Choi matrix, N = I) at levels 1-3, run until they stop
+    # (on the random system a level-3 solve run past its certificates may
+    # end at a breakdown, as before).  The start points carry K = 0 (as
+    # None) and t = lambda_min(C, N), where C - t N is PSD to rounding too
     import opsys.dual as dual_module
 
     rng = np.random.default_rng(36)
@@ -918,21 +922,26 @@ def test_kernel_iterates_are_dual_feasible(name):
         eye = np.eye(level)
         g = la.hermitian_part(rng.standard_normal((level * s.d, level * s.d)))
         gm = la.hermitian_part(MatrixFunctional(s, g).riesz)
-        problems = [(-gm, np.kron(eye, la.hermitian_part(delta.riesz))),
-                    (gm, np.eye(level * s.d))]
+        problems = [(-gm, np.kron(eye, la.hermitian_part(delta.riesz))), (gm, None)]
         for c, n in problems:
             points = []
             solve = dual_module._section_sdp(
                 s, c, n, certify=lambda x, k, t: points.append((k, t)))
-            assert solve.iterations > 0 and len(points) == solve.iterations + 1
+            assert solve.iterations > 0 and len(points) == solve.iterations + 2
+            n = np.eye(len(c)) if n is None else n
             bound = 1e-10 * max(1.0, la.frobenius(c))
-            for k, t in points[1:]:
+            assert [k for k, _ in points[:2]] == [None, None]
+            assert points[0][1] == points[1][1]
+            assert la.lambda_min(c - points[0][1] * n) >= -bound
+            for k, t in points[2:]:
                 assert la.lambda_min(c - k - t * n) >= -bound
 
 
 def test_singular_unit_takes_the_fallback_start():
-    # a unit N with no Cholesky factor has no dual start t0, and the solve
-    # starts from y = 0, Z = ||C||_F I as before (the exactly singular
+    # a unit N with no Cholesky factor has no start eigendecomposition, so
+    # no dual start t0 and no eigenprojector start point: the solve tries
+    # X = I / <N, I> alone and starts from y = 0, Z = ||C||_F I as before
+    # (the exactly singular
     # (I + X)/2 on span{I, X} runs this way end to end in
     # test_singular_delta_skips_the_ambient_radius).  diag(1, 0) and
     # diag(1, 1e-12) on diag:2 project to diag(1, 2e-16) and diag(1, 1e-12),
@@ -944,7 +953,7 @@ def test_singular_unit_takes_the_fallback_start():
     import opsys.dual as dual_module
 
     s = named_system("diag:2")
-    assert np.isnan(dual_module._dual_start(-np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), 1.0))
+    assert dual_module._start_pencil(s, -np.diag([0.0, 1.0]), np.diag([1.0, 0.0])) is None
     for eps in (0.0, 1e-12):
         delta = Functional(s, np.diag([1.0, eps]))
         rng = np.random.default_rng(5)
@@ -970,19 +979,25 @@ def _count_lifts(monkeypatch):
 
 
 def test_cp_solve_lifts_only_when_it_can_refute(monkeypatch):
-    # a CP grid whose Choi matrix C is not PSD iterates, and each iterate x
-    # (PSD, in M_n(S) to rounding) has <C, x> >= 0, as has tr C: lift(x)
+    # a CP grid whose Choi matrix C is not PSD iterates.  tr C >= 0, and
+    # each iterate x (PSD, in M_n(S) to rounding) has <C, x> >= 0: lift(x)
     # then pairs with C as a convex combination of the two, so no iterate
-    # can refute, and none is lifted
+    # can refute.  Of the two start points, X = I / nd has <C, X> >= 0 too;
+    # the bottom eigenprojector x of C has <C, x> = lambda_min(C) < 0, but
+    # the shift of its lift reaches -<C, x> / tr C (P x plus that multiple
+    # of I is not positive definite), so it cannot refute either.  None is
+    # lifted
     import opsys.dual as dual_module
 
     lifts = _count_lifts(monkeypatch)
     real_sdp = dual_module._section_sdp
-    seen = []
+    starts, seen = [], []
 
     def recording(system, c, n, *, certify):
-        return real_sdp(system, c, n,
-                        certify=lambda x, k, t: seen.append(np.vdot(x, c).real) or certify(x, k, t))
+        def record(x, k, t):
+            (starts if k is None else seen).append(np.vdot(x, c).real)
+            return certify(x, k, t)
+        return real_sdp(system, c, n, certify=record)
 
     monkeypatch.setattr(dual_module, "_section_sdp", recording)
     rng = np.random.default_rng(35)
@@ -993,11 +1008,17 @@ def test_cp_solve_lifts_only_when_it_can_refute(monkeypatch):
             side = n * s.d
             a = rng.standard_normal((side, side // 2)) + 1j * rng.standard_normal((side, side // 2))
             grid = MatrixFunctional.from_choi(s, a @ a.conj().T)
+            choi = la.hermitian_part(grid.riesz)
+            starts.clear()
             seen.clear()
             verdict = cp_verdict(grid)
             assert verdict.status == "feasible"
-            assert np.trace(grid.riesz).real >= 0 and min(seen) >= 0
-            stepped += verdict.iterations > 0
+            assert np.trace(choi).real >= 0
+            if verdict.iterations > 0:
+                stepped += 1
+                assert min(seen) >= 0
+                assert starts[0] >= 0
+                assert starts[1] == pytest.approx(la.lambda_min(choi), abs=1e-12) and starts[1] < 0
     assert stepped == 3
     assert lifts == []
 
@@ -1202,6 +1223,137 @@ def test_cp_start_point_decides_in_zero_steps():
     assert is_cp(negated) is False
 
 
+def _witnessed_negative(s, rng):
+    """F = W - t x0 for a PSD W of rank d - 1 and an explicit x0 in S+ of
+    trace one with F(x0) = -0.05."""
+    a = rng.standard_normal((s.d, s.d - 1)) + 1j * rng.standard_normal((s.d, s.d - 1))
+    w = a @ a.conj().T
+    x0 = random_positive_element(s, rng)
+    x0 = x0 / np.trace(x0).real
+    t = (np.trace(w @ x0).real + 0.05) / np.trace(x0 @ x0).real
+    return Functional(s, w - t * x0)
+
+
+def _refutes_by_hand(s, f, z, tol):
+    """Z is PSD, lies in S (its own expansion over a Hermitian basis of S)
+    and pairs with f below -10 tol ||Z||_F."""
+    hb = s.hermitian_basis
+    coords = np.einsum("aij,ji->a", hb, z).real
+    return (np.linalg.eigvalsh(z)[0] >= -tol
+            and np.abs(np.einsum("a,aij->ij", coords, hb) - z).max() <= tol
+            and np.trace(f.riesz @ z).real < -10 * tol * np.linalg.norm(z))
+
+
+@pytest.mark.parametrize("name", ["toeplitz:3", "toeplitz:4", "pauli-span", "diag:3", "random"])
+def test_witnessed_negative_functionals_are_refuted_at_the_start(name):
+    # twelve witnessed negative functionals per system are False after no
+    # Newton step, each with a certificate that re-checks by hand.  Most
+    # have trace F >= 0, so X = I / d pairs with F at or above 0 and cannot
+    # refute: the kernel's second start point, the bottom eigenprojector of
+    # F lifted into S+, refutes them
+    import opsys.dual as dual_module
+    from opsys.systems import DEFAULT_TOL
+
+    rng = np.random.default_rng(44)
+    s = random_system(rng, d=4, generators=2) if name == "random" else named_system(name)
+    nonnegative_trace = 0
+    for _ in range(12):
+        f = _witnessed_negative(s, rng)
+        before = dual_module.kernel_counts()
+        assert is_positive_functional(f) is False
+        counts = dual_module.kernel_counts(since=before)
+        assert counts["solves"] == counts["certified"] == 1 and counts["iterations"] == 0
+        verdict = cp_verdict(f, DEFAULT_TOL)
+        assert verdict.status == "infeasible" and verdict.iterations == 0
+        assert _refutes_by_hand(s, f, verdict.certificate, DEFAULT_TOL)
+        nonnegative_trace += np.trace(f.riesz).real >= 0
+    assert nonnegative_trace >= 8
+
+
+def test_negative_functional_the_start_cannot_refute_iterates_to_false():
+    # this functional on toeplitz:3 has trace F > 0, and the lift of its
+    # bottom eigenprojector (projected onto S, shifted into S+ by the unit)
+    # pairs with F above -10 tol ||Z||_F: neither start point refutes it,
+    # and the kernel steps to a point that does
+    import opsys.dual as dual_module
+    from opsys.systems import DEFAULT_TOL
+
+    s = named_system("toeplitz:3")
+    f = random_hermitian_functional(s, np.random.default_rng(12))
+    fr = la.hermitian_part(f.riesz)
+    assert np.trace(fr).real > 0
+    v = np.linalg.eigh(fr)[1][:, 0]
+    hb = s.hermitian_basis
+    z = np.einsum("a,aij->ij", np.einsum("aij,ji->a", hb, np.outer(v, v.conj())).real, hb)
+    z = z + max(0.0, -np.linalg.eigvalsh(z)[0]) * np.eye(s.d)
+    z = z / np.trace(z).real
+    assert np.trace(fr @ z).real >= -10 * DEFAULT_TOL * np.linalg.norm(z)
+    before = dual_module.kernel_counts()
+    assert is_positive_functional(f) is False
+    assert dual_module.kernel_counts(since=before)["iterations"] > 0
+    verdict = cp_verdict(f, DEFAULT_TOL)
+    assert verdict.status == "infeasible" and verdict.iterations > 0
+    assert _refutes_by_hand(s, f, verdict.certificate, DEFAULT_TOL)
+
+
+def test_one_eigensolve_of_the_pencil_before_the_first_step(monkeypatch):
+    # the start point's lower bound, its eigenprojector and the dual start
+    # all read one eigendecomposition of (C, N): of the eigensolves a solve
+    # makes before its first Newton step, exactly one has the generalized
+    # eigenvalues of (C, N) (or their negatives).  CP verdicts in the gray
+    # band and positivity minima (N = I) and radii that fall through to
+    # the solve (N = I_n (x) delta), at levels 1-2, all of which step
+    import opsys.dual as dual_module
+
+    real_eigh, real_eigvalsh, real_step = np.linalg.eigh, np.linalg.eigvalsh, dual_module._step
+    seen, stepped = [], []
+
+    def recorded(real):
+        def call(a, *args, **kwargs):
+            if not stepped:
+                seen.append(np.array(a, copy=True))
+            return real(a, *args, **kwargs)
+        return call
+
+    def step(li, dm):
+        stepped.append(1)
+        return real_step(li, dm)
+
+    def pencil_solves(run, c, n):
+        pencil = np.sort(np.linalg.eigvals(np.linalg.solve(n, c)).real)
+        atol = 1e-9 * max(1.0, np.abs(pencil).max())
+        seen.clear()
+        stepped.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", recorded(real_eigh))
+            m.setattr(np.linalg, "eigvalsh", recorded(real_eigvalsh))
+            m.setattr(dual_module, "_step", step)
+            run()
+        assert stepped
+        spectra = [real_eigvalsh(a) for a in seen if a.shape == c.shape]
+        return sum(np.allclose(lam, pencil, rtol=0, atol=atol)
+                   or np.allclose(-lam[::-1], pencil, rtol=0, atol=atol) for lam in spectra)
+
+    for name in ("pauli-span", "diag:3", "toeplitz:3"):
+        s = named_system(name)
+        rng = np.random.default_rng(45)
+        for level in (1, 2):
+            grid = _undecided_at_start(s, level, rng)
+            choi = la.hermitian_part(grid.riesz)
+            eye = np.eye(len(choi))
+            assert pencil_solves(lambda: cp_verdict(grid), choi, eye) == 1
+        f = random_hermitian_functional(s, rng)
+        fr = la.hermitian_part(f.riesz)
+        assert pencil_solves(lambda: positivity_minimum(f), fr, np.eye(s.d)) == 1
+    s = named_system("toeplitz:3")
+    radii = 0
+    for delta, g, dm, gm in _radius_cases(s, 43, (1, 2)):
+        if dual_module._section_sdp(s, -gm, dm).t < 0:  # r > 0: the start leaves it open
+            assert pencil_solves(lambda: dual_order_unit_radius(delta, g), -gm, dm) == 1
+            radii += 1
+    assert radii >= 4
+
+
 def test_positive_functional_certified_at_the_start_point():
     # a functional with a positive definite Riesz matrix is its own witness:
     # one solve, certified, no Newton step
@@ -1292,7 +1444,7 @@ def test_radius_none_carries_a_witness_that_rechecks(case):
     # <D, x> >= 0, and <r D - G, x> < -tol tr x at r = cap, so at every
     # r <= cap: no such r makes r delta - g positive
     import opsys.dual as dual_module
-    from opsys.systems import DEFAULT_TOL, _unit_congruence
+    from opsys.systems import DEFAULT_TOL
 
     delta, g, level = _witness_cases()[case]
     s, tol, cap = delta.system, DEFAULT_TOL, _search._RADIUS_MAX
@@ -1306,7 +1458,7 @@ def test_radius_none_carries_a_witness_that_rechecks(case):
     unit = la.hermitian_part(delta.riesz)
     dm = np.kron(np.eye(level), unit)
     gm = np.kron(np.eye(level), la.hermitian_part(g.riesz))
-    r, x = dual_module._radius(s, dm, gm, tol, _unit_congruence(unit))
+    r, x = dual_module._radius(s, dm, gm, tol)
     assert r is None
     assert np.allclose(x, x.conj().T, rtol=0, atol=1e-14)
     assert np.linalg.eigvalsh(x)[0] >= -tol
@@ -1635,12 +1787,16 @@ def _verdict_bits(v):
 
 
 def _undecided_at_start(s, level, rng):
-    """A level grid with lambda_min(C) = -0.05 and trace C > 0: the start
-    point decides nothing, so its CP solve steps."""
+    """A level grid with lambda_min(C) = -2 tol for cp_verdict's tol = 1e-7:
+    the witness C fails its bound, and no Z in the section has
+    <C, Z> < -10 tol ||Z||_F (||Z||_F >= 1/sqrt(nd), nd <= 18), so neither
+    start point decides it and its CP solve steps.  A minimum of -0.05
+    used to step too, but its bottom eigenprojector now refutes it at the
+    start on diag:3, where that projector lies in M_n(S)."""
     side = level * s.d
     c = s.project_level(la.hermitian_part(rng.standard_normal((side, side))
                                           + 1j * rng.standard_normal((side, side))))
-    return MatrixFunctional.from_choi(s, c - (0.05 + la.lambda_min(c)) * np.eye(side))
+    return MatrixFunctional.from_choi(s, c - (2e-7 + la.lambda_min(c)) * np.eye(side))
 
 
 def _setup_answers(s, level):
@@ -1699,24 +1855,24 @@ def test_level_stacks_are_kept_read_only_and_reused(name):
 
 @pytest.mark.parametrize("name", ["pauli-span", "diag:3", "toeplitz:3", "random"])
 def test_identity_unit_start_equals_the_factored_start(name):
-    # an identity N is its own Cholesky factor, so the start eigenvalues are
-    # C's own, to the bit, for the real and the complex identity alike
+    # N = I (passed as None) takes one eigh of C with no factor; an
+    # explicit identity, real or complex, is factored and applied as a
+    # congruence, which is exact for L = I: the same eigenvalues to the
+    # bit, and the same bottom eigenprojector up to the Hermitian part
+    # that the congruence takes
     import opsys.dual as dual_module
     from opsys.suites import _choi_grids
-
-    def factored(c, n, scale):
-        li = np.linalg.inv(np.linalg.cholesky(n))
-        lam = np.linalg.eigvalsh(li @ c @ li.conj().T)
-        return lam[0] - dual_module._START_MARGIN * max(lam[-1] - lam[0], 1e-3 * scale)
 
     s = _setup_system(name)
     for level in (1, 2, 3):
         for grid, _ in _choi_grids(s, level, np.random.default_rng(level)):
             c = la.hermitian_part(grid.riesz)
-            scale = max(1.0, la.frobenius(c))
+            lam, bottom = dual_module._start_pencil(s, c, None)
+            assert np.abs(lam - np.linalg.eigvalsh(c)).max() <= 1e-12
             for eye in (np.eye(len(c)), la.identity(len(c))):
-                start = dual_module._dual_start(c, eye, scale)
-                assert np.float64(start).tobytes() == np.float64(factored(c, eye, scale)).tobytes()
+                factored, factored_bottom = dual_module._start_pencil(s, c, eye)
+                assert factored.tobytes() == lam.tobytes()
+                assert np.abs(factored_bottom() - bottom()).max() <= 1e-15
 
 
 def test_a_level_stack_over_the_budget_is_built_per_solve(monkeypatch):
@@ -1748,16 +1904,18 @@ def test_a_level_stack_over_the_budget_is_built_per_solve(monkeypatch):
 
     monkeypatch.setattr(systems_module, "_level_basis", counted)
     s = named_system("diag:3")
-    # the kernel steps from the start point to a refuting point
+    # the kernel steps from the start point to the end of the gray band
     grid = _undecided_at_start(s, 6, np.random.default_rng(0))
     first, second = cp_verdict(grid), cp_verdict(grid)
     assert builds == [6, 6]
     assert s._level_stacks == {}
     assert s._level_stack("complement", 6).nbytes == 1_119_744
     assert _verdict_bits(second) == _verdict_bits(first)
-    # the verdict of the solver that built its stack on every solve
-    assert (first.status, first.iterations) == ("infeasible", 5)
-    assert first.gap == pytest.approx(0.04999999999999916, abs=1e-12)
+    # neither witness nor certificate exists in the gray band: undecided,
+    # with the gap at the section minimum, which on diag:3 is
+    # lambda_min(C) = -2e-7
+    assert (first.status, first.iterations) == ("undecided", 10)
+    assert first.gap == pytest.approx(2e-7, abs=1e-12)
     # one level down the stack fits, and it is kept
     assert s._level_stack("complement", 5).nbytes <= budget
     assert ("complement", 5) in s._level_stacks
